@@ -6,10 +6,31 @@ assignment is canonical (shorter codes first, ties by ascending symbol), so a
 layer's table is fully described by one code length per alphabet symbol. A
 single-symbol alphabet gets a 1-bit code.
 
+Both directions run as numpy array passes, not as Python steps per symbol
+or per bit:
+
+* encode looks up every symbol's code and length and places each code at
+  the cumulative sum of the lengths before it. It scatters the code bits
+  into a one-byte-per-bit array, one pass per code bit index over blocks of
+  ``_ENCODE_SYMBOLS`` symbols, and packs the array once.
+* decode reads the payload in chunks of ``_CHUNK_BYTES`` (2 KiB). For every
+  bit offset of a chunk it forms a left-justified 63-bit window and finds
+  the code length at that offset by searching the canonical per-length
+  limits, in the style of Moffat & Turpin ("On the implementation of
+  minimum redundancy prefix codes", IEEE TCOM 1997); no 2^L lookup table is
+  built. A Python walk along jump tables of those lengths picks out the
+  codeword starts, and canonical arithmetic maps each start's window to its
+  symbol. The scratch arrays of one chunk come to about 1 MB, whatever the
+  layer size.
+
+The window holds any code of up to ``MAX_CODE_LEN`` (57) bits; a table with
+longer codes is rejected when it is built. A Huffman code that long needs
+more than 10^11 symbols.
+
 Container layout (little-endian):
 
     magic   4 bytes  b"FQZ1"
-    version u16
+    version u16 (only VERSION is read)
     then one record per layer until end of file:
         name_len u16, name utf-8
         mode u8 (0 = shift, 1 = recentralized), n_bits u8
@@ -19,6 +40,9 @@ Container layout (little-endian):
         code lengths, u8 per alphabet symbol (2^n_bits bytes, 0 = absent)
         payload_bits u64, payload bytes (zero-padded to a byte boundary)
         crc32 u32 over every preceding byte of the record
+
+A record's CRC is verified before any of its fields other than the ones
+that give its extent (name_len, n_bits, payload_bits) is interpreted.
 """
 
 from __future__ import annotations
@@ -28,6 +52,7 @@ import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import CorruptionError, FormatError
 from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization
@@ -40,6 +65,12 @@ _MODE_CODES = {MODE_SHIFT: 0, MODE_RECENTRALIZED: 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
 REPORT_HEADER = "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity"
+
+_WINDOW = 63  # decode window bits: 8 payload bytes, shifted left up to 7 bits, then right 1
+MAX_CODE_LEN = _WINDOW - 6  # bits of the window that always come from the payload
+_ENCODE_SYMBOLS = 1 << 16  # symbols placed per encode step
+_CHUNK_BYTES = 1 << 11  # payload bytes decoded per step
+_JUMP_LEVELS = 3  # the decode walk steps 2**3 codewords at a time
 
 
 def _huffman_lengths(counts: dict) -> dict:
@@ -82,6 +113,7 @@ class HuffmanTable:
 
     lengths: np.ndarray  # uint8 per alphabet symbol; 0 = symbol absent
     codes: dict = field(init=False, repr=False)
+    _left_codes: np.ndarray = field(init=False, repr=False)
     _decode: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -89,39 +121,40 @@ class HuffmanTable:
         present = np.nonzero(self.lengths)[0]
         if present.size == 0:
             raise FormatError("code table has no symbols")
-        kraft = float(np.sum(2.0 ** -self.lengths[present].astype(np.float64)))
-        if kraft > 1.0 + 1e-12:
-            raise FormatError(f"Kraft sum {kraft} exceeds 1: not a prefix code")
-        order = sorted(present, key=lambda s: (self.lengths[s], s))
-        codes = {}
-        code = 0
-        prev_len = int(self.lengths[order[0]])
-        for sym in order:
-            length = int(self.lengths[sym])
-            code <<= length - prev_len
-            if code >> length:
-                raise FormatError("code lengths overflow the canonical space")
-            codes[int(sym)] = code
-            code += 1
-            prev_len = length
-        self.codes = codes
-        # canonical decode tables: per length, first code and symbol slice
-        max_len = int(self.lengths[present].max())
+        max_len = int(self.lengths.max())
+        if max_len > MAX_CODE_LEN:
+            raise FormatError(
+                f"code length {max_len} exceeds the {MAX_CODE_LEN}-bit decode window"
+            )
+        count = np.bincount(self.lengths[present], minlength=max_len + 1).tolist()
+        # canonical numbering: the codes of each length continue, one bit
+        # longer, from just past the last code of the length before
         first_code = [0] * (max_len + 1)
         first_index = [0] * (max_len + 1)
-        count = [0] * (max_len + 1)
-        ordered_syms = [int(s) for s in order]
-        idx = 0
-        code = 0
         for length in range(1, max_len + 1):
-            code <<= 1
-            first_code[length] = code
-            first_index[length] = idx
-            n_here = sum(1 for s in order if self.lengths[s] == length)
-            count[length] = n_here
-            idx += n_here
-            code += n_here
-        self._decode = (first_code, first_index, count, ordered_syms, max_len)
+            first_code[length] = (first_code[length - 1] + count[length - 1]) << 1
+            first_index[length] = first_index[length - 1] + count[length - 1]
+        if first_code[max_len] + count[max_len] > 1 << max_len:
+            kraft = float(np.sum(2.0 ** -self.lengths[present].astype(np.float64)))
+            raise FormatError(f"Kraft sum {kraft} exceeds 1: not a prefix code")
+        # symbols in canonical order (shorter codes first, ties by symbol);
+        # the symbol at index i with an l-bit code has code i - base[l]
+        ordered = present[np.lexsort((present, self.lengths[present]))]
+        ordered_len = self.lengths[ordered].astype(np.int64)
+        base = np.array(first_index, dtype=np.int64) - np.array(first_code, dtype=np.int64)
+        codes = np.arange(ordered.size, dtype=np.int64) - base[ordered_len]
+        self.codes = dict(zip(ordered.tolist(), codes.tolist()))
+        left = np.zeros(self.lengths.size, dtype=np.uint64)
+        left[ordered] = codes.astype(np.uint64) << (64 - ordered_len).astype(np.uint64)
+        self._left_codes = left
+        # every code of length <= l, left-justified in _WINDOW bits, lies
+        # below limits[l - 1]
+        limits = np.array(
+            [(first_code[l] + count[l]) << (_WINDOW - l) for l in range(1, max_len + 1)],
+            dtype=np.uint64,
+        )
+        # symbols stay in the narrowest dtype until the whole stream is decoded
+        self._decode = (limits, base, ordered.astype(np.min_scalar_type(self.lengths.size - 1)))
 
     @classmethod
     def from_frequencies(cls, counts, alphabet_size: int) -> "HuffmanTable":
@@ -140,52 +173,118 @@ class HuffmanTable:
         return cls(lengths)
 
     def encode(self, symbols: np.ndarray):
-        """Pack symbols MSB-first; returns (payload bytes, payload bit count)."""
-        lengths = self.lengths
-        codes = self.codes
-        out = bytearray()
-        acc = 0
-        nbits = 0
-        total_bits = 0
-        for sym in np.asarray(symbols).ravel():
-            sym = int(sym)
-            length = int(lengths[sym]) if 0 <= sym < lengths.size else 0
-            if length == 0:
-                raise ValueError(f"symbol {sym} not in the code table")
-            acc = (acc << length) | codes[sym]
-            nbits += length
-            total_bits += length
-            while nbits >= 8:
-                nbits -= 8
-                out.append((acc >> nbits) & 0xFF)
-            acc &= (1 << nbits) - 1
-        if nbits:
-            out.append((acc << (8 - nbits)) & 0xFF)
-        return bytes(out), total_bits
+        """Pack symbols MSB-first; returns (payload bytes, payload bit count).
 
-    def decode(self, payload: bytes, payload_bits: int) -> np.ndarray:
-        """Decode exactly payload_bits bits back into symbols."""
-        if payload_bits > 8 * len(payload):
+        Each symbol's code starts where the previous one ends (a cumulative
+        sum of code lengths). Working through _ENCODE_SYMBOLS symbols at a
+        time, bit j of every code at least j + 1 bits long is scattered into
+        a one-byte-per-bit array, one code bit index at a time; the array is
+        packed once at the end.
+        """
+        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        if symbols.size == 0:
+            return b"", 0
+        if symbols.min() < 0 or symbols.max() >= self.lengths.size:
+            outside = (symbols < 0) | (symbols >= self.lengths.size)
+            raise ValueError(f"symbol {int(symbols[np.argmax(outside)])} not in the code table")
+        sym_len = self.lengths[symbols]
+        if not sym_len.all():
+            raise ValueError(f"symbol {int(symbols[np.argmin(sym_len)])} not in the code table")
+        total_bits = int(sym_len.sum(dtype=np.int64))
+        bits = np.zeros(total_bits, dtype=np.uint8)
+        end = 0
+        for first in range(0, symbols.size, _ENCODE_SYMBOLS):
+            length = sym_len[first : first + _ENCODE_SYMBOLS]
+            pos = np.cumsum(length, dtype=np.int64)
+            pos += end
+            end = int(pos[-1])
+            pos -= length
+            word = self._left_codes[symbols[first : first + _ENCODE_SYMBOLS]]
+            for j in range(int(length.max())):
+                if j:
+                    longer = length > j
+                    pos, word, length = pos[longer] + 1, word[longer] << np.uint64(1), length[longer]
+                bits[pos] = word >> np.uint64(63)
+        return np.packbits(bits).tobytes(), total_bits
+
+    def decode(self, payload, payload_bits: int) -> np.ndarray:
+        """Decode exactly payload_bits bits back into symbols.
+
+        The payload is read _CHUNK_BYTES at a time. Within a chunk, the code
+        length at every bit offset comes from a search of the canonical
+        per-length limits; a walk along those lengths from the first codeword
+        start finds the codeword starts, and canonical arithmetic turns each
+        start's window into its symbol.
+        """
+        data = np.frombuffer(payload, dtype=np.uint8)
+        if payload_bits > 8 * data.size:
             raise CorruptionError("payload shorter than its declared bit length")
-        first_code, first_index, count, ordered_syms, max_len = self._decode
-        symbols = []
-        code = 0
-        length = 0
-        for i in range(payload_bits):
-            bit = (payload[i >> 3] >> (7 - (i & 7))) & 1
-            code = (code << 1) | bit
+        limits, base, ordered = self._decode
+        max_len = limits.size
+        shifts = np.arange(8, dtype=np.uint64)
+        n_bytes = (payload_bits + 7) // 8
+        pieces = []
+        pos = 0  # bit offset of the next codeword
+        for first in range(0, n_bytes, _CHUNK_BYTES):
+            chunk = min(_CHUNK_BYTES, n_bytes - first)
+            seg = data[first : first + chunk + 7]
+            if seg.size < chunk + 7:  # zero bytes past the end keep windows full
+                seg = np.concatenate([seg, np.zeros(chunk + 7 - seg.size, np.uint8)])
+            words = sliding_window_view(seg, 8).view(">u8")[:, 0].astype(np.uint64)
+            window = ((words[:, None] << shifts) >> np.uint64(64 - _WINDOW)).ravel()
+            length = np.searchsorted(limits, window, side="right")
             length += 1
-            if length > max_len:
+            offset = 8 * first
+            n_offsets = min(8 * chunk, payload_bits - offset)
+            starts, at = _codeword_starts(length[:n_offsets], pos - offset)
+            pos = offset + at
+            if not starts.size:
+                continue
+            start_len = length[starts]
+            unmatched = start_len > max_len
+            if unmatched.any():
+                bad = offset + int(starts[np.argmax(unmatched)])
+                if payload_bits - bad <= max_len:  # too few bits left to rule out every code
+                    raise CorruptionError("payload ends inside a codeword")
                 raise CorruptionError("bit pattern matches no codeword")
-            if count[length] and code - first_code[length] < count[length]:
-                offset = code - first_code[length]
-                if offset >= 0:
-                    symbols.append(ordered_syms[first_index[length] + offset])
-                    code = 0
-                    length = 0
-        if length != 0:
+            code = window[starts] >> (_WINDOW - start_len).astype(np.uint64)
+            pieces.append(ordered[code.astype(np.int64) + base[start_len]])
+        if pos != payload_bits:
             raise CorruptionError("payload ends inside a codeword")
-        return np.array(symbols, dtype=np.int64)
+        return np.concatenate(pieces or [ordered[:0]]).astype(np.int64)
+
+
+def _codeword_starts(length: np.ndarray, at: int):
+    """Offsets below length.size reached by stepping from ``at`` by length[offset].
+
+    Returns them in increasing order, with the first offset past the end. The
+    Python walk takes 2**_JUMP_LEVELS codewords per step, along jump tables
+    built by repeated gathers, and the skipped starts are filled in from the
+    same tables.
+    """
+    n = length.size
+    if at >= n:
+        return np.zeros(0, dtype=np.int64), at
+    # jumps[k][p]: the offset 2**k codewords after p, clamped to n
+    step = np.arange(n + 1, dtype=np.int64)
+    step[:n] += length
+    np.minimum(step, n, out=step)
+    jumps = [step]
+    for _ in range(_JUMP_LEVELS):
+        jumps.append(jumps[-1][jumps[-1]])
+    far = memoryview(jumps[-1])
+    blocks = []
+    while at < n and far[at] < n:
+        blocks.append(at)
+        at = far[at]
+    starts = np.array(blocks, dtype=np.int64)
+    for jump in reversed(jumps[:-1]):
+        starts = np.stack([starts, jump[starts]], axis=1).ravel()
+    tail = []
+    while at < n:
+        tail.append(at)
+        at += int(length[at])
+    return np.concatenate([starts, tail]).astype(np.int64), at
 
 
 def build_huffman(frequencies, alphabet_size: int) -> HuffmanTable:
@@ -213,33 +312,57 @@ def _decode_pow2(sign: int, exponent: int) -> float:
     return float(sign) * float(np.ldexp(1.0, exponent))
 
 
+_HEADER = struct.Struct("<4sH")  # magic, version
+_NAME_LEN = struct.Struct("<H")
 _FIXED = struct.Struct("<BBfbbbbbf")  # mode, n_bits, alpha, bias, mu fields, sigma
+_PAYLOAD_BITS = struct.Struct("<Q")
+_CRC = struct.Struct("<I")
+
+
+def _layer_table(lq: LayerQuantization):
+    """The layer's Huffman table and its symbol counts."""
+    counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
+    return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
+
+
+def _record_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
+    """Every byte of a layer record before its payload."""
+    name = lq.name.encode("utf-8")
+    ms, me = _encode_pow2(lq.mu[0])
+    ps, pe = _encode_pow2(lq.mu[1])
+    return b"".join((
+        _NAME_LEN.pack(len(name)),
+        name,
+        _FIXED.pack(
+            _MODE_CODES[lq.mode], lq.n_bits, np.float32(lq.alpha), lq.bias,
+            ms, me, ps, pe, np.float32(lq.sigma),
+        ),
+        table.lengths.tobytes(),
+        _PAYLOAD_BITS.pack(payload_bits),
+    ))
 
 
 def encode_layer(lq: LayerQuantization) -> bytes:
     """Serialize one quantized layer to its container record."""
-    name = lq.name.encode("utf-8")
-    counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
-    table = HuffmanTable.from_frequencies(counts, lq.alphabet_size)
+    table, _ = _layer_table(lq)
     payload, payload_bits = table.encode(lq.symbols)
-    ms, me = _encode_pow2(lq.mu[0])
-    ps, pe = _encode_pow2(lq.mu[1])
-    record = bytearray()
-    record += struct.pack("<H", len(name))
-    record += name
-    record += _FIXED.pack(
-        _MODE_CODES[lq.mode], lq.n_bits, np.float32(lq.alpha), lq.bias,
-        ms, me, ps, pe, np.float32(lq.sigma),
-    )
-    record += table.lengths.tobytes()
-    record += struct.pack("<Q", payload_bits)
-    record += payload
-    record += struct.pack("<I", zlib.crc32(bytes(record)) & 0xFFFFFFFF)
-    return bytes(record)
+    record = _record_head(lq, table, payload_bits) + payload
+    return record + _CRC.pack(zlib.crc32(record) & 0xFFFFFFFF)
+
+
+def _record_size(lq: LayerQuantization) -> int:
+    """Exact byte length of ``encode_layer(lq)``, found without encoding."""
+    table, counts = _layer_table(lq)
+    payload_bits = int(np.dot(counts, table.lengths.astype(np.int64)))
+    return len(_record_head(lq, table, payload_bits)) + (payload_bits + 7) // 8 + _CRC.size
 
 
 def decode_layer(data, offset: int = 0):
-    """Parse one layer record; returns (LayerQuantization, next offset)."""
+    """Parse one layer record; returns (LayerQuantization, next offset).
+
+    Only the fields that give the record's extent are read before its CRC
+    is verified.
+    """
     view = memoryview(data)
 
     def take(count):
@@ -251,26 +374,31 @@ def decode_layer(data, offset: int = 0):
         return chunk
 
     start = offset
-    (name_len,) = struct.unpack("<H", take(2))
-    name = bytes(take(name_len)).decode("utf-8")
+    (name_len,) = _NAME_LEN.unpack(take(_NAME_LEN.size))
+    raw_name = take(name_len)
     mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma = _FIXED.unpack(
         take(_FIXED.size)
     )
-    if mode_code not in _MODE_NAMES:
-        raise FormatError(f"bad mode byte {mode_code}")
     if not 3 <= n_bits <= 8:
         raise FormatError(f"bad bit width {n_bits}")
-    lengths = np.frombuffer(take(1 << n_bits), dtype=np.uint8).copy()
-    (payload_bits,) = struct.unpack("<Q", take(8))
-    payload = bytes(take((payload_bits + 7) // 8))
-    (stored_crc,) = struct.unpack("<I", take(4))
-    actual_crc = zlib.crc32(bytes(view[start : offset - 4])) & 0xFFFFFFFF
+    lengths = take(1 << n_bits)
+    (payload_bits,) = _PAYLOAD_BITS.unpack(take(_PAYLOAD_BITS.size))
+    payload = take((payload_bits + 7) // 8)
+    (stored_crc,) = _CRC.unpack(take(_CRC.size))
+    actual_crc = zlib.crc32(view[start : offset - _CRC.size]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
+        shown = bytes(raw_name).decode("utf-8", errors="replace")
         raise CorruptionError(
-            f"layer {name!r}: checksum mismatch "
+            f"layer {shown!r} at byte {start}: checksum mismatch "
             f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
         )
-    table = HuffmanTable(lengths)
+    try:
+        name = bytes(raw_name).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"layer record at byte {start}: name is not UTF-8") from exc
+    if mode_code not in _MODE_NAMES:
+        raise FormatError(f"bad mode byte {mode_code}")
+    table = HuffmanTable(np.frombuffer(lengths, dtype=np.uint8).copy())
     symbols = table.decode(payload, payload_bits)
     try:
         lq = LayerQuantization(
@@ -304,19 +432,21 @@ class CompressedModel:
 
 
 def encode_compressed(cm: CompressedModel) -> bytes:
-    out = bytearray(struct.pack("<4sH", MAGIC, cm.version))
+    out = bytearray(_HEADER.pack(MAGIC, cm.version))
     for lq in cm.layers:
         out += encode_layer(lq)
     return bytes(out)
 
 
 def decode_compressed(data: bytes) -> CompressedModel:
-    if len(data) < 6:
+    if len(data) < _HEADER.size:
         raise CorruptionError("file shorter than the container header")
-    magic, version = struct.unpack("<4sH", data[:6])
+    magic, version = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    offset = 6
+    if version != VERSION:
+        raise FormatError(f"unsupported container version {version}, expected {VERSION}")
+    offset = _HEADER.size
     layers = []
     while offset < len(data):
         lq, offset = decode_layer(data, offset)
@@ -360,8 +490,9 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     """Per-layer size rows plus a "total" row.
 
     Original bytes count 4 per weight (the dense float baseline); compressed
-    bytes are the exact record sizes, and the total row includes the 6-byte
-    container header. Sparsity is the fraction of symbols decoding to zero.
+    bytes are the exact record sizes (computed from each layer's code lengths
+    and symbol counts, without encoding), and the total row includes the
+    6-byte container header. Sparsity is the fraction of symbols decoding to zero.
     """
     model_names = [layer.name for layer in model.layers]
     cm_names = [lq.name for lq in cm.layers]
@@ -371,7 +502,7 @@ def compression_report(model: ModelFile, cm: CompressedModel):
             f"compressed {sorted(cm_names)}"
         )
     rows = []
-    total_comp = 6
+    total_comp = _HEADER.size
     total_zero = 0
     total_count = 0
     for layer in model.layers:
@@ -379,7 +510,7 @@ def compression_report(model: ModelFile, cm: CompressedModel):
         if lq.weight_count != layer.weight_count:
             raise ValueError(f"layer {layer.name!r}: weight counts differ")
         orig = 4 * layer.weight_count
-        comp = len(encode_layer(lq))
+        comp = _record_size(lq)
         rows.append(
             ReportRow(
                 layer.name, lq.mode, lq.n_bits, orig, comp,

@@ -158,6 +158,23 @@ def test_decompress_matches_dequantized_weights(assets, capsys, tmp_path):
         assert np.array_equal(spec.weight.ravel(), want)
 
 
+@pytest.mark.parametrize("offset, value", [
+    (8, 0xFF),  # first byte of the first record's name: not UTF-8
+    (4, 99),  # low byte of the container version
+])
+def test_decompress_damaged_header_is_data_error(assets, capsys, tmp_path, offset, value):
+    blob = bytearray(assets["fqz"].read_bytes())
+    blob[offset] = value
+    bad = tmp_path / "bad.fqz"
+    bad.write_bytes(bytes(blob))
+    rc, _, err = run_cli([
+        "decompress", "--in", str(bad), "--model", str(assets["model"]),
+        "--out", str(tmp_path / "restored.bin"),
+    ], capsys)
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 # --- infer ------------------------------------------------------------------------
 
 

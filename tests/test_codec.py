@@ -1,7 +1,14 @@
+import struct
+import zlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fqpack import codec
 from fqpack.codec import (
+    MAX_CODE_LEN,
     REPORT_HEADER,
     CompressedModel,
     HuffmanTable,
@@ -315,3 +322,269 @@ def test_report_name_mismatch_rejected():
     )
     with pytest.raises(ValueError):
         compression_report(ModelFile([spec]), CompressedModel([lq]))
+
+
+# --- array coder against a bit-serial reference ------------------------------------
+#
+# The reference coder takes one Python step per symbol (encode) or per bit
+# (decode) and builds its canonical codes straight from the code lengths. The
+# array coder must match it byte for byte, bit count for bit count, and error
+# for error.
+
+
+def serial_codes(lengths):
+    """Canonical codes: shorter first, ties by symbol, one code after another."""
+    order = sorted((int(lengths[s]), s) for s in range(len(lengths)) if lengths[s])
+    codes, code, prev_len = {}, 0, order[0][0]
+    for length, sym in order:
+        code <<= length - prev_len
+        codes[sym] = code
+        code += 1
+        prev_len = length
+    return codes
+
+
+def serial_encode(lengths, symbols):
+    codes = serial_codes(lengths)
+    out, acc, nbits, total = bytearray(), 0, 0, 0
+    for sym in np.asarray(symbols).ravel():
+        sym = int(sym)
+        length = int(lengths[sym]) if 0 <= sym < len(lengths) else 0
+        if length == 0:
+            raise ValueError(f"symbol {sym} not in the code table")
+        acc = (acc << length) | codes[sym]
+        nbits += length
+        total += length
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+        acc &= (1 << nbits) - 1
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out), total
+
+
+def serial_decode(lengths, payload, payload_bits):
+    if payload_bits > 8 * len(payload):
+        raise CorruptionError("payload shorter than its declared bit length")
+    words = {(int(lengths[s]), code): s for s, code in serial_codes(lengths).items()}
+    max_len = int(max(lengths))
+    symbols, code, length = [], 0, 0
+    for i in range(payload_bits):
+        code = (code << 1) | ((payload[i >> 3] >> (7 - (i & 7))) & 1)
+        length += 1
+        if length > max_len:
+            raise CorruptionError("bit pattern matches no codeword")
+        sym = words.get((length, code))
+        if sym is not None:
+            symbols.append(sym)
+            code, length = 0, 0
+    if length:
+        raise CorruptionError("payload ends inside a codeword")
+    return np.array(symbols, dtype=np.int64)
+
+
+def outcome(fn, *args):
+    """Result of fn, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, FormatError) as exc:
+        return type(exc), str(exc)
+
+
+def same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.dtype == np.int64 and np.array_equal(got, want)
+    return got == want
+
+
+@st.composite
+def skewed_counts(draw):
+    """Zipf-like counts over 1-256 symbols of an alphabet of up to 256."""
+    alphabet = draw(st.integers(1, 256))
+    present = draw(st.integers(1, alphabet))
+    skew = draw(st.floats(0.0, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros(alphabet, dtype=np.int64)
+    ranks = np.arange(1, present + 1, dtype=np.float64)
+    counts[rng.choice(alphabet, size=present, replace=False)] = np.maximum(
+        1, (1e6 * ranks**-skew).astype(np.int64))
+    return counts
+
+
+@st.composite
+def code_tables(draw):
+    """Huffman tables, and incomplete tables (Kraft sum < 1) made by
+    lengthening some of their codes."""
+    counts = draw(skewed_counts())
+    lengths = HuffmanTable.from_frequencies(counts, counts.size).lengths.copy()
+    if draw(st.booleans()):
+        present = np.nonzero(lengths)[0]
+        extra = draw(st.lists(st.integers(0, 3), min_size=present.size,
+                              max_size=present.size))
+        lengths[present] = np.minimum(lengths[present] + np.array(extra), MAX_CODE_LEN)
+    return HuffmanTable(lengths), counts
+
+
+def stream_for(table, counts, size, seed):
+    """size symbols of the table, drawn in proportion to counts."""
+    present = np.nonzero(table.lengths)[0]
+    weights = counts[present].astype(np.float64)
+    return np.random.default_rng(seed).choice(present, size=size, p=weights / weights.sum())
+
+
+# sizes small enough that short streams still cross block and chunk edges
+block_sizes = st.sampled_from([1, 3, 64, codec._ENCODE_SYMBOLS])
+chunk_sizes = st.sampled_from([1, 2, 5, 64, codec._CHUNK_BYTES])
+
+
+@settings(max_examples=150, deadline=None)
+@given(code_tables(), st.integers(0, 3000), st.integers(0, 2**32 - 1), block_sizes,
+       chunk_sizes)
+def test_array_coder_matches_serial_reference(table_counts, size, seed, block, chunk):
+    table, counts = table_counts
+    assert table.codes == serial_codes(table.lengths)
+    symbols = stream_for(table, counts, size, seed)
+    with mock.patch.object(codec, "_ENCODE_SYMBOLS", block), \
+            mock.patch.object(codec, "_CHUNK_BYTES", chunk):
+        payload, bits = table.encode(symbols)
+        assert (payload, bits) == serial_encode(table.lengths, symbols)
+        decoded = table.decode(payload, bits)
+    assert decoded.dtype == np.int64 and np.array_equal(decoded, symbols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code_tables(), st.binary(max_size=40), st.data(), chunk_sizes)
+def test_decode_of_any_bits_matches_serial_reference(table_counts, payload, data, chunk):
+    # arbitrary payloads reach every error: unmatched patterns under
+    # incomplete codes, trailing partial codewords, bit counts past the end
+    table, _ = table_counts
+    bits = data.draw(st.integers(0, 8 * len(payload) + 9))
+    with mock.patch.object(codec, "_CHUNK_BYTES", chunk):
+        got = outcome(table.decode, payload, bits)
+    assert same_outcome(got, outcome(serial_decode, table.lengths, payload, bits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_tables(), st.lists(st.integers(-300, 300), max_size=50))
+def test_encode_errors_match_serial_reference(table_counts, symbols):
+    table, _ = table_counts
+    want = outcome(serial_encode, table.lengths, np.array(symbols, dtype=np.int64))
+    got = outcome(table.encode, np.array(symbols, dtype=np.int64))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got[0] is ValueError  # either unknown symbol may be named first
+    else:
+        assert got == want
+
+
+def fibonacci_counts(n):
+    counts, a, b = {}, 1, 1
+    for sym in range(n):
+        counts[sym] = a
+        a, b = b, a + b
+    return counts
+
+
+@pytest.mark.parametrize("n_symbols, longest", [(27, 26), (36, 35), (58, 57)])
+def test_long_codes_round_trip(n_symbols, longest):
+    table = build_huffman(fibonacci_counts(n_symbols), 64)
+    assert int(table.lengths.max()) == longest
+    rng = np.random.default_rng(longest)
+    symbols = rng.integers(0, n_symbols, size=5000)
+    payload, bits = table.encode(symbols)
+    assert (payload, bits) == serial_encode(table.lengths, symbols)
+    assert np.array_equal(table.decode(payload, bits), symbols)
+
+
+def test_code_longer_than_decode_window_rejected():
+    table = build_huffman(fibonacci_counts(58), 64)
+    lengths = table.lengths.copy()
+    lengths[np.argmax(lengths)] += 1  # still a prefix code, one bit too long
+    with pytest.raises(FormatError):
+        HuffmanTable(lengths)
+    with pytest.raises(FormatError):
+        build_huffman(fibonacci_counts(59), 64)
+
+
+def test_stream_spanning_many_decode_chunks():
+    rng = np.random.default_rng(56)
+    symbols = rng.choice(32, size=200_000, p=np.r_[0.5, np.full(31, 0.5 / 31)])
+    table = build_huffman(np.bincount(symbols, minlength=32), 32)
+    payload, bits = table.encode(symbols)
+    assert len(payload) > 4 * codec._CHUNK_BYTES
+    assert (payload, bits) == serial_encode(table.lengths, symbols)
+    assert np.array_equal(table.decode(payload, bits), symbols)
+
+
+def test_decode_errors():
+    single = HuffmanTable(np.array([0, 1, 0, 0], dtype=np.uint8))  # one symbol, code "0"
+    with pytest.raises(CorruptionError, match="matches no codeword"):
+        single.decode(b"\x40", 8)  # 0 then 1: the second bit starts no code
+    table = build_huffman({0: 5, 1: 1, 2: 1}, 4)  # 0 = "0", 1 = "10", 2 = "11"
+    with pytest.raises(CorruptionError, match="ends inside a codeword"):
+        table.decode(b"\x80", 1)  # a lone "1"
+    with pytest.raises(CorruptionError, match="shorter than its declared"):
+        table.decode(b"\x00", 9)
+
+
+# --- record sizes, record checks, container version ---------------------------------
+
+
+@pytest.mark.parametrize("mode, n_bits", [(MODE_SHIFT, b) for b in range(3, 9)]
+                         + [(MODE_RECENTRALIZED, b) for b in range(4, 9)])
+def test_report_sizes_equal_encoded_records(mode, n_bits):
+    rng = np.random.default_rng(57 + n_bits)
+    pick = rng.random(3000) < 0.5
+    weights = np.where(pick, rng.normal(-0.3, 0.04, 3000), rng.normal(0.25, 0.05, 3000))
+    mask = prune_by_magnitude(weights, 0.4)
+    lq = quantize_layer(weights, mask, n_bits, w_sep=1e9 if mode == MODE_SHIFT else 0.0,
+                        seed=n_bits, name=f"layer{n_bits}")
+    assert lq.mode == mode
+    spec = LayerSpec(name=lq.name, kind="conv2d", geometry=(1, 1, 1, lq.weight_count, 1, 1),
+                     weight=np.zeros((1, 1, 1, lq.weight_count), dtype=np.float32))
+    cm = CompressedModel([lq])
+    rows = compression_report(ModelFile([spec]), cm)
+    assert rows[0].comp_bytes == len(encode_layer(lq))
+    assert rows[1].comp_bytes == len(encode_compressed(cm))
+
+
+def _with_crc(record: bytes) -> bytes:
+    body = record[:-4]
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_flipped_name_byte_is_a_checksum_error():
+    record = bytearray(encode_layer(_shift_layer("conv")))
+    record[2] = 0xFF  # first name byte: no longer UTF-8
+    with pytest.raises(CorruptionError, match="checksum"):
+        decode_layer(bytes(record))
+
+
+def test_name_that_is_not_utf8_is_a_format_error():
+    record = bytearray(encode_layer(_shift_layer("conv")))
+    record[2] = 0xFF
+    with pytest.raises(FormatError, match="UTF-8"):
+        decode_layer(_with_crc(bytes(record)))
+
+
+def test_unknown_container_version_rejected():
+    data = encode_compressed(CompressedModel([_shift_layer()], version=99))
+    with pytest.raises(FormatError, match="version 99"):
+        decode_compressed(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), min_size=1,
+                max_size=3))
+def test_mutated_container_loads_or_raises_format_error(flips):
+    data = bytearray(_SMALL_CONTAINER)
+    for at, mask in flips:
+        data[at % len(data)] ^= mask
+    try:
+        decode_compressed(bytes(data))
+    except FormatError:
+        pass
+
+
+_SMALL_CONTAINER = encode_compressed(
+    CompressedModel([_shift_layer("a", n=64), _rec_layer("b", n=96)]))
