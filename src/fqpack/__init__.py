@@ -4,34 +4,18 @@ The pipeline prunes small weights, fits a two-component Gaussian mixture to
 what survives, quantizes either plain power-of-two shifts or per-component
 deviations around power-of-two centers, entropy-codes the symbols, and runs
 the result through a multiplication-free integer engine.
+
+The package root exports the pipeline's entry points and the error types;
+everything else is reached through its module (``fqpack.codec`` and so on).
 """
 
 from .codec import (
     CompressedModel,
-    HuffmanTable,
-    build_huffman,
-    compression_ratio,
     compression_report,
     decode_compressed,
     encode_compressed,
-    load_compressed,
-    report_to_csv,
-    save_compressed,
 )
-from .cost_model import (
-    ConvGeometry,
-    estimate_gates,
-    gate_report,
-    gate_report_csv,
-    parse_geometry,
-)
-from .engine import (
-    FloatSimulator,
-    IntegerEngine,
-    QuantBN,
-    dot_shift_add,
-    quantize_activations,
-)
+from .engine import FloatSimulator, IntegerEngine, quantize_activations
 from .errors import (
     AccumulatorOverflowError,
     CorruptionError,
@@ -41,96 +25,38 @@ from .errors import (
     TrainingDivergedError,
     ValidationError,
 )
-from .focused_quant import (
-    LayerQuantization,
-    dequantize_layer,
-    kl_complexity_cost,
-    quantize_layer,
-)
-from .mixture import MixtureModel, fit_em, sample_assignments, wasserstein_separation
-from .model_store import (
-    LayerSpec,
-    ModelFile,
-    load_cifar10_batch,
-    load_model,
-    save_cifar10_batch,
-    save_model,
-    synthetic_blobs,
-)
+from .focused_quant import dequantize_layer, quantize_layer
+from .model_store import LayerSpec, ModelFile, synthetic_blobs
 from .nn import ToyNet
-from .pruner import PruneMask, apply_mask, prune_by_magnitude
-from .shift_quant import (
-    ShiftGrid,
-    dequantize_array,
-    select_bias,
-    shift_quantize_array,
-)
-from .trainer import (
-    TrainConfig,
-    finetune_inq,
-    inq_partition,
-    top1_accuracy,
-    train_float,
-    wsep_sweep,
-)
+from .pruner import prune_by_magnitude
+from .trainer import TrainConfig, finetune_inq, top1_accuracy, train_float
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccumulatorOverflowError",
     "CompressedModel",
-    "ConvGeometry",
     "CorruptionError",
     "DegenerateInputError",
     "FloatSimulator",
     "FormatError",
     "FqError",
-    "HuffmanTable",
     "IntegerEngine",
-    "LayerQuantization",
     "LayerSpec",
-    "MixtureModel",
     "ModelFile",
-    "PruneMask",
-    "QuantBN",
-    "ShiftGrid",
     "ToyNet",
     "TrainConfig",
     "TrainingDivergedError",
     "ValidationError",
-    "apply_mask",
-    "build_huffman",
-    "compression_ratio",
     "compression_report",
     "decode_compressed",
-    "dequantize_array",
     "dequantize_layer",
-    "dot_shift_add",
     "encode_compressed",
-    "estimate_gates",
     "finetune_inq",
-    "fit_em",
-    "gate_report",
-    "gate_report_csv",
-    "inq_partition",
-    "kl_complexity_cost",
-    "load_cifar10_batch",
-    "load_compressed",
-    "load_model",
-    "parse_geometry",
     "prune_by_magnitude",
     "quantize_activations",
     "quantize_layer",
-    "report_to_csv",
-    "sample_assignments",
-    "save_cifar10_batch",
-    "save_compressed",
-    "save_model",
-    "select_bias",
-    "shift_quantize_array",
     "synthetic_blobs",
     "top1_accuracy",
     "train_float",
-    "wsep_sweep",
-    "wasserstein_separation",
 ]

@@ -281,8 +281,10 @@ def histogram_csv(rows) -> str:
 
 
 def modes_csv(rows) -> str:
+    """Mode rows; a wsep of None (not known) leaves its cell empty."""
     lines = [MODES_HEADER]
-    lines += [f"{name},{mode},{bits},{wsep:.4f}" for name, mode, bits, wsep in rows]
+    lines += [f"{name},{mode},{bits},{'' if wsep is None else f'{wsep:.4f}'}"
+              for name, mode, bits, wsep in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -512,7 +514,8 @@ def _baseline_gates(rows, baseline: str) -> float:
 def cmd_report(args) -> int:
     model = load_model(args.model)
     cm = load_compressed(args.compressed)
-    mode_rows = [(lq.name, lq.mode, lq.n_bits, lq.wsep) for lq in cm.layers]
+    # containers do not store the separation, so there is none to report
+    mode_rows = [(lq.name, lq.mode, lq.n_bits, None) for lq in cm.layers]
     rows = _emit_reports(args.out_dir, model, cm, mode_rows)
     print(report_to_csv(rows), end="")
     return 0

@@ -417,7 +417,6 @@ class CompressedModel:
     """Ordered quantized layers; the on-disk form of a compressed model."""
 
     layers: list
-    version: int = VERSION
 
     def __post_init__(self):
         names = [lq.name for lq in self.layers]
@@ -432,7 +431,7 @@ class CompressedModel:
 
 
 def encode_compressed(cm: CompressedModel) -> bytes:
-    out = bytearray(_HEADER.pack(MAGIC, cm.version))
+    out = bytearray(_HEADER.pack(MAGIC, VERSION))
     for lq in cm.layers:
         out += encode_layer(lq)
     return bytes(out)
@@ -452,7 +451,7 @@ def decode_compressed(data: bytes) -> CompressedModel:
         lq, offset = decode_layer(data, offset)
         layers.append(lq)
     try:
-        return CompressedModel(layers, version=version)
+        return CompressedModel(layers)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -43,7 +43,7 @@ from .focused_quant import (
     fq_unpack_array,
 )
 from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
-from .shift_quant import ZERO, unpack_shift_code
+from .shift_quant import ZERO, ShiftGrid, dequantize_array, unpack_shift_code
 
 ACC_BITS = 32
 BN_EPS = 1e-5
@@ -281,7 +281,7 @@ class _Stage:
     qbn: Optional[QuantBN]
 
 
-def _build_stage(spec, lq: LayerQuantization, fuse_alpha: bool = False) -> _Stage:
+def _build_stage(spec, lq: LayerQuantization) -> _Stage:
     if lq.mode == MODE_RECENTRALIZED:
         _, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
         wt = sign * np.ldexp(1.0, exponent.astype(np.int64))
@@ -300,22 +300,12 @@ def _build_stage(spec, lq: LayerQuantization, fuse_alpha: bool = False) -> _Stag
         else:
             wu, scale_cen = None, 0.0
     else:
-        signs = np.zeros(lq.weight_count)
-        k = lq.exponent_bits
-        s_code = lq.symbols >> k
-        signs[s_code == 1] = 1.0
-        signs[s_code == 2] = -1.0
-        exponent = (lq.symbols & ((1 << k) - 1)) * (s_code > 0)
-        wt = signs * np.ldexp(1.0, exponent.astype(np.int64))
+        wt = dequantize_array(lq.symbols, ShiftGrid(lq.exponent_bits, 0))
         wu, scale_cen = None, 0.0
         scale_dev = float(np.ldexp(1.0, -lq.bias))
     qbn = None
-    alpha = lq.alpha
     if spec.bn_params is not None:
-        g, t = fold_bn(spec.bn_params)
-        if fuse_alpha:
-            g, alpha = g * alpha, 1.0
-        qbn = QuantBN.from_float(g, t)
+        qbn = QuantBN.from_float(*fold_bn(spec.bn_params))
     if spec.kind == KIND_CONV2D:
         fh, fw, cin, cout = spec.geometry[:4]
         shape = (fh * fw * cin, cout)
@@ -325,7 +315,7 @@ def _build_stage(spec, lq: LayerQuantization, fuse_alpha: bool = False) -> _Stag
         name=spec.name, kind=spec.kind, geometry=spec.geometry,
         wt=wt.reshape(shape),
         wu=None if wu is None else wu.reshape(shape),
-        scale_dev=scale_dev, scale_cen=scale_cen, alpha=alpha,
+        scale_dev=scale_dev, scale_cen=scale_cen, alpha=lq.alpha,
         w_pre=decode_symbols(lq).reshape(shape), qbn=qbn,
     )
 
@@ -396,15 +386,13 @@ class IntegerEngine:
 
     Activation scales are chosen per batch until :meth:`calibrate` freezes
     them from a calibration pass; frozen scales make later inputs saturate
-    rather than rescale. ``fuse_alpha`` folds each layer's alpha into its BN
-    scale instead of applying it in the output finalize.
+    rather than rescale.
     """
 
     accumulate = staticmethod(_integer_accumulate)
 
     def __init__(self, model: ModelFile, compressed: CompressedModel,
-                 act_bits: int = 8, acc_limit: int = ACC_BITS,
-                 fuse_alpha: bool = False):
+                 act_bits: int = 8, acc_limit: int = ACC_BITS):
         self.act_bits = act_bits
         self.act_exps = None  # set by calibrate()
         self.stages = []
@@ -421,7 +409,7 @@ class IntegerEngine:
             else:
                 patch = spec.geometry[0]
             check_accumulator(lq, patch, act_bits, acc_limit)
-            self.stages.append(_build_stage(spec, lq, fuse_alpha))
+            self.stages.append(_build_stage(spec, lq))
         if not self.stages:
             raise ValidationError("model has no layers")
         if len(self.stages) != len(compressed.layers):

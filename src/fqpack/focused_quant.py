@@ -39,7 +39,13 @@ from .mixture import (
     wasserstein_separation,
 )
 from .pruner import PruneMask
-from .shift_quant import ZERO, ShiftGrid, select_bias, shift_quantize_array
+from .shift_quant import (
+    ZERO,
+    ShiftGrid,
+    dequantize_array,
+    select_bias,
+    shift_quantize_array,
+)
 
 MODE_SHIFT = "shift"
 MODE_RECENTRALIZED = "recentralized"
@@ -90,8 +96,38 @@ def choose_mode(model: MixtureModel, total_variance: float, w_sep: float) -> str
     return MODE_RECENTRALIZED if separation >= w_sep else MODE_SHIFT
 
 
+class _OnGrid:
+    """Grid geometry shared by fitted parameters and frozen layers."""
+
+    @property
+    def exponent_bits(self) -> int:
+        return self.n_bits - (3 if self.mode == MODE_RECENTRALIZED else 2)
+
+    @property
+    def grid(self) -> ShiftGrid:
+        return ShiftGrid(self.exponent_bits, self.bias)
+
+
+@dataclass(frozen=True)
+class QuantParams(_OnGrid):
+    """A layer's fitted quantizer: everything but the symbols.
+
+    ``assignment`` holds the component of each unpruned weight in flat order
+    (recentralized mode only); ``wsep`` is the separation of the fitted
+    mixture, 0.0 when no mixture could be fitted.
+    """
+
+    mode: str
+    n_bits: int
+    bias: int
+    mu: tuple = (0.0, 0.0)
+    sigma: float = 1.0
+    assignment: Optional[np.ndarray] = None
+    wsep: float = 0.0
+
+
 @dataclass
-class LayerQuantization:
+class LayerQuantization(_OnGrid):
     """Frozen quantization of one layer: parameters plus per-weight symbols.
 
     ``symbols`` is a flat int64 array covering every weight position (pruned
@@ -143,14 +179,6 @@ class LayerQuantization:
             raise ValueError(f"symbol out of range for {self.n_bits}-bit codes")
 
     @property
-    def exponent_bits(self) -> int:
-        return self.n_bits - (3 if self.mode == MODE_RECENTRALIZED else 2)
-
-    @property
-    def grid(self) -> ShiftGrid:
-        return ShiftGrid(self.exponent_bits, self.bias)
-
-    @property
     def alphabet_size(self) -> int:
         return 1 << self.n_bits
 
@@ -200,6 +228,121 @@ def fq_unpack_array(symbols: np.ndarray, n_bits: int):
     return pruned, component, sign, exponent
 
 
+def _unpruned(weights: np.ndarray, mask: PruneMask):
+    """(flat weights, kept positions) of one layer; something must survive."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    if mask.mask.size != flat.size:
+        raise ValueError("mask length != weight count")
+    keep = mask.mask == 1
+    if not keep.any():
+        raise DegenerateInputError("all weights pruned")
+    return flat, keep
+
+
+def _normalize(values: np.ndarray, mu, sigma: float, component) -> np.ndarray:
+    return (values - np.asarray(mu, dtype=np.float64)[component]) / sigma
+
+
+def _shift_params(values: np.ndarray, n_bits: int, wsep: float) -> QuantParams:
+    if n_bits < MIN_BITS_SHIFT:
+        raise ValueError(f"shift mode needs n_bits >= {MIN_BITS_SHIFT}")
+    if not np.any(values != 0.0):
+        raise DegenerateInputError("unpruned weights are all zero")
+    return QuantParams(MODE_SHIFT, n_bits, select_bias(values, n_bits - 2),
+                       wsep=float(wsep))
+
+
+def _recentralized_params(values: np.ndarray, model: MixtureModel,
+                          component: np.ndarray, n_bits: int,
+                          wsep: float) -> QuantParams:
+    if n_bits < MIN_BITS_RECENTRALIZED:
+        raise ValueError(
+            f"recentralized mode needs n_bits >= {MIN_BITS_RECENTRALIZED}"
+        )
+    if model.sigma[MINUS] != model.sigma[PLUS]:
+        raise ValueError("model must have a shared sigma (round_hyperparams)")
+    if not (_is_pow2_or_zero(model.mu[MINUS]) and _is_pow2_or_zero(model.mu[PLUS])):
+        raise ValueError("model means must be rounded to powers of two")
+    if component.size != values.size:
+        raise ValueError("assignment length != unpruned weight count")
+    sigma = float(np.float32(model.sigma[MINUS]))  # container precision
+    mu = (float(model.mu[MINUS]), float(model.mu[PLUS]))
+    normalized = _normalize(values, mu, sigma, component)
+    if not np.any(normalized != 0.0):
+        raise DegenerateInputError("normalized deviations are all zero")
+    return QuantParams(MODE_RECENTRALIZED, n_bits, select_bias(normalized, n_bits - 3),
+                       mu=mu, sigma=sigma, assignment=component, wsep=float(wsep))
+
+
+def fit_params(values: np.ndarray, n_bits: int, w_sep: float, seed: int,
+               mode: Optional[str] = None) -> QuantParams:
+    """Fit one layer's quantizer to its unpruned weights.
+
+    With ``mode`` None the layer goes recentralized iff the fitted mixture's
+    separation reaches ``w_sep`` and n_bits leaves room for the component
+    bit; values that cannot support a mixture fit go shift. A given mode is
+    kept. Assignments are sampled from the fitted (unrounded) mixture, and
+    the deployment-rounded hyperparameters set the grid. Raises
+    DegenerateInputError when the values cannot support the mode's grid.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if values.size == 0:
+        raise DegenerateInputError("all weights pruned")
+    try:
+        model = fit_em(values)
+    except DegenerateInputError:
+        model = None
+    total_variance = float(values.var())
+    wsep = 0.0 if model is None else wasserstein_separation(model, total_variance)
+    if mode is None:
+        mode = MODE_SHIFT
+        if model is not None and n_bits >= MIN_BITS_RECENTRALIZED:
+            mode = choose_mode(model, total_variance, w_sep)
+    if mode == MODE_SHIFT:
+        return _shift_params(values, n_bits, wsep)
+    if model is None:
+        raise DegenerateInputError("no mixture to recentre on")
+    assignment = sample_assignments(model, values, seed)
+    return _recentralized_params(values, round_hyperparams(model),
+                                 assignment.component, n_bits, wsep)
+
+
+def encode(values: np.ndarray, params: QuantParams) -> np.ndarray:
+    """Symbols of the unpruned values, in order, under fitted parameters."""
+    values = np.asarray(values, dtype=np.float64)
+    if params.mode == MODE_SHIFT:
+        return shift_quantize_array(values, params.grid)[0]
+    normalized = _normalize(values, params.mu, params.sigma, params.assignment)
+    codes, _ = shift_quantize_array(normalized, params.grid)
+    return fq_pack_array(params.assignment, codes, params.n_bits)
+
+
+def decode(symbols: np.ndarray, params) -> np.ndarray:
+    """Values of symbols before the layer scale alpha, float64.
+
+    ``params`` is a :class:`QuantParams` or a :class:`LayerQuantization`.
+    """
+    if params.mode == MODE_SHIFT:
+        return dequantize_array(symbols, params.grid)
+    pruned, component, sign, exponent = fq_unpack_array(symbols, params.n_bits)
+    deviation = sign * np.ldexp(1.0, exponent - params.bias)
+    mu = np.array(params.mu)[component]
+    return np.where(pruned, 0.0, params.sigma * deviation + mu)
+
+
+def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
+                  name: str = "", alpha: float = 1.0) -> LayerQuantization:
+    """Freeze a layer: encode its kept weights, ZERO at pruned positions."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    symbols = np.zeros(flat.size, dtype=np.int64)
+    symbols[keep] = encode(flat[keep], params)
+    return LayerQuantization(
+        name=name, mode=params.mode, n_bits=params.n_bits, alpha=float(alpha),
+        bias=params.bias, mu=params.mu, sigma=params.sigma, symbols=symbols,
+        wsep=params.wsep,
+    )
+
+
 def quantize_shift_layer(
     weights: np.ndarray,
     mask: PruneMask,
@@ -209,26 +352,9 @@ def quantize_shift_layer(
     wsep: float = 0.0,
 ) -> LayerQuantization:
     """Plain shift quantization of the unpruned weights of one layer."""
-    if n_bits < MIN_BITS_SHIFT:
-        raise ValueError(f"shift mode needs n_bits >= {MIN_BITS_SHIFT}")
-    flat = np.asarray(weights, dtype=np.float64).ravel()
-    if mask.mask.size != flat.size:
-        raise ValueError("mask length != weight count")
-    keep = mask.mask == 1
-    unpruned = flat[keep]
-    if unpruned.size == 0:
-        raise DegenerateInputError("all weights pruned")
-    if not np.any(unpruned != 0.0):
-        raise DegenerateInputError("unpruned weights are all zero")
-    k = n_bits - 2
-    bias = select_bias(unpruned, k)
-    codes, _ = shift_quantize_array(unpruned, ShiftGrid(k, bias))
-    symbols = np.zeros(flat.size, dtype=np.int64)
-    symbols[keep] = codes
-    return LayerQuantization(
-        name=name, mode=MODE_SHIFT, n_bits=n_bits, alpha=float(alpha),
-        bias=bias, mu=(0.0, 0.0), sigma=1.0, symbols=symbols, wsep=float(wsep),
-    )
+    flat, keep = _unpruned(weights, mask)
+    params = _shift_params(flat[keep], n_bits, wsep)
+    return quantize_with(flat, keep, params, name, alpha)
 
 
 def quantize_recentralized(
@@ -247,40 +373,10 @@ def quantize_recentralized(
     sigma); ``assignment`` must cover exactly the unpruned positions in flat
     order.
     """
-    if n_bits < MIN_BITS_RECENTRALIZED:
-        raise ValueError(
-            f"recentralized mode needs n_bits >= {MIN_BITS_RECENTRALIZED}"
-        )
-    if model.sigma[MINUS] != model.sigma[PLUS]:
-        raise ValueError("model must have a shared sigma (round_hyperparams)")
-    if not (_is_pow2_or_zero(model.mu[MINUS]) and _is_pow2_or_zero(model.mu[PLUS])):
-        raise ValueError("model means must be rounded to powers of two")
-    flat = np.asarray(weights, dtype=np.float64).ravel()
-    if mask.mask.size != flat.size:
-        raise ValueError("mask length != weight count")
-    keep = mask.mask == 1
-    unpruned = flat[keep]
-    if unpruned.size == 0:
-        raise DegenerateInputError("all weights pruned")
-    if assignment.component.size != unpruned.size:
-        raise ValueError("assignment length != unpruned weight count")
-
-    sigma = float(np.float32(model.sigma[MINUS]))  # container precision
-    mu_per_value = model.mu[assignment.component]
-    normalized = (unpruned - mu_per_value) / sigma
-    if not np.any(normalized != 0.0):
-        raise DegenerateInputError("normalized deviations are all zero")
-    k = n_bits - 3
-    bias = select_bias(normalized, k)
-    codes, _ = shift_quantize_array(normalized, ShiftGrid(k, bias))
-    fq_codes = fq_pack_array(assignment.component, codes, n_bits)
-    symbols = np.zeros(flat.size, dtype=np.int64)
-    symbols[keep] = fq_codes
-    return LayerQuantization(
-        name=name, mode=MODE_RECENTRALIZED, n_bits=n_bits, alpha=float(alpha),
-        bias=bias, mu=(float(model.mu[MINUS]), float(model.mu[PLUS])),
-        sigma=sigma, symbols=symbols, wsep=float(wsep),
-    )
+    flat, keep = _unpruned(weights, mask)
+    params = _recentralized_params(flat[keep], model, assignment.component,
+                                   n_bits, wsep)
+    return quantize_with(flat, keep, params, name, alpha)
 
 
 def quantize_layer(
@@ -291,37 +387,12 @@ def quantize_layer(
     seed: int = 0,
     name: str = "",
     alpha: float = 1.0,
-    model: Optional[MixtureModel] = None,
 ) -> LayerQuantization:
-    """Full per-layer pipeline: fit, mode-select, round, assign, quantize.
-
-    Assignments are sampled from the fitted (unrounded) mixture; the rounded
-    hyperparameters are then used for the actual quantization. Layers whose
-    unpruned weights cannot support a mixture fit fall back to shift mode,
-    as do all layers when n_bits == 3 (too narrow for the recentralized
-    symbol layout).
-    """
-    flat = np.asarray(weights, dtype=np.float64).ravel()
-    if mask.mask.size != flat.size:
-        raise ValueError("mask length != weight count")
-    unpruned = flat[mask.mask == 1]
-    if unpruned.size == 0:
-        raise DegenerateInputError("all weights pruned")
-    total_variance = float(unpruned.var())
-    if model is None:
-        try:
-            model = fit_em(unpruned)
-        except DegenerateInputError:
-            return quantize_shift_layer(flat, mask, n_bits, name, alpha, wsep=0.0)
-    wsep_value = wasserstein_separation(model, total_variance)
-    mode = choose_mode(model, total_variance, w_sep)
-    if mode == MODE_RECENTRALIZED and n_bits >= MIN_BITS_RECENTRALIZED:
-        assignment = sample_assignments(model, unpruned, seed)
-        rounded = round_hyperparams(model)
-        return quantize_recentralized(
-            flat, mask, rounded, assignment, n_bits, name, alpha, wsep=wsep_value
-        )
-    return quantize_shift_layer(flat, mask, n_bits, name, alpha, wsep=wsep_value)
+    """Full per-layer pipeline: :func:`fit_params` on the unpruned weights,
+    then :func:`encode`."""
+    flat, keep = _unpruned(weights, mask)
+    params = fit_params(flat[keep], n_bits, w_sep, seed)
+    return quantize_with(flat, keep, params, name, alpha)
 
 
 def decode_symbols(lq: LayerQuantization) -> np.ndarray:
@@ -331,14 +402,7 @@ def decode_symbols(lq: LayerQuantization) -> np.ndarray:
     applies alpha once per output sum, not once per weight; both views need
     the same pre-scale values.
     """
-    if lq.mode == MODE_SHIFT:
-        from .shift_quant import dequantize_array
-
-        return dequantize_array(lq.symbols, lq.grid)
-    pruned, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
-    deviation = sign * np.ldexp(1.0, exponent - lq.bias)
-    mu = np.array(lq.mu)[component]
-    return np.where(pruned, 0.0, lq.sigma * deviation + mu)
+    return decode(lq.symbols, lq)
 
 
 def dequantize_layer(lq: LayerQuantization) -> np.ndarray:

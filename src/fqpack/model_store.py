@@ -335,9 +335,3 @@ def synthetic_blobs(count: int, seed: int, image_hw: int = 32, classes: int = 10
     images = np.clip(images, 0.0, 1.0)
     images_u8 = np.rint(images * 255.0).astype(np.uint8)
     return images_u8.astype(np.float32) / 255.0, labels
-
-
-def blobs_as_uint8(count: int, seed: int, classes: int = 10):
-    """Same generator, returned as uint8 pixels for CIFAR-format writers."""
-    images, labels = synthetic_blobs(count, seed, classes=classes)
-    return np.rint(images * 255.0).astype(np.uint8), labels

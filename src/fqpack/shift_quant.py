@@ -2,11 +2,11 @@
 
 A grid with k exponent bits and integer bias b represents the values
 
-    {0} U {s * 2^(e - b) : s in {-1, +1}, e in [0, 2^k - 1]}
+    {0} U {s * 2^(e - b) : s in {-1, +1}, e in [0, 2^k - 1]}.
 
-(unsigned grids drop the negative branch). Quantization maps a real value to
-the nearest grid member in absolute distance, with ties resolved toward the
-smaller magnitude; values beyond the largest magnitude clip to it.
+Quantization maps a real value to the nearest grid member in absolute
+distance, with ties resolved toward the smaller magnitude; values beyond the
+largest magnitude clip to it.
 
 Symbol codes are fixed-width integers of k + 2 bits:
 
@@ -29,11 +29,10 @@ BIAS_SEARCH_RANGE = (-32, 32)
 
 @dataclass(frozen=True)
 class ShiftGrid:
-    """Quantization grid: k exponent bits, bias b, optional sign branch."""
+    """Quantization grid: k exponent bits, bias b."""
 
     exponent_bits: int
     bias: int
-    signed: bool = True
 
     def __post_init__(self):
         if self.exponent_bits < 1:
@@ -60,19 +59,14 @@ class ShiftGrid:
     def alphabet(self) -> np.ndarray:
         """All representable values, sorted ascending."""
         mags = 2.0 ** (np.arange(self.max_exponent + 1) - self.bias)
-        values = [0.0]
-        values.extend(mags)
-        if self.signed:
-            values.extend(-mags)
-        return np.sort(np.array(values, dtype=np.float64))
+        return np.sort(np.concatenate(([0.0], mags, -mags)))
 
     def symbols(self) -> np.ndarray:
         """All valid symbol codes (ZERO first, then ascending code value)."""
         e = np.arange(self.max_exponent + 1)
-        codes = [np.array([ZERO]), (1 << self.exponent_bits) | e]
-        if self.signed:
-            codes.append((2 << self.exponent_bits) | e)
-        return np.concatenate(codes).astype(np.int64)
+        return np.concatenate(
+            ([ZERO], (1 << self.exponent_bits) | e, (2 << self.exponent_bits) | e)
+        ).astype(np.int64)
 
 
 def pack_shift_code(sign: int, exponent: int, exponent_bits: int) -> int:
@@ -104,8 +98,6 @@ def shift_quantize_array(values: np.ndarray, grid: ShiftGrid):
     # region below the midpoint between 0 and the smallest level -> ZERO
     zero_mid = 2.0 ** (-grid.bias - 1)
     is_zero = mag <= zero_mid
-    if not grid.signed:
-        is_zero = is_zero | (v < 0.0)
 
     # nearest power of two in linear distance; tie at 1.5 * 2^a goes down
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,12 +117,6 @@ def shift_quantize_array(values: np.ndarray, grid: ShiftGrid):
     return codes, quantized
 
 
-def shift_quantize(value: float, grid: ShiftGrid):
-    """Quantize one value; returns (symbol code, quantized value)."""
-    codes, quantized = shift_quantize_array(np.array([value]), grid)
-    return int(codes[0]), float(quantized[0])
-
-
 def dequantize_array(codes: np.ndarray, grid: ShiftGrid) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.int64)
     s_code = codes >> grid.exponent_bits
@@ -138,16 +124,9 @@ def dequantize_array(codes: np.ndarray, grid: ShiftGrid) -> np.ndarray:
     valid = (codes == ZERO) | ((s_code >= 1) & (s_code <= 2))
     if (codes < 0).any() or not valid.all():
         raise ValueError("invalid shift symbol code")
-    if not grid.signed and (s_code == 2).any():
-        raise ValueError("negative symbol in unsigned grid")
     sign = np.where(s_code == 1, 1.0, -1.0)
     values = sign * np.ldexp(1.0, e - grid.bias)
     return np.where(codes == ZERO, 0.0, values)
-
-
-def dequantize_symbol(code: int, grid: ShiftGrid) -> float:
-    """Exact real value of one symbol code."""
-    return float(dequantize_array(np.array([code]), grid)[0])
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +136,7 @@ def _bias_thresholds(exponent_bits: int) -> np.ndarray:
     return 2.0 ** (((1 << exponent_bits) - 1) - biases)
 
 
-def select_bias(values: np.ndarray, exponent_bits: int, signed: bool = True) -> int:
+def select_bias(values: np.ndarray, exponent_bits: int) -> int:
     """Pick the grid bias for a set of values.
 
     Returns the largest bias (tightest grid, i.e. smallest maximum magnitude)

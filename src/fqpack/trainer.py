@@ -8,7 +8,8 @@ straight-through: the quantizer is treated as identity, so quantized shadows
 receive alpha * dL/dw_eff and alpha receives sum(dL/dw_eff * decode(w)).
 
 Quantization parameters (mode, component means/scale, grid bias, component
-assignments) are fitted before the first epoch and refitted on a refresh
+assignments) come from the same ``focused_quant.fit_params`` that compress
+uses. They are fitted before the first epoch and refitted on a refresh
 schedule — after epochs k, k*g, k*g^2, ... (or every k epochs with
 refresh_mode "fixed"). A layer's mode is decided by its first fit and kept
 thereafter, so refreshes adjust the grid without flipping the layer between
@@ -30,18 +31,15 @@ from .codec import CompressedModel
 from .errors import DegenerateInputError, TrainingDivergedError
 from .focused_quant import (
     DEFAULT_W_SEP,
-    MODE_RECENTRALIZED,
-    MODE_SHIFT,
-    MIN_BITS_RECENTRALIZED,
-    LayerQuantization,
-    fq_pack_array,
-    round_hyperparams,
+    QuantParams,
+    decode,
+    encode,
+    fit_params,
+    quantize_with,
 )
-from .mixture import fit_em, sample_assignments, wasserstein_separation
 from .nn import softmax_cross_entropy
 from .pruner import prune_by_magnitude
 from .rng import derive_seed, spawn_seed
-from .shift_quant import ShiftGrid, dequantize_array, select_bias, shift_quantize_array
 
 
 @dataclass
@@ -120,12 +118,7 @@ class _LayerState:
     kept: np.ndarray  # bool, False = pruned
     quantized: np.ndarray = None  # bool over flat positions, subset of kept
     alpha: float = 1.0
-    mode: Optional[str] = None
-    bias: int = 0
-    mu: tuple = (0.0, 0.0)
-    sigma: float = 1.0
-    assignment: Optional[np.ndarray] = None  # component per kept position
-    wsep: float = 0.0
+    params: Optional[QuantParams] = None  # quantizer from the last fit
     velocity: np.ndarray = None
     alpha_velocity: float = 0.0
     q_pre: np.ndarray = field(default=None, repr=False)  # pre-alpha decode cache
@@ -138,50 +131,20 @@ class _LayerState:
 
 
 def _fit_params(state: _LayerState, config: TrainConfig, seed: int):
-    """(Re)fit mixture, grid bias and assignments from the current shadows.
+    """(Re)fit the layer's quantizer from the current shadows.
 
     The first fit chooses the layer's mode; later fits keep it. If the
-    shadows have degenerated (all zero / all equal), existing parameters are
-    left in place rather than guessed.
+    shadows can no longer support the layer's grid (all zero, or no mixture
+    to recentre on), the previous parameters are left in place rather than
+    guessed.
     """
-    kept_vals = state.shadow[state.kept]
-    first = state.mode is None
-    if kept_vals.size == 0:
-        raise DegenerateInputError(f"layer {state.name!r}: all weights pruned")
-    if not np.any(kept_vals != 0.0):
-        if first:
-            raise DegenerateInputError(f"layer {state.name!r}: no nonzero weights")
-        return
+    mode = None if state.params is None else state.params.mode
     try:
-        model = fit_em(kept_vals)
-    except DegenerateInputError:
-        model = None
-    if model is not None:
-        state.wsep = wasserstein_separation(model, float(kept_vals.var()))
-    if first:
-        wants_rec = (
-            model is not None
-            and state.wsep >= config.w_sep
-            and config.n_bits >= MIN_BITS_RECENTRALIZED
-        )
-        state.mode = MODE_RECENTRALIZED if wants_rec else MODE_SHIFT
-    if state.mode == MODE_RECENTRALIZED:
-        if model is None:
-            return  # keep the previous grid; nothing sane to refit from
-        assignment = sample_assignments(model, kept_vals, seed)
-        rounded = round_hyperparams(model)
-        sigma = float(np.float32(rounded.sigma[0]))
-        mu = rounded.mu
-        normalized = (kept_vals - mu[assignment.component]) / sigma
-        if not np.any(normalized != 0.0):
-            return
-        state.assignment = assignment.component
-        state.mu = (float(mu[0]), float(mu[1]))
-        state.sigma = sigma
-        state.bias = select_bias(normalized, config.n_bits - 3)
-    else:
-        state.mu, state.sigma, state.assignment = (0.0, 0.0), 1.0, None
-        state.bias = select_bias(kept_vals, config.n_bits - 2)
+        state.params = fit_params(state.shadow[state.kept], config.n_bits,
+                                  config.w_sep, seed, mode)
+    except DegenerateInputError as exc:
+        if state.params is None:
+            raise DegenerateInputError(f"layer {state.name!r}: {exc}") from exc
 
 
 def inq_partition(weights: np.ndarray, kept: np.ndarray, fraction: float):
@@ -216,31 +179,21 @@ def _grow_quantized(state: _LayerState, fraction: float):
     state.quantized |= quantized
 
 
-def _effective_weights(state: _LayerState, n_bits: int) -> np.ndarray:
+def _effective_weights(state: _LayerState) -> np.ndarray:
     """Flat weights the network actually runs: quantized / raw / zero mix."""
     w = np.where(state.kept, state.shadow, 0.0)
-    kept_vals = state.shadow[state.kept]
-    if state.mode == MODE_RECENTRALIZED:
-        mu = np.array(state.mu)[state.assignment]
-        normalized = (kept_vals - mu) / state.sigma
-        grid = ShiftGrid(n_bits - 3, state.bias)
-        codes, _ = shift_quantize_array(normalized, grid)
-        q_kept = state.sigma * dequantize_array(codes, grid) + mu
-    else:
-        grid = ShiftGrid(n_bits - 2, state.bias)
-        codes, _ = shift_quantize_array(kept_vals, grid)
-        q_kept = dequantize_array(codes, grid)
     q_pre = np.zeros(state.shadow.size)
-    q_pre[state.kept] = q_kept
+    q_pre[state.kept] = decode(encode(state.shadow[state.kept], state.params),
+                               state.params)
     state.q_pre = q_pre
     on_grid = state.quantized & state.kept
     w[on_grid] = state.alpha * q_pre[on_grid]
     return w
 
 
-def _install_weights(states, n_bits: int):
+def _install_weights(states):
     for state in states:
-        state.layer.w = _effective_weights(state, n_bits).reshape(state.layer.w.shape)
+        state.layer.w = _effective_weights(state).reshape(state.layer.w.shape)
 
 
 def _apply_gradients(state: _LayerState, lr: float, momentum: float):
@@ -279,24 +232,6 @@ def _bn_step(net, lr: float):
 def _check_loss(loss: float, where: str):
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"non-finite loss at {where}")
-
-
-def _final_quantization(state: _LayerState, n_bits: int) -> LayerQuantization:
-    kept_vals = state.shadow[state.kept]
-    symbols = np.zeros(state.shadow.size, dtype=np.int64)
-    if state.mode == MODE_RECENTRALIZED:
-        mu = np.array(state.mu)[state.assignment]
-        normalized = (kept_vals - mu) / state.sigma
-        codes, _ = shift_quantize_array(normalized, ShiftGrid(n_bits - 3, state.bias))
-        symbols[state.kept] = fq_pack_array(state.assignment, codes, n_bits)
-    else:
-        codes, _ = shift_quantize_array(kept_vals, ShiftGrid(n_bits - 2, state.bias))
-        symbols[state.kept] = codes
-    return LayerQuantization(
-        name=state.name, mode=state.mode, n_bits=n_bits, alpha=state.alpha,
-        bias=state.bias, mu=state.mu, sigma=state.sigma, symbols=symbols,
-        wsep=state.wsep,
-    )
 
 
 @dataclass
@@ -349,7 +284,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                 lr *= config.lr_decay ** (local // config.lr_decay_every)
             losses = []
             if lr == 0.0:
-                _install_weights(states, config.n_bits)
+                _install_weights(states)
                 for batch in batches:
                     loss, _ = softmax_cross_entropy(
                         net.forward(images[batch], training=False), labels[batch]
@@ -358,7 +293,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                     losses.append(loss)
             else:
                 for batch in batches:
-                    _install_weights(states, config.n_bits)
+                    _install_weights(states)
                     logits = net.forward(images[batch], training=True)
                     loss, dlogits = softmax_cross_entropy(logits, labels[batch])
                     _check_loss(loss, f"epoch {global_epoch}")
@@ -369,7 +304,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                     _bn_step(net, lr)
             top1 = None
             if eval_set is not None:
-                _install_weights(states, config.n_bits)
+                _install_weights(states)
                 top1 = top1_accuracy(net.predict(eval_set[0]), eval_set[1])
             history.append((global_epoch, float(np.mean(losses)), top1))
             if global_epoch in refresh_at and global_epoch < config.total_epochs:
@@ -385,14 +320,14 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                 f"layer {state.name!r}: scale overflowed single precision"
             )
         state.alpha = alpha32
-    _install_weights(states, config.n_bits)
+    _install_weights(states)
     compressed = CompressedModel([
-        _final_quantization(state, config.n_bits) for state in states
+        quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha) for s in states
     ])
     return InqResult(
         compressed=compressed, history=history,
-        wsep={s.name: s.wsep for s in states},
-        modes={s.name: s.mode for s in states},
+        wsep={s.name: s.params.wsep for s in states},
+        modes={s.name: s.params.mode for s in states},
     )
 
 

@@ -420,6 +420,23 @@ def test_report_regenerates_files(assets, capsys, tmp_path):
     assert out.splitlines()[0] == REPORT_HEADER
 
 
+def test_report_leaves_unknown_separation_empty(assets, capsys, tmp_path):
+    # compress knows each layer's separation; a container does not carry it
+    rc, _, _ = run_cli([
+        "report", "--model", str(assets["model"]),
+        "--compressed", str(assets["fqz"]), "--out-dir", str(tmp_path / "r"),
+    ], capsys)
+    assert rc == 0
+    written = (assets["reports"] / "modes.csv").read_text().splitlines()
+    reported = (tmp_path / "r" / "modes.csv").read_text().splitlines()
+    assert reported[0] == written[0] == MODES_HEADER
+    assert len(reported) == len(written)
+    for old, new in zip(written[1:], reported[1:]):
+        name, mode, bits, wsep = old.split(",")
+        assert float(wsep) > 0.0
+        assert new == f"{name},{mode},{bits},"
+
+
 # --- config file -------------------------------------------------------------------
 
 

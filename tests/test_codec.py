@@ -568,7 +568,8 @@ def test_name_that_is_not_utf8_is_a_format_error():
 
 
 def test_unknown_container_version_rejected():
-    data = encode_compressed(CompressedModel([_shift_layer()], version=99))
+    data = bytearray(encode_compressed(CompressedModel([_shift_layer()])))
+    data[4:6] = struct.pack("<H", 99)  # header: magic (4 bytes), version u16
     with pytest.raises(FormatError, match="version 99"):
         decode_compressed(data)
 

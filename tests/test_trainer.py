@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from fqpack.codec import encode_compressed
+from fqpack.codec import encode_compressed, encode_layer
 from fqpack.errors import DegenerateInputError, TrainingDivergedError
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
     dequantize_layer,
+    quantize_layer,
 )
 from fqpack.model_store import synthetic_blobs
 from fqpack.nn import ToyNet
+from fqpack.pruner import prune_by_magnitude
+from fqpack.rng import derive_seed
 from fqpack.shift_quant import ZERO
 from fqpack.trainer import (
     METRICS_HEADER,
@@ -169,6 +172,24 @@ def test_final_weights_match_compressed_exactly():
         assert np.array_equal(layer.w.ravel(), dequantize_layer(lq))
 
 
+@pytest.mark.parametrize("n_bits", [3, 5, 8])
+@pytest.mark.parametrize("w_sep", [0.0, 2.0, 1e9])
+def test_inert_finetune_matches_direct_quantization(w_sep, n_bits):
+    # with nothing learned, fine-tuning must land on exactly what compress
+    # writes for the same weights, refit included
+    net, images, labels = tiny_setup()
+    weights = {name: layer.w.ravel().copy() for name, layer in net.weight_layers()}
+    cfg = quick_config(learning_rate=0.0, w_sep=w_sep, n_bits=n_bits)
+    result = finetune_inq(net, images, labels, cfg)
+    for name, w in weights.items():
+        direct = quantize_layer(w, prune_by_magnitude(w, cfg.prune_fraction), n_bits,
+                                w_sep, seed=derive_seed(cfg.seed, name), name=name)
+        lq = result.compressed.layer(name)
+        assert encode_layer(lq) == encode_layer(direct)
+        assert lq.wsep == direct.wsep == result.wsep[name]
+        assert result.modes[name] == direct.mode
+
+
 def test_pruned_positions_stay_zero():
     net, images, labels = tiny_setup()
     cfg = quick_config(prune_fraction=0.6)
@@ -218,6 +239,15 @@ def test_all_zero_layer_is_degenerate():
     net.convs[0].w[:] = 0.0
     with pytest.raises(DegenerateInputError):
         finetune_inq(net, images, labels, quick_config())
+
+
+def test_layer_on_component_centres_is_degenerate():
+    # every weight sits on a power-of-two component mean, so recentralized
+    # mode has no deviations to put a grid on; compress rejects it the same way
+    net, images, labels = tiny_setup()
+    net.convs[0].w = np.where(net.convs[0].w >= 0, 0.5, -0.5)
+    with pytest.raises(DegenerateInputError, match="conv1"):
+        finetune_inq(net, images, labels, quick_config(w_sep=0.0))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
