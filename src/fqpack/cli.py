@@ -479,8 +479,8 @@ def cmd_sweep(args) -> int:
         _write_text(args.summary, sweep_summary_csv(summary))
     if args.modes:
         _write_text(args.modes, modes_csv(
-            [(f"{w:g}/{r}/{name}", mode, train_cfg.n_bits, w)
-             for w, r, name, mode in modes]))
+            [(f"{w:g}/{r}/{name}", mode, train_cfg.n_bits, sep)
+             for w, r, name, mode, sep in modes]))
     print(sweep_summary_csv(summary), end="")
     return 0
 

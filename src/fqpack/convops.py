@@ -1,15 +1,17 @@
 """Patch extraction and scatter for 2-D convolution.
 
-Images are NCHW; conv weights are HWIO (fh, fw, cin, cout). ``im2col``
+Images are NHWC here; conv weights are HWIO (fh, fw, cin, cout). ``im2col``
 flattens each receptive field to a row ordered (fh, fw, cin), so a patch
 matrix multiplied by ``weights.reshape(fh*fw*cin, cout)`` is the
 convolution. Both the float trainer and the integer engine go through these
-helpers, which keeps their summation layouts identical.
+helpers, which keeps their summation layouts identical. The NCHW callers
+(``nn.Conv2d``, ``conv2d_gemm``) pass a transposed view.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int = 0):
@@ -28,31 +30,31 @@ def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int
 
 
 def im2col(x: np.ndarray, fh: int, fw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """(N, C, H, W) -> (N*oh*ow, fh*fw*C) patch matrix."""
-    n, c, h, w = x.shape
+    """(N, H, W, C) -> (N*oh*ow, fh*fw*C) patch matrix, one strided copy."""
+    n, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((n, c, fh, fw, oh, ow), dtype=x.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride,
-                                 j : j + stride * ow : stride]
-    return cols.transpose(0, 4, 5, 2, 3, 1).reshape(n * oh * ow, fh * fw * c)
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    # windows are (n, y, x, c, i, j); rows must run (i, j, c). Without
+    # padding the reshape can return a strided view, and BLAS may sum a
+    # strided operand in another order, so the result is always C-contiguous.
+    win = sliding_window_view(x, (fh, fw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, fh * fw * c)
+    return np.ascontiguousarray(cols)
 
 
 def col2im(cols: np.ndarray, x_shape, fh: int, fw: int,
            stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch rows back onto an (N, C, H, W) grid."""
-    n, c, h, w = x_shape
+    """Adjoint of im2col: scatter-add patch rows back onto an (N, H, W, C) grid."""
+    n, h, w, c = x_shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
-    cols = cols.reshape(n, oh, ow, fh, fw, c).transpose(0, 5, 3, 4, 1, 2)
-    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols = cols.reshape(n, oh, ow, fh, fw, c)
+    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for i in range(fh):
         for j in range(fw):
-            out[:, :, i : i + stride * oh : stride,
-                j : j + stride * ow : stride] += cols[:, :, i, j]
-    return out[:, :, pad : pad + h, pad : pad + w]
+            out[:, i : i + stride * oh : stride,
+                j : j + stride * ow : stride] += cols[:, :, :, i, j]
+    return out[:, pad : pad + h, pad : pad + w]
 
 
 def conv2d_gemm(x: np.ndarray, weights: np.ndarray,
@@ -62,7 +64,7 @@ def conv2d_gemm(x: np.ndarray, weights: np.ndarray,
     n, c, h, w = x.shape
     if c != cin:
         raise ValueError(f"input has {c} channels, weights expect {cin}")
-    cols = im2col(x, fh, fw, stride, pad)
+    cols = im2col(x.transpose(0, 2, 3, 1), fh, fw, stride, pad)
     out = cols @ weights.reshape(fh * fw * cin, cout)
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
     return out.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)

@@ -14,10 +14,14 @@ mu_c = +/- 2^(p_c). One scale per output turns them back into reals:
 
 ``dot_shift_add`` is the reference scalar form of that sum — a single
 accumulator, shifts/adds/subtracts only. The batched path reaches the same
-integers through float64 matrix products, which is exact as long as every
-partial sum is an integer below 2^53; ``check_accumulator`` enforces a much
-stricter 32-bit worst-case bound per layer, so the two paths agree to the
-last bit whenever sigma is a power of two.
+integers through one matrix product per layer over an NHWC patch matrix,
+with the T and U weight planes side by side. A float GEMM is exact as long
+as every partial sum is an integer the format holds exactly: below 2^24 in
+float32, below 2^53 in float64. ``check_accumulator`` bounds every layer's
+worst case (32 bits at most), and each stage runs in float32 when that bound
+is at most 24 bits and in float64 above it, so the two paths agree to the
+last bit whenever sigma is a power of two. The scaling to reals above
+runs in float64.
 
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
@@ -46,13 +50,18 @@ from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
 from .shift_quant import ZERO, ShiftGrid, dequantize_array, unpack_shift_code
 
 ACC_BITS = 32
+# a sum bounded to 24 bits (sign included) stays below 2^23, and float32
+# holds every integer up to 2^24 exactly
+F32_EXACT_BITS = 24
 BN_EPS = 1e-5
 INT16_MAX = 32767
 
 
 def _round_away(values: np.ndarray) -> np.ndarray:
-    """Round half away from zero."""
-    return np.sign(values) * np.floor(np.abs(values) + 0.5)
+    """Round half away from zero: trunc(v + copysign(0.5, v)), in one buffer."""
+    out = np.copysign(0.5, values, out=np.empty(np.shape(values)))
+    out += values
+    return np.trunc(out, out=out)
 
 
 def _min_pow2_exp(max_abs: float, limit: int) -> int:
@@ -79,10 +88,11 @@ def quantize_activations(x: np.ndarray, bits: int = 8):
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty activation array")
-    if not np.all(np.isfinite(x)):
+    max_abs = float(np.max(np.abs(x)))  # NaN and inf propagate through max
+    if not np.isfinite(max_abs):
         raise ValidationError("activations contain non-finite values")
     limit = (1 << (bits - 1)) - 1
-    s = _min_pow2_exp(float(np.max(np.abs(x))), limit)
+    s = _min_pow2_exp(max_abs, limit)
     return _round_away(np.ldexp(x, -s)).astype(np.int64), s
 
 
@@ -134,8 +144,10 @@ class QuantBN:
     def apply(self, x: np.ndarray) -> np.ndarray:
         g, t = self.real_scale(), self.real_offset()
         if x.ndim == 4:
-            return g[:, None, None] * x + t[:, None, None]
-        return g * x + t
+            g, t = g[:, None, None], t[:, None, None]
+        out = g * x
+        out += t
+        return out
 
 
 def _sigma_pow2_exp(sigma: float) -> int:
@@ -243,13 +255,15 @@ def accumulator_bits(lq: LayerQuantization, patch_size: int, act_bits: int = 8) 
 
 
 def check_accumulator(lq: LayerQuantization, patch_size: int,
-                      act_bits: int = 8, limit: int = ACC_BITS):
+                      act_bits: int = 8, limit: int = ACC_BITS) -> int:
+    """Worst-case accumulator bits of a layer; raises above ``limit``."""
     bits = accumulator_bits(lq, patch_size, act_bits)
     if bits > limit:
         raise AccumulatorOverflowError(
             f"layer {lq.name!r}: worst-case accumulator needs {bits} bits "
             f"(> {limit}) for {patch_size}-wide patches"
         )
+    return bits
 
 
 def global_avg_pool_int(x: np.ndarray) -> np.ndarray:
@@ -272,8 +286,10 @@ class _Stage:
     name: str
     kind: str
     geometry: tuple
-    wt: np.ndarray  # deviation plane, s * 2^e per weight
-    wu: Optional[np.ndarray]  # component plane, sgn(mu) * 2^(p - p_min)
+    # deviation plane s * 2^e per weight, then (recentralized layers with
+    # centres) the component plane sgn(mu) * 2^(p - p_min), side by side in
+    # the GEMM dtype: float32 when the accumulator bound is <= 24 bits
+    planes: np.ndarray
     scale_dev: float  # sigma * 2^-bias (shift mode: 2^-bias)
     scale_cen: float  # 2^p_min, 0.0 without centers
     alpha: float
@@ -281,7 +297,7 @@ class _Stage:
     qbn: Optional[QuantBN]
 
 
-def _build_stage(spec, lq: LayerQuantization) -> _Stage:
+def _build_stage(spec, lq: LayerQuantization, acc_bits: int) -> _Stage:
     if lq.mode == MODE_RECENTRALIZED:
         _, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
         wt = sign * np.ldexp(1.0, exponent.astype(np.int64))
@@ -311,65 +327,84 @@ def _build_stage(spec, lq: LayerQuantization) -> _Stage:
         shape = (fh * fw * cin, cout)
     else:
         shape = spec.geometry
+    planes = wt.reshape(shape)
+    if wu is not None:
+        planes = np.concatenate([planes, wu.reshape(shape)], axis=1)
+    dtype = np.float32 if acc_bits <= F32_EXACT_BITS else np.float64
     return _Stage(
         name=spec.name, kind=spec.kind, geometry=spec.geometry,
-        wt=wt.reshape(shape),
-        wu=None if wu is None else wu.reshape(shape),
+        planes=planes.astype(dtype),
         scale_dev=scale_dev, scale_cen=scale_cen, alpha=lq.alpha,
         w_pre=decode_symbols(lq).reshape(shape), qbn=qbn,
     )
 
 
 def _integer_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.ndarray:
-    """Real-valued stage outputs from integer activation columns."""
-    inner = (cols @ stage.wt) * stage.scale_dev
-    if stage.wu is not None:
-        inner += (cols @ stage.wu) * stage.scale_cen
-    return np.ldexp(stage.alpha * inner, act_exp)
+    """Real-valued stage outputs from integer activation columns.
+
+    The exact integer sums are widened to float64 inside the scaling
+    multiplies, and the finalize runs in place on that one float64 array.
+    """
+    acc = cols @ stage.planes
+    cout = stage.w_pre.shape[1]
+    inner = np.multiply(acc[:, :cout], stage.scale_dev, dtype=np.float64)
+    if acc.shape[1] > cout:
+        inner += np.multiply(acc[:, cout:], stage.scale_cen, dtype=np.float64)
+    inner *= stage.alpha
+    return np.ldexp(inner, act_exp, out=inner)
 
 
 def _float_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.ndarray:
-    """Float reference: products against real weights, alpha once per sum."""
-    return stage.alpha * (np.ldexp(cols, act_exp) @ stage.w_pre)
+    """Float reference: products against real weights, alpha once per sum.
+
+    Scaling the product by 2^act_exp is exact, so it equals scaling the
+    activations first.
+    """
+    return stage.alpha * np.ldexp(cols @ stage.w_pre, act_exp)
 
 
-def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate):
-    """One stage on integer activations: accumulate, reshape, integer BN."""
+def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate, dtype):
+    """One stage on integer activations: accumulate, integer BN.
+
+    Conv stages take and return NHWC; ``dtype`` is the patch matrix dtype.
+    """
     if stage.kind == KIND_CONV2D:
         fh, fw, cin, cout, pad, stride = stage.geometry
-        n, c, h, w = ints.shape
+        n, h, w, c = ints.shape
         if c != cin:
             raise ValidationError(
                 f"stage {stage.name!r}: input has {c} channels, expected {cin}"
             )
-        cols = im2col(ints.astype(np.float64), fh, fw, stride, pad)
+        cols = im2col(ints.astype(dtype), fh, fw, stride, pad)
         real = accumulate(stage, cols, act_exp)
         oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
-        real = real.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)
+        out_shape = (n, oh, ow, cout)
     else:
         if ints.shape[-1] != stage.geometry[0]:
             raise ValidationError(
                 f"stage {stage.name!r}: input width {ints.shape[-1]}, "
                 f"expected {stage.geometry[0]}"
             )
-        real = accumulate(stage, ints.astype(np.float64), act_exp)
+        real = accumulate(stage, ints.astype(dtype), act_exp)
+        out_shape = real.shape
     if stage.qbn is not None:
-        real = stage.qbn.apply(real)
-    return real
+        real = stage.qbn.apply(real)  # channels are the last axis
+    return real.reshape(out_shape)
 
 
 def conv2d_quantized(ints: np.ndarray, act_exp: int, spec, lq: LayerQuantization,
                      act_bits: int = 8, out_exp=None):
-    """One quantized conv: integer accumulation, integer BN, requantization.
+    """One quantized NCHW conv: integer accumulation, integer BN, requantization.
 
     Input and output are (values, exponent) activation pairs. With
     ``out_exp`` given, the output saturates onto that fixed scale; otherwise
     the smallest lossless exponent is chosen.
     """
     fh, fw, cin, _ = spec.geometry[:4]
-    check_accumulator(lq, fh * fw * cin, act_bits)
-    stage = _build_stage(spec, lq)
-    real = _stage_real(stage, ints, act_exp, _integer_accumulate)
+    stage = _build_stage(spec, lq, check_accumulator(lq, fh * fw * cin, act_bits))
+    real = _stage_real(stage, ints.transpose(0, 2, 3, 1), act_exp,
+                       _integer_accumulate, stage.planes.dtype)
+    real = real.transpose(0, 3, 1, 2)
     if out_exp is None:
         return quantize_activations(real, act_bits)
     return saturating_requantize(real, out_exp, act_bits), out_exp
@@ -381,8 +416,9 @@ class IntegerEngine:
     The model file supplies geometry and batch-norm state; the compressed
     model supplies the weights. Construction fails with
     AccumulatorOverflowError if any layer could overflow a 32-bit
-    accumulator in the worst case — the same bound that keeps the batched
-    float64 matrix products exact.
+    accumulator in the worst case. The same bound picks each stage's GEMM
+    dtype: float32 up to 24 bits, float64 above, so the matrix products are
+    exact integer sums.
 
     Activation scales are chosen per batch until :meth:`calibrate` freezes
     them from a calibration pass; frozen scales make later inputs saturate
@@ -397,7 +433,12 @@ class IntegerEngine:
         self.act_exps = None  # set by calibrate()
         self.stages = []
         for spec in model.layers:
-            lq = compressed.layer(spec.name)
+            try:
+                lq = compressed.layer(spec.name)
+            except KeyError:
+                raise ValidationError(
+                    f"layer {spec.name!r} is missing from the compressed model"
+                ) from None
             if lq.weight_count != spec.weight_count:
                 raise ValidationError(
                     f"layer {spec.name!r}: {lq.weight_count} symbols for "
@@ -408,8 +449,8 @@ class IntegerEngine:
                 patch = fh * fw * cin
             else:
                 patch = spec.geometry[0]
-            check_accumulator(lq, patch, act_bits, acc_limit)
-            self.stages.append(_build_stage(spec, lq))
+            bits = check_accumulator(lq, patch, act_bits, acc_limit)
+            self.stages.append(_build_stage(spec, lq, bits))
         if not self.stages:
             raise ValidationError("model has no layers")
         if len(self.stages) != len(compressed.layers):
@@ -417,6 +458,10 @@ class IntegerEngine:
                 s.name for s in self.stages
             )
             raise ValidationError(f"compressed layers not in the model: {extra}")
+
+    @staticmethod
+    def _patch_dtype(stage: _Stage):
+        return stage.planes.dtype
 
     def _requant(self, x: np.ndarray, point: int):
         if self.act_exps is not None:
@@ -426,15 +471,18 @@ class IntegerEngine:
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
         ints, act_exp = self._requant(x, 0)
+        if ints.ndim == 4:
+            ints = ints.transpose(0, 2, 3, 1)  # NHWC from here on
         if record is not None:
             record.append(act_exp)
         for i, stage in enumerate(self.stages):
             if stage.kind == KIND_DENSE and ints.ndim == 4:
-                ints = global_avg_pool_int(ints)
-            real = _stage_real(stage, ints, act_exp, self.accumulate)
+                ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
+            real = _stage_real(stage, ints, act_exp, self.accumulate,
+                               self._patch_dtype(stage))
             if i == len(self.stages) - 1:
-                return real
-            ints, act_exp = self._requant(np.maximum(real, 0.0), i + 1)
+                return real.transpose(0, 3, 1, 2) if real.ndim == 4 else real
+            ints, act_exp = self._requant(np.maximum(real, 0.0, out=real), i + 1)
             if record is not None:
                 record.append(act_exp)
         raise AssertionError("unreachable")
@@ -474,3 +522,7 @@ class FloatSimulator(IntegerEngine):
     """
 
     accumulate = staticmethod(_float_accumulate)
+
+    @staticmethod
+    def _patch_dtype(stage: _Stage):
+        return np.float64

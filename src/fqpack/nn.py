@@ -1,8 +1,10 @@
 """Small float network layers with hand-written gradients.
 
-Everything runs in float64 and NCHW. Layers cache what their backward pass
-needs on forward; backward consumes the cache and returns the input gradient
-while stashing parameter gradients on the layer (``dw``, ``dgamma``, ...).
+Everything runs in float64 and NCHW; ``Conv2d`` hands the NHWC patch
+builder in ``convops`` a transposed view and returns NCHW outputs and input
+gradients. Layers cache what their backward pass needs on forward; backward
+consumes the cache and returns the input gradient while stashing parameter
+gradients on the layer (``dw``, ``dgamma``, ...).
 Just enough machinery for the compact test network below — not a framework.
 """
 
@@ -28,12 +30,12 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x, training=False):
-        cols = im2col(x, self.fh, self.fw, self.stride, self.pad)
-        self._cache = (cols, x.shape)
+        nhwc = x.transpose(0, 2, 3, 1)
+        cols = im2col(nhwc, self.fh, self.fw, self.stride, self.pad)
+        self._cache = (cols, nhwc.shape)
         out = cols @ self.w.reshape(-1, self.cout)
-        n = x.shape[0]
-        oh, ow = conv_output_hw(x.shape[2], x.shape[3],
-                                self.fh, self.fw, self.stride, self.pad)
+        n, h, w, _ = nhwc.shape
+        oh, ow = conv_output_hw(h, w, self.fh, self.fw, self.stride, self.pad)
         return out.reshape(n, oh, ow, self.cout).transpose(0, 3, 1, 2)
 
     def backward(self, dout):
@@ -41,7 +43,8 @@ class Conv2d:
         dmat = dout.transpose(0, 2, 3, 1).reshape(-1, self.cout)
         self.dw = (cols.T @ dmat).reshape(self.w.shape)
         dcols = dmat @ self.w.reshape(-1, self.cout).T
-        return col2im(dcols, x_shape, self.fh, self.fw, self.stride, self.pad)
+        dx = col2im(dcols, x_shape, self.fh, self.fw, self.stride, self.pad)
+        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
 
 
 class BatchNorm2d:

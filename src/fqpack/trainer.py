@@ -396,7 +396,8 @@ def wsep_sweep(base_net, images, labels, test_images, test_labels,
     schedule with a seed derived from (config.seed, cell), then scores top-1
     on the held-out set. Returns (detail, summary, modes): detail rows are
     (wsep, run, top1), summary rows (wsep, mean, std), and mode rows
-    (wsep, run, layer, mode) record the per-layer decisions of each cell.
+    (wsep, run, layer, mode, separation) record the per-layer decisions of
+    each cell with the layer's measured separation at its last fit.
     """
     if grid is None:
         grid = sweep_grid()
@@ -410,7 +411,7 @@ def wsep_sweep(base_net, images, labels, test_images, test_labels,
             result = finetune_inq(net, images, labels, cfg)
             top1 = top1_accuracy(net.predict(test_images), test_labels)
             detail.append((float(wsep), run, top1))
-            modes += [(float(wsep), run, name, mode)
+            modes += [(float(wsep), run, name, mode, result.wsep[name])
                       for name, mode in result.modes.items()]
     summary = []
     for wsep in grid:

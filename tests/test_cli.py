@@ -254,6 +254,18 @@ def test_infer_corrupted_container(assets, capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_infer_container_missing_a_layer(assets, capsys, tmp_path):
+    cm = load_compressed(assets["fqz"])
+    short = tmp_path / "short.fqz"
+    save_compressed(CompressedModel(cm.layers[:-1]), short)
+    rc, _, err = run_cli([
+        "infer", "--model", str(assets["model"]), "--compressed", str(short),
+        "--data", str(assets["data"]), "--limit", "4",
+    ], capsys)
+    assert rc == 2
+    assert "'head' is missing" in err
+
+
 # --- cost --------------------------------------------------------------------------
 
 
@@ -354,6 +366,25 @@ def test_sweep_repeats_are_deterministic(capsys, tmp_path):
     assert texts[0] == texts[1]
     detail_lines = texts[0][0].splitlines()
     assert len(detail_lines) == 1 + 2 * 2  # two grid points x two repeats
+
+
+def test_sweep_modes_report_each_layers_separation(capsys, tmp_path):
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text(FAST_CONFIG)
+    modes = tmp_path / "modes.csv"
+    rc, _, _ = run_cli([
+        "sweep", "--config", str(cfg), "--out", str(tmp_path / "detail.csv"),
+        "--modes", str(modes), "--min", "3.48", "--max", "3.48",
+        "--samples", "16", "--val-samples", "8",
+    ], capsys)
+    assert rc == 0
+    rows = [line.split(",") for line in modes.read_text().splitlines()[1:]]
+    seps = [float(sep) for _, _, _, sep in rows]
+    # a single INQ step fits each layer once, so its mode follows from the
+    # separation reported next to it; the threshold splits this net's layers
+    assert {mode for _, mode, _, _ in rows} == {MODE_RECENTRALIZED, MODE_SHIFT}
+    for (_, mode, _, _), sep in zip(rows, seps):
+        assert (mode == MODE_RECENTRALIZED) == (sep >= 3.48)
 
 
 def test_sweep_step_zero_is_usage_error(capsys, tmp_path):

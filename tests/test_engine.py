@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fqpack.codec import CompressedModel
 from fqpack.convops import conv2d_gemm
 from fqpack.engine import (
     ACC_BITS,
+    F32_EXACT_BITS,
     FloatSimulator,
     IntegerEngine,
     QuantBN,
@@ -14,6 +16,7 @@ from fqpack.engine import (
     dot_shift_add,
     fold_bn,
     global_avg_pool_int,
+    _round_away,
     quantize_activations,
     saturating_requantize,
 )
@@ -429,3 +432,167 @@ def test_engine_validation_errors():
     ] + cm.layers[1:])
     with pytest.raises(ValidationError):
         IntegerEngine(model, short)
+
+
+def test_missing_layer_is_a_validation_error():
+    _, model, cm = quantized_toy()
+    short = CompressedModel(cm.layers[:-1])
+    with pytest.raises(ValidationError, match="'head' is missing"):
+        IntegerEngine(model, short)
+
+
+# --- rounding -------------------------------------------------------------------------
+
+
+def _round_away_reference(values):
+    return np.sign(values) * np.floor(np.abs(values) + 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-2**54, 2**54).map(float),
+    st.integers(-2**54, 2**54).map(lambda k: k + 0.5),  # ties, exact below 2^52
+    st.sampled_from([0.0, -0.0, 0.49999999999999994, -0.49999999999999994,
+                     2.0**52 + 1, -(2.0**52 + 1), 2.0**53 - 1]),
+), min_size=1, max_size=40))
+def test_round_away_matches_sign_floor_formula(values):
+    v = np.array(values, dtype=np.float64)
+    got, want = _round_away(v), _round_away_reference(v)
+    # equal as reals; only the sign of a zero may differ, and every caller
+    # casts the result to an integer type
+    assert np.array_equal(got, want, equal_nan=True)
+    finite = np.isfinite(v) & (np.abs(v) < 2.0**62)
+    assert np.array_equal(got[finite].astype(np.int64), want[finite].astype(np.int64))
+
+
+def test_quantize_activations_rejects_inf():
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            quantize_activations(np.array([[1.0, bad], [0.5, 2.0]]))
+
+
+# --- GEMM dtype dispatch -----------------------------------------------------------------
+
+
+@st.composite
+def dyadic_layers(draw, weight_count):
+    """Shift or recentralized layer whose reals are exact binary fractions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = draw(st.sampled_from([0.5, 0.75, 1.0, 1.25]))
+    if draw(st.booleans()):
+        n_bits = draw(st.integers(3, 6))
+        k = n_bits - 2
+        e_top = draw(st.integers(0, 2**k - 1))
+        codes = [ZERO] + [pack_shift_code(s, e, k)
+                          for s in (1, -1) for e in range(e_top + 1)]
+        return shift_layer(rng.choice(codes, size=weight_count),
+                           bias=draw(st.integers(-2, 5)), n_bits=n_bits, alpha=alpha)
+    n_bits = draw(st.integers(4, 6))
+    k = n_bits - 3
+    e_top = draw(st.integers(0, 2**k - 1))
+    codes = [ZERO]
+    for m in (0, 1):
+        codes.append((m << (n_bits - 1)) | (3 << k))  # bare component centre
+        codes += [(m << (n_bits - 1)) | (s << k) | e
+                  for s in (1, 2) for e in range(e_top + 1)]
+    mu = (draw(st.sampled_from([0.0, -0.5, -0.25, -0.125, -2.0])),
+          draw(st.sampled_from([0.0, 0.125, 0.25, 1.0, 4.0])))
+    return rec_layer(rng.choice(codes, size=weight_count), mu=mu,
+                     sigma=draw(st.sampled_from([0.0625, 0.125, 0.25, 1.0])),
+                     bias=draw(st.integers(0, 4)), n_bits=n_bits, alpha=alpha)
+
+
+def one_layer_model(lq, geometry):
+    """A model holding just ``lq``: dense (n_in, n_out) or conv geometry."""
+    if len(geometry) == 2:
+        spec = LayerSpec(name=lq.name, kind="dense",
+                         weight=np.zeros(geometry, dtype=np.float32),
+                         geometry=geometry)
+    else:
+        spec = LayerSpec(name=lq.name, kind="conv2d",
+                         weight=np.zeros(geometry[:4], dtype=np.float32),
+                         geometry=geometry)
+    return ModelFile([spec]), CompressedModel([lq])
+
+
+def shift_add_outputs(ints, lq, geometry):
+    """Every output of one layer from dot_shift_add, as alpha * acc * 2^scale."""
+    if len(geometry) == 2:
+        n_in, n_out = geometry
+        out = np.zeros((ints.shape[0], n_out))
+        for b in range(ints.shape[0]):
+            for o in range(n_out):
+                acc, scale = dot_shift_add(ints[b].tolist(), lq, positions=[
+                    i * n_out + o for i in range(n_in)])
+                out[b, o] = lq.alpha * acc * 2.0**scale
+        return out
+    fh, fw, cin, cout, pad, stride = geometry
+    n, _, ih, iw = ints.shape
+    oh = (ih + 2 * pad - fh) // stride + 1
+    ow = (iw + 2 * pad - fw) // stride + 1
+    padded = np.pad(ints, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((n, cout, oh, ow))
+    for b in range(n):
+        for y in range(oh):
+            for x in range(ow):
+                window = padded[b, :, y * stride : y * stride + fh,
+                                x * stride : x * stride + fw]
+                acts = window.transpose(1, 2, 0).ravel().tolist()  # (i, j, ci)
+                for co in range(cout):
+                    acc, scale = dot_shift_add(acts, lq, positions=[
+                        p * cout + co for p in range(fh * fw * cin)])
+                    out[b, co, y, x] = lq.alpha * acc * 2.0**scale
+    return out
+
+
+@st.composite
+def dispatch_cases(draw):
+    """(layer, geometry, integer activations with |max| 127)."""
+    if draw(st.booleans()):
+        geometry = (draw(st.integers(1, 40)), draw(st.integers(1, 5)))
+        patch, shape = geometry[0], (draw(st.integers(1, 3)), geometry[0])
+    else:
+        fh = fw = draw(st.sampled_from([1, 3]))
+        cin, cout = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        pad, stride = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+        geometry = (fh, fw, cin, cout, pad, stride)
+        ih, iw = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+        patch, shape = fh * fw * cin, (draw(st.integers(1, 2)), cin, ih, iw)
+    count = int(np.prod(geometry[:2] if len(geometry) == 2 else geometry[:4]))
+    lq = draw(dyadic_layers(count))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ints = rng.integers(-127, 128, size=shape)
+    ints.flat[0] = 127  # pins the input exponent at 0
+    return lq, geometry, patch, ints
+
+
+@settings(max_examples=120, deadline=None)
+@given(dispatch_cases())
+def test_float32_stages_equal_shift_add_sums(case):
+    lq, geometry, patch, ints = case
+    assume(accumulator_bits(lq, patch) <= F32_EXACT_BITS)
+    engine = IntegerEngine(*one_layer_model(lq, geometry))
+    assert engine.stages[0].planes.dtype == np.float32
+    got = engine.forward(ints.astype(np.float64))
+    assert np.array_equal(got, shift_add_outputs(ints, lq, geometry))
+
+
+def test_wide_bound_builds_an_exact_float64_stage():
+    # 15 weights of 2^15 against activation 127, plus 1 x 1: the sum is odd
+    # and above 2^24, so a float32 GEMM would round it
+    n_in = 16
+    k = 4
+    symbols = [pack_shift_code(1, 15, k)] * (n_in - 1) + [pack_shift_code(1, 0, k)]
+    lq = shift_layer(symbols, bias=3, n_bits=6, alpha=0.75)
+    bits = accumulator_bits(lq, n_in)
+    assert F32_EXACT_BITS < bits <= ACC_BITS
+    engine = IntegerEngine(*one_layer_model(lq, (n_in, 1)))
+    assert engine.stages[0].planes.dtype == np.float64
+    ints = np.array([[127] * (n_in - 1) + [1]])
+    want = shift_add_outputs(ints, lq, (n_in, 1))
+    assert np.array_equal(engine.forward(ints.astype(np.float64)), want)
+    exact = 15 * 127 * 2**15 + 1
+    rounded = ints.astype(np.float32) @ engine.stages[0].planes.astype(np.float32)
+    assert int(rounded[0, 0]) != exact
+    assert want[0, 0] == 0.75 * exact * 2.0**-3

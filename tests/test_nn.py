@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqpack.convops import col2im, conv2d_gemm, conv_output_hw, im2col
 from fqpack.model_store import decode_model, encode_model
@@ -84,6 +85,66 @@ def test_col2im_is_adjoint_of_im2col():
     lhs = float(np.sum(cols * y))
     rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, 2, 1)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def nchw_im2col(x, fh, fw, stride, pad):
+    """The NCHW patch builder the NHWC one replaced; the lowering oracle."""
+    n, c, h, w = x.shape
+    oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
+    x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c, fh, fw, oh, ow), dtype=x.dtype)
+    for i in range(fh):
+        for j in range(fw):
+            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride,
+                                 j : j + stride * ow : stride]
+    return cols.transpose(0, 4, 5, 2, 3, 1).reshape(n * oh * ow, fh * fw * c)
+
+
+def nchw_col2im(cols, x_shape, fh, fw, stride, pad):
+    n, c, h, w = x_shape
+    oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
+    cols = cols.reshape(n, oh, ow, fh, fw, c).transpose(0, 5, 3, 4, 1, 2)
+    out = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(fh):
+        for j in range(fw):
+            out[:, :, i : i + stride * oh : stride,
+                j : j + stride * ow : stride] += cols[:, :, i, j]
+    return out[:, :, pad : pad + h, pad : pad + w]
+
+
+@st.composite
+def conv_cases(draw):
+    f = draw(st.integers(1, 3))
+    stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    h, w = draw(st.integers(max(1, f - 2 * pad), 7)), draw(st.integers(max(1, f - 2 * pad), 7))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
+    return f, draw(st.integers(1, 4)), stride, pad, shape, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(conv_cases())
+def test_conv_layer_matches_nchw_lowering_bit_for_bit(case):
+    f, cout, stride, pad, shape, seed = case
+    rng = np.random.default_rng(seed)
+    conv = Conv2d(f, f, shape[1], cout, stride=stride, pad=pad, rng=rng)
+    x = rng.normal(size=shape)
+    out = conv.forward(x, training=True)
+    dout = rng.normal(size=out.shape)
+    dx = conv.backward(dout)
+
+    # the old builder returned a strided view for some 1x1 geometries, which
+    # BLAS may sum in another order; the patch values must match exactly,
+    # and the oracle's products run on a C-contiguous copy
+    cols = nchw_im2col(x, f, f, stride, pad)
+    assert np.array_equal(im2col(x.transpose(0, 2, 3, 1), f, f, stride, pad), cols)
+    cols = np.ascontiguousarray(cols)
+    w2 = conv.w.reshape(-1, cout)
+    want = (cols @ w2).reshape(shape[0], out.shape[2], out.shape[3], cout)
+    dmat = dout.transpose(0, 2, 3, 1).reshape(-1, cout)
+    assert np.array_equal(out, want.transpose(0, 3, 1, 2))
+    assert np.array_equal(conv.dw, (cols.T @ dmat).reshape(conv.w.shape))
+    assert np.array_equal(dx, nchw_col2im(dmat @ w2.T, shape, f, f, stride, pad))
+    assert dx.flags.c_contiguous
 
 
 # --- layer gradients ---------------------------------------------------------------
