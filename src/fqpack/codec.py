@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, ValidationError
 from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization
 from .model_store import ModelFile, weight_payload_bytes
 
@@ -427,7 +427,7 @@ class CompressedModel:
         for lq in self.layers:
             if lq.name == name:
                 return lq
-        raise KeyError(name)
+        raise ValidationError(f"layer {name!r} is missing from the compressed model")
 
 
 def encode_compressed(cm: CompressedModel) -> bytes:
@@ -493,13 +493,6 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     and symbol counts, without encoding), and the total row includes the
     6-byte container header. Sparsity is the fraction of symbols decoding to zero.
     """
-    model_names = [layer.name for layer in model.layers]
-    cm_names = [lq.name for lq in cm.layers]
-    if set(model_names) != set(cm_names):
-        raise ValueError(
-            f"layer names differ: model {sorted(model_names)} vs "
-            f"compressed {sorted(cm_names)}"
-        )
     rows = []
     total_comp = _HEADER.size
     total_zero = 0
@@ -507,7 +500,7 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     for layer in model.layers:
         lq = cm.layer(layer.name)
         if lq.weight_count != layer.weight_count:
-            raise ValueError(f"layer {layer.name!r}: weight counts differ")
+            raise ValidationError(f"layer {layer.name!r}: weight counts differ")
         orig = 4 * layer.weight_count
         comp = _record_size(lq)
         rows.append(
@@ -519,6 +512,9 @@ def compression_report(model: ModelFile, cm: CompressedModel):
         total_comp += comp
         total_zero += int(np.count_nonzero(lq.symbols == 0))
         total_count += lq.weight_count
+    extra = {lq.name for lq in cm.layers} - {layer.name for layer in model.layers}
+    if extra:
+        raise ValidationError(f"compressed layers not in the model: {sorted(extra)}")
     rows.append(
         ReportRow(
             "total", "-", 0, weight_payload_bytes(model), total_comp,

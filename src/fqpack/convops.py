@@ -3,9 +3,10 @@
 Images are NHWC here; conv weights are HWIO (fh, fw, cin, cout). ``im2col``
 flattens each receptive field to a row ordered (fh, fw, cin), so a patch
 matrix multiplied by ``weights.reshape(fh*fw*cin, cout)`` is the
-convolution. Both the float trainer and the integer engine go through these
-helpers, which keeps their summation layouts identical. The NCHW callers
-(``nn.Conv2d``, ``conv2d_gemm``) pass a transposed view.
+convolution, and ``col2im`` is its input gradient. Both the float trainer
+and the integer engine build their patches here, which keeps their
+summation layouts identical. ``nn`` and the engine keep activations NHWC;
+the one NCHW caller, ``conv2d_gemm``, passes a transposed view.
 """
 
 from __future__ import annotations
@@ -43,18 +44,39 @@ def im2col(x: np.ndarray, fh: int, fw: int, stride: int = 1, pad: int = 0) -> np
     return np.ascontiguousarray(cols)
 
 
-def col2im(cols: np.ndarray, x_shape, fh: int, fw: int,
+def col2im(dmat: np.ndarray, weights: np.ndarray, x_shape,
            stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Adjoint of im2col: scatter-add patch rows back onto an (N, H, W, C) grid."""
-    n, h, w, c = x_shape
+    """Input gradient of a conv: the output gradient ``dmat``
+    (N*oh*ow, cout) through HWIO ``weights`` back onto an (N, H, W, cin) grid.
+
+    One GEMM gives the patch-matrix gradient; its taps then add onto the
+    grid in (i, j) order, each clipped to the rows and columns inside the
+    unpadded grid.
+    """
+    fh, fw, cin, cout = weights.shape
+    n, h, w, _ = x_shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
-    cols = cols.reshape(n, oh, ow, fh, fw, c)
-    out = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            out[:, i : i + stride * oh : stride,
-                j : j + stride * ow : stride] += cols[:, :, :, i, j]
-    return out[:, pad : pad + h, pad : pad + w]
+    dcols = dmat @ weights.reshape(fh * fw * cin, cout).T
+    dcols = dcols.reshape(n, oh, ow, fh, fw, cin)
+    out = np.zeros((n, h, w, cin), dtype=dcols.dtype)
+    y_spans = [_inside(i, pad, stride, oh, h) for i in range(fh)]
+    x_spans = [_inside(j, pad, stride, ow, w) for j in range(fw)]
+    for i, (ys, oys) in enumerate(y_spans):
+        for j, (xs, oxs) in enumerate(x_spans):
+            out[:, ys, xs] += dcols[:, oys, oxs, i, j]
+    return out
+
+
+def _inside(tap: int, pad: int, stride: int, out_len: int, in_len: int):
+    """(input slice, output slice) of one kernel tap along one axis: output
+    position o reads input o*stride + tap - pad, kept where that is in range."""
+    first = max(0, -((tap - pad) // stride))  # ceil((pad - tap) / stride)
+    last = min(out_len, (in_len - 1 - tap + pad) // stride + 1)
+    if last <= first:
+        return slice(0, 0), slice(0, 0)
+    start = first * stride + tap - pad
+    return (slice(start, start + (last - first - 1) * stride + 1, stride),
+            slice(first, last))
 
 
 def conv2d_gemm(x: np.ndarray, weights: np.ndarray,

@@ -18,10 +18,10 @@ integers through one matrix product per layer over an NHWC patch matrix,
 with the T and U weight planes side by side. A float GEMM is exact as long
 as every partial sum is an integer the format holds exactly: below 2^24 in
 float32, below 2^53 in float64. ``check_accumulator`` bounds every layer's
-worst case (32 bits at most), and each stage runs in float32 when that bound
-is at most 24 bits and in float64 above it, so the two paths agree to the
-last bit whenever sigma is a power of two. The scaling to reals above
-runs in float64.
+worst case (32 bits by default, never more than 53), and each stage runs in
+float32 when that bound is at most 24 bits and in float64 above it, so the
+two paths agree to the last bit whenever sigma is a power of two. The
+scaling to reals above runs in float64.
 
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
@@ -53,6 +53,8 @@ ACC_BITS = 32
 # a sum bounded to 24 bits (sign included) stays below 2^23, and float32
 # holds every integer up to 2^24 exactly
 F32_EXACT_BITS = 24
+# the widest bound an engine accepts: float64 holds every integer up to 2^53
+F64_EXACT_BITS = 53
 BN_EPS = 1e-5
 INT16_MAX = 32767
 
@@ -429,16 +431,16 @@ class IntegerEngine:
 
     def __init__(self, model: ModelFile, compressed: CompressedModel,
                  act_bits: int = 8, acc_limit: int = ACC_BITS):
+        if acc_limit > F64_EXACT_BITS:
+            raise ValidationError(
+                f"acc_limit {acc_limit} exceeds {F64_EXACT_BITS} bits, where "
+                "float64 sums stop being exact"
+            )
         self.act_bits = act_bits
         self.act_exps = None  # set by calibrate()
         self.stages = []
         for spec in model.layers:
-            try:
-                lq = compressed.layer(spec.name)
-            except KeyError:
-                raise ValidationError(
-                    f"layer {spec.name!r} is missing from the compressed model"
-                ) from None
+            lq = compressed.layer(spec.name)
             if lq.weight_count != spec.weight_count:
                 raise ValidationError(
                     f"layer {spec.name!r}: {lq.weight_count} symbols for "

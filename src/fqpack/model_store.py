@@ -194,7 +194,10 @@ def decode_model(data: bytes) -> ModelFile:
     layers = []
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer record {len(layers)}: name is not UTF-8") from exc
         (kind_code,) = reader.unpack("<B")
         if kind_code not in _KIND_NAMES:
             raise FormatError(f"unknown layer kind code {kind_code}")

@@ -1,10 +1,12 @@
 """Small float network layers with hand-written gradients.
 
-Everything runs in float64 and NCHW; ``Conv2d`` hands the NHWC patch
-builder in ``convops`` a transposed view and returns NCHW outputs and input
-gradients. Layers cache what their backward pass needs on forward; backward
-consumes the cache and returns the input gradient while stashing parameter
-gradients on the layer (``dw``, ``dgamma``, ...).
+Activations are NHWC: ``ToyNet.forward`` transposes its NCHW images once on
+entry, and ``Conv2d``, ``BatchNorm2d``, ``ReLU`` and ``GlobalAvgPool`` take
+and return channels-last arrays. Each layer computes in its parameters'
+dtype: a float64 net runs in float64, and the trainer's float32 parameters
+run it in float32. Layers cache what their backward pass needs on forward;
+backward consumes the cache and returns the input gradient while stashing
+parameter gradients on the layer (``dw``, ``dgamma``, ...).
 Just enough machinery for the compact test network below — not a framework.
 """
 
@@ -30,24 +32,30 @@ class Conv2d:
         self._cache = None
 
     def forward(self, x, training=False):
-        nhwc = x.transpose(0, 2, 3, 1)
-        cols = im2col(nhwc, self.fh, self.fw, self.stride, self.pad)
-        self._cache = (cols, nhwc.shape)
-        out = cols @ self.w.reshape(-1, self.cout)
-        n, h, w, _ = nhwc.shape
+        x = x.astype(self.w.dtype, copy=False)
+        cols = im2col(x, self.fh, self.fw, self.stride, self.pad)
+        self._cache = (cols, x.shape)
+        n, h, w, _ = x.shape
         oh, ow = conv_output_hw(h, w, self.fh, self.fw, self.stride, self.pad)
-        return out.reshape(n, oh, ow, self.cout).transpose(0, 3, 1, 2)
+        return (cols @ self.w.reshape(-1, self.cout)).reshape(n, oh, ow, self.cout)
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad=True):
+        """Stash ``dw``; return the input gradient unless ``input_grad`` is False."""
         cols, x_shape = self._cache
-        dmat = dout.transpose(0, 2, 3, 1).reshape(-1, self.cout)
+        dmat = dout.reshape(-1, self.cout)
         self.dw = (cols.T @ dmat).reshape(self.w.shape)
-        dcols = dmat @ self.w.reshape(-1, self.cout).T
-        dx = col2im(dcols, x_shape, self.fh, self.fw, self.stride, self.pad)
-        return np.ascontiguousarray(dx.transpose(0, 3, 1, 2))
+        if input_grad:
+            return col2im(dmat, self.w, x_shape, self.stride, self.pad)
+        return None
 
 
 class BatchNorm2d:
+    """Per-channel batch norm over the last axis.
+
+    Batch statistics and the ``dgamma``/``dbeta`` sums accumulate in float64
+    whatever the compute dtype; running statistics stay float64.
+    """
+
     def __init__(self, channels, momentum=0.1, eps=1e-5):
         self.channels = channels
         self.momentum = momentum
@@ -61,30 +69,52 @@ class BatchNorm2d:
         self._cache = None
 
     def forward(self, x, training=False):
+        dtype = self.gamma.dtype
+        x = x.astype(dtype, copy=False)
         if training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            m = x.size // self.channels
+            mean = _channel_sum(x) / m
+            xc = x - mean.astype(dtype)
+            var = _channel_sum(np.square(xc)) / m
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
+            xc = x - self.running_mean.astype(dtype)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[:, None, None]) * inv_std[:, None, None]
-        self._cache = (xhat, inv_std, training)
-        return self.gamma[:, None, None] * xhat + self.beta[:, None, None]
+        # the centred input is cached; xhat = xc * inv_std is never formed
+        self._cache = (xc, inv_std, training)
+        out = xc * (self.gamma * inv_std).astype(dtype)
+        out += self.beta
+        return out
 
     def backward(self, dout):
-        xhat, inv_std, training = self._cache
-        self.dgamma = np.sum(dout * xhat, axis=(0, 2, 3))
-        self.dbeta = np.sum(dout, axis=(0, 2, 3))
-        dxhat = dout * self.gamma[:, None, None]
+        xc, inv_std, training = self._cache
+        dtype = xc.dtype
+        self.dgamma = _channel_sum(dout * xc) * inv_std
+        self.dbeta = _channel_sum(dout)
+        scale = (self.gamma * inv_std).astype(dtype)
         if not training:
-            return dxhat * inv_std[:, None, None]
-        # batch statistics were part of the graph
-        m = dout.shape[0] * dout.shape[2] * dout.shape[3]
-        term = dxhat - dxhat.mean(axis=(0, 2, 3))[:, None, None] \
-            - xhat * np.mean(dxhat * xhat, axis=(0, 2, 3))[:, None, None]
-        return term * inv_std[:, None, None]
+            return dout * scale
+        # batch statistics were part of the graph: with m values per channel,
+        # dx = gamma * inv_std * (dout - dbeta/m - xhat * dgamma/m)
+        m = dout.size // self.channels
+        dx = xc * (-inv_std * self.dgamma / m).astype(dtype)
+        dx += dout
+        dx -= (self.dbeta / m).astype(dtype)
+        dx *= scale
+        return dx
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """Float64 per-channel sum of a channels-last array.
+
+    Sums over the batch axis first, where each row is one long contiguous
+    sample, then over positions; one reduction over all leading axes would
+    run its inner loop over just the channels.
+    """
+    flat = a.reshape(a.shape[0], -1).sum(axis=0, dtype=np.float64)
+    return flat.reshape(-1, a.shape[-1]).sum(axis=0)
 
 
 class ReLU:
@@ -93,25 +123,25 @@ class ReLU:
 
     def forward(self, x, training=False):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0)
 
     def backward(self, dout):
-        return np.where(self._mask, dout, 0.0)
+        return dout * self._mask
 
 
 class GlobalAvgPool:
-    """(N, C, H, W) -> (N, C), mean over the spatial grid."""
+    """(N, H, W, C) -> (N, C), mean over the spatial grid."""
 
     def __init__(self):
         self._shape = None
 
     def forward(self, x, training=False):
         self._shape = x.shape
-        return x.mean(axis=(2, 3))
+        return x.mean(axis=(1, 2))
 
     def backward(self, dout):
-        n, c, h, w = self._shape
-        return np.broadcast_to(dout[:, :, None, None] / (h * w), self._shape).copy()
+        n, h, w, c = self._shape
+        return np.broadcast_to(dout[:, None, None, :] / (h * w), self._shape).copy()
 
 
 class Dense:
@@ -125,8 +155,8 @@ class Dense:
         self._x = None
 
     def forward(self, x, training=False):
-        self._x = x
-        return x @ self.w
+        self._x = x.astype(self.w.dtype, copy=False)
+        return self._x @ self.w
 
     def backward(self, dout):
         self.dw = self._x.T @ dout
@@ -134,7 +164,13 @@ class Dense:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean loss over the batch and the logit gradient."""
+    """Mean loss over the batch and the logit gradient.
+
+    Computed in float64 (a float32 probability can underflow to a zero that
+    reads as divergence); the gradient comes back in the logits' dtype.
+    """
+    dtype = logits.dtype
+    logits = logits.astype(np.float64, copy=False)
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -143,7 +179,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     loss = -np.mean(np.log(probs[np.arange(n), labels] + eps))
     dlogits = probs.copy()
     dlogits[np.arange(n), labels] -= 1.0
-    return loss, dlogits / n
+    return loss, (dlogits / n).astype(dtype, copy=False)
 
 
 # (cin, cout, stride) for each 3x3 conv, pad 1 throughout: 32x32 input
@@ -173,16 +209,20 @@ class ToyNet:
         self.head = Dense(self.plan[-1][1], classes, rng=rng)
 
     def forward(self, x, training=False):
+        """(N, C, H, W) images -> (N, classes) logits."""
+        x = x.transpose(0, 2, 3, 1)  # NHWC from here on
         for conv, bn, relu in zip(self.convs, self.bns, self.relus):
             x = relu.forward(bn.forward(conv.forward(x, training), training), training)
         return self.head.forward(self.pool.forward(x, training), training)
 
     def backward(self, dlogits):
+        """Stash every parameter gradient. The images need no gradient, so
+        the first conv skips its input gradient."""
         dx = self.pool.backward(self.head.backward(dlogits))
         for conv, bn, relu in zip(reversed(self.convs), reversed(self.bns),
                                   reversed(self.relus)):
-            dx = conv.backward(bn.backward(relu.backward(dx)))
-        return dx
+            dx = conv.backward(bn.backward(relu.backward(dx)),
+                               input_grad=conv is not self.convs[0])
 
     def predict(self, x, batch_size: int = 256) -> np.ndarray:
         out = []

@@ -15,6 +15,12 @@ refresh_mode "fixed"). A layer's mode is decided by its first fit and kept
 thereafter, so refreshes adjust the grid without flipping the layer between
 representations mid-run.
 
+The shadows, alpha and their momentum are float64 master copies. Each
+batch runs the network on float32 effective weights (the layers compute in
+their parameters' dtype); the final install casts weights and BN affine
+parameters to float64, so the returned network computes in float64 and its
+weights equal the container's dequantized values bit for bit.
+
 The batch order is one fixed seeded permutation reused every epoch, and a
 zero learning rate runs fully inert (no weight, alpha, or BN-statistic
 updates), which makes training exactly reproducible and cheap to test.
@@ -191,14 +197,16 @@ def _effective_weights(state: _LayerState) -> np.ndarray:
     return w
 
 
-def _install_weights(states):
+def _install_weights(states, dtype=np.float32):
+    """Install the effective weights; the network computes in ``dtype``."""
     for state in states:
-        state.layer.w = _effective_weights(state).reshape(state.layer.w.shape)
+        w = _effective_weights(state).reshape(state.layer.w.shape)
+        state.layer.w = w.astype(dtype, copy=False)
 
 
 def _apply_gradients(state: _LayerState, lr: float, momentum: float):
     """Straight-through update of shadows and alpha from the layer gradient."""
-    dw = state.layer.dw.ravel()
+    dw = state.layer.dw.ravel().astype(np.float64)  # updates run in float64
     on_grid = state.quantized & state.kept
     free = state.kept & ~state.quantized
     dshadow = np.zeros_like(state.shadow)
@@ -221,6 +229,14 @@ def _apply_gradients(state: _LayerState, lr: float, momentum: float):
             f"layer {state.name!r}: weights left the single-precision "
             "range after an update"
         )
+
+
+def _cast_bn(net, dtype):
+    """Cast BN's affine parameters, as the layers compute in their
+    parameters' dtype (the running statistics stay float64)."""
+    for bn in getattr(net, "bns", []):
+        bn.gamma = bn.gamma.astype(dtype)
+        bn.beta = bn.beta.astype(dtype)
 
 
 def _bn_step(net, lr: float):
@@ -251,10 +267,11 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     encodes exactly those weights. ``eval_set`` = (images, labels) adds a
     per-epoch top-1 column to the history.
     """
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels)
     if images.shape[0] != labels.shape[0]:
         raise ValueError("images and labels disagree on the sample count")
+    _cast_bn(net, np.float32)
     states = []
     for name, layer in net.weight_layers():
         flat = layer.w.ravel().astype(np.float64)
@@ -320,7 +337,10 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                 f"layer {state.name!r}: scale overflowed single precision"
             )
         state.alpha = alpha32
-    _install_weights(states)
+    # float64, so the weights equal the container's dequantized values and
+    # the returned net computes in float64
+    _install_weights(states, np.float64)
+    _cast_bn(net, np.float64)
     compressed = CompressedModel([
         quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha) for s in states
     ])
@@ -334,14 +354,18 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
 def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
                 learning_rate: float, momentum: float = 0.9,
                 batch_size: int = 64, seed: int = 0, eval_set=None) -> list:
-    """Plain SGD baseline training; returns (epoch, loss, top1) history."""
-    images = np.asarray(images, dtype=np.float64)
+    """Plain SGD baseline training in float32; returns (epoch, loss, top1)
+    history. The net keeps its float32 weights and BN affine parameters."""
+    images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels)
     perm = np.random.default_rng(spawn_seed(seed, "shuffle")).permutation(
         images.shape[0]
     )
     batches = [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
     layers = net.weight_layers()
+    for _, layer in layers:
+        layer.w = layer.w.astype(np.float32)
+    _cast_bn(net, np.float32)
     velocity = {name: np.zeros_like(layer.w) for name, layer in layers}
     history = []
     for epoch in range(1, epochs + 1):

@@ -19,6 +19,7 @@ from fqpack.cli import (
 from fqpack.codec import (
     REPORT_HEADER,
     CompressedModel,
+    encode_compressed,
     load_compressed,
     save_compressed,
 )
@@ -173,6 +174,25 @@ def test_decompress_damaged_header_is_data_error(assets, capsys, tmp_path, offse
     ], capsys)
     assert rc == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["decompress", "report"])
+def test_container_cut_at_a_record_boundary(assets, capsys, tmp_path, command):
+    # the cut container still decodes, as a one-layer model
+    cm = load_compressed(assets["fqz"])
+    cut = len(encode_compressed(CompressedModel(cm.layers[:1])))
+    short = tmp_path / "short.fqz"
+    short.write_bytes(assets["fqz"].read_bytes()[:cut])
+    assert [lq.name for lq in load_compressed(short).layers] == ["conv1"]
+    if command == "decompress":
+        argv = ["decompress", "--in", str(short), "--model", str(assets["model"]),
+                "--out", str(tmp_path / "restored.bin")]
+    else:
+        argv = ["report", "--model", str(assets["model"]), "--compressed", str(short),
+                "--out-dir", str(tmp_path / "r")]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert "'conv2' is missing" in err
 
 
 # --- infer ------------------------------------------------------------------------

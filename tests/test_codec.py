@@ -24,7 +24,7 @@ from fqpack.codec import (
     save_compressed,
     _huffman_lengths,
 )
-from fqpack.errors import CorruptionError, FormatError
+from fqpack.errors import CorruptionError, FormatError, ValidationError
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
@@ -320,7 +320,7 @@ def test_report_name_mismatch_rejected():
         geometry=(1, 1, 1, lq.weight_count, 1, 1),
         weight=np.zeros((1, 1, 1, lq.weight_count), dtype=np.float32),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="'other' is missing"):
         compression_report(ModelFile([spec]), CompressedModel([lq]))
 
 

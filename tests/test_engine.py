@@ -7,6 +7,7 @@ from fqpack.convops import conv2d_gemm
 from fqpack.engine import (
     ACC_BITS,
     F32_EXACT_BITS,
+    F64_EXACT_BITS,
     FloatSimulator,
     IntegerEngine,
     QuantBN,
@@ -596,3 +597,16 @@ def test_wide_bound_builds_an_exact_float64_stage():
     rounded = ints.astype(np.float32) @ engine.stages[0].planes.astype(np.float32)
     assert int(rounded[0, 0]) != exact
     assert want[0, 0] == 0.75 * exact * 2.0**-3
+
+
+def test_acc_limit_above_float64_exactness_is_refused():
+    # three 2^60 weights and a 1: a 70-bit bound, past what float64 sums hold
+    k = 6
+    symbols = [pack_shift_code(1, 60, k)] * 3 + [pack_shift_code(1, 0, k)]
+    lq = shift_layer(symbols, n_bits=8)
+    assert accumulator_bits(lq, 4) == 70
+    model, cm = one_layer_model(lq, (4, 1))
+    with pytest.raises(ValidationError, match="acc_limit 80"):
+        IntegerEngine(model, cm, acc_limit=80)
+    with pytest.raises(AccumulatorOverflowError):
+        IntegerEngine(model, cm, acc_limit=F64_EXACT_BITS)

@@ -169,3 +169,10 @@ def test_blobs_deterministic():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
     c = synthetic_blobs(20, seed=10)
     assert not np.array_equal(a[0], c[0])
+
+
+def test_non_utf8_layer_name_is_format_error():
+    data = bytearray(encode_model(ModelFile([_dense("fc", np.eye(2))])))
+    data[12] = 0xFF  # first name byte, after the 10-byte header and name_len
+    with pytest.raises(FormatError, match="not UTF-8"):
+        decode_model(bytes(data))

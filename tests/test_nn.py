@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,13 +79,14 @@ def test_channel_mismatch_rejected():
 
 
 def test_col2im_is_adjoint_of_im2col():
-    # <im2col(x), y> == <x, col2im(y)> for random x, y
+    # <im2col(x) W, y> == <x, col2im(y, W)> for random x, y, W
     rng = np.random.default_rng(61)
     x = rng.normal(size=(2, 3, 6, 6))
+    w = rng.normal(size=(3, 3, 6, 4))
     cols = im2col(x, 3, 3, 2, 1)
-    y = rng.normal(size=cols.shape)
-    lhs = float(np.sum(cols * y))
-    rhs = float(np.sum(x * col2im(y, x.shape, 3, 3, 2, 1)))
+    y = rng.normal(size=(cols.shape[0], 4))
+    lhs = float(np.sum((cols @ w.reshape(-1, 4)) * y))
+    rhs = float(np.sum(x * col2im(y, w, x.shape, 2, 1)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -117,8 +120,8 @@ def conv_cases(draw):
     f = draw(st.integers(1, 3))
     stride, pad = draw(st.integers(1, 2)), draw(st.integers(0, 1))
     h, w = draw(st.integers(max(1, f - 2 * pad), 7)), draw(st.integers(max(1, f - 2 * pad), 7))
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 4)), h, w)
-    return f, draw(st.integers(1, 4)), stride, pad, shape, draw(st.integers(0, 2**32 - 1))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 8)), h, w)
+    return f, draw(st.integers(1, 32)), stride, pad, shape, draw(st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -128,9 +131,11 @@ def test_conv_layer_matches_nchw_lowering_bit_for_bit(case):
     rng = np.random.default_rng(seed)
     conv = Conv2d(f, f, shape[1], cout, stride=stride, pad=pad, rng=rng)
     x = rng.normal(size=shape)
-    out = conv.forward(x, training=True)
+    out_nhwc = conv.forward(x.transpose(0, 2, 3, 1), training=True)
+    out = out_nhwc.transpose(0, 3, 1, 2)
     dout = rng.normal(size=out.shape)
-    dx = conv.backward(dout)
+    dx_nhwc = conv.backward(dout.transpose(0, 2, 3, 1))
+    dx = dx_nhwc.transpose(0, 3, 1, 2)
 
     # the old builder returned a strided view for some 1x1 geometries, which
     # BLAS may sum in another order; the patch values must match exactly,
@@ -144,7 +149,88 @@ def test_conv_layer_matches_nchw_lowering_bit_for_bit(case):
     assert np.array_equal(out, want.transpose(0, 3, 1, 2))
     assert np.array_equal(conv.dw, (cols.T @ dmat).reshape(conv.w.shape))
     assert np.array_equal(dx, nchw_col2im(dmat @ w2.T, shape, f, f, stride, pad))
-    assert dx.flags.c_contiguous
+    assert dx_nhwc.flags.c_contiguous
+
+
+@settings(max_examples=200, deadline=None)
+@given(conv_cases())
+def test_col2im_matches_nchw_scatter_bit_for_bit(case):
+    f, cout, stride, pad, shape, seed = case
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(f, f, shape[1], cout))
+    oh, ow = conv_output_hw(shape[2], shape[3], f, f, stride, pad)
+    dmat = rng.normal(size=(shape[0] * oh * ow, cout))
+    nhwc = (shape[0], shape[2], shape[3], shape[1])
+    got = col2im(dmat, w, nhwc, stride, pad)
+    want = nchw_col2im(dmat @ w.reshape(-1, cout).T, shape, f, f, stride, pad)
+    assert np.array_equal(got, want.transpose(0, 2, 3, 1))
+    assert got.flags.c_contiguous
+
+
+def _float32_copy(layer):
+    """The same layer with float32 parameters."""
+    other = copy.deepcopy(layer)
+    for attr in ("w", "gamma", "beta"):
+        if hasattr(other, attr):
+            setattr(other, attr, getattr(other, attr).astype(np.float32))
+    return other
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_float32_conv_and_bn_agree_with_float64(training):
+    rng = np.random.default_rng(71)
+    conv = Conv2d(3, 3, 4, 6, stride=2, pad=1, rng=rng)
+    bn = BatchNorm2d(6)
+    bn.gamma = rng.normal(1.0, 0.2, 6)
+    bn.beta = rng.normal(0.0, 0.2, 6)
+    bn.running_mean = rng.normal(0.0, 0.1, 6)
+    bn.running_var = rng.uniform(0.5, 1.5, 6)
+    conv32, bn32 = _float32_copy(conv), _float32_copy(bn)
+    x = rng.normal(size=(3, 9, 9, 4))
+    dout = rng.normal(size=(3, 5, 5, 6))
+
+    def run(c, b, x, dout):
+        out = b.forward(c.forward(x, training), training)
+        dx = c.backward(b.backward(dout))
+        return out, dx, c.dw, b.dgamma, b.dbeta
+
+    want = run(conv, bn, x, dout)
+    got = run(conv32, bn32, x.astype(np.float32), dout.astype(np.float32))
+    for name, g, w in zip(("out", "dx", "dw", "dgamma", "dbeta"), got, want):
+        assert g.dtype == (np.float64 if name in ("dgamma", "dbeta") else np.float32), name
+        scale = np.max(np.abs(w))
+        assert np.max(np.abs(g - w)) <= 1e-5 * scale, name
+    assert bn32.running_mean.dtype == bn32.running_var.dtype == np.float64
+    assert np.allclose(bn32.running_mean, bn.running_mean, rtol=1e-6, atol=1e-7)
+    assert np.allclose(bn32.running_var, bn.running_var, rtol=1e-6, atol=1e-7)
+
+
+def test_float64_net_computes_in_float64():
+    net = ToyNet(seed=3, plan=((3, 4, 2), (4, 4, 2)), classes=3)
+    x = np.random.default_rng(72).normal(size=(2, 3, 8, 8)).astype(np.float32)
+    logits = net.forward(x, training=True)
+    _, dlogits = softmax_cross_entropy(logits, np.array([0, 2]))
+    net.backward(dlogits)
+    assert logits.dtype == dlogits.dtype == np.float64
+    for name, layer in net.weight_layers():
+        assert layer.dw.dtype == np.float64, name
+    for bn in net.bns:
+        assert bn.dgamma.dtype == bn.dbeta.dtype == np.float64
+
+
+def test_first_conv_skips_its_input_gradient(monkeypatch):
+    net = ToyNet(seed=4, plan=((3, 4, 2), (4, 4, 2)), classes=3)
+    x = np.random.default_rng(73).normal(size=(2, 3, 8, 8))
+    _, dlogits = softmax_cross_entropy(net.forward(x, training=True), np.array([0, 1]))
+    scattered = []
+
+    def spy(dmat, w, *args):
+        scattered.append(w.shape)
+        return col2im(dmat, w, *args)
+
+    monkeypatch.setattr("fqpack.nn.col2im", spy)
+    net.backward(dlogits)
+    assert scattered == [net.convs[1].w.shape]
 
 
 # --- layer gradients ---------------------------------------------------------------
@@ -154,13 +240,14 @@ def test_conv_gradients_fd():
     rng = np.random.default_rng(62)
     conv = Conv2d(3, 3, 2, 3, stride=2, pad=1, rng=rng)
     x = rng.normal(size=(2, 2, 5, 5))
-    dout = rng.normal(size=conv.forward(x).shape)
+    x_nhwc = x.transpose(0, 2, 3, 1)  # a view: the FD steps on x reach it
+    dout = rng.normal(size=conv.forward(x_nhwc).shape)
 
     def loss():
-        return float(np.sum(conv.forward(x) * dout))
+        return float(np.sum(conv.forward(x_nhwc) * dout))
 
-    conv.forward(x)
-    dx = conv.backward(dout)
+    conv.forward(x_nhwc)
+    dx = conv.backward(dout).transpose(0, 3, 1, 2)
     assert conv.dw == pytest.approx(numeric_grad(loss, conv.w), abs=1e-6)
     assert dx == pytest.approx(numeric_grad(loss, x), abs=1e-6)
 
@@ -172,15 +259,16 @@ def test_batchnorm_gradients_fd():
     bn.beta = rng.normal(0.0, 0.1, 3)
     x = rng.normal(size=(4, 3, 2, 2))
     dout = rng.normal(size=x.shape)
+    x_nhwc, dout_nhwc = x.transpose(0, 2, 3, 1), dout.transpose(0, 2, 3, 1)
 
     def loss():
         saved = (bn.running_mean.copy(), bn.running_var.copy())
-        out = float(np.sum(bn.forward(x, training=True) * dout))
+        out = float(np.sum(bn.forward(x_nhwc, training=True) * dout_nhwc))
         bn.running_mean, bn.running_var = saved  # keep stats fixed for FD
         return out
 
-    bn.forward(x, training=True)
-    dx = bn.backward(dout)
+    bn.forward(x_nhwc, training=True)
+    dx = bn.backward(dout_nhwc).transpose(0, 3, 1, 2)
     assert dx == pytest.approx(numeric_grad(loss, x), abs=1e-5)
     assert bn.dgamma == pytest.approx(numeric_grad(loss, bn.gamma), abs=1e-6)
     assert bn.dbeta == pytest.approx(numeric_grad(loss, bn.beta), abs=1e-6)
@@ -191,7 +279,7 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_mean = np.array([1.0, -1.0])
     bn.running_var = np.array([4.0, 0.25])
     x = np.ones((1, 2, 1, 1))
-    out = bn.forward(x, training=False)
+    out = bn.forward(x.transpose(0, 2, 3, 1), training=False).transpose(0, 3, 1, 2)
     expect = (np.array([0.0, 2.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps))
     assert out[0, :, 0, 0] == pytest.approx(expect)
 
@@ -213,8 +301,8 @@ def test_dense_and_pool_gradients():
     pool = GlobalAvgPool()
     xp = rng.normal(size=(2, 3, 4, 4))
     dpool = rng.normal(size=(2, 3))
-    pool.forward(xp)
-    dxp = pool.backward(dpool)
+    pool.forward(xp.transpose(0, 2, 3, 1))
+    dxp = pool.backward(dpool).transpose(0, 3, 1, 2)
     assert dxp == pytest.approx(
         np.broadcast_to(dpool[:, :, None, None] / 16.0, xp.shape))
 
@@ -249,11 +337,11 @@ def test_uniform_probabilities_loss():
 
 def test_toynet_stage_shapes():
     net = ToyNet(seed=1)
-    x = np.random.default_rng(66).normal(size=(2, 3, 32, 32))
+    x = np.random.default_rng(66).normal(size=(2, 3, 32, 32)).transpose(0, 2, 3, 1)
     sizes = []
     for conv, bn, relu in zip(net.convs, net.bns, net.relus):
         x = relu.forward(bn.forward(conv.forward(x)))
-        sizes.append(x.shape[1:])
+        sizes.append(x.transpose(0, 3, 1, 2).shape[1:])
     assert sizes == [
         (8, 32, 32), (8, 32, 32), (16, 16, 16),
         (16, 16, 16), (16, 16, 16), (32, 8, 8),

@@ -172,6 +172,19 @@ def test_final_weights_match_compressed_exactly():
         assert np.array_equal(layer.w.ravel(), dequantize_layer(lq))
 
 
+def test_float32_training_ends_on_float64_container_weights():
+    net, images, labels = tiny_setup()
+    train_float(net, images, labels, epochs=1, learning_rate=0.05, batch_size=32)
+    assert all(layer.w.dtype == np.float32 for _, layer in net.weight_layers())
+    assert all(bn.gamma.dtype == bn.beta.dtype == np.float32 for bn in net.bns)
+    assert all(bn.running_mean.dtype == np.float64 for bn in net.bns)
+    result = finetune_inq(net, images, labels, quick_config())
+    for name, layer in net.weight_layers():
+        assert layer.w.dtype == np.float64, name
+        assert np.array_equal(layer.w.ravel(), dequantize_layer(result.compressed.layer(name)))
+    assert all(bn.gamma.dtype == bn.beta.dtype == np.float64 for bn in net.bns)
+
+
 @pytest.mark.parametrize("n_bits", [3, 5, 8])
 @pytest.mark.parametrize("w_sep", [0.0, 2.0, 1e9])
 def test_inert_finetune_matches_direct_quantization(w_sep, n_bits):
