@@ -113,7 +113,6 @@ _TRAIN_KEYS = {
     "inq_fractions": "fractions",
     "refresh_interval": int,
     "refresh_growth": int,
-    "refresh_mode": str,
     "momentum": float,
     "batch_size": int,
     "lr_decay": float,
@@ -281,10 +280,8 @@ def histogram_csv(rows) -> str:
 
 
 def modes_csv(rows) -> str:
-    """Mode rows; a wsep of None (not known) leaves its cell empty."""
     lines = [MODES_HEADER]
-    lines += [f"{name},{mode},{bits},{'' if wsep is None else f'{wsep:.4f}'}"
-              for name, mode, bits, wsep in rows]
+    lines += [f"{name},{mode},{bits},{wsep:.4f}" for name, mode, bits, wsep in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -305,10 +302,9 @@ def _load_images(path, limit=None):
     return images, labels
 
 
-def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int):
-    """Prune + quantize every layer; returns (CompressedModel, mode rows)."""
+def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int) -> CompressedModel:
+    """Prune + quantize every layer."""
     quantized = []
-    mode_rows = []
     for spec in model.layers:
         n_bits = cfg.layer_value(spec.name, "n_bits")
         prune = cfg.layer_value(spec.name, "prune_fraction")
@@ -322,14 +318,14 @@ def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int):
         except FqError as exc:
             raise type(exc)(f"layer {spec.name!r}: {exc}") from exc
         quantized.append(lq)
-        mode_rows.append((spec.name, lq.mode, lq.n_bits, lq.wsep))
-    return CompressedModel(quantized), mode_rows
+    return CompressedModel(quantized)
 
 
-def _emit_reports(report_dir, model: ModelFile, cm: CompressedModel, mode_rows):
+def _emit_reports(report_dir, model: ModelFile, cm: CompressedModel):
     rows = compression_report(model, cm)
     _write_text(os.path.join(report_dir, "compression.csv"), report_to_csv(rows))
-    _write_text(os.path.join(report_dir, "modes.csv"), modes_csv(mode_rows))
+    _write_text(os.path.join(report_dir, "modes.csv"), modes_csv(
+        [(lq.name, lq.mode, lq.n_bits, lq.wsep) for lq in cm.layers]))
     for spec in model.layers:
         stem = _safe_name(spec.name)
         pre = weight_histogram(spec.weight)
@@ -366,9 +362,9 @@ def cmd_compress(args) -> int:
     report_dir = cfg.report_dir or (os.path.dirname(os.path.abspath(cfg.output)))
 
     model = load_model(cfg.model)
-    cm, mode_rows = _quantize_model(model, cfg, seed)
+    cm = _quantize_model(model, cfg, seed)
     save_compressed(cm, cfg.output)
-    rows = _emit_reports(report_dir, model, cm, mode_rows)
+    rows = _emit_reports(report_dir, model, cm)
     print(report_to_csv(rows), end="")
     print(f"wrote {cfg.output} and reports under {report_dir}")
     return 0
@@ -514,9 +510,7 @@ def _baseline_gates(rows, baseline: str) -> float:
 def cmd_report(args) -> int:
     model = load_model(args.model)
     cm = load_compressed(args.compressed)
-    # containers do not store the separation, so there is none to report
-    mode_rows = [(lq.name, lq.mode, lq.n_bits, None) for lq in cm.layers]
-    rows = _emit_reports(args.out_dir, model, cm, mode_rows)
+    rows = _emit_reports(args.out_dir, model, cm)
     print(report_to_csv(rows), end="")
     return 0
 

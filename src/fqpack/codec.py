@@ -27,39 +27,33 @@ The window holds any code of up to ``MAX_CODE_LEN`` (57) bits; a table with
 longer codes is rejected when it is built. A Huffman code that long needs
 more than 10^11 symbols.
 
-Container layout (little-endian):
+A layer record's body (little-endian; the framing around it, with the
+header, record count and CRC32, is described in ``fqpack.framing``):
 
-    magic   4 bytes  b"FQZ1"
-    version u16 (only VERSION is read)
-    then one record per layer until end of file:
-        name_len u16, name utf-8
-        mode u8 (0 = shift, 1 = recentralized), n_bits u8
-        alpha f32, bias i8
-        mu_minus (sign i8, exponent i8), mu_plus (sign i8, exponent i8)
-        sigma f32
-        code lengths, u8 per alphabet symbol (2^n_bits bytes, 0 = absent)
-        payload_bits u64, payload bytes (zero-padded to a byte boundary)
-        crc32 u32 over every preceding byte of the record
-
-A record's CRC is verified before any of its fields other than the ones
-that give its extent (name_len, n_bits, payload_bits) is interpreted.
+    name_len u16, name utf-8
+    mode u8 (0 = shift, 1 = recentralized), n_bits u8
+    alpha f32, bias i8
+    mu_minus (sign i8, exponent i8), mu_plus (sign i8, exponent i8)
+    sigma f32, wsep f32 (the separation measured when the layer was fitted)
+    code lengths, u8 per alphabet symbol (2^n_bits bytes, 0 = absent)
+    payload_bits u64, payload bytes (zero-padded to a byte boundary)
 """
 
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import framing
 from .errors import CorruptionError, FormatError, ValidationError
 from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization
-from .model_store import ModelFile, weight_payload_bytes
+from .model_store import ModelFile, NamedLayers, weight_payload_bytes
 
 MAGIC = b"FQZ1"
-VERSION = 1
 
 _MODE_CODES = {MODE_SHIFT: 0, MODE_RECENTRALIZED: 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
@@ -312,11 +306,7 @@ def _decode_pow2(sign: int, exponent: int) -> float:
     return float(sign) * float(np.ldexp(1.0, exponent))
 
 
-_HEADER = struct.Struct("<4sH")  # magic, version
-_NAME_LEN = struct.Struct("<H")
-_FIXED = struct.Struct("<BBfbbbbbf")  # mode, n_bits, alpha, bias, mu fields, sigma
-_PAYLOAD_BITS = struct.Struct("<Q")
-_CRC = struct.Struct("<I")
+_FIXED = "<BBfbbbbbff"  # mode, n_bits, alpha, bias, mu fields, sigma, wsep
 
 
 def _layer_table(lq: LayerQuantization):
@@ -325,147 +315,90 @@ def _layer_table(lq: LayerQuantization):
     return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
 
 
-def _record_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
-    """Every byte of a layer record before its payload."""
+def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
+    """Every byte of a layer record's body before its payload."""
     name = lq.name.encode("utf-8")
     ms, me = _encode_pow2(lq.mu[0])
     ps, pe = _encode_pow2(lq.mu[1])
     return b"".join((
-        _NAME_LEN.pack(len(name)),
+        struct.pack("<H", len(name)),
         name,
-        _FIXED.pack(
-            _MODE_CODES[lq.mode], lq.n_bits, np.float32(lq.alpha), lq.bias,
-            ms, me, ps, pe, np.float32(lq.sigma),
+        struct.pack(
+            _FIXED, _MODE_CODES[lq.mode], lq.n_bits, np.float32(lq.alpha), lq.bias,
+            ms, me, ps, pe, np.float32(lq.sigma), np.float32(lq.wsep),
         ),
         table.lengths.tobytes(),
-        _PAYLOAD_BITS.pack(payload_bits),
+        struct.pack("<Q", payload_bits),
     ))
 
 
 def encode_layer(lq: LayerQuantization) -> bytes:
-    """Serialize one quantized layer to its container record."""
+    """Serialize one quantized layer to its framed container record."""
     table, _ = _layer_table(lq)
     payload, payload_bits = table.encode(lq.symbols)
-    record = _record_head(lq, table, payload_bits) + payload
-    return record + _CRC.pack(zlib.crc32(record) & 0xFFFFFFFF)
+    return framing.pack_record(_body_head(lq, table, payload_bits) + payload)
 
 
 def _record_size(lq: LayerQuantization) -> int:
     """Exact byte length of ``encode_layer(lq)``, found without encoding."""
     table, counts = _layer_table(lq)
     payload_bits = int(np.dot(counts, table.lengths.astype(np.int64)))
-    return len(_record_head(lq, table, payload_bits)) + (payload_bits + 7) // 8 + _CRC.size
+    payload = (payload_bits + 7) // 8
+    return framing.RECORD_OVERHEAD + len(_body_head(lq, table, payload_bits)) + payload
 
 
 def decode_layer(data, offset: int = 0):
-    """Parse one layer record; returns (LayerQuantization, next offset).
-
-    Only the fields that give the record's extent are read before its CRC
-    is verified.
-    """
-    view = memoryview(data)
-
-    def take(count):
-        nonlocal offset
-        if offset + count > len(view):
-            raise CorruptionError("truncated layer record")
-        chunk = view[offset : offset + count]
-        offset += count
-        return chunk
-
-    start = offset
-    (name_len,) = _NAME_LEN.unpack(take(_NAME_LEN.size))
-    raw_name = take(name_len)
-    mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma = _FIXED.unpack(
-        take(_FIXED.size)
-    )
-    if not 3 <= n_bits <= 8:
-        raise FormatError(f"bad bit width {n_bits}")
-    lengths = take(1 << n_bits)
-    (payload_bits,) = _PAYLOAD_BITS.unpack(take(_PAYLOAD_BITS.size))
-    payload = take((payload_bits + 7) // 8)
-    (stored_crc,) = _CRC.unpack(take(_CRC.size))
-    actual_crc = zlib.crc32(view[start : offset - _CRC.size]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
-        shown = bytes(raw_name).decode("utf-8", errors="replace")
-        raise CorruptionError(
-            f"layer {shown!r} at byte {start}: checksum mismatch "
-            f"(stored {stored_crc:#010x}, computed {actual_crc:#010x})"
-        )
+    """Verify and parse one framed layer record; returns (LayerQuantization, next offset)."""
+    fields, end = framing.read_record(data, offset)
+    (name_len,) = fields.unpack("<H")
     try:
-        name = bytes(raw_name).decode("utf-8")
+        name = bytes(fields.take(name_len)).decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"layer record at byte {start}: name is not UTF-8") from exc
+        raise FormatError(f"layer record at byte {offset}: name is not UTF-8") from exc
+    mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma, wsep = fields.unpack(_FIXED)
     if mode_code not in _MODE_NAMES:
-        raise FormatError(f"bad mode byte {mode_code}")
-    table = HuffmanTable(np.frombuffer(lengths, dtype=np.uint8).copy())
+        raise FormatError(f"layer {name!r}: bad mode byte {mode_code}")
+    if not 3 <= n_bits <= 8:
+        raise FormatError(f"layer {name!r}: bad bit width {n_bits}")
+    table = HuffmanTable(np.frombuffer(fields.take(1 << n_bits), dtype=np.uint8).copy())
+    (payload_bits,) = fields.unpack("<Q")
+    payload = fields.take((payload_bits + 7) // 8)
+    fields.done()
     symbols = table.decode(payload, payload_bits)
     try:
         lq = LayerQuantization(
             name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,
             alpha=float(alpha), bias=int(bias),
             mu=(_decode_pow2(ms, me), _decode_pow2(ps, pe)),
-            sigma=float(sigma), symbols=symbols,
+            sigma=float(sigma), symbols=symbols, wsep=float(wsep),
         )
     except ValueError as exc:
         raise FormatError(f"layer {name!r}: {exc}") from exc
-    return lq, offset
+    return lq, end
 
 
 @dataclass
-class CompressedModel:
-    """Ordered quantized layers; the on-disk form of a compressed model."""
+class CompressedModel(NamedLayers):
+    """Ordered quantized layers (LayerQuantization); the on-disk form of a compressed model."""
 
-    layers: list
-
-    def __post_init__(self):
-        names = [lq.name for lq in self.layers]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate layer names")
-
-    def layer(self, name: str) -> LayerQuantization:
-        for lq in self.layers:
-            if lq.name == name:
-                return lq
-        raise ValidationError(f"layer {name!r} is missing from the compressed model")
+    _noun = "compressed model"
 
 
 def encode_compressed(cm: CompressedModel) -> bytes:
-    out = bytearray(_HEADER.pack(MAGIC, VERSION))
-    for lq in cm.layers:
-        out += encode_layer(lq)
-    return bytes(out)
+    return framing.pack(MAGIC, [encode_layer(lq) for lq in cm.layers])
 
 
 def decode_compressed(data: bytes) -> CompressedModel:
-    if len(data) < _HEADER.size:
-        raise CorruptionError("file shorter than the container header")
-    magic, version = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}, expected {VERSION}")
-    offset = _HEADER.size
-    layers = []
-    while offset < len(data):
-        lq, offset = decode_layer(data, offset)
-        layers.append(lq)
-    try:
-        return CompressedModel(layers)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return framing.read_container(data, MAGIC, decode_layer, CompressedModel)
 
 
 def save_compressed(cm: CompressedModel, path) -> int:
-    data = encode_compressed(cm)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    """Write a compressed container; returns the byte count written."""
+    return Path(path).write_bytes(encode_compressed(cm))
 
 
 def load_compressed(path) -> CompressedModel:
-    with open(path, "rb") as fh:
-        return decode_compressed(fh.read())
+    return decode_compressed(Path(path).read_bytes())
 
 
 def compression_ratio(orig_bytes: int, comp_bytes: int) -> float:
@@ -491,10 +424,10 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     Original bytes count 4 per weight (the dense float baseline); compressed
     bytes are the exact record sizes (computed from each layer's code lengths
     and symbol counts, without encoding), and the total row includes the
-    6-byte container header. Sparsity is the fraction of symbols decoding to zero.
+    container header. Sparsity is the fraction of symbols decoding to zero.
     """
     rows = []
-    total_comp = _HEADER.size
+    total_comp = framing.HEADER_SIZE
     total_zero = 0
     total_count = 0
     for layer in model.layers:

@@ -158,10 +158,11 @@ class LayerQuantization(_OnGrid):
             raise ValueError(
                 f"{self.mode} mode needs n_bits in [{min_bits}, 8], got {self.n_bits}"
             )
-        # alpha and sigma live as f32 in the compressed container; hold them
-        # at that precision from the start so round trips are bit-exact
+        # alpha, sigma and wsep live as f32 in the compressed container; hold
+        # them at that precision from the start so round trips are bit-exact
         self.alpha = float(np.float32(self.alpha))
         self.sigma = float(np.float32(self.sigma))
+        self.wsep = float(np.float32(self.wsep))
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if not -32 <= self.bias <= 32:

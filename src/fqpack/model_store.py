@@ -3,37 +3,34 @@
 Tensors are plain ``numpy.ndarray`` float32 arrays; a layer couples one weight
 tensor with its geometry and optional batch-norm parameters.
 
-On-disk container (all integers little-endian):
+A layer record's body (little-endian; the framing around it, with the
+header, record count and CRC32, is described in ``fqpack.framing``):
 
-    magic   4 bytes  b"FQM1"
-    version u16
-    count   u32      number of layer records
-    record:
-        name_len u16, name utf-8
-        kind     u8          0 = conv2d, 1 = dense
-        geometry u32 each    conv2d: fh, fw, cin, cout, padding, stride
-                             dense:  in_features, out_features
-        rank     u8, dims u32 each
-        payload  f32 raw little-endian, prod(dims) values
-        bn_flag  u8          0 = none, 1 = present
-        [bn]     channels u32, then 4 * channels f32
-                 (scale, offset, running mean, running variance)
-
-An empty model is exactly the 10-byte header.
+    name_len u16, name utf-8
+    kind     u8          0 = conv2d, 1 = dense
+    geometry u32 each    conv2d: fh, fw, cin, cout, padding, stride
+                         dense:  in_features, out_features
+    rank     u8, dims u32 each
+    payload  f32 raw little-endian, prod(dims) values
+    bn_flag  u8          0 = none, 1 = present
+    [bn]     channels u32, then 4 * channels f32
+             (scale, offset, running mean, running variance)
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import CorruptionError, FormatError, ValidationError
+from . import framing
+from .errors import FormatError, ValidationError
 
 MAGIC = b"FQM1"
-VERSION = 1
 
 KIND_CONV2D = "conv2d"
 KIND_DENSE = "dense"
@@ -114,22 +111,27 @@ class LayerSpec:
 
 
 @dataclass
-class ModelFile:
-    """Ordered collection of layers; order is the execution order."""
+class NamedLayers:
+    """Uniquely named layers in execution order: what either container holds."""
 
     layers: list = field(default_factory=list)
-    version: int = VERSION
+    _noun = "model"
 
     def __post_init__(self):
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate layer names in model")
+            raise ValueError(f"duplicate layer names in the {self._noun}")
 
-    def layer(self, name: str) -> LayerSpec:
+    def layer(self, name: str):
         for layer in self.layers:
             if layer.name == name:
                 return layer
-        raise KeyError(name)
+        raise ValidationError(f"layer {name!r} is missing from the {self._noun}")
+
+
+@dataclass
+class ModelFile(NamedLayers):
+    """Float layers (LayerSpec); order is the execution order."""
 
     @property
     def weight_count(self) -> int:
@@ -141,111 +143,74 @@ def weight_payload_bytes(model: ModelFile) -> int:
     return 4 * model.weight_count
 
 
+def _layer_body(layer: LayerSpec) -> bytes:
+    name = layer.name.encode("utf-8")
+    dims = layer.weight.shape
+    parts = [
+        struct.pack("<H", len(name)),
+        name,
+        struct.pack("<B", _KIND_CODES[layer.kind]),
+        struct.pack(f"<{len(layer.geometry)}I", *layer.geometry),
+        struct.pack(f"<B{len(dims)}I", len(dims), *dims),
+        np.ascontiguousarray(layer.weight, dtype="<f4").tobytes(),
+    ]
+    if layer.bn_params is None:
+        parts.append(struct.pack("<B", 0))
+    else:
+        parts.append(struct.pack("<BI", 1, layer.out_channels))
+        parts += [np.ascontiguousarray(p, dtype="<f4").tobytes() for p in layer.bn_params]
+    return b"".join(parts)
+
+
 def encode_model(model: ModelFile) -> bytes:
-    out = bytearray()
-    out += struct.pack("<4sHI", MAGIC, model.version, len(model.layers))
-    for layer in model.layers:
-        name = layer.name.encode("utf-8")
-        out += struct.pack("<H", len(name))
-        out += name
-        out += struct.pack("<B", _KIND_CODES[layer.kind])
-        out += struct.pack(f"<{len(layer.geometry)}I", *layer.geometry)
-        dims = layer.weight.shape
-        out += struct.pack("<B", len(dims))
-        out += struct.pack(f"<{len(dims)}I", *dims)
-        out += np.ascontiguousarray(layer.weight, dtype="<f4").tobytes()
-        if layer.bn_params is None:
-            out += struct.pack("<B", 0)
-        else:
-            out += struct.pack("<BI", 1, layer.out_channels)
-            for part in layer.bn_params:
-                out += np.ascontiguousarray(part, dtype="<f4").tobytes()
-    return bytes(out)
+    return framing.pack(MAGIC, [framing.pack_record(_layer_body(layer)) for layer in model.layers])
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, count: int) -> bytes:
-        if self.pos + count > len(self.data):
-            raise CorruptionError(
-                f"truncated container: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos == len(self.data)
+def _decode_layer(data, offset: int):
+    """Verify and parse one framed layer record; returns (LayerSpec, next offset)."""
+    fields, end = framing.read_record(data, offset)
+    (name_len,) = fields.unpack("<H")
+    try:
+        name = bytes(fields.take(name_len)).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"layer record at byte {offset}: name is not UTF-8") from exc
+    (kind_code,) = fields.unpack("<B")
+    if kind_code not in _KIND_NAMES:
+        raise FormatError(f"layer {name!r}: unknown layer kind code {kind_code}")
+    kind = _KIND_NAMES[kind_code]
+    geometry = fields.unpack(f"<{6 if kind == KIND_CONV2D else 2}I")
+    (rank,) = fields.unpack("<B")
+    dims = fields.unpack(f"<{rank}I")
+    weight = np.frombuffer(fields.take(4 * math.prod(dims)), dtype="<f4")
+    (bn_flag,) = fields.unpack("<B")
+    bn_params = None
+    if bn_flag == 1:
+        (channels,) = fields.unpack("<I")
+        bn_params = tuple(
+            np.frombuffer(fields.take(4 * channels), dtype="<f4").copy() for _ in range(4)
+        )
+    elif bn_flag != 0:
+        raise FormatError(f"layer {name!r}: bad BN flag byte {bn_flag}")
+    fields.done()
+    try:
+        return LayerSpec(name, kind, weight.reshape(dims).copy(), geometry, bn_params), end
+    except ValidationError as exc:
+        raise ValidationError(f"layer {name!r}: {exc}") from exc
+    except ValueError as exc:
+        raise FormatError(f"layer {name!r}: {exc}") from exc
 
 
 def decode_model(data: bytes) -> ModelFile:
-    reader = _Reader(data)
-    magic, version, count = reader.unpack("<4sHI")
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    layers = []
-    for _ in range(count):
-        (name_len,) = reader.unpack("<H")
-        try:
-            name = reader.take(name_len).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"layer record {len(layers)}: name is not UTF-8") from exc
-        (kind_code,) = reader.unpack("<B")
-        if kind_code not in _KIND_NAMES:
-            raise FormatError(f"unknown layer kind code {kind_code}")
-        kind = _KIND_NAMES[kind_code]
-        n_geo = 6 if kind == KIND_CONV2D else 2
-        geometry = reader.unpack(f"<{n_geo}I")
-        (rank,) = reader.unpack("<B")
-        dims = reader.unpack(f"<{rank}I")
-        n_values = int(np.prod(dims, dtype=np.int64)) if rank else 1
-        raw = reader.take(4 * n_values)
-        weight = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
-        (bn_flag,) = reader.unpack("<B")
-        bn_params = None
-        if bn_flag == 1:
-            (channels,) = reader.unpack("<I")
-            parts = []
-            for _ in range(4):
-                parts.append(
-                    np.frombuffer(reader.take(4 * channels), dtype="<f4").copy()
-                )
-            bn_params = tuple(parts)
-        elif bn_flag != 0:
-            raise FormatError(f"bad BN flag byte {bn_flag}")
-        try:
-            layers.append(LayerSpec(name, kind, weight, geometry, bn_params))
-        except ValidationError as exc:
-            raise ValidationError(f"layer {name!r}: {exc}") from exc
-        except ValueError as exc:
-            raise FormatError(f"layer {name!r}: {exc}") from exc
-    if not reader.exhausted:
-        raise FormatError(f"{len(data) - reader.pos} trailing bytes after last record")
-    try:
-        return ModelFile(layers, version=version)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    return framing.read_container(data, MAGIC, _decode_layer, ModelFile)
 
 
 def save_model(model: ModelFile, path) -> int:
     """Write a model container; returns the byte count written."""
-    data = encode_model(model)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+    return Path(path).write_bytes(encode_model(model))
 
 
 def load_model(path) -> ModelFile:
-    with open(path, "rb") as fh:
-        return decode_model(fh.read())
+    return decode_model(Path(path).read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ receive alpha * dL/dw_eff and alpha receives sum(dL/dw_eff * decode(w)).
 Quantization parameters (mode, component means/scale, grid bias, component
 assignments) come from the same ``focused_quant.fit_params`` that compress
 uses. They are fitted before the first epoch and refitted on a refresh
-schedule — after epochs k, k*g, k*g^2, ... (or every k epochs with
-refresh_mode "fixed"). A layer's mode is decided by its first fit and kept
-thereafter, so refreshes adjust the grid without flipping the layer between
-representations mid-run.
+schedule — after epochs k, k*g, k*g^2, ... (every k epochs when g = 1).
+A layer's mode is decided by its first fit and kept thereafter, so refreshes
+adjust the grid without flipping the layer between representations mid-run.
 
 The shadows, alpha and their momentum are float64 master copies. Each
 batch runs the network on float32 effective weights (the layers compute in
@@ -55,7 +54,6 @@ class TrainConfig:
     inq_fractions: tuple = (0.25, 0.5, 0.75, 0.875, 1.0)
     refresh_interval: int = 1
     refresh_growth: int = 2
-    refresh_mode: str = "exponential"
     momentum: float = 0.0
     batch_size: int = 64
     seed: int = 0
@@ -78,8 +76,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs_per_step < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_step and batch_size must be >= 1")
-        if self.refresh_mode not in ("exponential", "fixed"):
-            raise ValueError(f"unknown refresh_mode {self.refresh_mode!r}")
         if self.refresh_interval < 1 or self.refresh_growth < 1:
             raise ValueError("refresh_interval and refresh_growth must be >= 1")
         if not 3 <= self.n_bits <= 8:
@@ -98,19 +94,13 @@ def refresh_epochs(config: TrainConfig) -> set:
     """Global epochs after which quantization parameters are refitted."""
     total = config.total_epochs
     epochs = set()
-    if config.refresh_mode == "fixed":
-        e = config.refresh_interval
-        while e <= total:
-            epochs.add(e)
+    e = config.refresh_interval
+    while e <= total:
+        epochs.add(e)
+        if config.refresh_growth == 1:
             e += config.refresh_interval
-    else:
-        e = config.refresh_interval
-        while e <= total:
-            epochs.add(e)
-            if config.refresh_growth == 1:
-                e += config.refresh_interval
-            else:
-                e *= config.refresh_growth
+        else:
+            e *= config.refresh_growth
     return epochs
 
 
@@ -346,7 +336,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     ])
     return InqResult(
         compressed=compressed, history=history,
-        wsep={s.name: s.params.wsep for s in states},
+        wsep={lq.name: lq.wsep for lq in compressed.layers},
         modes={s.name: s.params.mode for s in states},
     )
 

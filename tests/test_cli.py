@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fqpack.cli import (
     HIST_HEADER,
@@ -24,6 +25,7 @@ from fqpack.codec import (
     save_compressed,
 )
 from fqpack.cost_model import DEFAULT_GEOMETRY, DEFAULT_SCHEMES
+from fqpack.errors import CorruptionError
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     LayerQuantization,
@@ -160,7 +162,7 @@ def test_decompress_matches_dequantized_weights(assets, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("offset, value", [
-    (8, 0xFF),  # first byte of the first record's name: not UTF-8
+    (16, 0xFF),  # first byte of the first record's name: fails the record's CRC
     (4, 99),  # low byte of the container version
 ])
 def test_decompress_damaged_header_is_data_error(assets, capsys, tmp_path, offset, value):
@@ -178,12 +180,13 @@ def test_decompress_damaged_header_is_data_error(assets, capsys, tmp_path, offse
 
 @pytest.mark.parametrize("command", ["decompress", "report"])
 def test_container_cut_at_a_record_boundary(assets, capsys, tmp_path, command):
-    # the cut container still decodes, as a one-layer model
+    # the header's record count tells a cut container from a one-layer model
     cm = load_compressed(assets["fqz"])
     cut = len(encode_compressed(CompressedModel(cm.layers[:1])))
     short = tmp_path / "short.fqz"
     short.write_bytes(assets["fqz"].read_bytes()[:cut])
-    assert [lq.name for lq in load_compressed(short).layers] == ["conv1"]
+    with pytest.raises(CorruptionError, match="holds 1 of 10 records"):
+        load_compressed(short)
     if command == "decompress":
         argv = ["decompress", "--in", str(short), "--model", str(assets["model"]),
                 "--out", str(tmp_path / "restored.bin")]
@@ -192,7 +195,7 @@ def test_container_cut_at_a_record_boundary(assets, capsys, tmp_path, command):
                 "--out-dir", str(tmp_path / "r")]
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
-    assert "'conv2' is missing" in err
+    assert "holds 1 of 10 records" in err
 
 
 # --- infer ------------------------------------------------------------------------
@@ -284,6 +287,32 @@ def test_infer_container_missing_a_layer(assets, capsys, tmp_path):
     ], capsys)
     assert rc == 2
     assert "'head' is missing" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(["decompress", "report", "infer"]),
+       target=st.sampled_from(["fqz", "model"]),
+       flips=st.lists(st.tuples(st.integers(0, 10**7), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_mutated_files_exit_1_or_2(assets, command, target, flips):
+    data = assets[target].read_bytes()
+    mutated = bytearray(data)
+    for at, mask in flips:
+        mutated[at % len(data)] ^= mask
+    assume(mutated != data)
+    paths = {"fqz": assets["fqz"], "model": assets["model"]}
+    paths[target] = assets["root"] / f"mutated_{target}"
+    paths[target].write_bytes(bytes(mutated))
+    out = assets["root"] / "mutated_out"
+    argv = {
+        "decompress": ["decompress", "--in", str(paths["fqz"]), "--model", str(paths["model"]),
+                       "--out", str(out / "restored.bin")],
+        "report": ["report", "--model", str(paths["model"]), "--compressed", str(paths["fqz"]),
+                   "--out-dir", str(out)],
+        "infer": ["infer", "--model", str(paths["model"]), "--compressed", str(paths["fqz"]),
+                  "--data", str(assets["data"]), "--limit", "2"],
+    }[command]
+    assert main(argv) in (1, 2)
 
 
 # --- cost --------------------------------------------------------------------------
@@ -471,21 +500,16 @@ def test_report_regenerates_files(assets, capsys, tmp_path):
     assert out.splitlines()[0] == REPORT_HEADER
 
 
-def test_report_leaves_unknown_separation_empty(assets, capsys, tmp_path):
-    # compress knows each layer's separation; a container does not carry it
+def test_report_writes_the_modes_csv_of_compress(assets, capsys, tmp_path):
+    # the container stores each layer's separation, so report repeats compress
     rc, _, _ = run_cli([
         "report", "--model", str(assets["model"]),
         "--compressed", str(assets["fqz"]), "--out-dir", str(tmp_path / "r"),
     ], capsys)
     assert rc == 0
-    written = (assets["reports"] / "modes.csv").read_text().splitlines()
-    reported = (tmp_path / "r" / "modes.csv").read_text().splitlines()
-    assert reported[0] == written[0] == MODES_HEADER
-    assert len(reported) == len(written)
-    for old, new in zip(written[1:], reported[1:]):
-        name, mode, bits, wsep = old.split(",")
-        assert float(wsep) > 0.0
-        assert new == f"{name},{mode},{bits},"
+    written = (assets["reports"] / "modes.csv").read_bytes()
+    assert (tmp_path / "r" / "modes.csv").read_bytes() == written
+    assert all(float(line.split(",")[3]) > 0.0 for line in written.decode().splitlines()[1:])
 
 
 # --- config file -------------------------------------------------------------------
@@ -535,6 +559,7 @@ def test_config_parse_and_round_trip():
     ("[layer head]\nn_bits = 2\n", "n_bits"),
     ("[train]\ninq_fractions = 0.5\n", "inq_fractions"),
     ("[pipeline]\nseed = wobble\n", "cannot parse"),
+    ("[train]\nrefresh_mode = fixed\n", "unknown key"),
 ])
 def test_config_rejections(text, fragment):
     with pytest.raises(ConfigError) as exc:

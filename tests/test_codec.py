@@ -235,6 +235,13 @@ def test_layer_record_round_trip(make):
     assert encode_layer(decoded) == record
 
 
+@pytest.mark.parametrize("make", [_shift_layer, _rec_layer])
+def test_separation_survives_the_record_exactly(make):
+    lq = make()
+    assert lq.wsep > 0.0
+    assert decode_layer(encode_layer(lq))[0].wsep == lq.wsep
+
+
 def test_bit_flip_detected():
     record = bytearray(encode_layer(_shift_layer()))
     record[len(record) // 2] ^= 0x40
@@ -306,7 +313,7 @@ def test_report_rows_and_csv():
     assert [r.layer for r in rows] == ["conv", "total"]
     assert rows[0].orig_bytes == 4 * lq.weight_count
     assert rows[0].comp_bytes == len(encode_layer(lq))
-    assert rows[1].comp_bytes == rows[0].comp_bytes + 6
+    assert rows[1].comp_bytes == rows[0].comp_bytes + 10
     assert rows[0].sparsity == pytest.approx(lq.zero_fraction)
     csv = report_to_csv(rows)
     assert csv.splitlines()[0] == REPORT_HEADER
@@ -555,14 +562,14 @@ def _with_crc(record: bytes) -> bytes:
 
 def test_flipped_name_byte_is_a_checksum_error():
     record = bytearray(encode_layer(_shift_layer("conv")))
-    record[2] = 0xFF  # first name byte: no longer UTF-8
+    record[6] = 0xFF  # first name byte: no longer UTF-8
     with pytest.raises(CorruptionError, match="checksum"):
         decode_layer(bytes(record))
 
 
 def test_name_that_is_not_utf8_is_a_format_error():
     record = bytearray(encode_layer(_shift_layer("conv")))
-    record[2] = 0xFF
+    record[6] = 0xFF
     with pytest.raises(FormatError, match="UTF-8"):
         decode_layer(_with_crc(bytes(record)))
 

@@ -1,8 +1,10 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from fqpack import framing
 from fqpack.errors import CorruptionError, FormatError, ValidationError
 from fqpack.model_store import (
     KIND_CONV2D,
@@ -18,11 +20,18 @@ from fqpack.model_store import (
     synthetic_blobs,
     weight_payload_bytes,
 )
+from fqpack.nn import ToyNet
 
 
 def _dense(name, w):
     w = np.asarray(w, dtype=np.float32)
     return LayerSpec(name, KIND_DENSE, w, w.shape)
+
+
+def _with_crc(data: bytearray) -> bytes:
+    """Re-seal a one-layer model's record (after the 10-byte header) with a fresh CRC."""
+    data[-4:] = struct.pack("<I", zlib.crc32(data[10:-4]))
+    return bytes(data)
 
 
 def _random_model(rng):
@@ -79,6 +88,7 @@ def test_dense_record_size_recomputable():
         + 1 + 2 * 4      # shape rank u8 + dims u32
         + 4 * 4          # f32 payload
         + 1              # bn-presence byte
+        + 4 + 4          # framing: body length u32, crc32 u32
     )
     assert len(data) == header + record
 
@@ -109,10 +119,10 @@ def test_truncated_payload_rejected():
 def test_nan_payload_rejected():
     model = ModelFile([_dense("fc", np.eye(2, dtype=np.float32))])
     data = bytearray(encode_model(model))
-    # payload is the 16 bytes before the trailing bn-flag byte
-    data[-17:-13] = struct.pack("<f", float("nan"))
+    # payload is the 16 bytes before the bn-flag byte and the 4-byte CRC
+    data[-21:-17] = struct.pack("<f", float("nan"))
     with pytest.raises(ValidationError):
-        decode_model(bytes(data))
+        decode_model(_with_crc(data))
 
 
 def test_duplicate_layer_names_rejected():
@@ -173,6 +183,20 @@ def test_blobs_deterministic():
 
 def test_non_utf8_layer_name_is_format_error():
     data = bytearray(encode_model(ModelFile([_dense("fc", np.eye(2))])))
-    data[12] = 0xFF  # first name byte, after the 10-byte header and name_len
+    data[16] = 0xFF  # first name byte, after the 10-byte header, length and name_len
     with pytest.raises(FormatError, match="not UTF-8"):
-        decode_model(bytes(data))
+        decode_model(_with_crc(data))
+
+
+def test_missing_layer_is_a_validation_error():
+    layers = ToyNet(seed=5).to_model_file().layers
+    with pytest.raises(ValidationError, match="'head' is missing"):
+        ToyNet(seed=6).load_weights(ModelFile(layers[:-1]))
+
+
+def test_rank_beyond_numpy_limit_is_format_error():
+    # a well-framed record whose weight has 70 zero-length dimensions
+    body = (struct.pack("<H", 2) + b"fc" + struct.pack("<B2IB", 1, 2, 2, 70)
+            + struct.pack("<70I", *[0] * 70) + struct.pack("<B", 0))
+    with pytest.raises(FormatError, match="'fc'"):
+        decode_model(framing.pack(b"FQM1", [framing.pack_record(body)]))

@@ -65,7 +65,7 @@ def test_config_defaults_and_total():
     dict(learning_rate=-0.1),
     dict(epochs_per_step=0),
     dict(batch_size=0),
-    dict(refresh_mode="sometimes"),
+    dict(refresh_growth=0),
     dict(refresh_interval=0),
     dict(n_bits=2),
     dict(n_bits=9),
@@ -81,9 +81,6 @@ def test_refresh_epoch_schedules():
     cfg = TrainConfig(epochs_per_step=3, inq_fractions=(0.25, 0.5, 0.75, 0.875, 1.0),
                       refresh_interval=1, refresh_growth=2)
     assert refresh_epochs(cfg) == {1, 2, 4, 8}
-    fixed = TrainConfig(epochs_per_step=2, inq_fractions=(0.5, 0.75, 1.0),
-                        refresh_mode="fixed", refresh_interval=2)
-    assert refresh_epochs(fixed) == {2, 4, 6}
     linear = TrainConfig(epochs_per_step=2, inq_fractions=(0.5, 0.75, 1.0),
                          refresh_interval=2, refresh_growth=1)
     assert refresh_epochs(linear) == {2, 4, 6}
