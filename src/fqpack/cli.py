@@ -19,6 +19,7 @@ from .codec import (
     CompressedModel,
     compression_report,
     load_compressed,
+    pair_layers,
     report_to_csv,
     save_compressed,
 )
@@ -151,6 +152,11 @@ def _validate_quant_params(where: str, n_bits: int, prune_fraction: float,
         raise ConfigError(f"{where}: w_sep {w_sep} must be >= 0")
 
 
+def _validate_act_bits(where: str, act_bits: int):
+    if not 2 <= act_bits <= 16:
+        raise ConfigError(f"{where}: act_bits {act_bits} not in [2, 16]")
+
+
 def parse_config(text: str) -> PipelineConfig:
     """Parse the flat ``key = value`` config with layer-scoped sections."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -192,8 +198,7 @@ def parse_config(text: str) -> PipelineConfig:
             raise ConfigError(f"unknown section [{section}]")
 
     _validate_quant_params("[pipeline]", cfg.n_bits, cfg.prune_fraction, cfg.w_sep)
-    if not 2 <= cfg.act_bits <= 16:
-        raise ConfigError(f"[pipeline] act_bits {cfg.act_bits} not in [2, 16]")
+    _validate_act_bits("[pipeline]", cfg.act_bits)
     if cfg.float_epochs < 0:
         raise ConfigError("[train] float_epochs must be >= 0")
     for name, overrides in cfg.layers.items():
@@ -326,10 +331,10 @@ def _emit_reports(report_dir, model: ModelFile, cm: CompressedModel):
     _write_text(os.path.join(report_dir, "compression.csv"), report_to_csv(rows))
     _write_text(os.path.join(report_dir, "modes.csv"), modes_csv(
         [(lq.name, lq.mode, lq.n_bits, lq.wsep) for lq in cm.layers]))
-    for spec in model.layers:
+    for spec, lq in pair_layers(model, cm):
         stem = _safe_name(spec.name)
         pre = weight_histogram(spec.weight)
-        post = weight_histogram(dequantize_layer(cm.layer(spec.name)))
+        post = weight_histogram(dequantize_layer(lq))
         _write_text(os.path.join(report_dir, f"hist_pre_{stem}.csv"),
                     histogram_csv(pre))
         _write_text(os.path.join(report_dir, f"hist_post_{stem}.csv"),
@@ -373,16 +378,15 @@ def cmd_compress(args) -> int:
 def cmd_decompress(args) -> int:
     cm = load_compressed(args.input)
     model = load_model(args.model)
-    layers = []
-    for spec in model.layers:
-        weights = dequantize_layer(cm.layer(spec.name))
-        layers.append(replace(spec, weight=weights.reshape(spec.weight.shape)))
+    layers = [replace(spec, weight=dequantize_layer(lq).reshape(spec.weight.shape))
+              for spec, lq in pair_layers(model, cm)]
     save_model(ModelFile(layers), args.out)
     print(f"wrote {args.out} ({len(layers)} layers)")
     return 0
 
 
 def cmd_infer(args) -> int:
+    _validate_act_bits("infer", args.act_bits)
     model = load_model(args.model)
     cm = load_compressed(args.compressed)
     images, labels = _load_images(args.data, args.limit)

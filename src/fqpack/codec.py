@@ -27,10 +27,10 @@ The window holds any code of up to ``MAX_CODE_LEN`` (57) bits; a table with
 longer codes is rejected when it is built. A Huffman code that long needs
 more than 10^11 symbols.
 
-A layer record's body (little-endian; the framing around it, with the
-header, record count and CRC32, is described in ``fqpack.framing``):
+A layer record's body after its name field (little-endian; the name field
+and the framing around the body, with the header, record count and CRC32,
+are described in ``fqpack.framing``):
 
-    name_len u16, name utf-8
     mode u8 (0 = shift, 1 = recentralized), n_bits u8
     alpha f32, bias i8
     mu_minus (sign i8, exponent i8), mu_plus (sign i8, exponent i8)
@@ -317,12 +317,10 @@ def _layer_table(lq: LayerQuantization):
 
 def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
     """Every byte of a layer record's body before its payload."""
-    name = lq.name.encode("utf-8")
     ms, me = _encode_pow2(lq.mu[0])
     ps, pe = _encode_pow2(lq.mu[1])
     return b"".join((
-        struct.pack("<H", len(name)),
-        name,
+        framing.pack_name(lq.name),
         struct.pack(
             _FIXED, _MODE_CODES[lq.mode], lq.n_bits, np.float32(lq.alpha), lq.bias,
             ms, me, ps, pe, np.float32(lq.sigma), np.float32(lq.wsep),
@@ -350,11 +348,7 @@ def _record_size(lq: LayerQuantization) -> int:
 def decode_layer(data, offset: int = 0):
     """Verify and parse one framed layer record; returns (LayerQuantization, next offset)."""
     fields, end = framing.read_record(data, offset)
-    (name_len,) = fields.unpack("<H")
-    try:
-        name = bytes(fields.take(name_len)).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"layer record at byte {offset}: name is not UTF-8") from exc
+    name = fields.name()
     mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma, wsep = fields.unpack(_FIXED)
     if mode_code not in _MODE_NAMES:
         raise FormatError(f"layer {name!r}: bad mode byte {mode_code}")
@@ -418,6 +412,25 @@ class ReportRow:
     sparsity: float
 
 
+def pair_layers(model: ModelFile, cm: CompressedModel) -> list:
+    """(LayerSpec, LayerQuantization) per model layer, in model order.
+
+    The one check that a container belongs to a model: each model layer has a
+    compressed layer of its name and weight count, and there is no other.
+    """
+    pairs = []
+    for spec in model.layers:
+        lq = cm.layer(spec.name)
+        if lq.weight_count != spec.weight_count:
+            raise ValidationError(f"layer {spec.name!r}: {lq.weight_count} symbols "
+                                  f"for {spec.weight_count} weights")
+        pairs.append((spec, lq))
+    extra = {lq.name for lq in cm.layers} - {spec.name for spec in model.layers}
+    if extra:
+        raise ValidationError(f"compressed layers not in the model: {sorted(extra)}")
+    return pairs
+
+
 def compression_report(model: ModelFile, cm: CompressedModel):
     """Per-layer size rows plus a "total" row.
 
@@ -429,11 +442,7 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     rows = []
     total_comp = framing.HEADER_SIZE
     total_zero = 0
-    total_count = 0
-    for layer in model.layers:
-        lq = cm.layer(layer.name)
-        if lq.weight_count != layer.weight_count:
-            raise ValidationError(f"layer {layer.name!r}: weight counts differ")
+    for layer, lq in pair_layers(model, cm):
         orig = 4 * layer.weight_count
         comp = _record_size(lq)
         rows.append(
@@ -444,15 +453,11 @@ def compression_report(model: ModelFile, cm: CompressedModel):
         )
         total_comp += comp
         total_zero += int(np.count_nonzero(lq.symbols == 0))
-        total_count += lq.weight_count
-    extra = {lq.name for lq in cm.layers} - {layer.name for layer in model.layers}
-    if extra:
-        raise ValidationError(f"compressed layers not in the model: {sorted(extra)}")
     rows.append(
         ReportRow(
             "total", "-", 0, weight_payload_bytes(model), total_comp,
             compression_ratio(weight_payload_bytes(model), total_comp),
-            total_zero / total_count if total_count else 0.0,
+            total_zero / model.weight_count if model.weight_count else 0.0,
         )
     )
     return rows

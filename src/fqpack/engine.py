@@ -17,8 +17,8 @@ accumulator, shifts/adds/subtracts only. The batched path reaches the same
 integers through one matrix product per layer over an NHWC patch matrix,
 with the T and U weight planes side by side. A float GEMM is exact as long
 as every partial sum is an integer the format holds exactly: below 2^24 in
-float32, below 2^53 in float64. ``check_accumulator`` bounds every layer's
-worst case (32 bits by default, never more than 53), and each stage runs in
+float32, below 2^53 in float64. ``check_accumulator`` refuses a layer whose
+worst case needs more than ``ACC_BITS`` (32) bits, and each stage runs in
 float32 when that bound is at most 24 bits and in float64 above it, so the
 two paths agree to the last bit whenever sigma is a power of two. The
 scaling to reals above runs in float64.
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import CompressedModel
+from .codec import CompressedModel, pair_layers
 from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
 from .focused_quant import (
@@ -49,12 +49,12 @@ from .focused_quant import (
 from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
 from .shift_quant import ZERO, ShiftGrid, dequantize_array, unpack_shift_code
 
+# the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
+# float64 GEMM, which holds every integer up to 2^53, is always exact
 ACC_BITS = 32
 # a sum bounded to 24 bits (sign included) stays below 2^23, and float32
 # holds every integer up to 2^24 exactly
 F32_EXACT_BITS = 24
-# the widest bound an engine accepts: float64 holds every integer up to 2^53
-F64_EXACT_BITS = 53
 BN_EPS = 1e-5
 INT16_MAX = 32767
 
@@ -256,14 +256,13 @@ def accumulator_bits(lq: LayerQuantization, patch_size: int, act_bits: int = 8) 
     return total.bit_length() + 1 if total else 1
 
 
-def check_accumulator(lq: LayerQuantization, patch_size: int,
-                      act_bits: int = 8, limit: int = ACC_BITS) -> int:
-    """Worst-case accumulator bits of a layer; raises above ``limit``."""
+def check_accumulator(lq: LayerQuantization, patch_size: int, act_bits: int = 8) -> int:
+    """Worst-case accumulator bits of a layer; raises above ``ACC_BITS``."""
     bits = accumulator_bits(lq, patch_size, act_bits)
-    if bits > limit:
+    if bits > ACC_BITS:
         raise AccumulatorOverflowError(
             f"layer {lq.name!r}: worst-case accumulator needs {bits} bits "
-            f"(> {limit}) for {patch_size}-wide patches"
+            f"(> {ACC_BITS}) for {patch_size}-wide patches"
         )
     return bits
 
@@ -402,8 +401,8 @@ def conv2d_quantized(ints: np.ndarray, act_exp: int, spec, lq: LayerQuantization
     ``out_exp`` given, the output saturates onto that fixed scale; otherwise
     the smallest lossless exponent is chosen.
     """
-    fh, fw, cin, _ = spec.geometry[:4]
-    stage = _build_stage(spec, lq, check_accumulator(lq, fh * fw * cin, act_bits))
+    patch = spec.weight_count // spec.out_channels  # fh * fw * cin
+    stage = _build_stage(spec, lq, check_accumulator(lq, patch, act_bits))
     real = _stage_real(stage, ints.transpose(0, 2, 3, 1), act_exp,
                        _integer_accumulate, stage.planes.dtype)
     real = real.transpose(0, 3, 1, 2)
@@ -416,7 +415,8 @@ class IntegerEngine:
     """Runs a compressed model on images with integer accumulation.
 
     The model file supplies geometry and batch-norm state; the compressed
-    model supplies the weights. Construction fails with
+    model supplies the weights, and ``codec.pair_layers`` checks that the two
+    belong together. Construction fails with
     AccumulatorOverflowError if any layer could overflow a 32-bit
     accumulator in the worst case. The same bound picks each stage's GEMM
     dtype: float32 up to 24 bits, float64 above, so the matrix products are
@@ -429,37 +429,16 @@ class IntegerEngine:
 
     accumulate = staticmethod(_integer_accumulate)
 
-    def __init__(self, model: ModelFile, compressed: CompressedModel,
-                 act_bits: int = 8, acc_limit: int = ACC_BITS):
-        if acc_limit > F64_EXACT_BITS:
-            raise ValidationError(
-                f"acc_limit {acc_limit} exceeds {F64_EXACT_BITS} bits, where "
-                "float64 sums stop being exact"
-            )
+    def __init__(self, model: ModelFile, compressed: CompressedModel, act_bits: int = 8):
+        if not model.layers:
+            raise ValidationError("model has no layers")
         self.act_bits = act_bits
         self.act_exps = None  # set by calibrate()
         self.stages = []
-        for spec in model.layers:
-            lq = compressed.layer(spec.name)
-            if lq.weight_count != spec.weight_count:
-                raise ValidationError(
-                    f"layer {spec.name!r}: {lq.weight_count} symbols for "
-                    f"{spec.weight_count} weights"
-                )
-            if spec.kind == KIND_CONV2D:
-                fh, fw, cin, _ = spec.geometry[:4]
-                patch = fh * fw * cin
-            else:
-                patch = spec.geometry[0]
-            bits = check_accumulator(lq, patch, act_bits, acc_limit)
+        for spec, lq in pair_layers(model, compressed):
+            patch = spec.weight_count // spec.out_channels  # fh * fw * cin, or in_features
+            bits = check_accumulator(lq, patch, act_bits)
             self.stages.append(_build_stage(spec, lq, bits))
-        if not self.stages:
-            raise ValidationError("model has no layers")
-        if len(self.stages) != len(compressed.layers):
-            extra = set(l.name for l in compressed.layers) - set(
-                s.name for s in self.stages
-            )
-            raise ValidationError(f"compressed layers not in the model: {extra}")
 
     @staticmethod
     def _patch_dtype(stage: _Stage):

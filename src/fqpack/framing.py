@@ -8,7 +8,8 @@ Both file formats are a header and a counted list of CRC-checked records
     count   u32       number of records
     then count records, each:
         length u32    byte length of the body
-        body          laid out by the format's module (codec, model_store)
+        body          name_len u16, layer name UTF-8 (at most 65,535 bytes),
+                      then fields laid out by the format's module
         crc32  u32    over the length field and the body
 
 The reader checks the header, then each record's extent and CRC before any
@@ -22,7 +23,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .errors import CorruptionError, FormatError
+from .errors import CorruptionError, FormatError, ValidationError
 
 VERSION = 2
 
@@ -44,6 +45,14 @@ def pack_record(body: bytes) -> bytes:
     return head + _U32.pack(zlib.crc32(head))
 
 
+def pack_name(name: str) -> bytes:
+    """The name field that starts every record body: u16 length, UTF-8 bytes."""
+    raw = name.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ValidationError(f"layer name of {len(raw)} bytes exceeds the 65535-byte field")
+    return struct.pack("<H", len(raw)) + raw
+
+
 class Fields:
     """Bounds-checked cursor over one record body whose CRC has been verified.
 
@@ -62,6 +71,13 @@ class Fields:
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def name(self) -> str:
+        (length,) = self.unpack("<H")
+        try:
+            return bytes(self.take(length)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer record at byte {self.offset}: name is not UTF-8") from exc
 
     def done(self) -> None:
         if self.pos != len(self.body):

@@ -3,10 +3,10 @@
 Tensors are plain ``numpy.ndarray`` float32 arrays; a layer couples one weight
 tensor with its geometry and optional batch-norm parameters.
 
-A layer record's body (little-endian; the framing around it, with the
-header, record count and CRC32, is described in ``fqpack.framing``):
+A layer record's body after its name field (little-endian; the name field
+and the framing around the body, with the header, record count and CRC32,
+are described in ``fqpack.framing``):
 
-    name_len u16, name utf-8
     kind     u8          0 = conv2d, 1 = dense
     geometry u32 each    conv2d: fh, fw, cin, cout, padding, stride
                          dense:  in_features, out_features
@@ -144,11 +144,9 @@ def weight_payload_bytes(model: ModelFile) -> int:
 
 
 def _layer_body(layer: LayerSpec) -> bytes:
-    name = layer.name.encode("utf-8")
     dims = layer.weight.shape
     parts = [
-        struct.pack("<H", len(name)),
-        name,
+        framing.pack_name(layer.name),
         struct.pack("<B", _KIND_CODES[layer.kind]),
         struct.pack(f"<{len(layer.geometry)}I", *layer.geometry),
         struct.pack(f"<B{len(dims)}I", len(dims), *dims),
@@ -169,11 +167,7 @@ def encode_model(model: ModelFile) -> bytes:
 def _decode_layer(data, offset: int):
     """Verify and parse one framed layer record; returns (LayerSpec, next offset)."""
     fields, end = framing.read_record(data, offset)
-    (name_len,) = fields.unpack("<H")
-    try:
-        name = bytes(fields.take(name_len)).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"layer record at byte {offset}: name is not UTF-8") from exc
+    name = fields.name()
     (kind_code,) = fields.unpack("<B")
     if kind_code not in _KIND_NAMES:
         raise FormatError(f"layer {name!r}: unknown layer kind code {kind_code}")

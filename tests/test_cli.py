@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,6 +288,62 @@ def test_infer_container_missing_a_layer(assets, capsys, tmp_path):
     ], capsys)
     assert rc == 2
     assert "'head' is missing" in err
+
+
+@pytest.mark.parametrize("bits", [0, 1, 17])
+def test_infer_act_bits_out_of_range_is_usage_error(assets, capsys, bits):
+    rc, _, err = run_cli([
+        "infer", "--model", str(assets["model"]), "--compressed", str(assets["fqz"]),
+        "--data", str(assets["data"]), "--limit", "2", "--act-bits", str(bits),
+    ], capsys)
+    assert rc == 1
+    assert err == f"error: infer: act_bits {bits} not in [2, 16]\n"
+
+
+# --- a container paired with a model it does not belong to ---------------------------
+
+
+@pytest.fixture(scope="module")
+def mismatched(assets):
+    """mismatch -> (model path, container path, the one message every command prints)."""
+    model, cm = load_model(assets["model"]), load_compressed(assets["fqz"])
+    head = model.layer("head")
+    n_in = head.geometry[0]
+    narrow = replace(head, weight=head.weight[:, :5], geometry=(n_in, 5))
+    pairs = {
+        "missing layer": (model, CompressedModel(cm.layers[:-1]),
+                          "layer 'head' is missing from the compressed model"),
+        "extra layer": (ModelFile(model.layers[:-1]), cm,
+                        "compressed layers not in the model: ['head']"),
+        "count mismatch": (ModelFile(model.layers[:-1] + [narrow]), cm,
+                           f"layer 'head': {n_in * 10} symbols for {n_in * 5} weights"),
+    }
+    cases = {}
+    for i, (mismatch, (m, c, message)) in enumerate(pairs.items()):
+        model_path, fqz_path = assets["root"] / f"pair{i}.bin", assets["root"] / f"pair{i}.fqz"
+        save_model(m, model_path)
+        save_compressed(c, fqz_path)
+        cases[mismatch] = (model_path, fqz_path, message)
+    return cases
+
+
+@pytest.mark.parametrize("mismatch", ["missing layer", "extra layer", "count mismatch"])
+@pytest.mark.parametrize("command", ["decompress", "report", "infer"])
+def test_container_that_does_not_belong_to_its_model(assets, mismatched, capsys, tmp_path,
+                                                     command, mismatch):
+    model_path, fqz_path, message = mismatched[mismatch]
+    out = tmp_path / "out"
+    argv = {
+        "decompress": ["decompress", "--in", str(fqz_path), "--model", str(model_path),
+                       "--out", str(out)],
+        "report": ["report", "--model", str(model_path), "--compressed", str(fqz_path),
+                   "--out-dir", str(out)],
+        "infer": ["infer", "--model", str(model_path), "--compressed", str(fqz_path),
+                  "--data", str(assets["data"]), "--limit", "2"],
+    }[command]
+    rc, stdout, err = run_cli(argv, capsys)
+    assert (rc, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,6 +20,7 @@ from fqpack.codec import (
     encode_compressed,
     encode_layer,
     load_compressed,
+    pair_layers,
     report_to_csv,
     save_compressed,
     _huffman_lengths,
@@ -329,6 +330,25 @@ def test_report_name_mismatch_rejected():
     )
     with pytest.raises(ValidationError, match="'other' is missing"):
         compression_report(ModelFile([spec]), CompressedModel([lq]))
+
+
+def test_pair_layers_matches_a_container_to_its_model():
+    def dense(name, n_in):
+        return LayerSpec(name, "dense", np.zeros((n_in, 2), dtype=np.float32), (n_in, 2))
+
+    a, b = _shift_layer("a", n=128), _shift_layer("b", n=256)
+    model = ModelFile([dense("a", 64), dense("b", 128)])
+    pairs = pair_layers(model, CompressedModel([b, a]))
+    assert [(spec.name, lq.name) for spec, lq in pairs] == [("a", "a"), ("b", "b")]
+    assert all(spec is model.layer(lq.name) for spec, lq in pairs)
+    with pytest.raises(ValidationError, match="^layer 'b' is missing from the compressed model$"):
+        pair_layers(model, CompressedModel([a]))
+    with pytest.raises(ValidationError, match="^layer 'b': 256 symbols for 64 weights$"):
+        pair_layers(ModelFile([dense("a", 64), dense("b", 32)]), CompressedModel([a, b]))
+    extra = CompressedModel([_shift_layer("z", n=4), a, b, _shift_layer("c", n=4)])
+    with pytest.raises(ValidationError,
+                       match=r"^compressed layers not in the model: \['c', 'z'\]$"):
+        pair_layers(model, extra)
 
 
 # --- array coder against a bit-serial reference ------------------------------------

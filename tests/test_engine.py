@@ -7,7 +7,6 @@ from fqpack.convops import conv2d_gemm
 from fqpack.engine import (
     ACC_BITS,
     F32_EXACT_BITS,
-    F64_EXACT_BITS,
     FloatSimulator,
     IntegerEngine,
     QuantBN,
@@ -63,6 +62,12 @@ def rec_layer(symbols, mu, sigma, bias=0, n_bits=5, alpha=1.0, name="w"):
         name=name, mode=MODE_RECENTRALIZED, n_bits=n_bits, alpha=alpha,
         bias=bias, mu=mu, sigma=sigma, symbols=np.asarray(symbols),
     )
+
+
+def seventy_bit_layer():
+    """Three 2^60 weights and a 1: a 70-bit bound on 4-wide patches."""
+    k = 6
+    return shift_layer([pack_shift_code(1, 60, k)] * 3 + [pack_shift_code(1, 0, k)], n_bits=8)
 
 
 # --- activation quantization -----------------------------------------------------
@@ -250,9 +255,9 @@ def test_accumulator_bits_all_zero_layer():
 
 def test_check_accumulator_raises_on_tight_limit():
     lq = shift_layer([pack_shift_code(1, 3, 3)])
-    check_accumulator(lq, 10, limit=ACC_BITS)
+    assert check_accumulator(lq, 10) == accumulator_bits(lq, 10)
     with pytest.raises(AccumulatorOverflowError):
-        check_accumulator(lq, 10, limit=8)
+        check_accumulator(seventy_bit_layer(), 4)
     with pytest.raises(ValueError):
         accumulator_bits(lq, 0)
 
@@ -424,7 +429,7 @@ def test_calibration_freezes_exponents():
 def test_engine_validation_errors():
     _, model, cm = quantized_toy()
     with pytest.raises(AccumulatorOverflowError):
-        IntegerEngine(model, cm, acc_limit=10)
+        IntegerEngine(*one_layer_model(seventy_bit_layer(), (4, 1)))
     extra = CompressedModel(cm.layers + [shift_layer([8], name="ghost")])
     with pytest.raises(ValidationError):
         IntegerEngine(model, extra)
@@ -599,14 +604,9 @@ def test_wide_bound_builds_an_exact_float64_stage():
     assert want[0, 0] == 0.75 * exact * 2.0**-3
 
 
-def test_acc_limit_above_float64_exactness_is_refused():
-    # three 2^60 weights and a 1: a 70-bit bound, past what float64 sums hold
-    k = 6
-    symbols = [pack_shift_code(1, 60, k)] * 3 + [pack_shift_code(1, 0, k)]
-    lq = shift_layer(symbols, n_bits=8)
+def test_bound_above_float64_exactness_is_refused():
+    # a 70-bit bound is past what float64 sums hold; the one limit, ACC_BITS, refuses it
+    lq = seventy_bit_layer()
     assert accumulator_bits(lq, 4) == 70
-    model, cm = one_layer_model(lq, (4, 1))
-    with pytest.raises(ValidationError, match="acc_limit 80"):
-        IntegerEngine(model, cm, acc_limit=80)
-    with pytest.raises(AccumulatorOverflowError):
-        IntegerEngine(model, cm, acc_limit=F64_EXACT_BITS)
+    with pytest.raises(AccumulatorOverflowError, match=f"70 bits \\(> {ACC_BITS}\\)"):
+        IntegerEngine(*one_layer_model(lq, (4, 1)))

@@ -1,6 +1,7 @@
 """The record framing shared by compressed (FQZ) and model (FQM) files."""
 
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fqpack import framing
 from fqpack.codec import CompressedModel, decode_compressed, encode_compressed
-from fqpack.errors import CorruptionError, FormatError, FqError
+from fqpack.errors import CorruptionError, FormatError, FqError, ValidationError
 from fqpack.focused_quant import quantize_layer
 from fqpack.model_store import LayerSpec, ModelFile, decode_model, encode_model
 from fqpack.nn import ToyNet
@@ -119,6 +120,16 @@ def test_any_other_version_is_rejected(fmt, version, small):
     data[4:6] = struct.pack("<H", version)
     with pytest.raises(FormatError, match=f"version {version}, expected 2"):
         decode(bytes(data))
+
+
+@pytest.mark.parametrize("fmt", sorted(CODECS))
+def test_name_longer_than_its_u16_field_is_refused(fmt, small):
+    decode, encode, build = CODECS[fmt]
+    first = small[fmt].layers[0]
+    longest = build([replace(first, name="n" * 0xFFFF)])
+    assert decode(encode(longest)).layers[0].name == longest.layers[0].name
+    with pytest.raises(ValidationError, match="name of 70000 bytes"):
+        encode(build([replace(first, name="n" * 70_000)]))
 
 
 def test_record_body_must_be_read_to_its_end():
