@@ -302,9 +302,7 @@ def _safe_name(name: str) -> str:
 
 def _load_images(path, limit=None):
     images, labels = load_cifar10_batch(path)
-    if limit is not None and limit > 0:
-        images, labels = images[:limit], labels[:limit]
-    return images, labels
+    return images[:limit], labels[:limit]
 
 
 def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int) -> CompressedModel:
@@ -387,14 +385,18 @@ def cmd_decompress(args) -> int:
 
 def cmd_infer(args) -> int:
     _validate_act_bits("infer", args.act_bits)
+    if args.print_logits < 0:
+        raise UsageError(f"infer: --print-logits must be >= 0, got {args.print_logits}")
+    if args.limit is not None and args.limit < 1:
+        raise UsageError(f"infer: --limit must be >= 1, got {args.limit}")
     model = load_model(args.model)
     cm = load_compressed(args.compressed)
     images, labels = _load_images(args.data, args.limit)
     engine = IntegerEngine(model, cm, act_bits=args.act_bits)
     simulator = FloatSimulator(model, cm, act_bits=args.act_bits)
-    logits = engine.forward(images[: min(len(images), args.print_logits)])
-    for i, row in enumerate(logits):
-        print(f"sample {i}: " + " ".join(f"{v:.6f}" for v in row))
+    if args.print_logits:
+        for i, row in enumerate(engine.forward(images[: args.print_logits])):
+            print(f"sample {i}: " + " ".join(f"{v:.6f}" for v in row))
     engine_top = engine.predict(images)
     float_top = simulator.predict(images)
     agreement = top1_accuracy(engine_top, float_top)
@@ -553,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--compressed", required=True)
     p.add_argument("--data", required=True, help="CIFAR-10 format binary batch")
-    p.add_argument("--limit", type=int, default=None, help="use first N samples")
-    p.add_argument("--print-logits", type=int, default=4, dest="print_logits")
+    p.add_argument("--limit", type=int, default=None, help="use first N >= 1 samples")
+    p.add_argument("--print-logits", type=int, default=4, dest="print_logits",
+                   help="print the logits of the first N >= 0 samples")
     p.add_argument("--act-bits", type=int, default=8, dest="act_bits")
     p.set_defaults(func=cmd_infer)
 

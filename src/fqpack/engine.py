@@ -25,9 +25,12 @@ scaling to reals above runs in float64.
 
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
-activations to int8 with a fresh power-of-two exponent. The classifier layer
-returns float logits without requantization; a global average pool (power of
-two window, rounded shift) bridges conv output to the dense head.
+activations to int8. One requantizer, ``quantize_activations``, does every
+rounding onto a power-of-two grid: without an exponent it picks the smallest
+one that loses nothing, and only a frozen exponent (from ``calibrate``)
+saturates. The classifier layer returns float logits without requantization;
+a global average pool (power of two window, rounded shift) bridges conv
+output to the dense head.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ ACC_BITS = 32
 # holds every integer up to 2^24 exactly
 F32_EXACT_BITS = 24
 BN_EPS = 1e-5
-INT16_MAX = 32767
 
 
 def _round_away(values: np.ndarray) -> np.ndarray:
@@ -66,24 +68,14 @@ def _round_away(values: np.ndarray) -> np.ndarray:
     return np.trunc(out, out=out)
 
 
-def _min_pow2_exp(max_abs: float, limit: int) -> int:
-    """Smallest s with round(max_abs / 2^s) <= limit (round half away)."""
-    if max_abs == 0.0:
-        return 0
-    q = limit.bit_length()  # 2^(q-1) <= limit < 2^q
-    mant, exp = np.frexp(max_abs)
-    s = int(exp) - q
-    if np.floor(float(mant) * (1 << q) + 0.5) > limit:
-        s += 1
-    return s
-
-
-def quantize_activations(x: np.ndarray, bits: int = 8):
+def quantize_activations(x: np.ndarray, bits: int = 8, exponent: Optional[int] = None):
     """Symmetric power-of-two quantization: x ~= values * 2^exponent.
 
-    Returns (int64 values in [-(2^(bits-1)-1), 2^(bits-1)-1], exponent). The
-    exponent is the smallest one that fits the extreme value, so precision is
-    maximal; an all-zero input reports exponent 0.
+    Returns (int64 values in [-(2^(bits-1)-1), 2^(bits-1)-1], exponent). With
+    no exponent given, it picks the smallest one that fits the extreme value
+    (round half away), so nothing is lost to clipping and precision is
+    maximal; an all-zero input reports exponent 0. A frozen ``exponent``, as
+    set by calibration, is kept, and values beyond its range saturate.
     """
     if not 2 <= bits <= 16:
         raise ValueError(f"activation bits must be in [2, 16], got {bits}")
@@ -94,19 +86,15 @@ def quantize_activations(x: np.ndarray, bits: int = 8):
     if not np.isfinite(max_abs):
         raise ValidationError("activations contain non-finite values")
     limit = (1 << (bits - 1)) - 1
-    s = _min_pow2_exp(max_abs, limit)
-    return _round_away(np.ldexp(x, -s)).astype(np.int64), s
-
-
-def saturating_requantize(x: np.ndarray, exponent: int, bits: int = 8) -> np.ndarray:
-    """Requantize onto a fixed exponent, clamping into the signed range.
-
-    Used after calibration has frozen per-layer activation scales; values
-    beyond the calibrated range saturate instead of widening the scale.
-    """
-    limit = (1 << (bits - 1)) - 1
-    ints = _round_away(np.ldexp(np.asarray(x, dtype=np.float64), -exponent))
-    return np.clip(ints, -limit, limit).astype(np.int64)
+    frozen = exponent is not None
+    if not frozen:  # the smallest exponent with round(max_abs / 2^exponent) <= limit
+        mant, exp = np.frexp(max_abs)  # max_abs = mant * 2^exp, mant in [0.5, 1)
+        over = np.floor(float(mant) * (limit + 1) + 0.5) > limit
+        exponent = int(exp) - (bits - 1) + int(over) if max_abs else 0
+    ints = _round_away(np.ldexp(x, -exponent))
+    if frozen:
+        np.clip(ints, -limit, limit, out=ints)
+    return ints.astype(np.int64), exponent
 
 
 def fold_bn(bn_params, eps: float = BN_EPS):
@@ -127,15 +115,8 @@ class QuantBN:
 
     @classmethod
     def from_float(cls, g: np.ndarray, t: np.ndarray) -> "QuantBN":
-        g = np.asarray(g, dtype=np.float64)
-        t = np.asarray(t, dtype=np.float64)
-        se = _min_pow2_exp(float(np.max(np.abs(g))), INT16_MAX)
-        oe = _min_pow2_exp(float(np.max(np.abs(t))), INT16_MAX)
-        return cls(
-            _round_away(np.ldexp(g, -se)).astype(np.int16),
-            _round_away(np.ldexp(t, -oe)).astype(np.int16),
-            se, oe,
-        )
+        (scale, se), (offset, oe) = quantize_activations(g, 16), quantize_activations(t, 16)
+        return cls(scale.astype(np.int16), offset.astype(np.int16), se, oe)
 
     def real_scale(self) -> np.ndarray:
         return np.ldexp(self.scale.astype(np.float64), self.scale_exp)
@@ -225,34 +206,44 @@ def dot_shift_add(activations, lq: LayerQuantization, positions=None):
     return acc, -d
 
 
+def _planes(lq: LayerQuantization):
+    """Flat integer weight planes: (dev, cen or None, scale_dev, scale_cen).
+
+    ``dev`` holds s * 2^e per weight. Recentralized layers with nonzero
+    centres add ``cen``, sgn(mu_c) * 2^(p_c - p_min) on every weight assigned
+    to component c. The scales turn the two plane sums back into reals:
+    scale_dev = sigma * 2^-bias (shift mode: 2^-bias), scale_cen = 2^p_min.
+    """
+    if lq.mode != MODE_RECENTRALIZED:
+        dev = dequantize_array(lq.symbols, ShiftGrid(lq.exponent_bits, 0))
+        return dev, None, float(np.ldexp(1.0, -lq.bias)), 0.0
+    pruned, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
+    dev = sign * np.ldexp(1.0, exponent.astype(np.int64))
+    scale_dev = lq.sigma * float(np.ldexp(1.0, -lq.bias))
+    powers = {c: int(np.frexp(abs(mu))[1]) - 1 for c, mu in enumerate(lq.mu) if mu != 0.0}
+    if not powers:
+        return dev, None, scale_dev, 0.0
+    p_min = min(powers.values())
+    cen = np.zeros(lq.weight_count)
+    for c, p in powers.items():
+        cen[(component == c) & ~pruned] = np.sign(lq.mu[c]) * float(np.ldexp(1.0, p - p_min))
+    return dev, cen, scale_dev, float(np.ldexp(1.0, p_min))
+
+
 def accumulator_bits(lq: LayerQuantization, patch_size: int, act_bits: int = 8) -> int:
     """Worst-case accumulator width (bits including sign) for one output.
 
-    The deviation sum runs in raw exponent-code units (sigma, bias and alpha
-    are a single per-output scaling applied afterwards), so the bound is
-    patch_size * |x|max * 2^e_max. Recentralized layers keep a second
-    accumulator for the component-mean sums; the wider of the two governs.
+    Each GEMM column sums patch_size activations of at most 2^(act_bits-1) - 1
+    times one plane entry (sigma, bias and alpha are a per-output scaling
+    applied afterwards), so the bound is patch_size * |x|max * the largest
+    magnitude in either plane.
     """
     if patch_size < 1:
         raise ValueError("patch size must be positive")
     xmax = (1 << (act_bits - 1)) - 1
-    if lq.mode == MODE_RECENTRALIZED:
-        _, _, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
-        has_dev = bool(np.any(sign != 0))
-        e_max = int(exponent[sign != 0].max()) if has_dev else 0
-        per = (1 << e_max) if has_dev else 0
-        centers = [m for m in lq.mu if m != 0.0]
-        if centers:
-            p_min = min(int(np.frexp(abs(m))[1]) - 1 for m in centers)
-            p_max = max(int(np.frexp(abs(m))[1]) - 1 for m in centers)
-            per = max(per, 1 << (p_max - p_min))
-    else:
-        nonzero = lq.symbols[lq.symbols != ZERO]
-        if nonzero.size == 0:
-            return 1
-        e_max = int((nonzero & ((1 << lq.exponent_bits) - 1)).max())
-        per = 1 << e_max
-    total = patch_size * xmax * per
+    dev, cen, _, _ = _planes(lq)
+    top = max(float(np.max(np.abs(p), initial=0.0)) for p in (dev, cen) if p is not None)
+    total = patch_size * xmax * int(top)
     return total.bit_length() + 1 if total else 1
 
 
@@ -287,54 +278,28 @@ class _Stage:
     name: str
     kind: str
     geometry: tuple
-    # deviation plane s * 2^e per weight, then (recentralized layers with
-    # centres) the component plane sgn(mu) * 2^(p - p_min), side by side in
-    # the GEMM dtype: float32 when the accumulator bound is <= 24 bits
+    # the _planes, side by side in the GEMM dtype: float32 when the
+    # accumulator bound is <= 24 bits
     planes: np.ndarray
-    scale_dev: float  # sigma * 2^-bias (shift mode: 2^-bias)
-    scale_cen: float  # 2^p_min, 0.0 without centers
+    scale_dev: float
+    scale_cen: float
     alpha: float
     w_pre: np.ndarray  # pre-alpha real weights, for the float reference
     qbn: Optional[QuantBN]
 
 
-def _build_stage(spec, lq: LayerQuantization, acc_bits: int) -> _Stage:
-    if lq.mode == MODE_RECENTRALIZED:
-        _, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
-        wt = sign * np.ldexp(1.0, exponent.astype(np.int64))
-        scale_dev = lq.sigma * float(np.ldexp(1.0, -lq.bias))
-        powers = {}
-        for c, mu in enumerate(lq.mu):
-            if mu != 0.0:
-                powers[c] = int(np.frexp(abs(mu))[1]) - 1
-        if powers:
-            p_min = min(powers.values())
-            wu = np.zeros(lq.weight_count)
-            for c, p in powers.items():
-                chosen = (component == c) & (lq.symbols != ZERO)
-                wu[chosen] = np.sign(lq.mu[c]) * float(np.ldexp(1.0, p - p_min))
-            scale_cen = float(np.ldexp(1.0, p_min))
-        else:
-            wu, scale_cen = None, 0.0
-    else:
-        wt = dequantize_array(lq.symbols, ShiftGrid(lq.exponent_bits, 0))
-        wu, scale_cen = None, 0.0
-        scale_dev = float(np.ldexp(1.0, -lq.bias))
+def _build_stage(spec, lq: LayerQuantization, act_bits: int) -> _Stage:
+    patch = spec.weight_count // spec.out_channels  # fh * fw * cin, or in_features
+    bits = check_accumulator(lq, patch, act_bits)
+    dev, cen, scale_dev, scale_cen = _planes(lq)
+    shape = (patch, spec.out_channels)
+    planes = np.concatenate([p.reshape(shape) for p in (dev, cen) if p is not None], axis=1)
     qbn = None
     if spec.bn_params is not None:
         qbn = QuantBN.from_float(*fold_bn(spec.bn_params))
-    if spec.kind == KIND_CONV2D:
-        fh, fw, cin, cout = spec.geometry[:4]
-        shape = (fh * fw * cin, cout)
-    else:
-        shape = spec.geometry
-    planes = wt.reshape(shape)
-    if wu is not None:
-        planes = np.concatenate([planes, wu.reshape(shape)], axis=1)
-    dtype = np.float32 if acc_bits <= F32_EXACT_BITS else np.float64
     return _Stage(
         name=spec.name, kind=spec.kind, geometry=spec.geometry,
-        planes=planes.astype(dtype),
+        planes=planes.astype(np.float32 if bits <= F32_EXACT_BITS else np.float64),
         scale_dev=scale_dev, scale_cen=scale_cen, alpha=lq.alpha,
         w_pre=decode_symbols(lq).reshape(shape), qbn=qbn,
     )
@@ -358,16 +323,20 @@ def _integer_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.nda
 def _float_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.ndarray:
     """Float reference: products against real weights, alpha once per sum.
 
-    Scaling the product by 2^act_exp is exact, so it equals scaling the
-    activations first.
+    The patches arrive in the stage's GEMM dtype and are widened to float64,
+    exactly, since they are integers; blocks of at least 4096 rows bound the
+    widened copy. Scaling the product by 2^act_exp is exact, so it equals
+    scaling the activations first.
     """
-    return stage.alpha * np.ldexp(cols @ stage.w_pre, act_exp)
+    blocks = np.array_split(cols, max(1, len(cols) // 4096))
+    sums = np.concatenate([b.astype(np.float64) @ stage.w_pre for b in blocks])
+    return stage.alpha * np.ldexp(sums, act_exp)
 
 
-def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate, dtype):
+def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate):
     """One stage on integer activations: accumulate, integer BN.
 
-    Conv stages take and return NHWC; ``dtype`` is the patch matrix dtype.
+    Conv stages take and return NHWC; patches are built in the GEMM dtype.
     """
     if stage.kind == KIND_CONV2D:
         fh, fw, cin, cout, pad, stride = stage.geometry
@@ -376,7 +345,7 @@ def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate, dtype
             raise ValidationError(
                 f"stage {stage.name!r}: input has {c} channels, expected {cin}"
             )
-        cols = im2col(ints.astype(dtype), fh, fw, stride, pad)
+        cols = im2col(ints.astype(stage.planes.dtype), fh, fw, stride, pad)
         real = accumulate(stage, cols, act_exp)
         oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
         out_shape = (n, oh, ow, cout)
@@ -386,7 +355,7 @@ def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate, dtype
                 f"stage {stage.name!r}: input width {ints.shape[-1]}, "
                 f"expected {stage.geometry[0]}"
             )
-        real = accumulate(stage, ints.astype(dtype), act_exp)
+        real = accumulate(stage, ints.astype(stage.planes.dtype), act_exp)
         out_shape = real.shape
     if stage.qbn is not None:
         real = stage.qbn.apply(real)  # channels are the last axis
@@ -401,14 +370,9 @@ def conv2d_quantized(ints: np.ndarray, act_exp: int, spec, lq: LayerQuantization
     ``out_exp`` given, the output saturates onto that fixed scale; otherwise
     the smallest lossless exponent is chosen.
     """
-    patch = spec.weight_count // spec.out_channels  # fh * fw * cin
-    stage = _build_stage(spec, lq, check_accumulator(lq, patch, act_bits))
-    real = _stage_real(stage, ints.transpose(0, 2, 3, 1), act_exp,
-                       _integer_accumulate, stage.planes.dtype)
-    real = real.transpose(0, 3, 1, 2)
-    if out_exp is None:
-        return quantize_activations(real, act_bits)
-    return saturating_requantize(real, out_exp, act_bits), out_exp
+    stage = _build_stage(spec, lq, act_bits)
+    real = _stage_real(stage, ints.transpose(0, 2, 3, 1), act_exp, _integer_accumulate)
+    return quantize_activations(real.transpose(0, 3, 1, 2), act_bits, out_exp)
 
 
 class IntegerEngine:
@@ -422,9 +386,10 @@ class IntegerEngine:
     dtype: float32 up to 24 bits, float64 above, so the matrix products are
     exact integer sums.
 
-    Activation scales are chosen per batch until :meth:`calibrate` freezes
-    them from a calibration pass; frozen scales make later inputs saturate
-    rather than rescale.
+    Every requantization goes through ``quantize_activations``. Activation
+    scales are chosen per batch until :meth:`calibrate` freezes them from a
+    calibration pass; only frozen scales saturate, so later inputs clip
+    rather than rescale. Non-finite inputs raise ValidationError either way.
     """
 
     accumulate = staticmethod(_integer_accumulate)
@@ -434,21 +399,12 @@ class IntegerEngine:
             raise ValidationError("model has no layers")
         self.act_bits = act_bits
         self.act_exps = None  # set by calibrate()
-        self.stages = []
-        for spec, lq in pair_layers(model, compressed):
-            patch = spec.weight_count // spec.out_channels  # fh * fw * cin, or in_features
-            bits = check_accumulator(lq, patch, act_bits)
-            self.stages.append(_build_stage(spec, lq, bits))
-
-    @staticmethod
-    def _patch_dtype(stage: _Stage):
-        return stage.planes.dtype
+        self.stages = [_build_stage(spec, lq, act_bits)
+                       for spec, lq in pair_layers(model, compressed)]
 
     def _requant(self, x: np.ndarray, point: int):
-        if self.act_exps is not None:
-            exp = self.act_exps[point]
-            return saturating_requantize(x, exp, self.act_bits), exp
-        return quantize_activations(x, self.act_bits)
+        frozen = None if self.act_exps is None else self.act_exps[point]
+        return quantize_activations(x, self.act_bits, frozen)
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
         ints, act_exp = self._requant(x, 0)
@@ -459,8 +415,7 @@ class IntegerEngine:
         for i, stage in enumerate(self.stages):
             if stage.kind == KIND_DENSE and ints.ndim == 4:
                 ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
-            real = _stage_real(stage, ints, act_exp, self.accumulate,
-                               self._patch_dtype(stage))
+            real = _stage_real(stage, ints, act_exp, self.accumulate)
             if i == len(self.stages) - 1:
                 return real.transpose(0, 3, 1, 2) if real.ndim == 4 else real
             ints, act_exp = self._requant(np.maximum(real, 0.0, out=real), i + 1)
@@ -503,7 +458,3 @@ class FloatSimulator(IntegerEngine):
     """
 
     accumulate = staticmethod(_float_accumulate)
-
-    @staticmethod
-    def _patch_dtype(stage: _Stage):
-        return np.float64

@@ -77,6 +77,8 @@ class LayerSpec:
                     raise ValueError(
                         f"BN parameter length {part.shape} != out channels {channels}"
                     )
+            if (var < 0).any():
+                raise ValueError(f"BN running variance {float(var.min())} is negative")
             self.bn_params = (scale, offset, mean, var)
 
     def _check_geometry(self):

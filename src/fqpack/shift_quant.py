@@ -44,29 +44,10 @@ class ShiftGrid:
     def max_exponent(self) -> int:
         return (1 << self.exponent_bits) - 1
 
-    @property
-    def max_magnitude(self) -> float:
-        return float(2.0 ** (self.max_exponent - self.bias))
-
-    @property
-    def min_magnitude(self) -> float:
-        return float(2.0 ** (0 - self.bias))
-
-    @property
-    def symbol_bits(self) -> int:
-        return self.exponent_bits + 2
-
     def alphabet(self) -> np.ndarray:
         """All representable values, sorted ascending."""
         mags = 2.0 ** (np.arange(self.max_exponent + 1) - self.bias)
         return np.sort(np.concatenate(([0.0], mags, -mags)))
-
-    def symbols(self) -> np.ndarray:
-        """All valid symbol codes (ZERO first, then ascending code value)."""
-        e = np.arange(self.max_exponent + 1)
-        return np.concatenate(
-            ([ZERO], (1 << self.exponent_bits) | e, (2 << self.exponent_bits) | e)
-        ).astype(np.int64)
 
 
 def pack_shift_code(sign: int, exponent: int, exponent_bits: int) -> int:

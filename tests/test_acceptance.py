@@ -25,7 +25,7 @@ from fqpack.engine import (
     conv2d_quantized,
     dot_shift_add,
     fold_bn,
-    saturating_requantize,
+    quantize_activations,
 )
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
@@ -418,7 +418,7 @@ def test_criterion_07_integer_conv_matches_float_conv():
                             stride=stride, pad=pad)
         g, t = fold_bn(bn)
         reals = rlq.alpha * reals * g[:, None, None] + t[:, None, None]
-        over_lsb += int(np.max(np.abs(out - saturating_requantize(reals, -7)))) > 1
+        over_lsb += int(np.max(np.abs(out - quantize_activations(reals, 8, -7)[0]))) > 1
     report(7, inexact == 0 and over_lsb == 0,
            f"integer conv: {inexact}/{geoms} exact-mode mismatches, "
            f"{over_lsb}/{geoms} geometries beyond 1 LSB requantized, "

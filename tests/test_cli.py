@@ -300,6 +300,28 @@ def test_infer_act_bits_out_of_range_is_usage_error(assets, capsys, bits):
     assert err == f"error: infer: act_bits {bits} not in [2, 16]\n"
 
 
+@pytest.mark.parametrize("flag, value, rc", [
+    ("--print-logits", 0, 0),
+    ("--print-logits", -1, 1),
+    ("--limit", 0, 1),
+    ("--limit", -3, 1),
+])
+def test_infer_flag_ranges(assets, capsys, flag, value, rc):
+    limit = [] if flag == "--limit" else ["--limit", "4"]
+    got, out, err = run_cli([
+        "infer", "--model", str(assets["model"]), "--compressed", str(assets["fqz"]),
+        "--data", str(assets["data"]), flag, str(value), *limit,
+    ], capsys)
+    assert got == rc
+    if rc == 0:  # no logit rows, and the agreement check still runs
+        assert not any(l.startswith("sample ") for l in out.splitlines())
+        assert "agreement" in out and "over 4 samples" in out
+    else:
+        floor = 0 if flag == "--print-logits" else 1
+        assert out == ""
+        assert err == f"error: infer: {flag} must be >= {floor}, got {value}\n"
+
+
 # --- a container paired with a model it does not belong to ---------------------------
 
 

@@ -18,7 +18,6 @@ from fqpack.engine import (
     global_avg_pool_int,
     _round_away,
     quantize_activations,
-    saturating_requantize,
 )
 from fqpack.errors import (
     AccumulatorOverflowError,
@@ -29,6 +28,7 @@ from fqpack.focused_quant import (
     MODE_SHIFT,
     LayerQuantization,
     decode_symbols,
+    fq_unpack_array,
     quantize_layer,
 )
 from fqpack.model_store import LayerSpec, ModelFile
@@ -122,9 +122,9 @@ def test_round_half_away_from_zero():
 
 
 def test_saturating_requantize():
-    out = saturating_requantize(np.array([300.0, -300.0, 1.0, 2.5]), 0, bits=8)
+    out = quantize_activations(np.array([300.0, -300.0, 1.0, 2.5]), 8, 0)[0]
     assert out.tolist() == [127, -127, 1, 3]
-    halves = saturating_requantize(np.array([1.25]), -1, bits=8)
+    halves = quantize_activations(np.array([1.25]), 8, -1)[0]
     assert halves.tolist() == [3]  # 1.25 / 0.5 = 2.5 rounds away to 3
 
 
@@ -344,7 +344,7 @@ def test_conv_within_one_lsb_of_float():
                         stride=1, pad=1)
     g, t = fold_bn(bn)
     reals = lq.alpha * reals * g[:, None, None] + t[:, None, None]
-    want = saturating_requantize(reals, -7)
+    want = quantize_activations(reals, 8, -7)[0]
     assert np.max(np.abs(out - want)) <= 1
 
 
@@ -610,3 +610,98 @@ def test_bound_above_float64_exactness_is_refused():
     assert accumulator_bits(lq, 4) == 70
     with pytest.raises(AccumulatorOverflowError, match=f"70 bits \\(> {ACC_BITS}\\)"):
         IntegerEngine(*one_layer_model(lq, (4, 1)))
+
+
+# --- one requantizer, one plane derivation ------------------------------------------------
+
+
+def _old_quantize_activations(x, bits=8):
+    """The lossless-exponent requantizer before the merge, kept as an oracle."""
+    x = np.asarray(x, dtype=np.float64)
+    limit = (1 << (bits - 1)) - 1
+    max_abs = float(np.max(np.abs(x)))
+    s = 0
+    if max_abs != 0.0:
+        q = limit.bit_length()
+        mant, exp = np.frexp(max_abs)
+        s = int(exp) - q
+        if np.floor(float(mant) * (1 << q) + 0.5) > limit:
+            s += 1
+    return _round_away(np.ldexp(x, -s)).astype(np.int64), s
+
+
+def _old_saturating_requantize(x, exponent, bits=8):
+    """The frozen-exponent requantizer before the merge, kept as an oracle."""
+    limit = (1 << (bits - 1)) - 1
+    ints = _round_away(np.ldexp(np.asarray(x, dtype=np.float64), -exponent))
+    return np.clip(ints, -limit, limit).astype(np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(bits=st.integers(2, 16), frozen=st.one_of(st.none(), st.integers(-40, 40)),
+       values=st.lists(st.one_of(
+           st.floats(-1e9, 1e9),
+           st.tuples(st.integers(-2**20, 2**20), st.integers(-40, 20)).map(
+               lambda t: float(np.ldexp(t[0] + 0.5, t[1]))),  # exact ties
+           st.sampled_from([0.0, -0.0]),
+       ), min_size=1, max_size=30))
+def test_one_requantizer_matches_the_two_it_replaced(bits, frozen, values):
+    x = np.array(values)
+    got, exp = quantize_activations(x, bits, frozen)
+    if frozen is None:
+        want, want_exp = _old_quantize_activations(x, bits)
+    else:
+        want, want_exp = _old_saturating_requantize(x, frozen, bits), frozen
+    assert exp == want_exp
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_calibrated_engine_refuses_non_finite_images(bad):
+    _, model, cm = quantized_toy()
+    engine = IntegerEngine(model, cm)
+    x = np.random.default_rng(92).normal(scale=0.3, size=(8, 3, 8, 8))
+    engine.calibrate(x)
+    x[3, 1, 2, 2] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        engine.forward(x)
+
+
+def _old_accumulator_bits(lq, patch_size, act_bits=8):
+    """The bound decoded from the symbols before it read the planes, as an oracle."""
+    xmax = (1 << (act_bits - 1)) - 1
+    if lq.mode == MODE_RECENTRALIZED:
+        _, _, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
+        has_dev = bool(np.any(sign != 0))
+        e_max = int(exponent[sign != 0].max()) if has_dev else 0
+        per = (1 << e_max) if has_dev else 0
+        centers = [m for m in lq.mu if m != 0.0]
+        if centers:
+            p_min = min(int(np.frexp(abs(m))[1]) - 1 for m in centers)
+            p_max = max(int(np.frexp(abs(m))[1]) - 1 for m in centers)
+            per = max(per, 1 << (p_max - p_min))
+    else:
+        nonzero = lq.symbols[lq.symbols != ZERO]
+        if nonzero.size == 0:
+            return 1
+        e_max = int((nonzero & ((1 << lq.exponent_bits) - 1)).max())
+        per = 1 << e_max
+    total = patch_size * xmax * per
+    return total.bit_length() + 1 if total else 1
+
+
+def _every_centre_assigned(lq):
+    if lq.mode != MODE_RECENTRALIZED:
+        return True
+    pruned, component, _, _ = fq_unpack_array(lq.symbols, lq.n_bits)
+    return all(c in component[~pruned] for c, mu in enumerate(lq.mu) if mu != 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lq=st.integers(1, 80).flatmap(dyadic_layers), patch=st.integers(1, 600),
+       act_bits=st.integers(2, 16))
+def test_plane_bound_matches_the_symbol_bound(lq, patch, act_bits):
+    new, old = accumulator_bits(lq, patch, act_bits), _old_accumulator_bits(lq, patch, act_bits)
+    # a centre no weight is assigned to adds nothing to any sum, and only
+    # the symbol bound counted it
+    assert new == old if _every_centre_assigned(lq) else new <= old

@@ -36,7 +36,8 @@ def _with_crc(data: bytearray) -> bytes:
 
 def _random_model(rng):
     conv_w = rng.normal(size=(3, 3, 2, 4)).astype(np.float32)
-    bn = tuple(rng.normal(size=4).astype(np.float32) for _ in range(4))
+    scale, offset, mean, var = (rng.normal(size=4).astype(np.float32) for _ in range(4))
+    bn = (scale, offset, mean, np.abs(var))  # a running variance is never negative
     return ModelFile([
         LayerSpec("conv", KIND_CONV2D, conv_w, (3, 3, 2, 4, 1, 1), bn),
         _dense("fc1", rng.normal(size=(8, 5)).astype(np.float32)),
@@ -122,6 +123,18 @@ def test_nan_payload_rejected():
     # payload is the 16 bytes before the bn-flag byte and the 4-byte CRC
     data[-21:-17] = struct.pack("<f", float("nan"))
     with pytest.raises(ValidationError):
+        decode_model(_with_crc(data))
+
+
+def test_negative_bn_variance_is_format_error():
+    bn = (np.ones(2), np.zeros(2), np.zeros(2), np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="variance"):
+        LayerSpec("fc", KIND_DENSE, np.eye(2), (2, 2), bn)
+    bn = bn[:3] + (np.ones(2),)
+    data = bytearray(encode_model(ModelFile([LayerSpec("fc", KIND_DENSE, np.eye(2), (2, 2), bn)])))
+    # the two running variances are the 8 bytes before the 4-byte CRC
+    data[-8:-4] = struct.pack("<f", -0.5)
+    with pytest.raises(FormatError, match="'fc': BN running variance -0.5 is negative"):
         decode_model(_with_crc(data))
 
 
