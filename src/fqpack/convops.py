@@ -12,7 +12,7 @@ the one NCHW caller, ``conv2d_gemm``, passes a transposed view.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 
 def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int = 0):
@@ -31,17 +31,20 @@ def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int
 
 
 def im2col(x: np.ndarray, fh: int, fw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """(N, H, W, C) -> (N*oh*ow, fh*fw*C) patch matrix, one strided copy."""
+    """(N, H, W, C) -> (N*oh*ow, fh*fw*C) patch matrix in x's dtype: one
+    strided window view of x (padded into a zero-bordered copy), copied once
+    into C order, since BLAS may sum a strided operand in another order."""
     n, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    # windows are (n, y, x, c, i, j); rows must run (i, j, c). Without
-    # padding the reshape can return a strided view, and BLAS may sum a
-    # strided operand in another order, so the result is always C-contiguous.
-    win = sliding_window_view(x, (fh, fw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, fh * fw * c)
-    return np.ascontiguousarray(cols)
+        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+        padded[:, pad : pad + h, pad : pad + w] = x
+        x = padded
+    sn, sy, sx, sc = x.strides
+    win = as_strided(x, (n, oh, ow, fh, fw, c), (sn, sy * stride, sx * stride, sy, sx, sc))
+    cols = np.empty((n * oh * ow, fh * fw * c), dtype=x.dtype)
+    cols.reshape(win.shape)[...] = win
+    return cols
 
 
 def col2im(dmat: np.ndarray, weights: np.ndarray, x_shape,

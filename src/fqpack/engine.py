@@ -26,11 +26,12 @@ scaling to reals above runs in float64.
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
 activations to int8. One requantizer, ``quantize_activations``, does every
-rounding onto a power-of-two grid: without an exponent it picks the smallest
-one that loses nothing, and only a frozen exponent (from ``calibrate``)
-saturates. The classifier layer returns float logits without requantization;
-a global average pool (power of two window, rounded shift) bridges conv
-output to the dense head.
+rounding onto a power-of-two grid, into float32, which holds such integers
+exactly. Each sample gets the smallest exponent that loses nothing, so its
+output does not depend on its batch; only a frozen exponent (from
+``calibrate``) saturates. The classifier layer returns float logits without
+requantization; a global average pool (power of two window, rounded shift)
+bridges conv output to the dense head.
 """
 
 from __future__ import annotations
@@ -61,40 +62,52 @@ F32_EXACT_BITS = 24
 BN_EPS = 1e-5
 
 
-def _round_away(values: np.ndarray) -> np.ndarray:
-    """Round half away from zero: trunc(v + copysign(0.5, v)), in one buffer."""
-    out = np.copysign(0.5, values, out=np.empty(np.shape(values)))
-    out += values
-    return np.trunc(out, out=out)
+def _round_away(values: np.ndarray, out=None) -> np.ndarray:
+    """Round half away from zero: trunc(v + copysign(0.5, v)), into ``out`` or in place."""
+    half = np.copysign(0.5, values)
+    half += values
+    return np.trunc(half, out=half if out is None else out)
 
 
-def quantize_activations(x: np.ndarray, bits: int = 8, exponent: Optional[int] = None):
+def _lossless_exponent(x: np.ndarray, bits: int, axis=None):
+    """Smallest e with round(max|x| / 2^e) <= 2^(bits-1) - 1 (0 where x is all
+    zero), over ``axis``, as intc; its one max/min pass refuses NaN and inf."""
+    max_abs = np.maximum(x.max(axis=axis), -x.min(axis=axis))
+    if not np.isfinite(max_abs).all():
+        raise ValidationError("activations contain non-finite values")
+    mant, exp = np.frexp(max_abs)  # max_abs = mant * 2^exp, mant in [0.5, 1)
+    exp += np.floor(mant * (1 << (bits - 1)) + 0.5) >= 1 << (bits - 1)  # rounds past the limit
+    return (exp - (bits - 1)) * (max_abs > 0)
+
+
+def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None):
     """Symmetric power-of-two quantization: x ~= values * 2^exponent.
 
-    Returns (int64 values in [-(2^(bits-1)-1), 2^(bits-1)-1], exponent). With
-    no exponent given, it picks the smallest one that fits the extreme value
-    (round half away), so nothing is lost to clipping and precision is
-    maximal; an all-zero input reports exponent 0. A frozen ``exponent``, as
-    set by calibration, is kept, and values beyond its range saturate.
+    Returns (values, exponent), the values float32 integers in [-(2^(bits-1)-1),
+    2^(bits-1)-1], rounded half away from zero. With no exponent, the smallest
+    one (a Python int) that fits the whole array's extreme value, so nothing
+    clips; 0 for all zeros. A frozen int exponent, as set by calibration,
+    saturates. An int array gives each sample (axis 0) its own, which the
+    caller picks lossless after refusing non-finite input, as
+    ``IntegerEngine`` does; otherwise non-finite input raises ValidationError.
     """
     if not 2 <= bits <= 16:
         raise ValueError(f"activation bits must be in [2, 16], got {bits}")
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         raise ValueError("empty activation array")
-    max_abs = float(np.max(np.abs(x)))  # NaN and inf propagate through max
-    if not np.isfinite(max_abs):
-        raise ValidationError("activations contain non-finite values")
-    limit = (1 << (bits - 1)) - 1
-    frozen = exponent is not None
-    if not frozen:  # the smallest exponent with round(max_abs / 2^exponent) <= limit
-        mant, exp = np.frexp(max_abs)  # max_abs = mant * 2^exp, mant in [0.5, 1)
-        over = np.floor(float(mant) * (limit + 1) + 0.5) > limit
-        exponent = int(exp) - (bits - 1) + int(over) if max_abs else 0
-    ints = _round_away(np.ldexp(x, -exponent))
+    frozen = np.ndim(exponent) == 0 and exponent is not None
+    if np.ndim(exponent):
+        shift = -np.asarray(exponent, dtype=np.intc).reshape((-1,) + (1,) * (x.ndim - 1))
+    else:
+        lossless = int(_lossless_exponent(x, bits))  # also refuses non-finite input
+        exponent = lossless if exponent is None else exponent
+        shift = -exponent
+    ints = _round_away(np.ldexp(x, shift), out=np.empty(x.shape, dtype=np.float32))
     if frozen:
+        limit = (1 << (bits - 1)) - 1
         np.clip(ints, -limit, limit, out=ints)
-    return ints.astype(np.int64), exponent
+    return ints, exponent
 
 
 def fold_bn(bn_params, eps: float = BN_EPS):
@@ -106,31 +119,28 @@ def fold_bn(bn_params, eps: float = BN_EPS):
 
 @dataclass
 class QuantBN:
-    """Folded batch-norm with int16 coefficients and shared exponents."""
+    """Folded batch-norm with int16 coefficients and shared exponents, and the
+    float64 ``real_scale`` and ``real_offset`` they stand for, computed once."""
 
     scale: np.ndarray
     offset: np.ndarray
     scale_exp: int
     offset_exp: int
 
+    def __post_init__(self):
+        self.real_scale = np.ldexp(self.scale.astype(np.float64), self.scale_exp)
+        self.real_offset = np.ldexp(self.offset.astype(np.float64), self.offset_exp)
+
     @classmethod
     def from_float(cls, g: np.ndarray, t: np.ndarray) -> "QuantBN":
         (scale, se), (offset, oe) = quantize_activations(g, 16), quantize_activations(t, 16)
         return cls(scale.astype(np.int16), offset.astype(np.int16), se, oe)
 
-    def real_scale(self) -> np.ndarray:
-        return np.ldexp(self.scale.astype(np.float64), self.scale_exp)
-
-    def real_offset(self) -> np.ndarray:
-        return np.ldexp(self.offset.astype(np.float64), self.offset_exp)
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        g, t = self.real_scale(), self.real_offset()
-        if x.ndim == 4:
-            g, t = g[:, None, None], t[:, None, None]
-        out = g * x
-        out += t
-        return out
+        """real_scale * x + real_offset over the last (channel) axis, in place."""
+        x *= self.real_scale
+        x += self.real_offset
+        return x
 
 
 def _sigma_pow2_exp(sigma: float) -> int:
@@ -305,7 +315,7 @@ def _build_stage(spec, lq: LayerQuantization, act_bits: int) -> _Stage:
     )
 
 
-def _integer_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.ndarray:
+def _integer_accumulate(stage: _Stage, cols: np.ndarray) -> np.ndarray:
     """Real-valued stage outputs from integer activation columns.
 
     The exact integer sums are widened to float64 inside the scaling
@@ -317,27 +327,27 @@ def _integer_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.nda
     if acc.shape[1] > cout:
         inner += np.multiply(acc[:, cout:], stage.scale_cen, dtype=np.float64)
     inner *= stage.alpha
-    return np.ldexp(inner, act_exp, out=inner)
+    return inner
 
 
-def _float_accumulate(stage: _Stage, cols: np.ndarray, act_exp: int) -> np.ndarray:
+def _float_accumulate(stage: _Stage, cols: np.ndarray) -> np.ndarray:
     """Float reference: products against real weights, alpha once per sum.
 
     The patches arrive in the stage's GEMM dtype and are widened to float64,
     exactly, since they are integers; blocks of at least 4096 rows bound the
-    widened copy. Scaling the product by 2^act_exp is exact, so it equals
-    scaling the activations first.
+    widened copy.
     """
     blocks = np.array_split(cols, max(1, len(cols) // 4096))
     sums = np.concatenate([b.astype(np.float64) @ stage.w_pre for b in blocks])
-    return stage.alpha * np.ldexp(sums, act_exp)
+    sums *= stage.alpha
+    return sums
 
 
-def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate):
-    """One stage on integer activations: accumulate, integer BN.
-
-    Conv stages take and return NHWC; patches are built in the GEMM dtype.
-    """
+def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate):
+    """One stage on integer activations on 2^act_exp: accumulate, scale,
+    integer BN. Conv stages take and return NHWC; patches are built in the
+    GEMM dtype, as float32 activations already are."""
+    ints = ints.astype(stage.planes.dtype, copy=False)
     if stage.kind == KIND_CONV2D:
         fh, fw, cin, cout, pad, stride = stage.geometry
         n, h, w, c = ints.shape
@@ -345,8 +355,7 @@ def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate):
             raise ValidationError(
                 f"stage {stage.name!r}: input has {c} channels, expected {cin}"
             )
-        cols = im2col(ints.astype(stage.planes.dtype), fh, fw, stride, pad)
-        real = accumulate(stage, cols, act_exp)
+        real = accumulate(stage, im2col(ints, fh, fw, stride, pad))
         oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
         out_shape = (n, oh, ow, cout)
     else:
@@ -355,10 +364,14 @@ def _stage_real(stage: _Stage, ints: np.ndarray, act_exp: int, accumulate):
                 f"stage {stage.name!r}: input width {ints.shape[-1]}, "
                 f"expected {stage.geometry[0]}"
             )
-        real = accumulate(stage, ints.astype(stage.planes.dtype), act_exp)
+        real = accumulate(stage, ints)
         out_shape = real.shape
+    # an exact power of two; one per sample (an array) scales that sample's rows
+    exps = np.asarray(act_exp, dtype=np.intc)
+    per_sample = real.reshape(exps.size, -1, real.shape[-1])
+    np.ldexp(per_sample, exps.reshape(-1, 1, 1), out=per_sample)
     if stage.qbn is not None:
-        real = stage.qbn.apply(real)  # channels are the last axis
+        real = stage.qbn.apply(real)  # a fresh array; channels are the last axis
     return real.reshape(out_shape)
 
 
@@ -387,9 +400,10 @@ class IntegerEngine:
     exact integer sums.
 
     Every requantization goes through ``quantize_activations``. Activation
-    scales are chosen per batch until :meth:`calibrate` freezes them from a
-    calibration pass; only frozen scales saturate, so later inputs clip
-    rather than rescale. Non-finite inputs raise ValidationError either way.
+    scales are chosen per sample, so a sample's logits do not depend on its
+    batch, until :meth:`calibrate` freezes one per layer; only frozen scales
+    saturate, so later inputs clip rather than rescale. Non-finite inputs
+    raise ValidationError either way.
     """
 
     accumulate = staticmethod(_integer_accumulate)
@@ -402,25 +416,27 @@ class IntegerEngine:
         self.stages = [_build_stage(spec, lq, act_bits)
                        for spec, lq in pair_layers(model, compressed)]
 
-    def _requant(self, x: np.ndarray, point: int):
-        frozen = None if self.act_exps is None else self.act_exps[point]
-        return quantize_activations(x, self.act_bits, frozen)
+    def _requant(self, x: np.ndarray, point: int, record=None):
+        if self.act_exps is not None:
+            return quantize_activations(x, self.act_bits, self.act_exps[point])
+        if record is not None:  # calibration: the pass frozen exponents repeat, one per batch
+            ints, exp = quantize_activations(x, self.act_bits)
+            record.append(exp)
+            return ints, exp
+        per_sample = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
+        return quantize_activations(x, self.act_bits, per_sample)
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
-        ints, act_exp = self._requant(x, 0)
+        ints, act_exp = self._requant(x, 0, record)
         if ints.ndim == 4:
             ints = ints.transpose(0, 2, 3, 1)  # NHWC from here on
-        if record is not None:
-            record.append(act_exp)
         for i, stage in enumerate(self.stages):
             if stage.kind == KIND_DENSE and ints.ndim == 4:
                 ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
             real = _stage_real(stage, ints, act_exp, self.accumulate)
             if i == len(self.stages) - 1:
                 return real.transpose(0, 3, 1, 2) if real.ndim == 4 else real
-            ints, act_exp = self._requant(np.maximum(real, 0.0, out=real), i + 1)
-            if record is not None:
-                record.append(act_exp)
+            ints, act_exp = self._requant(np.maximum(real, 0.0, out=real), i + 1, record)
         raise AssertionError("unreachable")
 
     def forward(self, images: np.ndarray) -> np.ndarray:
@@ -431,7 +447,7 @@ class IntegerEngine:
         return self._run(x)
 
     def calibrate(self, images: np.ndarray, samples: int = 64) -> list:
-        """Freeze per-layer activation exponents from a calibration batch."""
+        """Freeze per-layer activation exponents, lossless on the calibration batch."""
         x = np.asarray(images, dtype=np.float64)
         if x.ndim == 3:
             x = x[None]

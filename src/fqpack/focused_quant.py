@@ -178,6 +178,13 @@ class LayerQuantization(_OnGrid):
             raise ValueError("empty symbol stream")
         if self.symbols.min() < 0 or self.symbols.max() >= (1 << self.n_bits):
             raise ValueError(f"symbol out of range for {self.n_bits}-bit codes")
+        # a nonzero symbol's sign field is 1 or 2, or 3 (a centre) if recentralized
+        codes = np.flatnonzero(np.bincount(self.symbols)[1:]) + 1  # the nonzero codes used
+        field = (codes >> self.exponent_bits) & 3
+        bad = (field == 0) | ((field == 3) & (self.mode == MODE_SHIFT))
+        if bad.any():
+            raise ValueError(f"symbol {codes[bad][0]} has sign field {field[bad][0]}, "
+                             f"which no {self.mode} code uses")
 
     @property
     def alphabet_size(self) -> int:
@@ -209,7 +216,8 @@ def fq_pack_array(component: np.ndarray, shift_codes: np.ndarray, n_bits: int) -
 def fq_unpack_array(symbols: np.ndarray, n_bits: int):
     """Split n-bit symbols into (pruned, component, sign, exponent) arrays.
 
-    ``sign`` is -1/0/+1; pruned positions report component 0, sign 0.
+    ``sign`` is -1/0/+1; pruned positions report component 0, sign 0. The
+    symbols must be valid, as ``LayerQuantization`` checks on construction.
     """
     k = n_bits - 3
     symbols = np.asarray(symbols, dtype=np.int64)
@@ -217,15 +225,10 @@ def fq_unpack_array(symbols: np.ndarray, n_bits: int):
     component = (symbols >> (n_bits - 1)) & 1
     s_code = (symbols >> k) & 3
     exponent = symbols & ((1 << k) - 1)
-    bad = ~pruned & (s_code == 0)
-    if (symbols < 0).any() or (symbols >> n_bits).any() or bad.any():
-        raise ValueError("invalid symbol for this bit width")
     sign = np.zeros_like(symbols)
     sign[s_code == 1] = 1
     sign[s_code == 2] = -1
-    sign[pruned] = 0
-    exponent = np.where(pruned | (s_code == 3), 0, exponent)
-    component = np.where(pruned, 0, component)
+    exponent = np.where(s_code == 3, 0, exponent)  # ZERO unpacks to all zeros as it is
     return pruned, component, sign, exponent
 
 

@@ -290,6 +290,44 @@ def test_infer_container_missing_a_layer(assets, capsys, tmp_path):
     assert "'head' is missing" in err
 
 
+def unused_sign_field_artifacts(tmp_path, mode):
+    """The identity model and data, and a well-framed container whose conv1
+    holds one symbol with a sign field no ``mode`` code uses -> (paths, symbol)."""
+    model_path, fqz_path, data_path, _ = identity_artifacts(tmp_path)
+    conv1, head = load_compressed(fqz_path).layers
+    if mode == MODE_RECENTRALIZED:
+        conv1 = LayerQuantization(name="conv1", mode=MODE_RECENTRALIZED, n_bits=5, alpha=1.0,
+                                  bias=0, mu=(-0.5, 0.5), sigma=0.25,
+                                  symbols=np.full(9, 3 << 2))  # component-0 centres
+        bad = 1  # sign field 0 with a nonzero exponent
+    else:
+        bad = 3 << 3  # sign field 3
+    conv1.symbols[4] = bad  # past the construction check, as a hand-built file would be
+    save_compressed(CompressedModel([conv1, head]), fqz_path)
+    return model_path, fqz_path, data_path, bad
+
+
+@pytest.mark.parametrize("mode", [MODE_SHIFT, MODE_RECENTRALIZED])
+@pytest.mark.parametrize("command", ["decompress", "report", "infer"])
+def test_symbol_with_an_unused_sign_field_is_a_format_error(capsys, tmp_path, command, mode):
+    model_path, fqz_path, data_path, bad = unused_sign_field_artifacts(tmp_path, mode)
+    out = tmp_path / "out"
+    argv = {
+        "decompress": ["decompress", "--in", str(fqz_path), "--model", str(model_path),
+                       "--out", str(out)],
+        "report": ["report", "--model", str(model_path), "--compressed", str(fqz_path),
+                   "--out-dir", str(out)],
+        "infer": ["infer", "--model", str(model_path), "--compressed", str(fqz_path),
+                  "--data", str(data_path)],
+    }[command]
+    rc, stdout, err = run_cli(argv, capsys)
+    field = 0 if mode == MODE_RECENTRALIZED else 3
+    assert (rc, stdout) == (2, "")
+    assert err == (f"error: layer 'conv1': symbol {bad} has sign field {field}, "
+                   f"which no {mode} code uses\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bits", [0, 1, 17])
 def test_infer_act_bits_out_of_range_is_usage_error(assets, capsys, bits):
     rc, _, err = run_cli([

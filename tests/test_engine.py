@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +19,9 @@ from fqpack.engine import (
     dot_shift_add,
     fold_bn,
     global_avg_pool_int,
+    _lossless_exponent,
     _round_away,
+    _stage_real,
     quantize_activations,
 )
 from fqpack.errors import (
@@ -147,12 +152,13 @@ def test_quant_bn_precision_and_apply():
     t = rng.normal(0.0, 0.5, 8)
     qbn = QuantBN.from_float(g, t)
     assert qbn.scale.dtype == np.int16 and qbn.offset.dtype == np.int16
-    assert np.max(np.abs(qbn.real_scale() - g)) <= np.ldexp(0.5, qbn.scale_exp)
-    assert np.max(np.abs(qbn.real_offset() - t)) <= np.ldexp(0.5, qbn.offset_exp)
-    x4 = rng.normal(size=(2, 8, 3, 3))
-    got = qbn.apply(x4)
-    want = qbn.real_scale()[:, None, None] * x4 + qbn.real_offset()[:, None, None]
+    assert np.max(np.abs(qbn.real_scale - g)) <= np.ldexp(0.5, qbn.scale_exp)
+    assert np.max(np.abs(qbn.real_offset - t)) <= np.ldexp(0.5, qbn.offset_exp)
+    x4 = rng.normal(size=(2, 3, 3, 8))  # NHWC: channels are the last axis
+    got = qbn.apply(x4.copy())
+    want = qbn.real_scale * x4 + qbn.real_offset
     assert np.array_equal(got, want)
+    assert qbn.apply(x4) is x4 and np.array_equal(x4, want)  # in place
 
 
 # --- reference dot product ----------------------------------------------------------
@@ -433,9 +439,8 @@ def test_engine_validation_errors():
     extra = CompressedModel(cm.layers + [shift_layer([8], name="ghost")])
     with pytest.raises(ValidationError):
         IntegerEngine(model, extra)
-    short = CompressedModel([
-        shift_layer(cm.layers[0].symbols[:-1], name=cm.layers[0].name)
-    ] + cm.layers[1:])
+    short = CompressedModel([replace(cm.layers[0], symbols=cm.layers[0].symbols[:-1])]
+                            + cm.layers[1:])
     with pytest.raises(ValidationError):
         IntegerEngine(model, short)
 
@@ -653,7 +658,7 @@ def test_one_requantizer_matches_the_two_it_replaced(bits, frozen, values):
     else:
         want, want_exp = _old_saturating_requantize(x, frozen, bits), frozen
     assert exp == want_exp
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -705,3 +710,91 @@ def test_plane_bound_matches_the_symbol_bound(lq, patch, act_bits):
     # a centre no weight is assigned to adds nothing to any sum, and only
     # the symbol bound counted it
     assert new == old if _every_centre_assigned(lq) else new <= old
+
+
+# --- per-sample exponents: batch invariance -------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.integers(2, 16), x=st.integers(1, 6).flatmap(lambda m: st.lists(
+    st.lists(st.one_of(st.floats(-1e9, 1e9),
+                       st.integers(-2**20, 2**20).map(lambda k: k + 0.5),  # ties
+                       st.sampled_from([0.0, -0.0])),
+             min_size=m, max_size=m),
+    min_size=1, max_size=8)).map(np.array))
+def test_per_sample_exponents_match_row_by_row(bits, x):
+    exps = _lossless_exponent(x, bits, 1)
+    got, got_exps = quantize_activations(x, bits, exps)
+    assert got.dtype == np.float32 and got_exps is exps and exps.dtype == np.intc
+    for i, row in enumerate(x):
+        want, exp = quantize_activations(row, bits)
+        assert exp == exps[i] and np.array_equal(got[i], want)
+    # the batch-wide exponent is the largest of the samples' own; an all-zero
+    # sample reports 0 and has no say
+    some = np.any(x != 0, axis=1)
+    want = int(np.max(exps[some])) if some.any() else 0
+    assert quantize_activations(x, bits)[1] == want
+
+
+@lru_cache(maxsize=None)
+def toy_pair():
+    return quantized_toy()[1:]
+
+
+def scaled_batch(rng, n):
+    """n images whose scales differ by powers of two, so their exponents differ."""
+    scales = np.ldexp(1.0, rng.integers(-6, 4, size=n))[:, None, None, None]
+    return rng.normal(size=(n, 3, 8, 8)) * scales
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 9), batch_size=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1), calibrated=st.booleans())
+def test_forward_does_not_depend_on_the_batch(n, batch_size, seed, calibrated):
+    engine = IntegerEngine(*toy_pair())
+    rng = np.random.default_rng(seed)
+    x = scaled_batch(rng, n)
+    if calibrated:
+        engine.calibrate(scaled_batch(rng, 8))
+    logits = engine.forward(x)
+    for i in range(n):
+        assert np.array_equal(engine.forward(x[i : i + 1])[0], logits[i])
+    assert np.array_equal(engine.predict(x, batch_size=batch_size), np.argmax(logits, axis=1))
+
+
+def _batchwide_run(engine, x, frozen=None):
+    """The engine's pass before per-sample exponents, kept as an oracle: one
+    exponent per batch at every point (or the frozen ones), int64
+    activations. Returns (logits, exponents)."""
+    def requant(values, point):
+        ints, exp = quantize_activations(values, engine.act_bits,
+                                         None if frozen is None else frozen[point])
+        return ints.astype(np.int64), exp
+
+    ints, exp = requant(x, 0)
+    ints, record = ints.transpose(0, 2, 3, 1), [exp]
+    for i, stage in enumerate(engine.stages):
+        if stage.kind == "dense" and ints.ndim == 4:
+            ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
+        real = _stage_real(stage, ints, exp, engine.accumulate)
+        if i == len(engine.stages) - 1:
+            return real, record
+        ints, exp = requant(np.maximum(real, 0.0), i + 1)
+        record.append(exp)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+def test_calibration_keeps_the_batchwide_exponents(n, seed):
+    engine = IntegerEngine(*toy_pair())
+    x = scaled_batch(np.random.default_rng(seed), n)
+    assert engine.calibrate(x) == _batchwide_run(engine, x)[1]
+
+
+def test_calibrated_inference_is_unchanged():
+    engine = IntegerEngine(*toy_pair())
+    rng = np.random.default_rng(93)
+    frozen = engine.calibrate(scaled_batch(rng, 64))
+    # a batch beyond the calibrated range saturates, as before
+    x = np.concatenate([scaled_batch(rng, 12), 64.0 * scaled_batch(rng, 4)])
+    assert np.array_equal(engine.forward(x), _batchwide_run(engine, x, frozen)[0])

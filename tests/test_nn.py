@@ -2,7 +2,8 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fqpack.convops import col2im, conv2d_gemm, conv_output_hw, im2col
 from fqpack.model_store import decode_model, encode_model
@@ -88,6 +89,34 @@ def test_col2im_is_adjoint_of_im2col():
     lhs = float(np.sum((cols @ w.reshape(-1, 4)) * y))
     rhs = float(np.sum(x * col2im(y, w, x.shape, 2, 1)))
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def pad_window_im2col(x, fh, fw, stride, pad):
+    """im2col as np.pad + sliding_window_view, before the pad-free copy; the oracle."""
+    n, h, w, c = x.shape
+    oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
+    if pad:
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    win = sliding_window_view(x, (fh, fw), axis=(1, 2))[:, ::stride, ::stride]
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, fh * fw * c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 4),
+       kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       stride=st.integers(1, 3), pad=st.integers(0, 2),
+       dtype=st.sampled_from([np.float32, np.float64, np.int64]),
+       nchw=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_im2col_matches_pad_and_window_oracle(shape, kernel, stride, pad, dtype, nchw, seed):
+    n, h, w, c = shape
+    fh, fw = kernel
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    x = np.random.default_rng(seed).normal(scale=50.0, size=shape).astype(dtype)
+    if nchw:  # the transposed view conv2d_gemm passes
+        x = np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
+    got, want = im2col(x, fh, fw, stride, pad), pad_window_im2col(x, fh, fw, stride, pad)
+    assert got.flags.c_contiguous and got.dtype == want.dtype
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def nchw_im2col(x, fh, fw, stride, pad):
