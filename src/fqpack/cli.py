@@ -394,10 +394,10 @@ def cmd_infer(args) -> int:
     images, labels = _load_images(args.data, args.limit)
     engine = IntegerEngine(model, cm, act_bits=args.act_bits)
     simulator = FloatSimulator(model, cm, act_bits=args.act_bits)
-    if args.print_logits:
-        for i, row in enumerate(engine.forward(images[: args.print_logits])):
-            print(f"sample {i}: " + " ".join(f"{v:.6f}" for v in row))
-    engine_top = engine.predict(images)
+    logits = engine.logits(images)  # each sample's logits do not depend on its batch
+    for i, row in enumerate(logits[: args.print_logits]):
+        print(f"sample {i}: " + " ".join(f"{v:.6f}" for v in row))
+    engine_top = np.argmax(logits, axis=1)
     float_top = simulator.predict(images)
     agreement = top1_accuracy(engine_top, float_top)
     print(f"agreement {agreement:.4f} over {len(images)} samples")

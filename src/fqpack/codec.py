@@ -281,10 +281,6 @@ def _codeword_starts(length: np.ndarray, at: int):
     return np.concatenate([starts, tail]).astype(np.int64), at
 
 
-def build_huffman(frequencies, alphabet_size: int) -> HuffmanTable:
-    return HuffmanTable.from_frequencies(frequencies, alphabet_size)
-
-
 def _encode_pow2(value: float):
     """Split an exact signed power of two (or 0) into (sign, exponent) bytes."""
     if value == 0.0:

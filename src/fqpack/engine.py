@@ -1,8 +1,8 @@
 """Integer inference over compressed models.
 
 Weight products never happen: each weight is a (sign, shift) pair, so a dot
-product is a signed sum of shifted activations. For recentralized layers the
-per-output sum splits in two integer accumulators,
+product is a signed sum of shifted activations. The per-output sum splits in
+two integer accumulators,
 
     T = sum_i s_i * (x_i << e_i)             deviation part
     U = sum_c sgn(mu_c) * (S_c << (p_c - p_min))    component part,
@@ -11,6 +11,10 @@ with S_c the plain sum of activations assigned to component c and
 mu_c = +/- 2^(p_c). One scale per output turns them back into reals:
 
     out = alpha * (T * sigma * 2^-bias + U * 2^p_min) * 2^act_exp.
+
+A shift layer is the case with zero centres and unit sigma (mu = (0, 0),
+sigma = 1): U vanishes and the scale is 2^-bias. Every weight field comes
+from ``focused_quant.unpack``, so nothing here depends on the layer's mode.
 
 ``dot_shift_add`` is the reference scalar form of that sum — a single
 accumulator, shifts/adds/subtracts only. The batched path reaches the same
@@ -44,14 +48,8 @@ import numpy as np
 from .codec import CompressedModel, pair_layers
 from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
-from .focused_quant import (
-    MODE_RECENTRALIZED,
-    LayerQuantization,
-    decode_symbols,
-    fq_unpack_array,
-)
+from .focused_quant import ZERO, LayerQuantization, decode, unpack
 from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
-from .shift_quant import ZERO, ShiftGrid, dequantize_array, unpack_shift_code
 
 # the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
 # float64 GEMM, which holds every integer up to 2^53, is always exact
@@ -143,24 +141,21 @@ class QuantBN:
         return x
 
 
-def _sigma_pow2_exp(sigma: float) -> int:
-    mant, exp = np.frexp(sigma)
+def _pow2_exp(value: float) -> int:
+    """p with value = 2^p; raises if ``value`` is no positive power of two."""
+    mant, exp = np.frexp(value)
     if mant != 0.5:
-        raise ValueError(f"sigma {sigma} is not a power of two")
+        raise ValueError(f"{value} is not a power of two")
     return int(exp) - 1
 
 
 def _scale_powers(lq: LayerQuantization):
-    """(d, p_sigma, center exponents) for the common-denominator 2^-d."""
-    if lq.mode == MODE_RECENTRALIZED:
-        p_sigma = _sigma_pow2_exp(lq.sigma)
-        d = max(lq.bias - p_sigma, 0)
-        for mu in lq.mu:
-            if mu != 0.0:
-                d = max(d, -int(np.frexp(abs(mu))[1]) + 1)
-    else:
-        p_sigma = 0
-        d = max(lq.bias, 0)
+    """(d, p_sigma) for the common denominator 2^-d of deviations and centres."""
+    p_sigma = _pow2_exp(lq.sigma)
+    d = max(lq.bias - p_sigma, 0)
+    for mu in lq.mu:
+        if mu != 0.0:
+            d = max(d, -_pow2_exp(abs(mu)))
     return d, p_sigma
 
 
@@ -171,8 +166,8 @@ def dot_shift_add(activations, lq: LayerQuantization, positions=None):
     sign tests — the arithmetic the hardware cost model prices. Returns
     (acc, scale) with the real dot product equal to alpha * acc * 2^scale.
     ``positions`` restricts the sum to those flat weight indices (the i-th
-    activation then pairs with the i-th position). Recentralized layers need
-    a power-of-two sigma, otherwise the deviations and the component means
+    activation then pairs with the i-th position). The layer needs a
+    power-of-two sigma, otherwise the deviations and the component means
     share no finite binary denominator.
     """
     if positions is None:
@@ -182,61 +177,45 @@ def dot_shift_add(activations, lq: LayerQuantization, positions=None):
     if len(activations) != symbols.size:
         raise ValueError("activation count != weight count")
     d, p_sigma = _scale_powers(lq)
+    # per component: None for a zero centre, else (mean > 0, shift of the mean)
+    centres = [None if mu == 0.0 else (mu > 0, _pow2_exp(abs(mu)) + d) for mu in lq.mu]
+    fields = zip(symbols.tolist(), *(f.tolist() for f in unpack(symbols, lq)))
     acc = 0
-    if lq.mode == MODE_RECENTRALIZED:
-        k = lq.n_bits - 3
-        mu_shift = []
-        for mu in lq.mu:
-            mu_shift.append(None if mu == 0.0 else
-                            (1 if mu > 0 else -1, int(np.frexp(abs(mu))[1]) - 1 + d))
-        for x, sym in zip(activations, symbols.tolist()):
-            if sym == ZERO:
-                continue
-            component = sym >> (lq.n_bits - 1)
-            s_code = (sym >> k) & 3
-            if s_code == 1:
-                acc = acc + (x << ((sym & ((1 << k) - 1)) - lq.bias + p_sigma + d))
-            elif s_code == 2:
-                acc = acc - (x << ((sym & ((1 << k) - 1)) - lq.bias + p_sigma + d))
-            center = mu_shift[component]
-            if center is not None:
-                if center[0] > 0:
-                    acc = acc + (x << center[1])
-                else:
-                    acc = acc - (x << center[1])
-    else:
-        for x, sym in zip(activations, symbols.tolist()):
-            if sym == ZERO:
-                continue
-            sign, exponent = unpack_shift_code(sym, lq.exponent_bits)
-            if sign > 0:
-                acc = acc + (x << (exponent - lq.bias + d))
+    for x, (sym, component, sign, exponent) in zip(activations, fields):
+        if sym == ZERO:
+            continue
+        if sign > 0:
+            acc = acc + (x << (exponent - lq.bias + p_sigma + d))
+        elif sign < 0:
+            acc = acc - (x << (exponent - lq.bias + p_sigma + d))
+        centre = centres[component]
+        if centre is not None:
+            if centre[0]:
+                acc = acc + (x << centre[1])
             else:
-                acc = acc - (x << (exponent - lq.bias + d))
+                acc = acc - (x << centre[1])
     return acc, -d
 
 
 def _planes(lq: LayerQuantization):
     """Flat integer weight planes: (dev, cen or None, scale_dev, scale_cen).
 
-    ``dev`` holds s * 2^e per weight. Recentralized layers with nonzero
-    centres add ``cen``, sgn(mu_c) * 2^(p_c - p_min) on every weight assigned
-    to component c. The scales turn the two plane sums back into reals:
-    scale_dev = sigma * 2^-bias (shift mode: 2^-bias), scale_cen = 2^p_min.
+    ``dev`` holds s * 2^e per weight. Layers with nonzero centres add
+    ``cen``, sgn(mu_c) * 2^(p_c - p_min) on every weight assigned to
+    component c. The scales turn the two plane sums back into reals:
+    scale_dev = sigma * 2^-bias, scale_cen = 2^p_min.
     """
-    if lq.mode != MODE_RECENTRALIZED:
-        dev = dequantize_array(lq.symbols, ShiftGrid(lq.exponent_bits, 0))
-        return dev, None, float(np.ldexp(1.0, -lq.bias)), 0.0
-    pruned, component, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
-    dev = sign * np.ldexp(1.0, exponent.astype(np.int64))
+    component, sign, exponent = unpack(lq.symbols, lq)
+    dev = sign * np.ldexp(1.0, exponent)
     scale_dev = lq.sigma * float(np.ldexp(1.0, -lq.bias))
-    powers = {c: int(np.frexp(abs(mu))[1]) - 1 for c, mu in enumerate(lq.mu) if mu != 0.0}
+    powers = {c: _pow2_exp(abs(mu)) for c, mu in enumerate(lq.mu) if mu != 0.0}
     if not powers:
         return dev, None, scale_dev, 0.0
     p_min = min(powers.values())
     cen = np.zeros(lq.weight_count)
     for c, p in powers.items():
-        cen[(component == c) & ~pruned] = np.sign(lq.mu[c]) * float(np.ldexp(1.0, p - p_min))
+        cen[(component == c) & (lq.symbols != ZERO)] = (
+            np.sign(lq.mu[c]) * float(np.ldexp(1.0, p - p_min)))
     return dev, cen, scale_dev, float(np.ldexp(1.0, p_min))
 
 
@@ -311,7 +290,7 @@ def _build_stage(spec, lq: LayerQuantization, act_bits: int) -> _Stage:
         name=spec.name, kind=spec.kind, geometry=spec.geometry,
         planes=planes.astype(np.float32 if bits <= F32_EXACT_BITS else np.float64),
         scale_dev=scale_dev, scale_cen=scale_cen, alpha=lq.alpha,
-        w_pre=decode_symbols(lq).reshape(shape), qbn=qbn,
+        w_pre=decode(lq.symbols, lq).reshape(shape), qbn=qbn,
     )
 
 
@@ -457,11 +436,13 @@ class IntegerEngine:
         self.act_exps = record
         return list(record)
 
+    def logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
+        """Logits of every image, ``batch_size`` images per forward pass."""
+        return np.concatenate([self.forward(images[start : start + batch_size])
+                               for start in range(0, images.shape[0], batch_size)])
+
     def predict(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        out = []
-        for start in range(0, images.shape[0], batch_size):
-            out.append(np.argmax(self.forward(images[start : start + batch_size]), axis=1))
-        return np.concatenate(out)
+        return np.argmax(self.logits(images, batch_size), axis=1)
 
 
 class FloatSimulator(IntegerEngine):

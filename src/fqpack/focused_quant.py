@@ -1,24 +1,29 @@
-"""Mixture-guided quantization of one weight layer.
+"""Mixture-guided quantization of one weight layer, and its one symbol layout.
 
 Two modes per layer, decided by the normalized separation of the fitted
 mixture components:
 
-* ``shift``: plain signed power-of-two quantization on k = n_bits - 2
-  exponent bits.
 * ``recentralized``: each unpruned weight is normalized by its component,
   ((w - mu_m) / sigma), shift-quantized on k = n_bits - 3 exponent bits, and
   decoded as alpha * (sigma * s * 2^(e - b) + mu_m).
+* ``shift``: plain signed power-of-two quantization on k = n_bits - 2
+  exponent bits. It is the recentralized case with one component, no
+  component bit, zero centres and unit sigma: mu = (0, 0), sigma = 1.
 
-An n-bit recentralized symbol packs [component:1][sign:2][exponent:n-3]:
+An n-bit symbol packs [component][sign field:2][exponent:k], with
+k = n_bits - 2 in shift mode and n_bits - 3 in recentralized mode:
 
     0                              ZERO (pruned weight, decodes to 0.0)
-    m << (n-1) | 1 << k | e        deviation +2^(e - b) from mu_m
-    m << (n-1) | 2 << k | e        deviation -2^(e - b) from mu_m
-    m << (n-1) | 3 << k            component center (deviation 0)
+    m << (k+2) | 1 << k | e        deviation +2^(e - b) from mu_m
+    m << (k+2) | 2 << k | e        deviation -2^(e - b) from mu_m
+    m << (k+2) | 3 << k            component centre (deviation 0)
 
-All codes fit in n bits; ZERO is shared by the two components, which is what
-lets the entropy coder exploit pruning. Shift-mode layers use the plain
-(n_bits - 2)-exponent-bit shift codes, which also fit in n bits.
+Shift layers have m = 0 and no centre code: a zero deviation is ZERO.
+No other code is valid. All codes fit in n bits; ZERO is shared by the two
+components, which is what lets the entropy coder exploit pruning.
+:func:`pack` and :func:`unpack` are the only writer and reader of these bit
+fields; ``LayerQuantization`` accepts a symbol iff it packs back from its
+unpacked fields.
 """
 
 from __future__ import annotations
@@ -39,13 +44,9 @@ from .mixture import (
     wasserstein_separation,
 )
 from .pruner import PruneMask
-from .shift_quant import (
-    ZERO,
-    ShiftGrid,
-    dequantize_array,
-    select_bias,
-    shift_quantize_array,
-)
+from .shift_quant import ShiftGrid, nearest_power, select_bias
+
+ZERO = 0  # the symbol of pruned weights and true zeros, in both modes
 
 MODE_SHIFT = "shift"
 MODE_RECENTRALIZED = "recentralized"
@@ -113,8 +114,8 @@ class QuantParams(_OnGrid):
     """A layer's fitted quantizer: everything but the symbols.
 
     ``assignment`` holds the component of each unpruned weight in flat order
-    (recentralized mode only); ``wsep`` is the separation of the fitted
-    mixture, 0.0 when no mixture could be fitted.
+    (all 0 in shift mode); ``wsep`` is the separation of the fitted mixture,
+    0.0 when no mixture could be fitted.
     """
 
     mode: str
@@ -132,8 +133,8 @@ class LayerQuantization(_OnGrid):
 
     ``symbols`` is a flat int64 array covering every weight position (pruned
     positions hold ZERO). ``mu`` is (mu_minus, mu_plus); both are exact signed
-    powers of two or 0. ``sigma`` is the shared component scale (1.0 for
-    shift mode, where it is unused).
+    powers of two or 0. ``sigma`` is the shared component scale. A shift
+    layer has mu = (0, 0) and sigma = 1.
     """
 
     name: str
@@ -168,23 +169,27 @@ class LayerQuantization(_OnGrid):
         if not -32 <= self.bias <= 32:
             raise ValueError(f"bias {self.bias} outside [-32, 32]")
         self.mu = (float(self.mu[0]), float(self.mu[1]))
-        if self.mode == MODE_RECENTRALIZED:
-            if not (_is_pow2_or_zero(self.mu[0]) and _is_pow2_or_zero(self.mu[1])):
-                raise ValueError("component means must be signed powers of two or 0")
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
+        if not (_is_pow2_or_zero(self.mu[0]) and _is_pow2_or_zero(self.mu[1])):
+            raise ValueError("component means must be signed powers of two or 0")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        if self.mode == MODE_SHIFT and (self.mu != (0.0, 0.0) or self.sigma != 1.0):
+            raise ValueError(f"a shift layer has mu (0, 0) and sigma 1, "
+                             f"not mu {self.mu} and sigma {self.sigma}")
         self.symbols = np.asarray(self.symbols, dtype=np.int64).ravel()
         if self.symbols.size == 0:
             raise ValueError("empty symbol stream")
         if self.symbols.min() < 0 or self.symbols.max() >= (1 << self.n_bits):
             raise ValueError(f"symbol out of range for {self.n_bits}-bit codes")
-        # a nonzero symbol's sign field is 1 or 2, or 3 (a centre) if recentralized
+        # a nonzero symbol is valid iff it packs back from its own fields
         codes = np.flatnonzero(np.bincount(self.symbols)[1:]) + 1  # the nonzero codes used
-        field = (codes >> self.exponent_bits) & 3
-        bad = (field == 0) | ((field == 3) & (self.mode == MODE_SHIFT))
-        if bad.any():
-            raise ValueError(f"symbol {codes[bad][0]} has sign field {field[bad][0]}, "
-                             f"which no {self.mode} code uses")
+        bad = codes[pack(*unpack(codes, self), self) != codes]
+        if bad.size:
+            _, field, bits = _fields(bad[0], self)
+            what = f"sign field {field}"
+            if field == 3 and self.mode == MODE_RECENTRALIZED:
+                what += f" and exponent bits {bits}"  # a centre has none
+            raise ValueError(f"symbol {bad[0]} has {what}, which no {self.mode} code uses")
 
     @property
     def alphabet_size(self) -> int:
@@ -200,36 +205,40 @@ class LayerQuantization(_OnGrid):
         return float(np.count_nonzero(self.symbols == ZERO)) / self.symbols.size
 
 
-def fq_pack_array(component: np.ndarray, shift_codes: np.ndarray, n_bits: int) -> np.ndarray:
-    """Combine component bits with inner shift codes into n-bit symbols.
+def pack(component, sign, exponent, params) -> np.ndarray:
+    """n-bit symbols of (component, sign, exponent) under ``params``' mode.
 
-    A zero inner code becomes the component-center symbol (sign field 3), so
-    the all-zero code stays reserved for pruned positions.
+    ``sign`` is -1, 0 or +1, and a zero sign goes with exponent 0. That zero
+    deviation packs to ZERO in shift mode and to its component's centre code
+    in recentralized mode, the one place the two modes differ. Shift layers
+    have component 0. ``params`` is a :class:`QuantParams` or a
+    :class:`LayerQuantization`.
     """
-    k = n_bits - 3
-    component = np.asarray(component, dtype=np.int64)
-    shift_codes = np.asarray(shift_codes, dtype=np.int64)
-    inner = np.where(shift_codes == ZERO, 3 << k, shift_codes)
-    return (component << (n_bits - 1)) | inner
+    k = params.exponent_bits
+    sign = np.asarray(sign, dtype=np.int64)
+    zero_field = 3 if params.mode == MODE_RECENTRALIZED else 0
+    field = np.where(sign == 0, zero_field, sign % 3)  # +1 -> 1, -1 -> 2
+    return ((np.asarray(component, dtype=np.int64) << (k + 2)) | (field << k)
+            | np.asarray(exponent, dtype=np.int64))
 
 
-def fq_unpack_array(symbols: np.ndarray, n_bits: int):
-    """Split n-bit symbols into (pruned, component, sign, exponent) arrays.
-
-    ``sign`` is -1/0/+1; pruned positions report component 0, sign 0. The
-    symbols must be valid, as ``LayerQuantization`` checks on construction.
-    """
-    k = n_bits - 3
+def _fields(symbols, params):
+    """Raw (component, sign field, exponent bits) of n-bit symbols."""
+    k = params.exponent_bits
     symbols = np.asarray(symbols, dtype=np.int64)
-    pruned = symbols == ZERO
-    component = (symbols >> (n_bits - 1)) & 1
-    s_code = (symbols >> k) & 3
-    exponent = symbols & ((1 << k) - 1)
-    sign = np.zeros_like(symbols)
-    sign[s_code == 1] = 1
-    sign[s_code == 2] = -1
-    exponent = np.where(s_code == 3, 0, exponent)  # ZERO unpacks to all zeros as it is
-    return pruned, component, sign, exponent
+    return symbols >> (k + 2), (symbols >> k) & 3, symbols & ((1 << k) - 1)
+
+
+def unpack(symbols, params):
+    """(component, sign, exponent) int64 arrays of n-bit symbols; undoes :func:`pack`.
+
+    ZERO and centre codes unpack to sign 0, exponent 0; ZERO and every shift
+    symbol to component 0. The symbols must be valid for ``params``, as
+    ``LayerQuantization`` checks on construction.
+    """
+    component, field, bits = _fields(symbols, params)
+    sign = (field & 1) - (field >> 1)  # fields 0, 1, 2, 3 -> 0, +1, -1, 0
+    return component, sign, np.where(sign != 0, bits, 0)
 
 
 def _unpruned(weights: np.ndarray, mask: PruneMask):
@@ -253,7 +262,7 @@ def _shift_params(values: np.ndarray, n_bits: int, wsep: float) -> QuantParams:
     if not np.any(values != 0.0):
         raise DegenerateInputError("unpruned weights are all zero")
     return QuantParams(MODE_SHIFT, n_bits, select_bias(values, n_bits - 2),
-                       wsep=float(wsep))
+                       assignment=np.zeros(values.size, dtype=np.int64), wsep=float(wsep))
 
 
 def _recentralized_params(values: np.ndarray, model: MixtureModel,
@@ -314,24 +323,22 @@ def fit_params(values: np.ndarray, n_bits: int, w_sep: float, seed: int,
 def encode(values: np.ndarray, params: QuantParams) -> np.ndarray:
     """Symbols of the unpruned values, in order, under fitted parameters."""
     values = np.asarray(values, dtype=np.float64)
-    if params.mode == MODE_SHIFT:
-        return shift_quantize_array(values, params.grid)[0]
     normalized = _normalize(values, params.mu, params.sigma, params.assignment)
-    codes, _ = shift_quantize_array(normalized, params.grid)
-    return fq_pack_array(params.assignment, codes, params.n_bits)
+    sign, exponent = nearest_power(normalized, params.grid)
+    return pack(params.assignment, sign, exponent, params)
 
 
 def decode(symbols: np.ndarray, params) -> np.ndarray:
-    """Values of symbols before the layer scale alpha, float64.
+    """Values of symbols before the layer scale alpha, float64:
+    sigma * s * 2^(e - b) + mu_m, and 0.0 for ZERO.
 
     ``params`` is a :class:`QuantParams` or a :class:`LayerQuantization`.
     """
-    if params.mode == MODE_SHIFT:
-        return dequantize_array(symbols, params.grid)
-    pruned, component, sign, exponent = fq_unpack_array(symbols, params.n_bits)
-    deviation = sign * np.ldexp(1.0, exponent - params.bias)
-    mu = np.array(params.mu)[component]
-    return np.where(pruned, 0.0, params.sigma * deviation + mu)
+    component, sign, exponent = unpack(symbols, params)
+    values = sign * np.ldexp(params.sigma, exponent - params.bias)
+    values += np.array(params.mu)[component]
+    values[np.asarray(symbols) == ZERO] = 0.0
+    return values
 
 
 def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
@@ -399,19 +406,9 @@ def quantize_layer(
     return quantize_with(flat, keep, params, name, alpha)
 
 
-def decode_symbols(lq: LayerQuantization) -> np.ndarray:
-    """Symbol values before the layer scale alpha, flat float64.
-
-    Kept separate from :func:`dequantize_layer` because the integer engine
-    applies alpha once per output sum, not once per weight; both views need
-    the same pre-scale values.
-    """
-    return decode(lq.symbols, lq)
-
-
 def dequantize_layer(lq: LayerQuantization) -> np.ndarray:
     """Exact real weights encoded by the symbols, flat float64."""
-    return lq.alpha * decode_symbols(lq)
+    return lq.alpha * decode(lq.symbols, lq)
 
 
 def kl_complexity_cost(

@@ -72,10 +72,6 @@ def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarra
     return post
 
 
-def responsibilities(model: MixtureModel, value: float) -> np.ndarray:
-    return responsibilities_array(model, np.array([value]))[0]
-
-
 def _mean_log_likelihood(model: MixtureModel, values: np.ndarray) -> float:
     log_w = _log_densities(model, values)
     shift = log_w.max(axis=1, keepdims=True)

@@ -50,12 +50,3 @@ def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> PruneMask
     mask = np.ones(flat.size, dtype=np.uint8)
     mask[order[:n_prune]] = 0
     return PruneMask(mask)
-
-
-def apply_mask(weights: np.ndarray, mask: PruneMask) -> np.ndarray:
-    """Zero the masked weights; output shape and dtype match the input."""
-    arr = np.asarray(weights)
-    if mask.mask.size != arr.size:
-        raise ValueError(f"mask length {mask.mask.size} != weight count {arr.size}")
-    out = arr.ravel() * mask.mask.astype(arr.dtype)
-    return out.reshape(arr.shape)

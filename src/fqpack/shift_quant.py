@@ -1,18 +1,13 @@
-"""Power-of-two ("shift") quantization.
+"""Power-of-two ("shift") grid arithmetic.
 
 A grid with k exponent bits and integer bias b represents the values
 
     {0} U {s * 2^(e - b) : s in {-1, +1}, e in [0, 2^k - 1]}.
 
-Quantization maps a real value to the nearest grid member in absolute
-distance, with ties resolved toward the smaller magnitude; values beyond the
-largest magnitude clip to it.
-
-Symbol codes are fixed-width integers of k + 2 bits:
-
-    0                  ZERO
-    (1 << k) | e       +2^(e - b)
-    (2 << k) | e       -2^(e - b)
+Rounding maps a real value to the nearest grid member in absolute distance,
+as a (sign, exponent) pair, with ties resolved toward the smaller magnitude;
+values beyond the largest magnitude clip to it. How such pairs are packed
+into symbols is ``fqpack.focused_quant``'s business.
 """
 
 from __future__ import annotations
@@ -21,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-ZERO = 0  # symbol code shared by true zeros and pruned weights
 
 BIAS_SEARCH_RANGE = (-32, 32)
 
@@ -50,64 +43,30 @@ class ShiftGrid:
         return np.sort(np.concatenate(([0.0], mags, -mags)))
 
 
-def pack_shift_code(sign: int, exponent: int, exponent_bits: int) -> int:
-    """Pack (sign, exponent) into a symbol code; sign 0 packs to ZERO."""
-    if sign == 0:
-        return ZERO
-    s_code = 1 if sign > 0 else 2
-    return (s_code << exponent_bits) | int(exponent)
+def nearest_power(values: np.ndarray, grid: ShiftGrid):
+    """Round an array onto the grid; returns (sign, exponent), both int64.
 
-
-def unpack_shift_code(code: int, exponent_bits: int):
-    """Return (sign, exponent); ZERO unpacks to (0, 0)."""
-    if code == ZERO:
-        return 0, 0
-    s_code = code >> exponent_bits
-    exponent = code & ((1 << exponent_bits) - 1)
-    if s_code not in (1, 2):
-        raise ValueError(f"invalid shift symbol code {code}")
-    return (1 if s_code == 1 else -1), exponent
-
-
-def shift_quantize_array(values: np.ndarray, grid: ShiftGrid):
-    """Quantize an array; returns (codes int64, quantized float64)."""
+    ``sign`` is -1, 0 or +1; values that round to zero give (0, 0).
+    """
     v = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
     mag = np.abs(v)
 
-    # region below the midpoint between 0 and the smallest level -> ZERO
+    # region below the midpoint between 0 and the smallest level -> zero
     zero_mid = 2.0 ** (-grid.bias - 1)
     is_zero = mag <= zero_mid
 
     # nearest power of two in linear distance; tie at 1.5 * 2^a goes down
     with np.errstate(divide="ignore", invalid="ignore"):
-        mant, exp = np.frexp(np.where(is_zero, 1.0, mag))
+        _, exp = np.frexp(np.where(is_zero, 1.0, mag))
     lower = np.ldexp(1.0, exp - 1)  # 2^(exp-1) <= mag < 2^exp
     go_up = mag > 1.5 * lower
     e = exp - 1 + grid.bias + go_up.astype(np.int64)
     e = np.clip(e, 0, grid.max_exponent)
 
-    sign = np.where(v > 0, 1, -1).astype(np.int64)
-    codes = np.where(
-        is_zero,
-        ZERO,
-        (np.where(sign > 0, 1, 2) << grid.exponent_bits) | e,
-    ).astype(np.int64)
-    quantized = np.where(is_zero, 0.0, sign * np.ldexp(1.0, e - grid.bias))
-    return codes, quantized
-
-
-def dequantize_array(codes: np.ndarray, grid: ShiftGrid) -> np.ndarray:
-    codes = np.asarray(codes, dtype=np.int64)
-    s_code = codes >> grid.exponent_bits
-    e = codes & grid.max_exponent
-    valid = (codes == ZERO) | ((s_code >= 1) & (s_code <= 2))
-    if (codes < 0).any() or not valid.all():
-        raise ValueError("invalid shift symbol code")
-    sign = np.where(s_code == 1, 1.0, -1.0)
-    values = sign * np.ldexp(1.0, e - grid.bias)
-    return np.where(codes == ZERO, 0.0, values)
+    sign = np.where(is_zero, 0, np.where(v > 0, 1, -1))
+    return sign, np.where(is_zero, 0, e)
 
 
 @lru_cache(maxsize=None)

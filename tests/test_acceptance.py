@@ -12,7 +12,7 @@ import numpy as np
 
 from fqpack.codec import (
     CompressedModel,
-    build_huffman,
+    HuffmanTable,
     compression_ratio,
     compression_report,
     decode_compressed,
@@ -30,10 +30,14 @@ from fqpack.engine import (
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
+    ZERO,
     LayerQuantization,
-    decode_symbols,
+    QuantParams,
+    decode,
     dequantize_layer,
+    encode,
     kl_complexity_cost,
+    pack,
     quantize_layer,
     quantize_recentralized,
     round_hyperparams,
@@ -47,14 +51,7 @@ from fqpack.mixture import (
 from fqpack.model_store import LayerSpec, ModelFile, synthetic_blobs
 from fqpack.nn import ToyNet, softmax_cross_entropy
 from fqpack.pruner import prune_by_magnitude
-from fqpack.shift_quant import (
-    ZERO,
-    ShiftGrid,
-    dequantize_array,
-    pack_shift_code,
-    select_bias,
-    shift_quantize_array,
-)
+from fqpack.shift_quant import ShiftGrid, nearest_power, select_bias
 from fqpack.trainer import TrainConfig, finetune_inq, top1_accuracy, train_float
 
 
@@ -95,10 +92,11 @@ def test_criterion_01_shift_quantizer_matches_enumeration():
             rng.normal(0.0, 2.0**-b, 50_000),
             np.array(ties), -np.array(ties),
         ])
-        codes, quantized = shift_quantize_array(vals, grid)
+        params = QuantParams(MODE_SHIFT, k + 2, b, assignment=np.zeros(vals.size, dtype=np.int64))
+        sign, exponent = nearest_power(vals, grid)
         want = nearest_on_grid(vals, grid)
-        mismatches += int(np.sum(dequantize_array(codes, grid) != want))
-        mismatches += int(np.sum(quantized != want))
+        mismatches += int(np.sum(decode(encode(vals, params), params) != want))
+        mismatches += int(np.sum(sign * np.ldexp(1.0, exponent - b) != want))
         total += vals.size
     elapsed = time.perf_counter() - t0
     report(1, mismatches == 0 and elapsed < 10.0,
@@ -285,7 +283,7 @@ def test_criterion_06_codec_lossless_and_payload_optimal(tmp_path):
         probs = weights / weights.sum()
         stream = rng.choice(size, p=probs, size=int(rng.integers(100, 600)))
         counts = np.bincount(stream, minlength=size)
-        table = build_huffman(counts, size)
+        table = HuffmanTable.from_frequencies(counts, size)
         payload, bits = table.encode(stream)
         not_identity += not np.array_equal(table.decode(payload, bits), stream)
         suboptimal += bits != two_queue_optimal_bits(counts)
@@ -331,7 +329,8 @@ def _random_dyadic_lq(rng, count, mode):
     alpha = float(rng.choice([0.5, 0.75, 1.0, 1.25]))
     if mode == MODE_SHIFT:
         k = 3
-        codes = [ZERO] + [pack_shift_code(s, e, k)
+        params = QuantParams(MODE_SHIFT, 5, 0)
+        codes = [ZERO] + [int(pack(0, s, e, params))
                           for s in (1, -1) for e in range(2**k)]
         return LayerQuantization(
             name="w", mode=MODE_SHIFT, n_bits=5, alpha=alpha,
@@ -414,7 +413,7 @@ def test_criterion_07_integer_conv_matches_float_conv():
                          geometry=geometry, bn_params=bn)
         out, _ = conv2d_quantized(ints, -7, spec, rlq, out_exp=-7)
         reals = conv2d_gemm(np.ldexp(ints.astype(float), -7),
-                            decode_symbols(rlq).reshape(fh, fw, cin, cout),
+                            decode(rlq.symbols, rlq).reshape(fh, fw, cin, cout),
                             stride=stride, pad=pad)
         g, t = fold_bn(bn)
         reals = rlq.alpha * reals * g[:, None, None] + t[:, None, None]
@@ -440,7 +439,7 @@ def test_criterion_08_ste_gradients_match_finite_differences():
     flat = conv.w.ravel().copy()
     lq = quantize_layer(flat, prune_by_magnitude(flat, 0.5), 5, seed=1,
                         name="conv1", alpha=0.8)
-    q_pre = decode_symbols(lq)
+    q_pre = decode(lq.symbols, lq)
     conv.w = dequantize_layer(lq).reshape(conv.w.shape)
     images, labels = synthetic_blobs(32, seed=9108, image_hw=16)
 

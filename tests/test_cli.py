@@ -26,16 +26,25 @@ from fqpack.codec import (
     save_compressed,
 )
 from fqpack.cost_model import DEFAULT_GEOMETRY, DEFAULT_SCHEMES
-from fqpack.errors import CorruptionError
+from fqpack.engine import FloatSimulator, IntegerEngine
+from fqpack.errors import CorruptionError, FormatError
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
-    LayerQuantization,
     MODE_SHIFT,
+    ZERO,
+    LayerQuantization,
+    QuantParams,
     dequantize_layer,
+    pack,
 )
-from fqpack.model_store import LayerSpec, ModelFile, load_model, save_model
+from fqpack.model_store import (
+    LayerSpec,
+    ModelFile,
+    load_cifar10_batch,
+    load_model,
+    save_model,
+)
 from fqpack.nn import ToyNet
-from fqpack.shift_quant import ZERO, pack_shift_code
 from fqpack.trainer import METRICS_HEADER
 
 
@@ -208,7 +217,7 @@ def identity_artifacts(tmp_path):
     head_w = np.eye(channels, dtype=np.float32)
     conv_sym = np.full(channels * channels, ZERO)
     head_sym = np.full(channels * channels, ZERO)
-    one = pack_shift_code(1, 0, 3)
+    one = pack(0, 1, 0, QuantParams(MODE_SHIFT, 5, 0))
     for c in range(channels):
         conv_w[0, 0, c, c] = 1.0
         conv_sym[c * channels + c] = one
@@ -263,6 +272,35 @@ def test_infer_agreement_on_thousand_samples(assets, capsys):
     assert "over 1000 samples" in agreement_line
     assert value >= 0.99
     assert sum(1 for l in out.splitlines() if l.startswith("sample ")) == 2
+
+
+def test_infer_prints_rows_of_the_one_batched_pass(assets, capsys, monkeypatch):
+    limit, shown = 300, 3  # two engine batches: 256 images, then 44
+    model, cm = load_model(assets["model"]), load_compressed(assets["fqz"])
+    images, labels = (a[:limit] for a in load_cifar10_batch(assets["data"]))
+    engine, simulator = IntegerEngine(model, cm), FloatSimulator(model, cm)
+    engine_top, float_top = engine.predict(images), simulator.predict(images)
+    want = [f"sample {i}: " + " ".join(f"{v:.6f}" for v in row)
+            for i, row in enumerate(engine.forward(images[:shown]))]
+    want += [f"agreement {np.mean(engine_top == float_top):.4f} over {limit} samples",
+             f"engine top1 {np.mean(engine_top == labels):.4f}",
+             f"float top1 {np.mean(float_top == labels):.4f}"]
+
+    seen = {IntegerEngine: 0, FloatSimulator: 0}  # images through each forward
+    forward = IntegerEngine.forward
+
+    def counting_forward(self, batch):
+        seen[type(self)] += len(batch)
+        return forward(self, batch)
+
+    monkeypatch.setattr(IntegerEngine, "forward", counting_forward)
+    rc, out, _ = run_cli([
+        "infer", "--model", str(assets["model"]), "--compressed", str(assets["fqz"]),
+        "--data", str(assets["data"]), "--limit", str(limit), "--print-logits", str(shown),
+    ], capsys)
+    assert rc == 0
+    assert out.splitlines() == want
+    assert seen == {IntegerEngine: limit, FloatSimulator: limit}
 
 
 def test_infer_corrupted_container(assets, capsys, tmp_path):
@@ -325,6 +363,24 @@ def test_symbol_with_an_unused_sign_field_is_a_format_error(capsys, tmp_path, co
     assert (rc, stdout) == (2, "")
     assert err == (f"error: layer 'conv1': symbol {bad} has sign field {field}, "
                    f"which no {mode} code uses\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("mu", (0.0, 0.5)), ("mu", (-0.25, 0.0)),
+                                          ("sigma", 0.5)])
+def test_shift_record_with_a_centre_or_a_scale_is_a_format_error(capsys, tmp_path,
+                                                                  field, value):
+    model_path, fqz_path, _, _ = identity_artifacts(tmp_path)
+    conv1, head = load_compressed(fqz_path).layers
+    setattr(conv1, field, value)  # past the construction check, as a hand-built file would be
+    save_compressed(CompressedModel([conv1, head]), fqz_path)
+    with pytest.raises(FormatError, match="a shift layer has mu"):
+        load_compressed(fqz_path)
+    out = tmp_path / "out.fqm"
+    rc, stdout, err = run_cli(["decompress", "--in", str(fqz_path), "--model", str(model_path),
+                               "--out", str(out)], capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: layer 'conv1': a shift layer has mu (0, 0) and sigma 1")
     assert not out.exists()
 
 

@@ -12,7 +12,6 @@ from fqpack.codec import (
     REPORT_HEADER,
     CompressedModel,
     HuffmanTable,
-    build_huffman,
     compression_ratio,
     compression_report,
     decode_compressed,
@@ -73,7 +72,7 @@ def test_uniform_counts_give_equal_lengths():
 
 def test_single_symbol_gets_one_bit():
     assert _huffman_lengths({5: 100}) == {5: 1}
-    table = build_huffman({5: 100}, 32)
+    table = HuffmanTable.from_frequencies({5: 100}, 32)
     payload, bits = table.encode(np.full(9, 5))
     assert bits == 9 and len(payload) == 2
     assert table.decode(payload, bits).tolist() == [5] * 9
@@ -83,12 +82,12 @@ def test_empty_counts_rejected():
     with pytest.raises(ValueError):
         _huffman_lengths({})
     with pytest.raises(ValueError):
-        build_huffman({}, 32)
+        HuffmanTable.from_frequencies({}, 32)
 
 
 def test_symbol_outside_alphabet_rejected():
     with pytest.raises(ValueError):
-        build_huffman({40: 3}, 32)
+        HuffmanTable.from_frequencies({40: 3}, 32)
 
 
 # --- canonical table -------------------------------------------------------------
@@ -110,7 +109,7 @@ def test_codes_are_prefix_free():
                   enumerate(rng.integers(0, 50, size=32)) if c > 0}
         if len(counts) < 2:
             continue
-        table = build_huffman(counts, 32)
+        table = HuffmanTable.from_frequencies(counts, 32)
         words = [format(code, f"0{int(table.lengths[s])}b")
                  for s, code in table.codes.items()]
         for i, a in enumerate(words):
@@ -141,7 +140,7 @@ def test_random_stream_round_trips():
         alphabet = int(rng.choice([8, 16, 32]))
         symbols = rng.integers(0, alphabet, size=size)
         counts = np.bincount(symbols, minlength=alphabet)
-        table = build_huffman(counts, alphabet)
+        table = HuffmanTable.from_frequencies(counts, alphabet)
         payload, bits = table.encode(symbols)
         assert np.array_equal(table.decode(payload, bits), symbols)
 
@@ -152,19 +151,19 @@ def test_payload_matches_optimal_length():
         symbols = rng.integers(0, 16, size=int(rng.integers(2, 500)))
         counts = {int(s): int(c) for s, c in
                   enumerate(np.bincount(symbols, minlength=16)) if c > 0}
-        table = build_huffman(counts, 16)
+        table = HuffmanTable.from_frequencies(counts, 16)
         _, bits = table.encode(symbols)
         assert bits == optimal_cost(counts)
 
 
 def test_encode_unknown_symbol_rejected():
-    table = build_huffman({0: 3, 1: 1}, 4)
+    table = HuffmanTable.from_frequencies({0: 3, 1: 1}, 4)
     with pytest.raises(ValueError):
         table.encode(np.array([2]))
 
 
 def test_decode_truncated_payload():
-    table = build_huffman({0: 1, 1: 1, 2: 2}, 4)
+    table = HuffmanTable.from_frequencies({0: 1, 1: 1, 2: 2}, 4)
     payload, bits = table.encode(np.array([0, 1, 2, 0]))
     with pytest.raises(CorruptionError):
         table.decode(payload, bits + 3)  # claims more bits than exist
@@ -182,7 +181,7 @@ def test_sparse_layer_zero_symbol_is_one_bit():
     mask = prune_by_magnitude(weights, 0.9)
     lq = quantize_layer(weights, mask, n_bits, seed=7)
     counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
-    table = build_huffman(counts, lq.alphabet_size)
+    table = HuffmanTable.from_frequencies(counts, lq.alphabet_size)
     assert table.lengths[0] == 1  # the pruned symbol dominates
     _, bits = table.encode(lq.symbols)
     fixed = n_bits * lq.symbols.size
@@ -514,7 +513,7 @@ def fibonacci_counts(n):
 
 @pytest.mark.parametrize("n_symbols, longest", [(27, 26), (36, 35), (58, 57)])
 def test_long_codes_round_trip(n_symbols, longest):
-    table = build_huffman(fibonacci_counts(n_symbols), 64)
+    table = HuffmanTable.from_frequencies(fibonacci_counts(n_symbols), 64)
     assert int(table.lengths.max()) == longest
     rng = np.random.default_rng(longest)
     symbols = rng.integers(0, n_symbols, size=5000)
@@ -524,19 +523,19 @@ def test_long_codes_round_trip(n_symbols, longest):
 
 
 def test_code_longer_than_decode_window_rejected():
-    table = build_huffman(fibonacci_counts(58), 64)
+    table = HuffmanTable.from_frequencies(fibonacci_counts(58), 64)
     lengths = table.lengths.copy()
     lengths[np.argmax(lengths)] += 1  # still a prefix code, one bit too long
     with pytest.raises(FormatError):
         HuffmanTable(lengths)
     with pytest.raises(FormatError):
-        build_huffman(fibonacci_counts(59), 64)
+        HuffmanTable.from_frequencies(fibonacci_counts(59), 64)
 
 
 def test_stream_spanning_many_decode_chunks():
     rng = np.random.default_rng(56)
     symbols = rng.choice(32, size=200_000, p=np.r_[0.5, np.full(31, 0.5 / 31)])
-    table = build_huffman(np.bincount(symbols, minlength=32), 32)
+    table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=32), 32)
     payload, bits = table.encode(symbols)
     assert len(payload) > 4 * codec._CHUNK_BYTES
     assert (payload, bits) == serial_encode(table.lengths, symbols)
@@ -547,7 +546,7 @@ def test_decode_errors():
     single = HuffmanTable(np.array([0, 1, 0, 0], dtype=np.uint8))  # one symbol, code "0"
     with pytest.raises(CorruptionError, match="matches no codeword"):
         single.decode(b"\x40", 8)  # 0 then 1: the second bit starts no code
-    table = build_huffman({0: 5, 1: 1, 2: 1}, 4)  # 0 = "0", 1 = "10", 2 = "11"
+    table = HuffmanTable.from_frequencies({0: 5, 1: 1, 2: 1}, 4)  # 0 = "0", 1 = "10", 2 = "11"
     with pytest.raises(CorruptionError, match="ends inside a codeword"):
         table.decode(b"\x80", 1)  # a lone "1"
     with pytest.raises(CorruptionError, match="shorter than its declared"):

@@ -31,16 +31,17 @@ from fqpack.errors import (
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
+    ZERO,
     LayerQuantization,
-    decode_symbols,
-    fq_unpack_array,
+    QuantParams,
+    decode,
+    pack,
     quantize_layer,
 )
 from fqpack.model_store import LayerSpec, ModelFile
 from fqpack.nn import ToyNet
 from fqpack.pruner import prune_by_magnitude
 from fqpack.rng import derive_seed
-from fqpack.shift_quant import ZERO, pack_shift_code
 
 
 class NoMul(int):
@@ -62,6 +63,11 @@ def shift_layer(symbols, bias=0, n_bits=5, alpha=1.0, name="w"):
     )
 
 
+def shift_code(sign, exponent, n_bits=5):
+    """The n-bit shift-mode symbol of sign * 2^exponent (before the bias)."""
+    return int(pack(0, sign, exponent, QuantParams(MODE_SHIFT, n_bits, 0)))
+
+
 def rec_layer(symbols, mu, sigma, bias=0, n_bits=5, alpha=1.0, name="w"):
     return LayerQuantization(
         name=name, mode=MODE_RECENTRALIZED, n_bits=n_bits, alpha=alpha,
@@ -71,8 +77,7 @@ def rec_layer(symbols, mu, sigma, bias=0, n_bits=5, alpha=1.0, name="w"):
 
 def seventy_bit_layer():
     """Three 2^60 weights and a 1: a 70-bit bound on 4-wide patches."""
-    k = 6
-    return shift_layer([pack_shift_code(1, 60, k)] * 3 + [pack_shift_code(1, 0, k)], n_bits=8)
+    return shift_layer([shift_code(1, 60, 8)] * 3 + [shift_code(1, 0, 8)], n_bits=8)
 
 
 # --- activation quantization -----------------------------------------------------
@@ -165,7 +170,7 @@ def test_quant_bn_precision_and_apply():
 
 
 def test_dot_single_shift_weight():
-    lq = shift_layer([pack_shift_code(1, 0, 3)], bias=0)
+    lq = shift_layer([shift_code(1, 0)], bias=0)
     acc, scale = dot_shift_add([3], lq)
     assert (acc, scale) == (3, 0)
     assert lq.alpha * acc * 2.0**scale == 3.0  # weight is exactly 1.0
@@ -177,7 +182,7 @@ def test_dot_recentralized_hand_example():
     lq = rec_layer([sym], mu=(-1.0, 2.0), sigma=1.0, bias=0)
     acc, scale = dot_shift_add([3], lq)
     assert acc * 2.0**scale == 9.0
-    assert decode_symbols(lq)[0] == 3.0
+    assert decode(lq.symbols, lq)[0] == 3.0
 
 
 def test_dot_matches_float_oracle_exactly():
@@ -195,13 +200,13 @@ def test_dot_matches_float_oracle_exactly():
                        alpha=0.75)
         acts = rng.integers(-127, 128, size=64)
         acc, scale = dot_shift_add(acts.tolist(), lq)
-        want = 0.75 * float(acts @ decode_symbols(lq))
+        want = 0.75 * float(acts @ decode(lq.symbols, lq))
         assert lq.alpha * acc * 2.0**scale == want
 
 
 def test_dot_is_linear_in_activations():
     rng = np.random.default_rng(84)
-    symbols = [pack_shift_code(1, 2, 3), ZERO, pack_shift_code(-1, 0, 3)]
+    symbols = [shift_code(1, 2), ZERO, shift_code(-1, 0)]
     lq = shift_layer(symbols, bias=2)
     x = rng.integers(-50, 50, size=3).tolist()
     y = rng.integers(-50, 50, size=3).tolist()
@@ -213,7 +218,7 @@ def test_dot_is_linear_in_activations():
 
 
 def test_dot_positions_subselect():
-    symbols = [pack_shift_code(1, 0, 3)] * 4
+    symbols = [shift_code(1, 0)] * 4
     lq = shift_layer(symbols, bias=0)
     full, _ = dot_shift_add([1, 2, 3, 4], lq)
     part, _ = dot_shift_add([2, 4], lq, positions=[1, 3])
@@ -221,7 +226,7 @@ def test_dot_positions_subselect():
 
 
 def test_dot_length_mismatch():
-    lq = shift_layer([pack_shift_code(1, 0, 3)], bias=0)
+    lq = shift_layer([shift_code(1, 0)], bias=0)
     with pytest.raises(ValueError):
         dot_shift_add([1, 2], lq)
 
@@ -250,7 +255,7 @@ def test_dot_uses_no_multiplications():
 
 def test_accumulator_bits_shift_mode():
     # max exponent 3 -> per-term bound 8; 10 * 127 * 8 = 10160 needs 15 bits
-    lq = shift_layer([pack_shift_code(1, 3, 3), pack_shift_code(-1, 1, 3)])
+    lq = shift_layer([shift_code(1, 3), shift_code(-1, 1)])
     assert accumulator_bits(lq, 10, act_bits=8) == 15
 
 
@@ -260,7 +265,7 @@ def test_accumulator_bits_all_zero_layer():
 
 
 def test_check_accumulator_raises_on_tight_limit():
-    lq = shift_layer([pack_shift_code(1, 3, 3)])
+    lq = shift_layer([shift_code(1, 3)])
     assert check_accumulator(lq, 10) == accumulator_bits(lq, 10)
     with pytest.raises(AccumulatorOverflowError):
         check_accumulator(seventy_bit_layer(), 4)
@@ -297,7 +302,7 @@ def identity_conv_spec(channels, name="conv"):
 
 def identity_conv_lq(channels, n_bits=5, name="conv"):
     symbols = np.full(channels * channels, ZERO)
-    one = pack_shift_code(1, 0, n_bits - 2)
+    one = shift_code(1, 0, n_bits)
     for c in range(channels):
         symbols[c * channels + c] = one
     return shift_layer(symbols, bias=0, n_bits=n_bits, name=name)
@@ -346,7 +351,7 @@ def test_conv_within_one_lsb_of_float():
     out, exp = conv2d_quantized(ints, -7, spec, lq, out_exp=-7)
     # independent float path: real activations, decoded real weights, real BN
     reals = conv2d_gemm(np.ldexp(ints.astype(float), -7),
-                        decode_symbols(lq).reshape(3, 3, cin, cout),
+                        decode(lq.symbols, lq).reshape(3, 3, cin, cout),
                         stride=1, pad=1)
     g, t = fold_bn(bn)
     reals = lq.alpha * reals * g[:, None, None] + t[:, None, None]
@@ -363,7 +368,7 @@ def identity_model(channels=3):
              LayerSpec(name="head", kind="dense", weight=head,
                        geometry=(channels, channels))]
     sym = np.full(channels * channels, ZERO)
-    one = pack_shift_code(1, 0, 3)
+    one = shift_code(1, 0)
     for c in range(channels):
         sym[c * channels + c] = one
     lqs = [identity_conv_lq(channels, name="conv1"),
@@ -495,7 +500,7 @@ def dyadic_layers(draw, weight_count):
         n_bits = draw(st.integers(3, 6))
         k = n_bits - 2
         e_top = draw(st.integers(0, 2**k - 1))
-        codes = [ZERO] + [pack_shift_code(s, e, k)
+        codes = [ZERO] + [shift_code(s, e, n_bits)
                           for s in (1, -1) for e in range(e_top + 1)]
         return shift_layer(rng.choice(codes, size=weight_count),
                            bias=draw(st.integers(-2, 5)), n_bits=n_bits, alpha=alpha)
@@ -593,8 +598,7 @@ def test_wide_bound_builds_an_exact_float64_stage():
     # 15 weights of 2^15 against activation 127, plus 1 x 1: the sum is odd
     # and above 2^24, so a float32 GEMM would round it
     n_in = 16
-    k = 4
-    symbols = [pack_shift_code(1, 15, k)] * (n_in - 1) + [pack_shift_code(1, 0, k)]
+    symbols = [shift_code(1, 15, 6)] * (n_in - 1) + [shift_code(1, 0, 6)]
     lq = shift_layer(symbols, bias=3, n_bits=6, alpha=0.75)
     bits = accumulator_bits(lq, n_in)
     assert F32_EXACT_BITS < bits <= ACC_BITS
@@ -676,9 +680,11 @@ def _old_accumulator_bits(lq, patch_size, act_bits=8):
     """The bound decoded from the symbols before it read the planes, as an oracle."""
     xmax = (1 << (act_bits - 1)) - 1
     if lq.mode == MODE_RECENTRALIZED:
-        _, _, sign, exponent = fq_unpack_array(lq.symbols, lq.n_bits)
-        has_dev = bool(np.any(sign != 0))
-        e_max = int(exponent[sign != 0].max()) if has_dev else 0
+        k = lq.exponent_bits
+        field = (lq.symbols >> k) & 3
+        deviation = (field == 1) | (field == 2)
+        has_dev = bool(np.any(deviation))
+        e_max = int((lq.symbols[deviation] & ((1 << k) - 1)).max()) if has_dev else 0
         per = (1 << e_max) if has_dev else 0
         centers = [m for m in lq.mu if m != 0.0]
         if centers:
@@ -698,8 +704,8 @@ def _old_accumulator_bits(lq, patch_size, act_bits=8):
 def _every_centre_assigned(lq):
     if lq.mode != MODE_RECENTRALIZED:
         return True
-    pruned, component, _, _ = fq_unpack_array(lq.symbols, lq.n_bits)
-    return all(c in component[~pruned] for c, mu in enumerate(lq.mu) if mu != 0.0)
+    component = lq.symbols >> (lq.exponent_bits + 2)
+    return all(c in component[lq.symbols != ZERO] for c, mu in enumerate(lq.mu) if mu != 0.0)
 
 
 @settings(max_examples=300, deadline=None)

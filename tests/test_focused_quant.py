@@ -1,26 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqpack.errors import DegenerateInputError
 from fqpack.focused_quant import (
+    MIN_BITS_RECENTRALIZED,
+    MIN_BITS_SHIFT,
     MODE_RECENTRALIZED,
     MODE_SHIFT,
+    ZERO,
     LayerQuantization,
+    QuantParams,
     choose_mode,
-    decode_symbols,
+    decode,
     dequantize_layer,
-    fq_pack_array,
-    fq_unpack_array,
     kl_complexity_cost,
+    pack,
     quantize_layer,
     quantize_recentralized,
     quantize_shift_layer,
     round_hyperparams,
     round_log2,
+    unpack,
 )
 from fqpack.mixture import MINUS, PLUS, MixtureModel, fit_em, sample_assignments
 from fqpack.pruner import PruneMask, prune_by_magnitude
-from fqpack.shift_quant import ZERO, ShiftGrid
+from fqpack.shift_quant import ShiftGrid
 
 
 def nearest_on_grid(values, grid):
@@ -205,7 +210,7 @@ def test_shift_layer_matches_enumeration():
     keep = mask.mask == 1
     expected = np.zeros(weights.size)
     expected[keep] = nearest_on_grid(weights[keep], lq.grid)
-    assert np.array_equal(decode_symbols(lq), expected)
+    assert np.array_equal(decode(lq.symbols, lq), expected)
 
 
 def test_all_pruned_is_degenerate():
@@ -226,6 +231,7 @@ def test_shift_needs_three_bits():
 def test_fq_pack_unpack_round_trip():
     n_bits = 5
     k = n_bits - 3
+    params = QuantParams(MODE_RECENTRALIZED, n_bits, 0)
     comps, signs, exps = [], [], []
     symbols = []
     for m in (0, 1):
@@ -234,19 +240,113 @@ def test_fq_pack_unpack_round_trip():
                 symbols.append((m << 4) | (s_code << k) | e)
                 comps.append(m), signs.append(sign), exps.append(e)
     symbols = np.array(symbols)
-    pruned, component, sign, exponent = fq_unpack_array(symbols, n_bits)
-    assert not pruned.any()
+    component, sign, exponent = unpack(symbols, params)
     assert component.tolist() == comps
     assert sign.tolist() == signs
     assert exponent.tolist() == exps
+    assert np.array_equal(pack(comps, signs, exps, params), symbols)
     assert np.all(symbols < 2**n_bits)
 
 
 def test_fq_pack_reserves_zero_for_pruned():
-    packed = fq_pack_array(np.array([0, 1]), np.array([ZERO, ZERO]), 5)
-    assert ZERO not in packed.tolist()  # centers, not pruned markers
-    pruned, _, sign, _ = fq_unpack_array(np.array([ZERO]), 5)
-    assert pruned[0] and sign[0] == 0
+    rec = QuantParams(MODE_RECENTRALIZED, 5, 0)
+    packed = pack(np.array([0, 1]), np.array([0, 0]), np.array([0, 0]), rec)
+    assert packed.tolist() == [3 << 2, (1 << 4) | (3 << 2)]  # centres, not pruned markers
+    assert [f.tolist() for f in unpack(np.array([ZERO]), rec)] == [[0], [0], [0]]
+    assert pack(0, 0, 0, QuantParams(MODE_SHIFT, 5, 0)) == ZERO  # no centre code in shift mode
+
+
+@st.composite
+def triples(draw):
+    """(params, component, sign, exponent) of valid weights of one layer."""
+    mode = draw(st.sampled_from([MODE_SHIFT, MODE_RECENTRALIZED]))
+    n_bits = draw(st.integers(MIN_BITS_SHIFT if mode == MODE_SHIFT else MIN_BITS_RECENTRALIZED, 8))
+    params = QuantParams(mode, n_bits, 0)
+    count = draw(st.integers(1, 40))
+    top = 1 if mode == MODE_RECENTRALIZED else 0
+    component = draw(st.lists(st.integers(0, top), min_size=count, max_size=count))
+    sign = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=count, max_size=count))
+    exponent = [0 if s == 0 else draw(st.integers(0, (1 << params.exponent_bits) - 1))
+                for s in sign]
+    return params, component, sign, exponent
+
+
+@settings(max_examples=300, deadline=None)
+@given(triples())
+def test_pack_then_unpack_round_trips_every_valid_triple(case):
+    params, component, sign, exponent = case
+    symbols = pack(component, sign, exponent, params)
+    assert np.all((symbols >= 0) & (symbols < 1 << params.n_bits))
+    LayerQuantization(name="l", mode=params.mode, n_bits=params.n_bits, alpha=1.0, bias=0,
+                      mu=(0.0, 0.0), sigma=1.0, symbols=symbols)  # all valid
+    got = [f.tolist() for f in unpack(symbols, params)]
+    assert got == [list(component), list(sign), list(exponent)]
+    # a zero deviation is ZERO in shift mode and a centre, never ZERO, when recentralized
+    zero_dev = np.array(sign) == 0
+    assert np.all((symbols[zero_dev] == ZERO) == (params.mode == MODE_SHIFT))
+
+
+@pytest.mark.parametrize("mode, n_bits", [(MODE_SHIFT, b) for b in range(3, 9)]
+                         + [(MODE_RECENTRALIZED, b) for b in range(4, 9)])
+def test_every_pack_of_a_layout_round_trips(mode, n_bits):
+    params = QuantParams(mode, n_bits, 0)
+    components = range(2 if mode == MODE_RECENTRALIZED else 1)
+    grid = [(m, s, e) for m in components for s in (-1, 1) for e in range(1 << params.exponent_bits)]
+    grid += [(m, 0, 0) for m in components]
+    component, sign, exponent = (list(f) for f in zip(*grid))
+    symbols = pack(component, sign, exponent, params)
+    assert [f.tolist() for f in unpack(symbols, params)] == [component, sign, exponent]
+    # distinct triples, distinct symbols: shift's zero deviation is ZERO, the rest are not
+    assert np.unique(symbols).size == len(grid)
+
+
+def table_value(symbol, mode, n_bits, bias, mu, sigma):
+    """A symbol's pre-alpha value read off the module docstring's table with
+    integer division, or None for a code the table does not list."""
+    k = n_bits - (3 if mode == MODE_RECENTRALIZED else 2)
+    if symbol == 0:
+        return 0.0
+    m, rest = divmod(symbol, 2 ** (k + 2))
+    field, e = divmod(rest, 2**k)
+    if mode == MODE_SHIFT and m != 0:
+        return None
+    if field == 1:
+        return sigma * 2.0 ** (e - bias) + mu[m]
+    if field == 2:
+        return -sigma * 2.0 ** (e - bias) + mu[m]
+    if field == 3 and e == 0 and mode == MODE_RECENTRALIZED:
+        return mu[m]
+    return None
+
+
+@pytest.mark.parametrize("mode, n_bits", [(MODE_SHIFT, b) for b in range(3, 9)]
+                         + [(MODE_RECENTRALIZED, b) for b in range(4, 9)])
+def test_decode_of_every_symbol_matches_the_table(mode, n_bits):
+    bias = 3
+    mu, sigma = ((-0.25, 0.5), 0.375) if mode == MODE_RECENTRALIZED else ((0.0, 0.0), 1.0)
+    want = {sym: table_value(sym, mode, n_bits, bias, mu, sigma) for sym in range(1 << n_bits)}
+    listed = [sym for sym, value in want.items() if value is not None]
+    # ZERO, then per component two signs of 2^k exponents, and a centre if recentralized
+    if mode == MODE_RECENTRALIZED:
+        assert len(listed) == 1 + 2 * (2 * 2 ** (n_bits - 3) + 1)
+    else:
+        assert len(listed) == 1 + 2 * 2 ** (n_bits - 2)
+    lq = LayerQuantization(name="l", mode=mode, n_bits=n_bits, alpha=1.0, bias=bias,
+                           mu=mu, sigma=sigma, symbols=np.array(listed))
+    assert decode(lq.symbols, lq).tolist() == [want[sym] for sym in listed]
+
+
+@pytest.mark.parametrize("mode, n_bits", [(MODE_SHIFT, b) for b in range(3, 9)]
+                         + [(MODE_RECENTRALIZED, b) for b in range(4, 9)])
+def test_layer_refuses_every_symbol_the_table_does_not_list(mode, n_bits):
+    mu, sigma = ((-0.25, 0.5), 0.375) if mode == MODE_RECENTRALIZED else ((0.0, 0.0), 1.0)
+    unlisted = [sym for sym in range(1 << n_bits)
+                if table_value(sym, mode, n_bits, 0, mu, sigma) is None]
+    assert unlisted  # e.g. sign field 0 with a nonzero exponent
+    for sym in unlisted:
+        with pytest.raises(ValueError, match=f"symbol {sym} has sign field"):
+            LayerQuantization(name="l", mode=mode, n_bits=n_bits, alpha=1.0, bias=0,
+                              mu=mu, sigma=sigma, symbols=np.array([0, sym]))
 
 
 def test_layer_validation_errors():
@@ -261,6 +361,11 @@ def test_layer_validation_errors():
         LayerQuantization(**{**good, "symbols": np.array([64])})  # > 5 bits
     with pytest.raises(ValueError):
         LayerQuantization(**{**good, "bias": 60})
+    # a shift layer is the zero-centre, unit-sigma case and nothing else
+    with pytest.raises(ValueError, match="a shift layer has mu"):
+        LayerQuantization(**{**good, "mu": (0.0, 0.5)})
+    with pytest.raises(ValueError, match="a shift layer has mu"):
+        LayerQuantization(**{**good, "sigma": 0.5})
     rec = dict(good, mode=MODE_RECENTRALIZED, mu=(-0.125, 0.25), sigma=0.05,
                symbols=np.array([0, 3 << 2]))
     LayerQuantization(**rec)

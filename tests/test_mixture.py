@@ -7,7 +7,6 @@ from fqpack.mixture import (
     PLUS,
     MixtureModel,
     fit_em,
-    responsibilities,
     responsibilities_array,
     sample_assignments,
     wasserstein_separation,
@@ -83,14 +82,14 @@ def symmetric_model(sep=1.0, sigma=0.1):
 
 
 def test_responsibilities_at_symmetry_point():
-    p = responsibilities(symmetric_model(), 0.0)
+    p = responsibilities_array(symmetric_model(), np.array([0.0]))[0]
     assert p[MINUS] == pytest.approx(0.5)
     assert p[PLUS] == pytest.approx(0.5)
 
 
 def test_responsibilities_at_component_mean():
     model = symmetric_model(sep=1.0, sigma=0.05)
-    p = responsibilities(model, 1.0)
+    p = responsibilities_array(model, np.array([1.0]))[0]
     assert p[PLUS] > 0.99
 
 
@@ -98,7 +97,7 @@ def test_responsibilities_degenerate_mixing():
     model = MixtureModel(mu=np.array([-1.0, 1.0]),
                          sigma=np.array([0.1, 0.1]),
                          lam=np.array([1.0, 0.0]))
-    p = responsibilities(model, 0.7)
+    p = responsibilities_array(model, np.array([0.7]))[0]
     assert p[MINUS] == pytest.approx(1.0)
 
 
@@ -112,9 +111,9 @@ def test_responsibilities_sum_to_one():
 def test_underflow_assigns_to_nearer_mean():
     # both densities vanish at 1e6 sigmas out; nearer mean must win outright
     model = symmetric_model(sep=1.0, sigma=1e-4)
-    p = responsibilities(model, 50.0)
+    p = responsibilities_array(model, np.array([50.0]))[0]
     assert p[PLUS] == 1.0
-    p = responsibilities(model, -50.0)
+    p = responsibilities_array(model, np.array([-50.0]))[0]
     assert p[MINUS] == 1.0
 
 

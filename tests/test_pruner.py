@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fqpack.pruner import PruneMask, apply_mask, prune_by_magnitude
+from fqpack.pruner import prune_by_magnitude
 
 
 def test_two_smallest_magnitudes_pruned():
@@ -35,28 +35,11 @@ def test_floor_of_target_count():
     assert abs(mask.sparsity - 0.5) <= 1.0 / 5
 
 
-def test_apply_mask_examples():
-    mask = PruneMask(np.array([1, 0], dtype=np.uint8))
-    assert apply_mask(np.array([3.0, -2.0]), mask).tolist() == [3.0, 0.0]
-    ones = PruneMask(np.ones(3, dtype=np.uint8))
-    w = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(apply_mask(w, ones), w)
-    zeros = PruneMask(np.zeros(3, dtype=np.uint8))
-    assert np.all(apply_mask(w, zeros) == 0.0)
-
-
-def test_apply_mask_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_mask(np.array([1.0, 2.0, 3.0]), PruneMask(np.array([1, 0], dtype=np.uint8)))
-
-
 def test_mask_shape_follows_weights():
     w = np.random.default_rng(0).normal(size=(3, 4, 5))
     mask = prune_by_magnitude(w, 0.3)
     assert mask.mask.shape == (60,)
-    pruned = apply_mask(w, mask)
-    assert pruned.shape == w.shape
-    assert int((pruned == 0).sum()) >= int(0.3 * 60)
+    assert int((mask.mask == 0).sum()) == int(0.3 * 60)
 
 
 def test_monotone_in_target_sparsity():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from fqpack.shift_quant import (
+from fqpack.focused_quant import (
+    MODE_SHIFT,
     ZERO,
-    ShiftGrid,
-    dequantize_array,
-    pack_shift_code,
-    select_bias,
-    shift_quantize_array,
-    unpack_shift_code,
+    LayerQuantization,
+    QuantParams,
+    decode,
+    encode,
+    pack,
+    unpack,
 )
+from fqpack.shift_quant import ShiftGrid, nearest_power, select_bias
 
 
 def enumeration_oracle(values, grid):
@@ -24,8 +26,19 @@ def enumeration_oracle(values, grid):
 
 
 def quantized(values, grid):
-    _, q = shift_quantize_array(np.asarray(values, dtype=np.float64), grid)
-    return q
+    sign, exponent = nearest_power(np.asarray(values, dtype=np.float64), grid)
+    return sign * np.ldexp(1.0, exponent - grid.bias)
+
+
+def shift_params(grid, count=0):
+    """Shift-mode parameters on ``grid``, for ``count`` unpruned weights."""
+    return QuantParams(MODE_SHIFT, grid.exponent_bits + 2, grid.bias,
+                       assignment=np.zeros(count, dtype=np.int64))
+
+
+def shift_layer(symbols, n_bits):
+    return LayerQuantization(name="l", mode=MODE_SHIFT, n_bits=n_bits, alpha=1.0, bias=0,
+                             mu=(0.0, 0.0), sigma=1.0, symbols=np.asarray(symbols))
 
 
 def test_alphabet_contents():
@@ -38,8 +51,9 @@ def test_alphabet_contents():
 
 def test_zero_maps_to_zero():
     grid = ShiftGrid(2, 3)
-    codes, q = shift_quantize_array(np.array([0.0]), grid)
-    assert codes[0] == ZERO and q[0] == 0.0
+    sign, exponent = nearest_power(np.array([0.0]), grid)
+    assert (sign[0], exponent[0]) == (0, 0)
+    assert encode(np.array([0.0]), shift_params(grid, 1))[0] == ZERO
 
 
 def test_nearest_value_example():
@@ -66,7 +80,7 @@ def test_non_finite_rejected():
     grid = ShiftGrid(2, 3)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            shift_quantize_array(np.array([bad]), grid)
+            nearest_power(np.array([bad]), grid)
 
 
 def test_matches_enumeration_oracle():
@@ -91,42 +105,43 @@ def test_codes_decode_to_quantized():
     rng = np.random.default_rng(7)
     grid = ShiftGrid(2, 1)
     values = rng.normal(size=1000)
-    codes, q = shift_quantize_array(values, grid)
-    assert np.array_equal(dequantize_array(codes, grid), q)
+    params = shift_params(grid, values.size)
+    assert np.array_equal(decode(encode(values, params), params), quantized(values, grid))
 
 
-# --- symbol packing ----------------------------------------------------------
+# --- shift-mode symbols --------------------------------------------------------
 
 
 def test_pack_unpack_round_trip():
     for k in (1, 2, 3, 6):
-        assert pack_shift_code(0, 0, k) == ZERO
+        params = shift_params(ShiftGrid(k, 0))
+        assert pack(0, 0, 0, params) == ZERO
         for e in range(2**k):
             for s in (-1, 1):
-                code = pack_shift_code(s, e, k)
+                code = pack(0, s, e, params)
                 assert 0 < code < 2 ** (k + 2)
-                assert unpack_shift_code(code, k) == (s, e)
-    assert unpack_shift_code(ZERO, 3) == (0, 0)
+                assert [int(f) for f in unpack(code, params)] == [0, s, e]
+    assert [int(f) for f in unpack(ZERO, shift_params(ShiftGrid(3, 0)))] == [0, 0, 0]
 
 
 def test_unpack_rejects_bad_code():
-    with pytest.raises(ValueError):
-        unpack_shift_code(3 << 2, 2)  # sign field 3 is unused
+    # a shift layer refuses sign field 3 on construction, before any unpack
+    with pytest.raises(ValueError, match="sign field 3"):
+        shift_layer([3 << 2], n_bits=4)
 
 
 def test_dequantize_symbol_examples():
-    grid = ShiftGrid(2, 3)
-    one = pack_shift_code(1, 3, 2)
-    minus_eighth = pack_shift_code(-1, 0, 2)
-    got = dequantize_array(np.array([one, ZERO, minus_eighth]), grid)
+    params = shift_params(ShiftGrid(2, 3))
+    one = pack(0, 1, 3, params)
+    minus_eighth = pack(0, -1, 0, params)
+    got = decode(np.array([one, ZERO, minus_eighth]), params)
     assert got.tolist() == [1.0, 0.0, -0.125]
 
 
 def test_dequantize_rejects_out_of_range_exponent():
-    grid = ShiftGrid(2, 3)
-    bad = pack_shift_code(1, 7, 3)  # e=7 needs k=3; grid has k=2
+    bad = pack(0, 1, 7, shift_params(ShiftGrid(3, 3)))  # e=7 needs k=3
     with pytest.raises(ValueError):
-        dequantize_array(np.array([bad]), grid)
+        shift_layer([bad], n_bits=4)  # k=2 reads it as sign field 3
 
 
 # --- bias selection ----------------------------------------------------------

@@ -6,6 +6,7 @@ from fqpack.errors import DegenerateInputError, TrainingDivergedError
 from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
+    ZERO,
     dequantize_layer,
     quantize_layer,
 )
@@ -13,7 +14,6 @@ from fqpack.model_store import synthetic_blobs
 from fqpack.nn import ToyNet
 from fqpack.pruner import prune_by_magnitude
 from fqpack.rng import derive_seed
-from fqpack.shift_quant import ZERO
 from fqpack.trainer import (
     METRICS_HEADER,
     SWEEP_DETAIL_HEADER,
