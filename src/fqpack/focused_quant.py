@@ -85,10 +85,7 @@ def round_hyperparams(model: MixtureModel) -> MixtureModel:
             mu[c] = np.sign(m) * 2.0 ** round_log2(abs(m))
     shared = float(model.lam @ model.sigma)
     shared = max(shared, np.finfo(np.float64).tiny)
-    return MixtureModel(
-        mu, np.array([shared, shared]), model.lam.copy(),
-        log_likelihood=model.log_likelihood,
-    )
+    return MixtureModel(mu, np.array([shared, shared]), model.lam.copy())
 
 
 def choose_mode(model: MixtureModel, total_variance: float, w_sep: float) -> str:
@@ -315,7 +312,7 @@ def fit_params(values: np.ndarray, n_bits: int, w_sep: float, seed: int,
         return _shift_params(values, n_bits, wsep)
     if model is None:
         raise DegenerateInputError("no mixture to recentre on")
-    assignment = sample_assignments(model, values, seed)
+    assignment = sample_assignments(model.p_plus, seed)
     return _recentralized_params(values, round_hyperparams(model),
                                  assignment.component, n_bits, wsep)
 

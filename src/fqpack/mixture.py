@@ -5,7 +5,8 @@ is "plus" (positive values); when one sign is absent the initial split is at
 the median instead. Mixing weights start at 1/2 each. Iteration stops when
 the mean log-likelihood improves by less than ``tol`` or after ``max_iters``
 rounds; standard deviations are floored at SIGMA_FLOOR rather than allowed to
-collapse.
+collapse. Each iteration's one E-step, over two 1-D log-density columns, gives
+the mean log-likelihood and the posterior, which a fit keeps for sampling.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class MixtureModel:
     mu: np.ndarray  # (2,)
     sigma: np.ndarray  # (2,)
     lam: np.ndarray  # (2,) mixing weights
-    log_likelihood: float = float("nan")  # mean log-likelihood at the fit
     ll_trace: list = field(default_factory=list)  # mean LL after each iteration
+    p_plus: np.ndarray | None = None  # posterior P(plus | v) of each fitted value
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=np.float64).reshape(2)
@@ -42,13 +43,32 @@ class MixtureModel:
             raise ValueError("mixing weights must be non-negative and sum to 1")
 
 
-def _log_densities(model: MixtureModel, values: np.ndarray) -> np.ndarray:
-    """log(lam_c * N(v | mu_c, sigma_c)) for each value and component."""
-    v = values[:, None]
-    var = model.sigma[None, :] ** 2
-    log_pdf = -0.5 * ((v - model.mu[None, :]) ** 2 / var + np.log(var) + _LOG_2PI)
+def _e_step(model: MixtureModel, v: np.ndarray) -> tuple:
+    """Posterior columns (p_minus, p_plus) of the values and their mean
+    log-likelihood, NaN where both weighted densities underflow."""
+    var = model.sigma ** 2  # squared as an array: a scalar square can round apart
+    log_var = np.log(var)
     with np.errstate(divide="ignore"):
-        return log_pdf + np.log(model.lam[None, :])
+        log_lam = np.log(model.lam)
+    log_w = [-0.5 * ((v - model.mu[c]) ** 2 / var[c] + log_var[c] + _LOG_2PI) + log_lam[c]
+             for c in (MINUS, PLUS)]
+    shift = np.maximum(*log_w)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where both densities underflow
+        w = [np.exp(lw - shift) for lw in log_w]
+    total = w[MINUS] + w[PLUS]
+    post = [wc / total for wc in w]
+    fallback = ~np.isfinite(shift)
+    if fallback.any():
+        nearer = np.abs(v - model.mu[PLUS]) < np.abs(v - model.mu[MINUS])
+        post[MINUS][fallback] = ~nearer[fallback]
+        post[PLUS][fallback] = nearer[fallback]
+    return post, float((shift + np.log(total)).mean())
+
+
+def _ordered_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ... in index order: how an axis-0 reduction adds
+    each column of an (n, 2) array. A 1-D ``sum`` adds pairwise instead."""
+    return np.cumsum(x)[-1] + 0.0  # + 0.0 turns an all -0.0 sum into 0.0
 
 
 def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarray:
@@ -57,26 +77,7 @@ def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarra
     Rows sum to 1. When both weighted densities underflow to zero the value
     is hard-assigned to the component with the nearer mean.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    log_w = _log_densities(model, v)
-    shift = log_w.max(axis=1, keepdims=True)
-    finite = np.isfinite(shift).ravel()
-    w = np.exp(log_w - np.where(np.isfinite(shift), shift, 0.0))
-    total = w.sum(axis=1, keepdims=True)
-    post = np.where(total > 0, w / np.where(total > 0, total, 1.0), 0.0)
-    nearer = np.abs(v[:, None] - model.mu[None, :]).argmin(axis=1)
-    fallback = ~finite | (post.sum(axis=1) == 0)
-    if fallback.any():
-        post[fallback] = 0.0
-        post[fallback, nearer[fallback]] = 1.0
-    return post
-
-
-def _mean_log_likelihood(model: MixtureModel, values: np.ndarray) -> float:
-    log_w = _log_densities(model, values)
-    shift = log_w.max(axis=1, keepdims=True)
-    ll = shift.ravel() + np.log(np.exp(log_w - shift).sum(axis=1))
-    return float(ll.mean())
+    return np.stack(_e_step(model, np.asarray(values, dtype=np.float64).ravel())[0], axis=1)
 
 
 def _initial_model(values: np.ndarray) -> MixtureModel:
@@ -101,32 +102,33 @@ def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> Mixtu
     """Fit the two-component mixture by expectation-maximization.
 
     The returned model records the mean log-likelihood after every iteration
-    in ``ll_trace``; EM guarantees the trace is non-decreasing.
+    in ``ll_trace``; EM guarantees the trace is non-decreasing. ``p_plus``
+    holds the values' posterior under the returned parameters.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    if np.unique(v).size < 2:
+    if v.size == 0 or not v.min() < v.max():
         raise DegenerateInputError(
             "need at least two distinct values to fit a two-component mixture"
         )
     model = _initial_model(v)
-    trace = [_mean_log_likelihood(model, v)]
+    post, ll = _e_step(model, v)
+    trace = [ll]
     for _ in range(max_iters):
-        post = responsibilities_array(model, v)
-        counts = post.sum(axis=0)
-        counts = np.maximum(counts, 1e-300)
-        mu = (post * v[:, None]).sum(axis=0) / counts
-        var = (post * (v[:, None] - mu[None, :]) ** 2).sum(axis=0) / counts
+        counts = np.maximum([_ordered_sum(pc) for pc in post], 1e-300)
+        mu = np.array([_ordered_sum(pc * v) for pc in post]) / counts
+        var = np.array([_ordered_sum(pc * (v - m) ** 2) for pc, m in zip(post, mu)]) / counts
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         lam = counts / v.size
         lam = lam / lam.sum()
         model = MixtureModel(mu, sigma, lam)
-        trace.append(_mean_log_likelihood(model, v))
+        post, ll = _e_step(model, v)
+        trace.append(ll)
         if trace[-1] - trace[-2] < tol:
             break
-    model.log_likelihood = trace[-1]
     model.ll_trace = trace
+    model.p_plus = post[PLUS]
     return model
 
 
@@ -143,17 +145,16 @@ class AssignmentMask:
             raise ValueError("components must be 0 or 1")
 
 
-def sample_assignments(model: MixtureModel, values: np.ndarray, seed: int) -> AssignmentMask:
-    """Draw one component per value from its posterior probabilities.
+def sample_assignments(p_plus: np.ndarray, seed: int) -> AssignmentMask:
+    """Draw one component per value, plus with probability ``p_plus[i]``:
+    its posterior, such as a fit's ``MixtureModel.p_plus``.
 
     Draw i uses the per-index uniform stream at (seed, i), so the result is
     reproducible and independent of chunking.
     """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    post = responsibilities_array(model, v)
-    u = unit_uniform(seed, np.arange(v.size))
-    component = (u < post[:, PLUS]).astype(np.uint8)
-    return AssignmentMask(component, int(seed))
+    p_plus = np.asarray(p_plus, dtype=np.float64).ravel()
+    u = unit_uniform(seed, np.arange(p_plus.size))
+    return AssignmentMask((u < p_plus).astype(np.uint8), int(seed))
 
 
 def wasserstein_separation(model: MixtureModel, total_variance: float) -> float:

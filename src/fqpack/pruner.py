@@ -29,24 +29,25 @@ class PruneMask:
         """Fraction of pruned (zeroed) positions."""
         return float(np.count_nonzero(self.mask == 0)) / self.mask.size
 
-    @property
-    def kept(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
 
 def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> PruneMask:
     """Mask the floor(target * count) smallest-magnitude weights.
 
     Ties are broken toward the lower flat index, so increasing the target
-    never unmasks a weight that a smaller target pruned.
+    never unmasks a weight that a smaller target pruned. One O(n) partition
+    finds the smallest kept magnitude; the weights must be finite.
     """
     flat = np.asarray(weights, dtype=np.float64).ravel()
     if flat.size == 0:
         raise ValueError("cannot prune an empty weight tensor")
+    if not np.isfinite(flat).all():
+        raise ValueError("cannot prune non-finite weights")
     if not 0.0 <= target_sparsity < 1.0:
         raise ValueError(f"target sparsity {target_sparsity} outside [0, 1)")
     n_prune = int(np.floor(target_sparsity * flat.size))
-    order = np.argsort(np.abs(flat), kind="stable")
-    mask = np.ones(flat.size, dtype=np.uint8)
-    mask[order[:n_prune]] = 0
-    return PruneMask(mask)
+    magnitude = np.abs(flat)
+    threshold = np.partition(magnitude, n_prune)[n_prune]  # the smallest kept
+    keep = magnitude > threshold
+    ties = np.flatnonzero(magnitude == threshold)  # pruned lowest index first
+    keep[ties[n_prune - np.count_nonzero(magnitude < threshold):]] = True
+    return PruneMask(keep.astype(np.uint8))

@@ -44,7 +44,9 @@ from fqpack.focused_quant import (
 )
 from fqpack.mixture import (
     MINUS,
+    PLUS,
     fit_em,
+    responsibilities_array,
     sample_assignments,
     wasserstein_separation,
 )
@@ -199,7 +201,8 @@ def test_criterion_04_recentralized_matches_oracle_exactly():
         mask = prune_by_magnitude(weights, float(rng.uniform(0.3, 0.7)))
         keep = mask.mask == 1
         model = round_hyperparams(fit_em(weights[keep]))
-        assign = sample_assignments(model, weights[keep], seed=trial)
+        assign = sample_assignments(
+            responsibilities_array(model, weights[keep])[:, PLUS], seed=trial)
         n_bits = int(rng.integers(4, 7))
         # the container stores alpha in single precision; match that exactly
         alpha = float(np.float32(rng.uniform(0.5, 1.5)))

@@ -23,7 +23,14 @@ from fqpack.focused_quant import (
     round_log2,
     unpack,
 )
-from fqpack.mixture import MINUS, PLUS, MixtureModel, fit_em, sample_assignments
+from fqpack.mixture import (
+    MINUS,
+    PLUS,
+    MixtureModel,
+    fit_em,
+    responsibilities_array,
+    sample_assignments,
+)
 from fqpack.pruner import PruneMask, prune_by_magnitude
 from fqpack.shift_quant import ShiftGrid
 
@@ -165,7 +172,8 @@ def test_matches_straight_line_oracle():
         mask = prune_by_magnitude(weights, 0.5)
         keep = mask.mask == 1
         model = round_hyperparams(fit_em(weights[keep]))
-        assign = sample_assignments(model, weights[keep], seed=trial)
+        assign = sample_assignments(
+            responsibilities_array(model, weights[keep])[:, PLUS], seed=trial)
         lq = quantize_recentralized(weights, mask, model, assign, 5, alpha=0.75)
         expected, bias = straight_line_oracle(
             weights, keep, assign.component, model, 5, 0.75)

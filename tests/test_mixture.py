@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqpack.errors import DegenerateInputError
 from fqpack.mixture import (
     MINUS,
     PLUS,
     MixtureModel,
+    _initial_model,
+    _ordered_sum,
     fit_em,
     responsibilities_array,
     sample_assignments,
@@ -125,7 +128,7 @@ def test_forced_assignment():
                          sigma=np.array([0.1, 0.1]),
                          lam=np.array([0.0, 1.0]))
     values = np.linspace(-2, 2, 100)
-    mask = sample_assignments(model, values, seed=0)
+    mask = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=0)
     assert np.all(mask.component == PLUS)
 
 
@@ -136,7 +139,7 @@ def test_assignment_concentration():
                          sigma=np.array([sigma, sigma]),
                          lam=np.array([0.3, 0.7]))
     values = np.zeros(100_000)
-    mask = sample_assignments(model, values, seed=31)
+    mask = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=31)
     frac = float(np.mean(mask.component == PLUS))
     assert abs(frac - 0.7) < 0.005
 
@@ -145,15 +148,134 @@ def test_assignment_determinism():
     rng = np.random.default_rng(26)
     values = bimodal_sample(rng, n=2000)
     model = fit_em(values)
-    a = sample_assignments(model, values, seed=7)
-    b = sample_assignments(model, values, seed=7)
+    a = sample_assignments(model.p_plus, seed=7)
+    b = sample_assignments(model.p_plus, seed=7)
     assert np.array_equal(a.component, b.component)
     # a soft model leaves room for the seed to matter
     soft = MixtureModel(mu=np.array([0.0, 0.0]), sigma=np.array([1.0, 1.0]),
                         lam=np.array([0.5, 0.5]))
-    x = np.zeros(2000)
-    assert not np.array_equal(sample_assignments(soft, x, seed=7).component,
-                              sample_assignments(soft, x, seed=8).component)
+    p_plus = responsibilities_array(soft, np.zeros(2000))[:, PLUS]
+    assert not np.array_equal(sample_assignments(p_plus, seed=7).component,
+                              sample_assignments(p_plus, seed=8).component)
+
+
+# --- bit-equality oracle: the (n, 2) EM that the column-form E-step replaced ---
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _reference_log_densities(model, values):
+    v = values[:, None]
+    var = model.sigma[None, :] ** 2
+    log_pdf = -0.5 * ((v - model.mu[None, :]) ** 2 / var + np.log(var) + _LOG_2PI)
+    with np.errstate(divide="ignore"):
+        return log_pdf + np.log(model.lam[None, :])
+
+
+def reference_responsibilities(model, values):
+    v = np.asarray(values, dtype=np.float64).ravel()
+    log_w = _reference_log_densities(model, v)
+    shift = log_w.max(axis=1, keepdims=True)
+    finite = np.isfinite(shift).ravel()
+    w = np.exp(log_w - np.where(np.isfinite(shift), shift, 0.0))
+    total = w.sum(axis=1, keepdims=True)
+    post = np.where(total > 0, w / np.where(total > 0, total, 1.0), 0.0)
+    nearer = np.abs(v[:, None] - model.mu[None, :]).argmin(axis=1)
+    fallback = ~finite | (post.sum(axis=1) == 0)
+    if fallback.any():
+        post[fallback] = 0.0
+        post[fallback, nearer[fallback]] = 1.0
+    return post
+
+
+def _reference_mean_log_likelihood(model, values):
+    log_w = _reference_log_densities(model, values)
+    shift = log_w.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where both densities underflow
+        ll = shift.ravel() + np.log(np.exp(log_w - shift).sum(axis=1))
+    return float(ll.mean())
+
+
+def reference_fit_em(values, max_iters=200, tol=1e-7):
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if np.unique(v).size < 2:
+        raise DegenerateInputError("fewer than two distinct values")
+    model = _initial_model(v)
+    trace = [_reference_mean_log_likelihood(model, v)]
+    for _ in range(max_iters):
+        post = reference_responsibilities(model, v)
+        counts = post.sum(axis=0)
+        counts = np.maximum(counts, 1e-300)
+        mu = (post * v[:, None]).sum(axis=0) / counts
+        var = (post * (v[:, None] - mu[None, :]) ** 2).sum(axis=0) / counts
+        sigma = np.maximum(np.sqrt(var), 1e-8)
+        lam = counts / v.size
+        lam = lam / lam.sum()
+        model = MixtureModel(mu, sigma, lam)
+        trace.append(_reference_mean_log_likelihood(model, v))
+        if trace[-1] - trace[-2] < tol:
+            break
+    model.ll_trace = trace
+    return model
+
+
+def same_bits(a, b):
+    """Equal float64 bit patterns, any NaN matching any NaN."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and bool(np.all(
+        (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+@given(st.lists(st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False)),
+                min_size=1, max_size=50))
+def test_ordered_sum_adds_as_a_column_of_an_axis0_reduction(xs):
+    x = np.array(xs)
+    with np.errstate(all="ignore"):
+        assert same_bits(_ordered_sum(x), np.stack([x, x], axis=1).sum(axis=0)[MINUS])
+
+
+def draw_values(kind, rng, n):
+    if kind == "gauss":
+        return rng.normal(0.0, 10.0 ** rng.uniform(-3, 1), n)
+    if kind == "bimodal":
+        return bimodal_sample(rng, n, lam=rng.uniform(0.1, 0.9))
+    if kind == "one-sign":
+        return np.abs(rng.normal(0.0, 0.1, n))
+    if kind == "tied":
+        return np.round(rng.normal(0.0, 2.0, n))
+    if kind == "few":
+        return rng.choice(rng.normal(size=rng.integers(2, 6)), n)
+    # far: squares overflow, so both weighted densities of these rows underflow
+    far = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(160, 200, 2)
+    return rng.permutation(np.concatenate([rng.normal(0.0, 1e-3, n), far]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(["gauss", "bimodal", "one-sign", "tied", "few", "far"]),
+       n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1))
+def test_fit_em_bit_identical_to_reference(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    values = draw_values(kind, rng, n)
+    with np.errstate(all="ignore"):  # the far draws overflow inside EM
+        try:
+            expected = reference_fit_em(values)
+        except DegenerateInputError:
+            with pytest.raises(DegenerateInputError):
+                fit_em(values)
+            return
+        model = fit_em(values)
+        posterior = reference_responsibilities(expected, values)
+        assert same_bits(responsibilities_array(expected, values), posterior)
+    for got, want in ((model.mu, expected.mu), (model.sigma, expected.sigma),
+                      (model.lam, expected.lam), (model.ll_trace, expected.ll_trace)):
+        assert same_bits(got, want)
+    if kind == "far":  # the underflow fallback ran
+        assert np.isnan(expected.ll_trace[0])
+    assert same_bits(model.p_plus, posterior[:, PLUS])
+    draw = int(rng.integers(2**31))
+    assert np.array_equal(sample_assignments(model.p_plus, draw).component,
+                          sample_assignments(posterior[:, PLUS], draw).component)
 
 
 # --- Wasserstein separation ----------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqpack.pruner import prune_by_magnitude
 
@@ -61,3 +62,34 @@ def test_survivors_dominate_pruned():
         kept = np.abs(w[mask.mask == 1])
         dropped = np.abs(w[mask.mask == 0])
         assert kept.min() >= dropped.max() or np.isclose(kept.min(), dropped.max())
+
+
+def test_non_finite_weights_rejected():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            prune_by_magnitude(np.array([bad, 0.1, 0.2, bad, 0.3]), 0.8)
+
+
+def reference_mask(weights, target):
+    """The stable-argsort pruner that the partition pruner replaced."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    order = np.argsort(np.abs(flat), kind="stable")
+    mask = np.ones(flat.size, dtype=np.uint8)
+    mask[order[: int(np.floor(target * flat.size))]] = 0
+    return mask
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["normal", "tied", "all-equal"]),
+       n=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1),
+       target=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                        st.just(float(np.nextafter(1.0, 0.0)))))
+def test_mask_matches_stable_sort_reference(kind, n, seed, target):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        w = rng.normal(size=n)
+    elif kind == "tied":  # few magnitudes, both signs and both zeros
+        w = rng.integers(-3, 4, n) * rng.choice([-1.0, 1.0], n)
+    else:
+        w = np.full(n, rng.choice([0.0, -0.0, 0.5, -2.0]))
+    assert np.array_equal(prune_by_magnitude(w, target).mask, reference_mask(w, target))
