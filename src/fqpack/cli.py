@@ -7,11 +7,10 @@ The master seed resolves flag > FQ_SEED environment variable > config file.
 
 import argparse
 import configparser
-import io
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .engine import FloatSimulator, IntegerEngine
 from .errors import FqError
 from .focused_quant import MIN_BITS_SHIFT, dequantize_layer, quantize_layer
 from .model_store import (
-    LayerSpec,
     ModelFile,
     load_cifar10_batch,
     load_model,
@@ -220,32 +218,6 @@ def load_config(path) -> PipelineConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-
-
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(repr(float(v)) for v in value)
-    return str(value)
-
-
-def canonical_config(cfg: PipelineConfig) -> str:
-    """Normalized text form; parse(canonical(parse(x))) == parse(x)."""
-    out = io.StringIO()
-    out.write("[pipeline]\n")
-    for key in _PIPELINE_KEYS:
-        out.write(f"{key} = {_format_value(getattr(cfg, key))}\n")
-    out.write("\n[train]\n")
-    for key in _TRAIN_KEYS:
-        source = cfg if key in _FLOAT_PRETRAIN else cfg.train
-        out.write(f"{key} = {_format_value(getattr(source, key))}\n")
-    for name in sorted(cfg.layers):
-        out.write(f"\n[layer {name}]\n")
-        for key in _LAYER_KEYS:
-            if key in cfg.layers[name]:
-                out.write(f"{key} = {_format_value(cfg.layers[name][key])}\n")
-    return out.getvalue()
 
 
 def resolve_seed(flag_seed, cfg: PipelineConfig) -> int:

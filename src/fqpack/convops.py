@@ -5,8 +5,7 @@ flattens each receptive field to a row ordered (fh, fw, cin), so a patch
 matrix multiplied by ``weights.reshape(fh*fw*cin, cout)`` is the
 convolution, and ``col2im`` is its input gradient. Both the float trainer
 and the integer engine build their patches here, which keeps their
-summation layouts identical. ``nn`` and the engine keep activations NHWC;
-the one NCHW caller, ``conv2d_gemm``, passes a transposed view.
+summation layouts identical.
 """
 
 from __future__ import annotations
@@ -80,16 +79,3 @@ def _inside(tap: int, pad: int, stride: int, out_len: int, in_len: int):
     start = first * stride + tap - pad
     return (slice(start, start + (last - first - 1) * stride + 1, stride),
             slice(first, last))
-
-
-def conv2d_gemm(x: np.ndarray, weights: np.ndarray,
-                stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Convolve NCHW input with HWIO weights via one matrix product."""
-    fh, fw, cin, cout = weights.shape
-    n, c, h, w = x.shape
-    if c != cin:
-        raise ValueError(f"input has {c} channels, weights expect {cin}")
-    cols = im2col(x.transpose(0, 2, 3, 1), fh, fw, stride, pad)
-    out = cols @ weights.reshape(fh * fw * cin, cout)
-    oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
-    return out.reshape(n, oh, ow, cout).transpose(0, 3, 1, 2)

@@ -354,19 +354,6 @@ def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate):
     return real.reshape(out_shape)
 
 
-def conv2d_quantized(ints: np.ndarray, act_exp: int, spec, lq: LayerQuantization,
-                     act_bits: int = 8, out_exp=None):
-    """One quantized NCHW conv: integer accumulation, integer BN, requantization.
-
-    Input and output are (values, exponent) activation pairs. With
-    ``out_exp`` given, the output saturates onto that fixed scale; otherwise
-    the smallest lossless exponent is chosen.
-    """
-    stage = _build_stage(spec, lq, act_bits)
-    real = _stage_real(stage, ints.transpose(0, 2, 3, 1), act_exp, _integer_accumulate)
-    return quantize_activations(real.transpose(0, 3, 1, 2), act_bits, out_exp)
-
-
 class IntegerEngine:
     """Runs a compressed model on images with integer accumulation.
 

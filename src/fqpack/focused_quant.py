@@ -37,13 +37,11 @@ from .errors import DegenerateInputError
 from .mixture import (
     MINUS,
     PLUS,
-    AssignmentMask,
     MixtureModel,
     fit_em,
     sample_assignments,
     wasserstein_separation,
 )
-from .pruner import PruneMask
 from .shift_quant import ShiftGrid, nearest_power, select_bias
 
 ZERO = 0  # the symbol of pruned weights and true zeros, in both modes
@@ -163,6 +161,8 @@ class LayerQuantization(_OnGrid):
         self.wsep = float(np.float32(self.wsep))
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
+        if not (np.isfinite(self.wsep) and self.wsep >= 0):
+            raise ValueError(f"wsep must be finite and >= 0, not {self.wsep}")
         if not -32 <= self.bias <= 32:
             raise ValueError(f"bias {self.bias} outside [-32, 32]")
         self.mu = (float(self.mu[0]), float(self.mu[1]))
@@ -238,17 +238,6 @@ def unpack(symbols, params):
     return component, sign, np.where(sign != 0, bits, 0)
 
 
-def _unpruned(weights: np.ndarray, mask: PruneMask):
-    """(flat weights, kept positions) of one layer; something must survive."""
-    flat = np.asarray(weights, dtype=np.float64).ravel()
-    if mask.mask.size != flat.size:
-        raise ValueError("mask length != weight count")
-    keep = mask.mask == 1
-    if not keep.any():
-        raise DegenerateInputError("all weights pruned")
-    return flat, keep
-
-
 def _normalize(values: np.ndarray, mu, sigma: float, component) -> np.ndarray:
     return (values - np.asarray(mu, dtype=np.float64)[component]) / sigma
 
@@ -312,9 +301,8 @@ def fit_params(values: np.ndarray, n_bits: int, w_sep: float, seed: int,
         return _shift_params(values, n_bits, wsep)
     if model is None:
         raise DegenerateInputError("no mixture to recentre on")
-    assignment = sample_assignments(model.p_plus, seed)
     return _recentralized_params(values, round_hyperparams(model),
-                                 assignment.component, n_bits, wsep)
+                                 sample_assignments(model.p_plus, seed), n_bits, wsep)
 
 
 def encode(values: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -351,54 +339,25 @@ def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
     )
 
 
-def quantize_shift_layer(
-    weights: np.ndarray,
-    mask: PruneMask,
-    n_bits: int,
-    name: str = "",
-    alpha: float = 1.0,
-    wsep: float = 0.0,
-) -> LayerQuantization:
-    """Plain shift quantization of the unpruned weights of one layer."""
-    flat, keep = _unpruned(weights, mask)
-    params = _shift_params(flat[keep], n_bits, wsep)
-    return quantize_with(flat, keep, params, name, alpha)
-
-
-def quantize_recentralized(
-    weights: np.ndarray,
-    mask: PruneMask,
-    model: MixtureModel,
-    assignment: AssignmentMask,
-    n_bits: int,
-    name: str = "",
-    alpha: float = 1.0,
-    wsep: float = 0.0,
-) -> LayerQuantization:
-    """Component-recentered quantization of one layer.
-
-    ``model`` must already be deployment-rounded (power-of-two means, shared
-    sigma); ``assignment`` must cover exactly the unpruned positions in flat
-    order.
-    """
-    flat, keep = _unpruned(weights, mask)
-    params = _recentralized_params(flat[keep], model, assignment.component,
-                                   n_bits, wsep)
-    return quantize_with(flat, keep, params, name, alpha)
-
-
 def quantize_layer(
     weights: np.ndarray,
-    mask: PruneMask,
+    keep: np.ndarray,
     n_bits: int,
     w_sep: float = DEFAULT_W_SEP,
     seed: int = 0,
     name: str = "",
     alpha: float = 1.0,
 ) -> LayerQuantization:
-    """Full per-layer pipeline: :func:`fit_params` on the unpruned weights,
-    then :func:`encode`."""
-    flat, keep = _unpruned(weights, mask)
+    """Full per-layer pipeline: :func:`fit_params` on the weights ``keep``
+    marks, then :func:`quantize_with`. ``keep`` is a bool mask over every
+    weight, such as :func:`~fqpack.pruner.prune_by_magnitude` returns."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    keep = np.asarray(keep).ravel()
+    if keep.dtype != np.bool_ or keep.size != flat.size:
+        raise ValueError(f"keep mask must be bool over all {flat.size} weights, "
+                         f"not {keep.dtype} over {keep.size}")
+    if not keep.any():
+        raise DegenerateInputError("all weights pruned")
     params = fit_params(flat[keep], n_bits, w_sep, seed)
     return quantize_with(flat, keep, params, name, alpha)
 

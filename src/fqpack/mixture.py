@@ -37,8 +37,8 @@ class MixtureModel:
         self.mu = np.asarray(self.mu, dtype=np.float64).reshape(2)
         self.sigma = np.asarray(self.sigma, dtype=np.float64).reshape(2)
         self.lam = np.asarray(self.lam, dtype=np.float64).reshape(2)
-        if (self.sigma <= 0).any():
-            raise ValueError("component sigmas must be positive")
+        if not (np.isfinite(self.sigma).all() and (self.sigma > 0).all()):
+            raise ValueError("component sigmas must be finite and positive")
         if (self.lam < 0).any() or not np.isclose(self.lam.sum(), 1.0):
             raise ValueError("mixing weights must be non-negative and sum to 1")
 
@@ -112,6 +112,9 @@ def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> Mixtu
         raise DegenerateInputError(
             "need at least two distinct values to fit a two-component mixture"
         )
+    # an EM sum adds n squared deviations, each at most (2 max|v|)^2
+    if 2.0 * max(-v.min(), v.max()) > np.sqrt(np.finfo(np.float64).max / v.size):
+        raise ValueError("values too large: EM's squared deviations overflow float64")
     model = _initial_model(v)
     post, ll = _e_step(model, v)
     trace = [ll]
@@ -132,29 +135,17 @@ def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> Mixtu
     return model
 
 
-@dataclass
-class AssignmentMask:
-    """Sampled component index per unpruned value (0 = minus, 1 = plus)."""
-
-    component: np.ndarray  # uint8, aligned with the values array it was drawn for
-    seed: int
-
-    def __post_init__(self):
-        self.component = np.asarray(self.component, dtype=np.uint8).ravel()
-        if not np.isin(self.component, (0, 1)).all():
-            raise ValueError("components must be 0 or 1")
-
-
-def sample_assignments(p_plus: np.ndarray, seed: int) -> AssignmentMask:
-    """Draw one component per value, plus with probability ``p_plus[i]``:
-    its posterior, such as a fit's ``MixtureModel.p_plus``.
+def sample_assignments(p_plus: np.ndarray, seed: int) -> np.ndarray:
+    """Flat uint8 component per value (0 = minus, 1 = plus), plus with
+    probability ``p_plus[i]``: its posterior, such as a fit's
+    ``MixtureModel.p_plus``.
 
     Draw i uses the per-index uniform stream at (seed, i), so the result is
     reproducible and independent of chunking.
     """
     p_plus = np.asarray(p_plus, dtype=np.float64).ravel()
     u = unit_uniform(seed, np.arange(p_plus.size))
-    return AssignmentMask((u < p_plus).astype(np.uint8), int(seed))
+    return (u < p_plus).astype(np.uint8)
 
 
 def wasserstein_separation(model: MixtureModel, total_variance: float) -> float:

@@ -268,15 +268,3 @@ class ToyNet:
             )
         )
         return ModelFile(layers)
-
-    def load_weights(self, model: ModelFile):
-        """Overwrite weights and BN state from a stored model."""
-        for i, conv in enumerate(self.convs):
-            spec = model.layer(f"conv{i + 1}")
-            conv.w = np.asarray(spec.weight, dtype=np.float64).copy()
-            if spec.bn_params is not None:
-                bn = self.bns[i]
-                bn.gamma, bn.beta, bn.running_mean, bn.running_var = (
-                    np.asarray(p, dtype=np.float64).copy() for p in spec.bn_params
-                )
-        self.head.w = np.asarray(model.layer("head").weight, dtype=np.float64).copy()

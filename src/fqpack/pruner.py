@@ -1,37 +1,19 @@
 """Magnitude pruning.
 
-The mask is a flat uint8 array over the layer's weights: 1 keeps a weight,
-0 zeroes it. Exactly floor(target * count) weights are pruned, the smallest
-magnitudes first; equal magnitudes are pruned lower flat index first, which
-makes masks nested as the target sparsity grows.
+The mask is a flat bool array over the layer's weights: True keeps a weight,
+False zeroes it. Exactly floor(target * count) weights are pruned, the
+smallest magnitudes first; equal magnitudes are pruned lower flat index
+first, which makes masks nested as the target sparsity grows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class PruneMask:
-    mask: np.ndarray  # flat uint8, 1 = keep
-
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=np.uint8).ravel()
-        if self.mask.size == 0:
-            raise ValueError("empty mask")
-        if not np.isin(self.mask, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-
-    @property
-    def sparsity(self) -> float:
-        """Fraction of pruned (zeroed) positions."""
-        return float(np.count_nonzero(self.mask == 0)) / self.mask.size
-
-
-def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> PruneMask:
-    """Mask the floor(target * count) smallest-magnitude weights.
+def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> np.ndarray:
+    """Flat bool keep mask that prunes the floor(target * count)
+    smallest-magnitude weights.
 
     Ties are broken toward the lower flat index, so increasing the target
     never unmasks a weight that a smaller target pruned. One O(n) partition
@@ -50,4 +32,4 @@ def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> PruneMask
     keep = magnitude > threshold
     ties = np.flatnonzero(magnitude == threshold)  # pruned lowest index first
     keep[ties[n_prune - np.count_nonzero(magnitude < threshold):]] = True
-    return PruneMask(keep.astype(np.uint8))
+    return keep

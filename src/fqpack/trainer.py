@@ -265,8 +265,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     states = []
     for name, layer in net.weight_layers():
         flat = layer.w.ravel().astype(np.float64)
-        mask = prune_by_magnitude(flat, config.prune_fraction)
-        kept = mask.mask == 1
+        kept = prune_by_magnitude(flat, config.prune_fraction)
         state = _LayerState(name=name, layer=layer,
                             shadow=np.where(kept, flat, 0.0), kept=kept)
         _fit_params(state, config, derive_seed(config.seed, name))

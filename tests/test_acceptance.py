@@ -18,11 +18,12 @@ from fqpack.codec import (
     decode_compressed,
     encode_compressed,
 )
-from fqpack.convops import conv2d_gemm, conv_output_hw
+from fqpack.convops import conv_output_hw
 from fqpack.cost_model import estimate_gates, parse_geometry, DEFAULT_GEOMETRY
 from fqpack.engine import (
     IntegerEngine,
-    conv2d_quantized,
+    _build_stage,
+    _stage_real,
     dot_shift_add,
     fold_bn,
     quantize_activations,
@@ -33,13 +34,14 @@ from fqpack.focused_quant import (
     ZERO,
     LayerQuantization,
     QuantParams,
+    _recentralized_params,
     decode,
     dequantize_layer,
     encode,
     kl_complexity_cost,
     pack,
     quantize_layer,
-    quantize_recentralized,
+    quantize_with,
     round_hyperparams,
 )
 from fqpack.mixture import (
@@ -51,7 +53,7 @@ from fqpack.mixture import (
     wasserstein_separation,
 )
 from fqpack.model_store import LayerSpec, ModelFile, synthetic_blobs
-from fqpack.nn import ToyNet, softmax_cross_entropy
+from fqpack.nn import Conv2d, ToyNet, softmax_cross_entropy
 from fqpack.pruner import prune_by_magnitude
 from fqpack.shift_quant import ShiftGrid, nearest_power, select_bias
 from fqpack.trainer import TrainConfig, finetune_inq, top1_accuracy, train_float
@@ -198,18 +200,17 @@ def test_criterion_04_recentralized_matches_oracle_exactly():
             sigma=(float(rng.uniform(0.03, 0.08)), float(rng.uniform(0.03, 0.08))),
             lam=float(rng.uniform(0.35, 0.65)),
         )
-        mask = prune_by_magnitude(weights, float(rng.uniform(0.3, 0.7)))
-        keep = mask.mask == 1
+        keep = prune_by_magnitude(weights, float(rng.uniform(0.3, 0.7)))
         model = round_hyperparams(fit_em(weights[keep]))
         assign = sample_assignments(
             responsibilities_array(model, weights[keep])[:, PLUS], seed=trial)
         n_bits = int(rng.integers(4, 7))
         # the container stores alpha in single precision; match that exactly
         alpha = float(np.float32(rng.uniform(0.5, 1.5)))
-        lq = quantize_recentralized(weights, mask, model, assign, n_bits,
-                                    alpha=alpha)
+        params = _recentralized_params(weights[keep], model, assign, n_bits, 0.0)
+        lq = quantize_with(weights, keep, params, alpha=alpha)
         expected, bias = straight_line_recentralized(
-            weights, keep, assign.component, model, n_bits, alpha)
+            weights, keep, assign, model, n_bits, alpha)
         if lq.bias != bias or not np.array_equal(dequantize_layer(lq), expected):
             mismatched += 1
     report(4, mismatched == 0,
@@ -237,14 +238,13 @@ def test_criterion_05_recentralized_kl_dominates_on_separated_layers():
             sigma=(float(rng.uniform(0.025, 0.055)),
                    float(rng.uniform(0.025, 0.055))),
         )
-        mask = prune_by_magnitude(weights, 0.5)
-        keep = mask.mask == 1
+        keep = prune_by_magnitude(weights, 0.5)
         original = weights[keep]
         sep = wasserstein_separation(fit_em(original), float(original.var()))
         low_sep += sep < 2.0
         min_sep = min(min_sep, sep)
-        rec = quantize_layer(weights, mask, 5, w_sep=0.0, seed=trial)
-        shf = quantize_layer(weights, mask, 5, w_sep=1e9, seed=trial)
+        rec = quantize_layer(weights, keep, 5, w_sep=0.0, seed=trial)
+        shf = quantize_layer(weights, keep, 5, w_sep=1e9, seed=trial)
         kl_rec = kl_complexity_cost(original, dequantize_layer(rec)[keep], 64)
         kl_shf = kl_complexity_cost(original, dequantize_layer(shf)[keep], 64)
         wins += kl_rec < kl_shf
@@ -399,9 +399,10 @@ def test_criterion_07_integer_conv_matches_float_conv():
         lq = _random_dyadic_lq(rng, fh * fw * cin * cout,
                                MODE_SHIFT if trial % 2 else MODE_RECENTRALIZED)
         got = _raw_integer_conv(ints, -7, geometry, lq, cast=cast)
-        want = conv2d_gemm(np.ldexp(ints.astype(float), -7),
-                           dequantize_layer(lq).reshape(fh, fw, cin, cout),
-                           stride=stride, pad=pad)
+        conv = Conv2d(fh, fw, cin, cout, stride=stride, pad=pad)
+        x = np.ldexp(ints.astype(float), -7).transpose(0, 2, 3, 1)  # NHWC
+        conv.w = dequantize_layer(lq).reshape(fh, fw, cin, cout)
+        want = conv.forward(x).transpose(0, 3, 1, 2)
         inexact += not np.array_equal(got, want)
 
         # requantized half: real quantizer + batch norm, within one output step
@@ -414,12 +415,12 @@ def test_criterion_07_integer_conv_matches_float_conv():
         spec = LayerSpec(name="conv", kind="conv2d",
                          weight=weights.astype(np.float32).reshape(fh, fw, cin, cout),
                          geometry=geometry, bn_params=bn)
-        out, _ = conv2d_quantized(ints, -7, spec, rlq, out_exp=-7)
-        reals = conv2d_gemm(np.ldexp(ints.astype(float), -7),
-                            decode(rlq.symbols, rlq).reshape(fh, fw, cin, cout),
-                            stride=stride, pad=pad)
+        real = _stage_real(_build_stage(spec, rlq, 8), ints.transpose(0, 2, 3, 1), -7,
+                           IntegerEngine.accumulate)
+        out, _ = quantize_activations(real, 8, -7)
+        conv.w = decode(rlq.symbols, rlq).reshape(fh, fw, cin, cout)
         g, t = fold_bn(bn)
-        reals = rlq.alpha * reals * g[:, None, None] + t[:, None, None]
+        reals = rlq.alpha * conv.forward(x) * g + t  # channels last
         over_lsb += int(np.max(np.abs(out - quantize_activations(reals, 8, -7)[0]))) > 1
     report(7, inexact == 0 and over_lsb == 0,
            f"integer conv: {inexact}/{geoms} exact-mode mismatches, "

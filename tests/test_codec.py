@@ -593,6 +593,16 @@ def test_name_that_is_not_utf8_is_a_format_error():
         decode_layer(_with_crc(bytes(record)))
 
 
+@pytest.mark.parametrize("wsep", [float("nan"), -1.0])
+def test_record_with_a_bad_separation_is_a_format_error(wsep):
+    record = bytearray(encode_layer(_shift_layer("conv")))
+    at = 6 + len("conv") + struct.calcsize("<BBfbbbbbf")  # wsep: the last fixed field
+    assert record[at : at + 4] == struct.pack("<f", _shift_layer("conv").wsep)
+    record[at : at + 4] = struct.pack("<f", wsep)
+    with pytest.raises(FormatError, match="layer 'conv': wsep must be finite and >= 0"):
+        decode_layer(_with_crc(bytes(record)))
+
+
 def test_unknown_container_version_rejected():
     data = bytearray(encode_compressed(CompressedModel([_shift_layer()])))
     data[4:6] = struct.pack("<H", 99)  # header: magic (4 bytes), version u16

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fqpack.codec import CompressedModel
-from fqpack.convops import conv2d_gemm
 from fqpack.engine import (
     ACC_BITS,
     F32_EXACT_BITS,
@@ -15,10 +14,10 @@ from fqpack.engine import (
     QuantBN,
     accumulator_bits,
     check_accumulator,
-    conv2d_quantized,
     dot_shift_add,
     fold_bn,
     global_avg_pool_int,
+    _build_stage,
     _lossless_exponent,
     _round_away,
     _stage_real,
@@ -39,7 +38,7 @@ from fqpack.focused_quant import (
     quantize_layer,
 )
 from fqpack.model_store import LayerSpec, ModelFile
-from fqpack.nn import ToyNet
+from fqpack.nn import Conv2d, ToyNet
 from fqpack.pruner import prune_by_magnitude
 from fqpack.rng import derive_seed
 
@@ -312,10 +311,11 @@ def test_identity_conv_echoes_input():
     rng = np.random.default_rng(87)
     ints = rng.integers(-127, 128, size=(2, 3, 4, 4))
     ints.flat[0] = 127  # pin the extreme so the output exponent matches
-    out, exp = conv2d_quantized(ints, -7, identity_conv_spec(3),
-                                identity_conv_lq(3))
+    x = ints.transpose(0, 2, 3, 1)  # NHWC, as stages take them
+    stage = _build_stage(identity_conv_spec(3), identity_conv_lq(3), 8)
+    out, exp = quantize_activations(_stage_real(stage, x, -7, IntegerEngine.accumulate), 8)
     assert exp == -7
-    assert np.array_equal(out, ints)
+    assert np.array_equal(out, x)
 
 
 def test_all_zero_weights_leave_bn_offset():
@@ -328,12 +328,13 @@ def test_all_zero_weights_leave_bn_offset():
                    np.zeros(channels), np.ones(channels)),
     )
     lq = shift_layer(np.full(channels * channels, ZERO), name="conv")
-    ints = np.random.default_rng(88).integers(-127, 128, size=(1, 3, 2, 2))
-    out, exp = conv2d_quantized(ints, -7, spec, lq)
+    ints = np.random.default_rng(88).integers(-127, 128, size=(1, 3, 2, 2)).transpose(0, 2, 3, 1)
+    real = _stage_real(_build_stage(spec, lq, 8), ints, -7, IntegerEngine.accumulate)
+    out, exp = quantize_activations(real, 8)
     reals = np.ldexp(out.astype(float), exp)
     _, t = fold_bn(spec.bn_params)
     step = np.ldexp(1.0, exp)
-    assert np.max(np.abs(reals - t[None, :, None, None])) <= step / 2
+    assert np.max(np.abs(reals - t)) <= step / 2  # channels last
 
 
 def test_conv_within_one_lsb_of_float():
@@ -347,14 +348,14 @@ def test_conv_within_one_lsb_of_float():
     spec = LayerSpec(name="conv", kind="conv2d",
                      weight=weights.astype(np.float32).reshape(3, 3, cin, cout),
                      geometry=(3, 3, cin, cout, 1, 1), bn_params=bn)
-    ints = rng.integers(-127, 128, size=(2, cin, 8, 8))
-    out, exp = conv2d_quantized(ints, -7, spec, lq, out_exp=-7)
+    ints = rng.integers(-127, 128, size=(2, cin, 8, 8)).transpose(0, 2, 3, 1)  # NHWC
+    real = _stage_real(_build_stage(spec, lq, 8), ints, -7, IntegerEngine.accumulate)
+    out, exp = quantize_activations(real, 8, -7)
     # independent float path: real activations, decoded real weights, real BN
-    reals = conv2d_gemm(np.ldexp(ints.astype(float), -7),
-                        decode(lq.symbols, lq).reshape(3, 3, cin, cout),
-                        stride=1, pad=1)
+    conv = Conv2d(3, 3, cin, cout, stride=1, pad=1)
+    conv.w = decode(lq.symbols, lq).reshape(3, 3, cin, cout)
     g, t = fold_bn(bn)
-    reals = lq.alpha * reals * g[:, None, None] + t[:, None, None]
+    reals = lq.alpha * conv.forward(np.ldexp(ints.astype(float), -7)) * g + t
     want = quantize_activations(reals, 8, -7)[0]
     assert np.max(np.abs(out - want)) <= 1
 
@@ -448,6 +449,8 @@ def test_engine_validation_errors():
                             + cm.layers[1:])
     with pytest.raises(ValidationError):
         IntegerEngine(model, short)
+    with pytest.raises(ValidationError, match="input has 4 channels, expected 3"):
+        IntegerEngine(model, cm).forward(np.zeros((1, 4, 8, 8)))
 
 
 def test_missing_layer_is_a_validation_error():

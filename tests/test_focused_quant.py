@@ -13,12 +13,13 @@ from fqpack.focused_quant import (
     QuantParams,
     choose_mode,
     decode,
+    _recentralized_params,
     dequantize_layer,
+    fit_params,
     kl_complexity_cost,
     pack,
     quantize_layer,
-    quantize_recentralized,
-    quantize_shift_layer,
+    quantize_with,
     round_hyperparams,
     round_log2,
     unpack,
@@ -31,7 +32,7 @@ from fqpack.mixture import (
     responsibilities_array,
     sample_assignments,
 )
-from fqpack.pruner import PruneMask, prune_by_magnitude
+from fqpack.pruner import prune_by_magnitude
 from fqpack.shift_quant import ShiftGrid
 
 
@@ -117,17 +118,16 @@ def test_log_tie_rounds_to_smaller_exponent():
 # --- recentralized quantization --------------------------------------------------
 
 
-def _assignment(component, seed=0):
-    from fqpack.mixture import AssignmentMask
-    return AssignmentMask(np.asarray(component, dtype=np.uint8), seed)
+def _assignment(component):
+    return np.asarray(component, dtype=np.uint8)
 
 
 def test_weight_at_component_center():
     weights = np.array([0.25, -0.5, 0.03125])
-    mask = PruneMask(np.array([1, 1, 1], dtype=np.uint8))
+    keep = np.ones(3, dtype=bool)
     model = _model((-0.5, 0.25), (0.05, 0.05))
-    lq = quantize_recentralized(weights, mask, model, _assignment([1, 0, 1]), 5,
-                                alpha=1.5)
+    params = _recentralized_params(weights, model, _assignment([1, 0, 1]), 5, 0.0)
+    lq = quantize_with(weights, keep, params, alpha=1.5)
     # first weight sits exactly on mu_plus: center symbol, deviation 0
     k = lq.n_bits - 3
     assert lq.symbols[0] == (1 << (lq.n_bits - 1)) | (3 << k)
@@ -138,10 +138,10 @@ def test_weight_at_component_center():
 def test_pruned_positions_are_zero():
     rng = np.random.default_rng(41)
     weights = bimodal_layer(rng, n=200)
-    mask = prune_by_magnitude(weights, 0.4)
-    lq = quantize_layer(weights, mask, 5, seed=3)
-    assert np.all(lq.symbols[mask.mask == 0] == ZERO)
-    assert np.all(dequantize_layer(lq)[mask.mask == 0] == 0.0)
+    keep = prune_by_magnitude(weights, 0.4)
+    lq = quantize_layer(weights, keep, 5, seed=3)
+    assert np.all(lq.symbols[~keep] == ZERO)
+    assert np.all(dequantize_layer(lq)[~keep] == 0.0)
     assert lq.zero_fraction >= 0.4
 
 
@@ -169,35 +169,32 @@ def test_matches_straight_line_oracle():
     rng = np.random.default_rng(42)
     for trial in range(5):
         weights = bimodal_layer(rng, n=800)
-        mask = prune_by_magnitude(weights, 0.5)
-        keep = mask.mask == 1
+        keep = prune_by_magnitude(weights, 0.5)
         model = round_hyperparams(fit_em(weights[keep]))
         assign = sample_assignments(
             responsibilities_array(model, weights[keep])[:, PLUS], seed=trial)
-        lq = quantize_recentralized(weights, mask, model, assign, 5, alpha=0.75)
-        expected, bias = straight_line_oracle(
-            weights, keep, assign.component, model, 5, 0.75)
+        params = _recentralized_params(weights[keep], model, assign, 5, 0.0)
+        lq = quantize_with(weights, keep, params, alpha=0.75)
+        expected, bias = straight_line_oracle(weights, keep, assign, model, 5, 0.75)
         assert lq.bias == bias
         assert np.array_equal(dequantize_layer(lq), expected)
 
 
 def test_recentralized_requires_rounded_model():
     weights = np.array([0.1, 0.2, 0.3, -0.1])
-    mask = PruneMask(np.ones(4, dtype=np.uint8))
     unrounded = _model((-0.09, 0.22), (0.05, 0.04))
     with pytest.raises(ValueError):
-        quantize_recentralized(weights, mask, unrounded, _assignment([0, 1, 1, 0]), 5)
+        _recentralized_params(weights, unrounded, _assignment([0, 1, 1, 0]), 5, 0.0)
     unshared = _model((-0.125, 0.25), (0.05, 0.04))
     with pytest.raises(ValueError):
-        quantize_recentralized(weights, mask, unshared, _assignment([0, 1, 1, 0]), 5)
+        _recentralized_params(weights, unshared, _assignment([0, 1, 1, 0]), 5, 0.0)
 
 
 def test_recentralized_needs_four_bits():
     weights = np.array([0.1, 0.2])
-    mask = PruneMask(np.ones(2, dtype=np.uint8))
     model = round_hyperparams(_model((-0.125, 0.25), (0.05, 0.05)))
     with pytest.raises(ValueError):
-        quantize_recentralized(weights, mask, model, _assignment([0, 1]), 3)
+        _recentralized_params(weights, model, _assignment([0, 1]), 3, 0.0)
 
 
 # --- shift-mode layer --------------------------------------------------------------
@@ -205,17 +202,17 @@ def test_recentralized_needs_four_bits():
 
 def test_on_grid_weights_are_exact():
     weights = np.array([0.5, -0.25, 0.125, -0.0625, 0.0])
-    mask = PruneMask(np.ones(5, dtype=np.uint8))
-    lq = quantize_shift_layer(weights, mask, 5)
+    params = fit_params(weights, 5, 0.0, 0, mode=MODE_SHIFT)
+    lq = quantize_with(weights, np.ones(5, dtype=bool), params)
     assert np.array_equal(dequantize_layer(lq), weights)
 
 
 def test_shift_layer_matches_enumeration():
     rng = np.random.default_rng(43)
     weights = rng.normal(scale=0.2, size=1000)
-    mask = prune_by_magnitude(weights, 0.3)
-    lq = quantize_shift_layer(weights, mask, 5)
-    keep = mask.mask == 1
+    keep = prune_by_magnitude(weights, 0.3)
+    params = fit_params(weights[keep], 5, 0.0, 0, mode=MODE_SHIFT)
+    lq = quantize_with(weights, keep, params)
     expected = np.zeros(weights.size)
     expected[keep] = nearest_on_grid(weights[keep], lq.grid)
     assert np.array_equal(decode(lq.symbols, lq), expected)
@@ -224,13 +221,20 @@ def test_shift_layer_matches_enumeration():
 def test_all_pruned_is_degenerate():
     weights = np.array([1.0, 2.0])
     with pytest.raises(DegenerateInputError):
-        quantize_shift_layer(weights, PruneMask(np.zeros(2, dtype=np.uint8) + 0), 5)
+        quantize_layer(weights, np.zeros(2, dtype=bool), 5)
 
 
 def test_shift_needs_three_bits():
-    mask = PruneMask(np.ones(2, dtype=np.uint8))
     with pytest.raises(ValueError):
-        quantize_shift_layer(np.array([0.1, 0.2]), mask, 2)
+        quantize_layer(np.array([0.1, 0.2]), np.ones(2, dtype=bool), 2)
+
+
+def test_keep_mask_must_be_bool_over_every_weight():
+    weights = np.array([0.1, -0.2, 0.3, -0.4])
+    with pytest.raises(ValueError, match="keep mask"):
+        quantize_layer(weights, np.array([1, 2, 1, 1], dtype=np.uint8), 5)
+    with pytest.raises(ValueError, match="keep mask"):
+        quantize_layer(weights, np.ones(3, dtype=bool), 5)
 
 
 # --- symbol packing / validation ------------------------------------------------
@@ -389,8 +393,8 @@ def test_layer_validation_errors():
 def test_bimodal_layer_goes_recentralized():
     rng = np.random.default_rng(44)
     weights = bimodal_layer(rng)
-    mask = prune_by_magnitude(weights, 0.5)
-    lq = quantize_layer(weights, mask, 5, w_sep=2.0, seed=1)
+    keep = prune_by_magnitude(weights, 0.5)
+    lq = quantize_layer(weights, keep, 5, w_sep=2.0, seed=1)
     assert lq.mode == MODE_RECENTRALIZED
     assert lq.wsep >= 2.0
 
@@ -399,25 +403,24 @@ def test_unimodal_layer_goes_shift():
     # no pruning: a plain Gaussian fits as two overlapping components (low W)
     rng = np.random.default_rng(45)
     weights = rng.normal(scale=0.1, size=1000)
-    mask = PruneMask(np.ones(weights.size, dtype=np.uint8))
-    lq = quantize_layer(weights, mask, 5, w_sep=2.0, seed=1)
+    lq = quantize_layer(weights, np.ones(weights.size, dtype=bool), 5, w_sep=2.0, seed=1)
     assert lq.mode == MODE_SHIFT
 
 
 def test_three_bit_request_forces_shift():
     rng = np.random.default_rng(46)
     weights = bimodal_layer(rng)
-    mask = prune_by_magnitude(weights, 0.5)
-    lq = quantize_layer(weights, mask, 3, w_sep=0.0, seed=1)
+    keep = prune_by_magnitude(weights, 0.5)
+    lq = quantize_layer(weights, keep, 3, w_sep=0.0, seed=1)
     assert lq.mode == MODE_SHIFT and lq.n_bits == 3
 
 
 def test_quantize_layer_deterministic():
     rng = np.random.default_rng(47)
     weights = bimodal_layer(rng)
-    mask = prune_by_magnitude(weights, 0.5)
-    a = quantize_layer(weights, mask, 5, seed=9)
-    b = quantize_layer(weights, mask, 5, seed=9)
+    keep = prune_by_magnitude(weights, 0.5)
+    a = quantize_layer(weights, keep, 5, seed=9)
+    b = quantize_layer(weights, keep, 5, seed=9)
     assert np.array_equal(a.symbols, b.symbols)
     assert (a.mu, a.sigma, a.bias) == (b.mu, b.sigma, b.bias)
 
@@ -433,11 +436,10 @@ def test_kl_of_identical_arrays_is_tiny():
 def test_kl_recentralized_beats_shift_on_bimodal():
     rng = np.random.default_rng(49)
     weights = bimodal_layer(rng, n=4000)
-    mask = prune_by_magnitude(weights, 0.5)
-    keep = mask.mask == 1
-    rec = quantize_layer(weights, mask, 5, w_sep=0.0, seed=2)
+    keep = prune_by_magnitude(weights, 0.5)
+    rec = quantize_layer(weights, keep, 5, w_sep=0.0, seed=2)
     assert rec.mode == MODE_RECENTRALIZED
-    shift = quantize_shift_layer(weights, mask, 5)
+    shift = quantize_with(weights, keep, fit_params(weights[keep], 5, 0.0, 2, mode=MODE_SHIFT))
     original = weights[keep]
     kl_rec = kl_complexity_cost(original, dequantize_layer(rec)[keep], 64)
     kl_shift = kl_complexity_cost(original, dequantize_layer(shift)[keep], 64)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqpack.errors import DegenerateInputError
+from fqpack.focused_quant import quantize_layer
 from fqpack.mixture import (
     MINUS,
     PLUS,
@@ -120,6 +121,23 @@ def test_underflow_assigns_to_nearer_mean():
     assert p[MINUS] == 1.0
 
 
+def test_fit_em_refuses_values_whose_squares_overflow():
+    rng = np.random.default_rng(28)
+    values = np.concatenate([rng.normal(0.0, 1e-3, 100), [1e160, -1e160]])
+    with pytest.raises(ValueError, match="overflow"):
+        fit_em(values)
+    # the layer pipeline stops there too, rather than freezing a NaN separation
+    weights = np.concatenate([rng.normal(0.0, 1e-3, 198), [1e160, -1e160]])
+    with pytest.raises(ValueError, match="overflow"):
+        quantize_layer(weights, np.ones(weights.size, dtype=bool), 5, w_sep=0.0)
+
+
+def test_model_refuses_non_finite_or_non_positive_sigma():
+    for bad in (np.nan, np.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="sigmas"):
+            MixtureModel(mu=np.zeros(2), sigma=np.array([0.1, bad]), lam=np.array([0.5, 0.5]))
+
+
 # --- assignment sampling -------------------------------------------------------
 
 
@@ -128,8 +146,8 @@ def test_forced_assignment():
                          sigma=np.array([0.1, 0.1]),
                          lam=np.array([0.0, 1.0]))
     values = np.linspace(-2, 2, 100)
-    mask = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=0)
-    assert np.all(mask.component == PLUS)
+    component = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=0)
+    assert component.dtype == np.uint8 and np.all(component == PLUS)
 
 
 def test_assignment_concentration():
@@ -139,8 +157,8 @@ def test_assignment_concentration():
                          sigma=np.array([sigma, sigma]),
                          lam=np.array([0.3, 0.7]))
     values = np.zeros(100_000)
-    mask = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=31)
-    frac = float(np.mean(mask.component == PLUS))
+    component = sample_assignments(responsibilities_array(model, values)[:, PLUS], seed=31)
+    frac = float(np.mean(component == PLUS))
     assert abs(frac - 0.7) < 0.005
 
 
@@ -150,13 +168,13 @@ def test_assignment_determinism():
     model = fit_em(values)
     a = sample_assignments(model.p_plus, seed=7)
     b = sample_assignments(model.p_plus, seed=7)
-    assert np.array_equal(a.component, b.component)
+    assert np.array_equal(a, b)
     # a soft model leaves room for the seed to matter
     soft = MixtureModel(mu=np.array([0.0, 0.0]), sigma=np.array([1.0, 1.0]),
                         lam=np.array([0.5, 0.5]))
     p_plus = responsibilities_array(soft, np.zeros(2000))[:, PLUS]
-    assert not np.array_equal(sample_assignments(p_plus, seed=7).component,
-                              sample_assignments(p_plus, seed=8).component)
+    assert not np.array_equal(sample_assignments(p_plus, seed=7),
+                              sample_assignments(p_plus, seed=8))
 
 
 # --- bit-equality oracle: the (n, 2) EM that the column-form E-step replaced ---
@@ -246,7 +264,7 @@ def draw_values(kind, rng, n):
         return np.round(rng.normal(0.0, 2.0, n))
     if kind == "few":
         return rng.choice(rng.normal(size=rng.integers(2, 6)), n)
-    # far: squares overflow, so both weighted densities of these rows underflow
+    # far: squares overflow float64, which fit_em refuses
     far = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(160, 200, 2)
     return rng.permutation(np.concatenate([rng.normal(0.0, 1e-3, n), far]))
 
@@ -257,25 +275,26 @@ def draw_values(kind, rng, n):
 def test_fit_em_bit_identical_to_reference(kind, n, seed):
     rng = np.random.default_rng(seed)
     values = draw_values(kind, rng, n)
-    with np.errstate(all="ignore"):  # the far draws overflow inside EM
-        try:
-            expected = reference_fit_em(values)
-        except DegenerateInputError:
-            with pytest.raises(DegenerateInputError):
-                fit_em(values)
-            return
-        model = fit_em(values)
-        posterior = reference_responsibilities(expected, values)
-        assert same_bits(responsibilities_array(expected, values), posterior)
+    if kind == "far":
+        with pytest.raises(ValueError, match="overflow"):
+            fit_em(values)
+        return
+    try:
+        expected = reference_fit_em(values)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            fit_em(values)
+        return
+    model = fit_em(values)
+    posterior = reference_responsibilities(expected, values)
+    assert same_bits(responsibilities_array(expected, values), posterior)
     for got, want in ((model.mu, expected.mu), (model.sigma, expected.sigma),
                       (model.lam, expected.lam), (model.ll_trace, expected.ll_trace)):
         assert same_bits(got, want)
-    if kind == "far":  # the underflow fallback ran
-        assert np.isnan(expected.ll_trace[0])
     assert same_bits(model.p_plus, posterior[:, PLUS])
     draw = int(rng.integers(2**31))
-    assert np.array_equal(sample_assignments(model.p_plus, draw).component,
-                          sample_assignments(posterior[:, PLUS], draw).component)
+    assert np.array_equal(sample_assignments(model.p_plus, draw),
+                          sample_assignments(posterior[:, PLUS], draw))
 
 
 # --- Wasserstein separation ----------------------------------------------------

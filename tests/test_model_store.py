@@ -204,7 +204,7 @@ def test_non_utf8_layer_name_is_format_error():
 def test_missing_layer_is_a_validation_error():
     layers = ToyNet(seed=5).to_model_file().layers
     with pytest.raises(ValidationError, match="'head' is missing"):
-        ToyNet(seed=6).load_weights(ModelFile(layers[:-1]))
+        ModelFile(layers[:-1]).layer("head")
 
 
 def test_rank_beyond_numpy_limit_is_format_error():

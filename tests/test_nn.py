@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fqpack.convops import col2im, conv2d_gemm, conv_output_hw, im2col
+from fqpack.convops import col2im, conv_output_hw, im2col
 from fqpack.model_store import decode_model, encode_model
 from fqpack.nn import (
     TOY_PLAN,
@@ -69,14 +69,10 @@ def test_gemm_matches_naive_conv():
     rng = np.random.default_rng(60)
     for stride, pad in ((1, 0), (1, 1), (2, 1)):
         x = rng.normal(size=(2, 3, 8, 8))
-        w = rng.normal(size=(3, 3, 3, 4))
-        got = conv2d_gemm(x, w, stride, pad)
-        assert got == pytest.approx(naive_conv(x, w, stride, pad), abs=1e-12)
-
-
-def test_channel_mismatch_rejected():
-    with pytest.raises(ValueError):
-        conv2d_gemm(np.zeros((1, 2, 4, 4)), np.zeros((3, 3, 3, 4)))
+        conv = Conv2d(3, 3, 3, 4, stride=stride, pad=pad)
+        conv.w = rng.normal(size=(3, 3, 3, 4))
+        got = conv.forward(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert got == pytest.approx(naive_conv(x, conv.w, stride, pad), abs=1e-12)
 
 
 def test_col2im_is_adjoint_of_im2col():
@@ -112,7 +108,7 @@ def test_im2col_matches_pad_and_window_oracle(shape, kernel, stride, pad, dtype,
     fh, fw = kernel
     assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
     x = np.random.default_rng(seed).normal(scale=50.0, size=shape).astype(dtype)
-    if nchw:  # the transposed view conv2d_gemm passes
+    if nchw:  # a transposed view of NCHW memory
         x = np.ascontiguousarray(x.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1)
     got, want = im2col(x, fh, fw, stride, pad), pad_window_im2col(x, fh, fw, stride, pad)
     assert got.flags.c_contiguous and got.dtype == want.dtype
@@ -426,12 +422,14 @@ def test_model_file_round_trip():
     assert [spec.name for spec in model.layers] == [
         f"conv{i}" for i in range(1, 10)
     ] + ["head"]
-    restored = ToyNet(seed=99)
-    restored.load_weights(decode_model(encode_model(model)))
-    x = np.random.default_rng(69).normal(size=(2, 3, 32, 32))
-    # weights survive f32 storage; forward agreement at f32 resolution
-    assert restored.forward(x) == pytest.approx(net.forward(x), abs=1e-5)
-    assert restored.bns[0].running_mean[0] == 0.25
+    restored = decode_model(encode_model(model))
+    for want, got in zip(model.layers, restored.layers, strict=True):
+        assert (got.name, got.kind, got.geometry) == (want.name, want.kind, want.geometry)
+        assert np.array_equal(got.weight, want.weight)
+        assert (got.bn_params is None) == (want.bn_params is None)
+        for g, w in zip(got.bn_params or (), want.bn_params or (), strict=True):
+            assert np.array_equal(g, w)
+    assert restored.layer("conv1").bn_params[2][0] == 0.25
 
 
 def test_predict_batches_match_forward():

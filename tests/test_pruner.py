@@ -6,20 +6,20 @@ from fqpack.pruner import prune_by_magnitude
 
 
 def test_two_smallest_magnitudes_pruned():
-    mask = prune_by_magnitude(np.array([0.1, -0.5, 0.05, 2.0]), 0.5)
-    assert mask.mask.tolist() == [0, 1, 0, 1]
-    assert mask.sparsity == 0.5
+    keep = prune_by_magnitude(np.array([0.1, -0.5, 0.05, 2.0]), 0.5)
+    assert keep.tolist() == [False, True, False, True]
+    assert (~keep).mean() == 0.5
 
 
 def test_target_zero_keeps_everything():
-    mask = prune_by_magnitude(np.array([1.0, 2.0, 3.0]), 0.0)
-    assert mask.mask.tolist() == [1, 1, 1]
-    assert mask.sparsity == 0.0
+    keep = prune_by_magnitude(np.array([1.0, 2.0, 3.0]), 0.0)
+    assert keep.tolist() == [True, True, True]
+    assert (~keep).mean() == 0.0
 
 
 def test_ties_break_by_lower_index():
-    mask = prune_by_magnitude(np.array([1.0, -1.0, 1.0, -1.0]), 0.5)
-    assert mask.mask.tolist() == [0, 0, 1, 1]
+    keep = prune_by_magnitude(np.array([1.0, -1.0, 1.0, -1.0]), 0.5)
+    assert keep.tolist() == [False, False, True, True]
 
 
 def test_target_one_rejected():
@@ -31,16 +31,16 @@ def test_target_one_rejected():
 
 def test_floor_of_target_count():
     # floor(0.5 * 5) = 2 weights pruned
-    mask = prune_by_magnitude(np.arange(1.0, 6.0), 0.5)
-    assert int((mask.mask == 0).sum()) == 2
-    assert abs(mask.sparsity - 0.5) <= 1.0 / 5
+    keep = prune_by_magnitude(np.arange(1.0, 6.0), 0.5)
+    assert int((~keep).sum()) == 2
+    assert abs((~keep).mean() - 0.5) <= 1.0 / 5
 
 
 def test_mask_shape_follows_weights():
     w = np.random.default_rng(0).normal(size=(3, 4, 5))
-    mask = prune_by_magnitude(w, 0.3)
-    assert mask.mask.shape == (60,)
-    assert int((mask.mask == 0).sum()) == int(0.3 * 60)
+    keep = prune_by_magnitude(w, 0.3)
+    assert keep.shape == (60,) and keep.dtype == bool
+    assert int((~keep).sum()) == int(0.3 * 60)
 
 
 def test_monotone_in_target_sparsity():
@@ -49,7 +49,7 @@ def test_monotone_in_target_sparsity():
         w = rng.normal(size=rng.integers(5, 200))
         previous = np.zeros(w.size, dtype=bool)
         for target in (0.1, 0.25, 0.5, 0.75, 0.9):
-            pruned = prune_by_magnitude(w, target).mask == 0
+            pruned = ~prune_by_magnitude(w, target)
             assert np.all(previous <= pruned)  # pruned set only grows
             previous = pruned
 
@@ -58,9 +58,9 @@ def test_survivors_dominate_pruned():
     rng = np.random.default_rng(12)
     for _ in range(20):
         w = rng.normal(size=100)
-        mask = prune_by_magnitude(w, 0.4)
-        kept = np.abs(w[mask.mask == 1])
-        dropped = np.abs(w[mask.mask == 0])
+        keep = prune_by_magnitude(w, 0.4)
+        kept = np.abs(w[keep])
+        dropped = np.abs(w[~keep])
         assert kept.min() >= dropped.max() or np.isclose(kept.min(), dropped.max())
 
 
@@ -92,4 +92,4 @@ def test_mask_matches_stable_sort_reference(kind, n, seed, target):
         w = rng.integers(-3, 4, n) * rng.choice([-1.0, 1.0], n)
     else:
         w = np.full(n, rng.choice([0.0, -0.0, 0.5, -2.0]))
-    assert np.array_equal(prune_by_magnitude(w, target).mask, reference_mask(w, target))
+    assert np.array_equal(prune_by_magnitude(w, target), reference_mask(w, target) == 1)
