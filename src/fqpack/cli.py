@@ -33,7 +33,7 @@ from .cost_model import (
 )
 from .engine import FloatSimulator, IntegerEngine
 from .errors import FqError
-from .focused_quant import MIN_BITS_SHIFT, dequantize_layer, quantize_layer
+from .focused_quant import dequantize_layer, quantize_layer
 from .model_store import (
     ModelFile,
     load_cifar10_batch,
@@ -75,79 +75,55 @@ class ConfigError(UsageError):
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline run needs, mirroring the config file layout."""
+    """Everything a pipeline run needs, mirroring the config file layout.
+
+    The quantization settings (n_bits, prune_fraction, w_sep) and the seed
+    live only on ``train``, which compress, train and sweep all read.
+    """
 
     model: str = ""
     output: str = ""
     report_dir: str = ""
-    n_bits: int = 5
-    prune_fraction: float = 0.5
-    w_sep: float = 2.0
-    seed: int = 0
     act_bits: int = 8
     float_epochs: int = 4
     float_lr: float = 0.05
     float_momentum: float = 0.9
     train: TrainConfig = field(default_factory=TrainConfig)
-    # per-layer overrides: name -> {"n_bits"|"prune_fraction"|"w_sep": value}
+    # per-layer overrides for compress: name -> {"n_bits"|"prune_fraction"|"w_sep": value}
     layers: dict = field(default_factory=dict)
 
     def layer_value(self, name: str, key: str):
-        return self.layers.get(name, {}).get(key, getattr(self, key))
+        return self.layers.get(name, {}).get(key, getattr(self.train, key))
 
 
-_PIPELINE_KEYS = {
-    "model": str,
-    "output": str,
-    "report_dir": str,
-    "n_bits": int,
-    "prune_fraction": float,
-    "w_sep": float,
-    "seed": int,
-    "act_bits": int,
-}
-_TRAIN_KEYS = {
-    "learning_rate": float,
-    "epochs_per_step": int,
-    "inq_fractions": "fractions",
-    "refresh_interval": int,
-    "refresh_growth": int,
-    "momentum": float,
-    "batch_size": int,
-    "lr_decay": float,
-    "lr_decay_every": int,
-    "float_epochs": int,
-    "float_lr": float,
-    "float_momentum": float,
-}
-_LAYER_KEYS = {"n_bits": int, "prune_fraction": float, "w_sep": float}
-_FLOAT_PRETRAIN = ("float_epochs", "float_lr", "float_momentum")
+# keys allowed per section; each is a PipelineConfig or TrainConfig field
+_PIPELINE_KEYS = ("model", "output", "report_dir", "n_bits", "prune_fraction",
+                  "w_sep", "seed", "act_bits")
+_TRAIN_KEYS = ("learning_rate", "epochs_per_step", "inq_fractions", "refresh_interval",
+               "refresh_growth", "momentum", "batch_size", "lr_decay", "lr_decay_every",
+               "float_epochs", "float_lr", "float_momentum")
+_LAYER_KEYS = ("n_bits", "prune_fraction", "w_sep")
 
 
-def _convert(section: str, key: str, raw: str, kind):
+def _convert(section: str, key: str, raw: str):
+    """Parse ``raw`` as the type of the key's dataclass default."""
+    default = getattr(TrainConfig, key, getattr(PipelineConfig, key, None))
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "fractions":
+        if isinstance(default, tuple):
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        return raw.strip()
+        if isinstance(default, str):
+            return raw.strip()
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
 
 
-def _validate_quant_params(where: str, n_bits: int, prune_fraction: float,
-                           w_sep: float):
-    if n_bits < MIN_BITS_SHIFT or n_bits > 8:
-        raise ConfigError(
-            f"{where}: n_bits {n_bits} outside [{MIN_BITS_SHIFT}, 8] "
-            f"(the symbol layout needs at least {MIN_BITS_SHIFT} bits)"
-        )
-    if not 0.0 <= prune_fraction < 1.0:
-        raise ConfigError(f"{where}: prune_fraction {prune_fraction} not in [0, 1)")
-    if w_sep < 0.0:
-        raise ConfigError(f"{where}: w_sep {w_sep} must be >= 0")
+def _train_config(where: str, base: TrainConfig, **values) -> TrainConfig:
+    """``base`` with ``values`` replaced, its checks failing as ConfigError."""
+    try:
+        return replace(base, **values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _validate_act_bits(where: str, act_bits: int):
@@ -165,50 +141,35 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigError(f"config syntax: {exc}") from exc
 
     cfg = PipelineConfig()
-    train_kwargs = {}
+    pipeline, train = {}, {}  # TrainConfig values from [pipeline] and [train]
     for section in parser.sections():
-        items = parser[section]
         if section == "pipeline":
-            for key, raw in items.items():
-                if key not in _PIPELINE_KEYS:
-                    raise ConfigError(f"[pipeline] unknown key {key!r}")
-                setattr(cfg, key, _convert(section, key, raw, _PIPELINE_KEYS[key]))
+            keys, values = _PIPELINE_KEYS, pipeline
         elif section == "train":
-            for key, raw in items.items():
-                if key not in _TRAIN_KEYS:
-                    raise ConfigError(f"[train] unknown key {key!r}")
-                value = _convert(section, key, raw, _TRAIN_KEYS[key])
-                if key in _FLOAT_PRETRAIN:
-                    setattr(cfg, key, value)
-                else:
-                    train_kwargs[key] = value
+            keys, values = _TRAIN_KEYS, train
         elif section.startswith("layer "):
             name = section[len("layer "):].strip()
             if not name:
                 raise ConfigError("layer section needs a name: [layer NAME]")
-            overrides = {}
-            for key, raw in items.items():
-                if key not in _LAYER_KEYS:
-                    raise ConfigError(f"[{section}] unknown key {key!r}")
-                overrides[key] = _convert(section, key, raw, _LAYER_KEYS[key])
-            cfg.layers[name] = overrides
+            keys, values = _LAYER_KEYS, cfg.layers.setdefault(name, {})
         else:
             raise ConfigError(f"unknown section [{section}]")
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            value = _convert(section, key, raw)
+            if hasattr(TrainConfig, key):
+                values[key] = value
+            else:
+                setattr(cfg, key, value)
 
-    _validate_quant_params("[pipeline]", cfg.n_bits, cfg.prune_fraction, cfg.w_sep)
+    cfg.train = _train_config("[pipeline]", cfg.train, **pipeline)
     _validate_act_bits("[pipeline]", cfg.act_bits)
     if cfg.float_epochs < 0:
         raise ConfigError("[train] float_epochs must be >= 0")
     for name, overrides in cfg.layers.items():
-        merged = {k: overrides.get(k, getattr(cfg, k)) for k in _LAYER_KEYS}
-        _validate_quant_params(f"[layer {name}]", **merged)
-    try:
-        cfg.train = TrainConfig(
-            seed=cfg.seed, w_sep=cfg.w_sep, n_bits=cfg.n_bits,
-            prune_fraction=cfg.prune_fraction, **train_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[train] {exc}") from exc
+        _train_config(f"[layer {name}]", cfg.train, **overrides)
+    cfg.train = _train_config("[train]", cfg.train, **train)
     return cfg
 
 
@@ -230,7 +191,7 @@ def resolve_seed(flag_seed, cfg: PipelineConfig) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV}={env!r} is not an integer") from exc
-    return cfg.seed
+    return cfg.train.seed
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +285,9 @@ def cmd_compress(args) -> int:
         cfg.output = args.out
     if args.report_dir:
         cfg.report_dir = args.report_dir
-    if args.n_bits is not None:
-        cfg.n_bits = args.n_bits
-    if args.prune is not None:
-        cfg.prune_fraction = args.prune
-    if args.w_sep is not None:
-        cfg.w_sep = args.w_sep
-    _validate_quant_params("compress", cfg.n_bits, cfg.prune_fraction, cfg.w_sep)
+    flags = {"n_bits": args.n_bits, "prune_fraction": args.prune, "w_sep": args.w_sep}
+    cfg.train = _train_config("compress", cfg.train,
+                              **{k: v for k, v in flags.items() if v is not None})
     if not cfg.model or not cfg.output:
         raise UsageError("compress needs a model path and an output path")
     seed = resolve_seed(args.seed, cfg)
@@ -394,20 +351,34 @@ def _training_data(args, seed: int):
     return images, labels, val
 
 
-def cmd_train(args) -> int:
+def _training_setup(args):
+    """(config, master seed, TrainConfig carrying that seed) for train and sweep."""
     cfg = load_config(args.config) if args.config else PipelineConfig()
+    if cfg.layers:
+        raise ConfigError(f"[layer {next(iter(cfg.layers))}]: per-layer overrides "
+                          "apply to compress only")
     seed = resolve_seed(args.seed, cfg)
-    train_cfg = replace(cfg.train, seed=seed)
-    images, labels, (val_images, val_labels) = _training_data(args, seed)
+    return cfg, seed, replace(cfg.train, seed=seed)
 
+
+def _pretrained_net(cfg: PipelineConfig, seed: int, images, labels, eval_set=None):
+    """The seeded ToyNet after float pre-training; returns (net, history)."""
     net = ToyNet(seed=derive_seed(seed, "init"))
-    float_history = []
+    history = []
+    # skipped at zero epochs: train_float would still cast the net to
+    # float32, which changes the INQ shadows and the container bytes
     if cfg.float_epochs > 0:
-        float_history = train_float(
-            net, images, labels, epochs=cfg.float_epochs,
-            learning_rate=cfg.float_lr, momentum=cfg.float_momentum,
-            seed=derive_seed(seed, "float"), eval_set=(val_images, val_labels),
-        )
+        history = train_float(net, images, labels, epochs=cfg.float_epochs,
+                              learning_rate=cfg.float_lr, momentum=cfg.float_momentum,
+                              seed=derive_seed(seed, "float"), eval_set=eval_set)
+    return net, history
+
+
+def cmd_train(args) -> int:
+    cfg, seed, train_cfg = _training_setup(args)
+    images, labels, (val_images, val_labels) = _training_data(args, seed)
+    net, float_history = _pretrained_net(cfg, seed, images, labels,
+                                         eval_set=(val_images, val_labels))
     float_top1 = top1_accuracy(net.predict(val_images), val_labels)
     result = finetune_inq(net, images, labels, train_cfg,
                           eval_set=(val_images, val_labels))
@@ -423,27 +394,21 @@ def cmd_train(args) -> int:
     engine_top1 = top1_accuracy(engine.predict(val_images), val_labels)
     print(f"float top1 {float_top1:.4f}")
     print(f"quantized top1 {engine_top1:.4f}")
-    for name, mode in result.modes.items():
-        print(f"layer {name}: {mode} (W={result.wsep[name]:.2f})")
+    for lq in result.compressed.layers:
+        print(f"layer {lq.name}: {lq.mode} (W={lq.wsep:.2f})")
     return 0
 
 
 def cmd_sweep(args) -> int:
     if args.step <= 0:
         raise UsageError("--step must be positive")
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    seed = resolve_seed(args.seed, cfg)
-    train_cfg = replace(cfg.train, seed=seed)
+    cfg, seed, train_cfg = _training_setup(args)
     grid = sweep_grid(args.min, args.max, args.step)
 
     images, labels = synthetic_blobs(args.samples, seed=derive_seed(seed, "train"))
     test_images, test_labels = synthetic_blobs(
         args.val_samples, seed=derive_seed(seed, "val"))
-    net = ToyNet(seed=derive_seed(seed, "init"))
-    if cfg.float_epochs > 0:
-        train_float(net, images, labels, epochs=cfg.float_epochs,
-                    learning_rate=cfg.float_lr, momentum=cfg.float_momentum,
-                    seed=derive_seed(seed, "float"))
+    net, _ = _pretrained_net(cfg, seed, images, labels)
     detail, summary, modes = wsep_sweep(
         net, images, labels, test_images, test_labels, train_cfg,
         grid=grid, repeats=args.repeats,

@@ -76,28 +76,18 @@ def _huffman_lengths(counts: dict) -> dict:
         raise ValueError("no symbols to code")
     if len(items) == 1:
         return {items[0][0]: 1}
-    # heap entries: (count, min symbol in subtree, node id)
-    heap = [(cnt, sym, i) for i, (sym, cnt) in enumerate(items)]
+    # heap entries: (count, min symbol in subtree, symbols in subtree); no two
+    # subtrees share a min symbol, so the symbol lists are never compared
+    heap = [(cnt, sym, [sym]) for sym, cnt in items]
     heapq.heapify(heap)
-    children = {}  # node id -> (left id, right id)
-    next_id = len(items)
+    lengths = dict.fromkeys(counts, 0)
     while len(heap) > 1:
-        c1, m1, n1 = heapq.heappop(heap)
-        c2, m2, n2 = heapq.heappop(heap)
-        children[next_id] = (n1, n2)
-        heapq.heappush(heap, (c1 + c2, min(m1, m2), next_id))
-        next_id += 1
-    root = heap[0][2]
-    lengths = {}
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node in children:
-            left, right = children[node]
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-        else:
-            lengths[items[node][0]] = depth
+        c1, m1, s1 = heapq.heappop(heap)
+        c2, m2, s2 = heapq.heappop(heap)
+        merged = s1 + s2
+        for sym in merged:  # each merge puts both subtrees one level deeper
+            lengths[sym] += 1
+        heapq.heappush(heap, (c1 + c2, min(m1, m2), merged))
     return lengths
 
 

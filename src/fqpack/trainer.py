@@ -20,9 +20,10 @@ their parameters' dtype); the final install casts weights and BN affine
 parameters to float64, so the returned network computes in float64 and its
 weights equal the container's dequantized values bit for bit.
 
-The batch order is one fixed seeded permutation reused every epoch, and a
-zero learning rate runs fully inert (no weight, alpha, or BN-statistic
-updates), which makes training exactly reproducible and cheap to test.
+Float SGD and INQ share one batch loop (``_epoch``). The batch order is one
+fixed seeded permutation reused every epoch, and a zero learning rate runs
+fully inert in both (no weight, alpha, or BN-statistic updates), which makes
+training exactly reproducible and cheap to test.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .codec import CompressedModel
 from .errors import DegenerateInputError, TrainingDivergedError
 from .focused_quant import (
     DEFAULT_W_SEP,
+    MIN_BITS_SHIFT,
     QuantParams,
     decode,
     encode,
@@ -78,10 +80,13 @@ class TrainConfig:
             raise ValueError("epochs_per_step and batch_size must be >= 1")
         if self.refresh_interval < 1 or self.refresh_growth < 1:
             raise ValueError("refresh_interval and refresh_growth must be >= 1")
-        if not 3 <= self.n_bits <= 8:
-            raise ValueError("n_bits must be in [3, 8]")
+        if not MIN_BITS_SHIFT <= self.n_bits <= 8:
+            raise ValueError(f"n_bits {self.n_bits} outside [{MIN_BITS_SHIFT}, 8] "
+                             f"(the symbol layout needs at least {MIN_BITS_SHIFT} bits)")
         if not 0.0 <= self.prune_fraction < 1.0:
-            raise ValueError("prune_fraction must be in [0, 1)")
+            raise ValueError(f"prune_fraction {self.prune_fraction} not in [0, 1)")
+        if not self.w_sep >= 0.0:  # written so that NaN fails too
+            raise ValueError(f"w_sep {self.w_sep} must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
 
@@ -235,17 +240,41 @@ def _bn_step(net, lr: float):
         bn.beta -= lr * bn.dbeta
 
 
-def _check_loss(loss: float, where: str):
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(f"non-finite loss at {where}")
+def _batches(count: int, batch_size: int, seed: int) -> list:
+    """Index batches of one seeded permutation, reused every epoch."""
+    perm = np.random.default_rng(spawn_seed(seed, "shuffle")).permutation(count)
+    return [perm[i : i + batch_size] for i in range(0, count, batch_size)]
+
+
+def _epoch(net, images, labels, batches, lr: float, where: str, prepare,
+           step) -> float:
+    """Run one epoch and return its mean loss.
+
+    Each batch calls ``prepare()``, then runs forward and the loss; unless
+    ``lr == 0`` it then runs backward, ``step(lr)`` and the BN affine update.
+    At ``lr == 0`` the forward runs in inference mode, so nothing moves, not
+    even BN's running statistics (a negative or NaN rate still trains).
+    """
+    inert = lr == 0
+    losses = []
+    for batch in batches:
+        prepare()
+        logits = net.forward(images[batch], training=not inert)
+        loss, dlogits = softmax_cross_entropy(logits, labels[batch])
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"non-finite loss at {where}")
+        losses.append(loss)
+        if not inert:
+            net.backward(dlogits)
+            step(lr)
+            _bn_step(net, lr)
+    return float(np.mean(losses))
 
 
 @dataclass
 class InqResult:
-    compressed: CompressedModel
+    compressed: CompressedModel  # each layer's mode and wsep at its last fit
     history: list  # (global epoch, mean loss, top1 or None)
-    wsep: dict  # layer name -> separation at the last fit
-    modes: dict  # layer name -> mode
 
 
 def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
@@ -271,11 +300,12 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
         _fit_params(state, config, derive_seed(config.seed, name))
         states.append(state)
 
-    perm = np.random.default_rng(spawn_seed(config.seed, "shuffle")).permutation(
-        images.shape[0]
-    )
-    batches = [perm[i : i + config.batch_size]
-               for i in range(0, perm.size, config.batch_size)]
+    batches = _batches(images.shape[0], config.batch_size, config.seed)
+
+    def update(lr):
+        for state in states:
+            _apply_gradients(state, lr, config.momentum)
+
     refresh_at = refresh_epochs(config)
     history = []
     global_epoch = 0
@@ -288,31 +318,13 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
             lr = config.learning_rate
             if step == final_step and config.lr_decay_every > 0:
                 lr *= config.lr_decay ** (local // config.lr_decay_every)
-            losses = []
-            if lr == 0.0:
-                _install_weights(states)
-                for batch in batches:
-                    loss, _ = softmax_cross_entropy(
-                        net.forward(images[batch], training=False), labels[batch]
-                    )
-                    _check_loss(loss, f"epoch {global_epoch}")
-                    losses.append(loss)
-            else:
-                for batch in batches:
-                    _install_weights(states)
-                    logits = net.forward(images[batch], training=True)
-                    loss, dlogits = softmax_cross_entropy(logits, labels[batch])
-                    _check_loss(loss, f"epoch {global_epoch}")
-                    losses.append(loss)
-                    net.backward(dlogits)
-                    for state in states:
-                        _apply_gradients(state, lr, config.momentum)
-                    _bn_step(net, lr)
+            loss = _epoch(net, images, labels, batches, lr, f"epoch {global_epoch}",
+                          lambda: _install_weights(states), update)
             top1 = None
             if eval_set is not None:
                 _install_weights(states)
                 top1 = top1_accuracy(net.predict(eval_set[0]), eval_set[1])
-            history.append((global_epoch, float(np.mean(losses)), top1))
+            history.append((global_epoch, loss, top1))
             if global_epoch in refresh_at and global_epoch < config.total_epochs:
                 for state in states:
                     # same per-layer seed as the first fit: refitting from
@@ -333,11 +345,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     compressed = CompressedModel([
         quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha) for s in states
     ])
-    return InqResult(
-        compressed=compressed, history=history,
-        wsep={lq.name: lq.wsep for lq in compressed.layers},
-        modes={s.name: s.params.mode for s in states},
-    )
+    return InqResult(compressed=compressed, history=history)
 
 
 def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
@@ -347,32 +355,26 @@ def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
     history. The net keeps its float32 weights and BN affine parameters."""
     images = np.asarray(images, dtype=np.float32)
     labels = np.asarray(labels)
-    perm = np.random.default_rng(spawn_seed(seed, "shuffle")).permutation(
-        images.shape[0]
-    )
-    batches = [perm[i : i + batch_size] for i in range(0, perm.size, batch_size)]
-    layers = net.weight_layers()
-    for _, layer in layers:
+    batches = _batches(images.shape[0], batch_size, seed)
+    layers = [layer for _, layer in net.weight_layers()]
+    for layer in layers:
         layer.w = layer.w.astype(np.float32)
     _cast_bn(net, np.float32)
-    velocity = {name: np.zeros_like(layer.w) for name, layer in layers}
+    velocity = [np.zeros_like(layer.w) for layer in layers]
+
+    def update(lr):
+        for i, layer in enumerate(layers):
+            velocity[i] = momentum * velocity[i] + layer.dw
+            layer.w -= lr * velocity[i]
+
     history = []
     for epoch in range(1, epochs + 1):
-        losses = []
-        for batch in batches:
-            logits = net.forward(images[batch], training=True)
-            loss, dlogits = softmax_cross_entropy(logits, labels[batch])
-            _check_loss(loss, f"epoch {epoch}")
-            losses.append(loss)
-            net.backward(dlogits)
-            for name, layer in layers:
-                velocity[name] = momentum * velocity[name] + layer.dw
-                layer.w -= learning_rate * velocity[name]
-            _bn_step(net, learning_rate)
+        loss = _epoch(net, images, labels, batches, learning_rate, f"epoch {epoch}",
+                      lambda: None, update)
         top1 = None
         if eval_set is not None:
             top1 = top1_accuracy(net.predict(eval_set[0]), eval_set[1])
-        history.append((epoch, float(np.mean(losses)), top1))
+        history.append((epoch, loss, top1))
     return history
 
 
@@ -424,8 +426,8 @@ def wsep_sweep(base_net, images, labels, test_images, test_labels,
             result = finetune_inq(net, images, labels, cfg)
             top1 = top1_accuracy(net.predict(test_images), test_labels)
             detail.append((float(wsep), run, top1))
-            modes += [(float(wsep), run, name, mode, result.wsep[name])
-                      for name, mode in result.modes.items()]
+            modes += [(float(wsep), run, lq.name, lq.mode, lq.wsep)
+                      for lq in result.compressed.layers]
     summary = []
     for wsep in grid:
         vals = np.array([t for w, _, t in detail if w == float(wsep)])

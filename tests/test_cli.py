@@ -44,7 +44,7 @@ from fqpack.model_store import (
     save_model,
 )
 from fqpack.nn import ToyNet
-from fqpack.trainer import METRICS_HEADER
+from fqpack.trainer import METRICS_HEADER, TrainConfig
 
 
 def run_cli(argv, capsys):
@@ -137,6 +137,16 @@ def test_compress_rejects_two_bits(assets, capsys, tmp_path):
     ], capsys)
     assert rc == 1
     assert "n_bits" in err
+
+
+def test_compress_rejects_nan_separation(assets, capsys, tmp_path):
+    rc, _, err = run_cli([
+        "compress", "--model", str(assets["model"]),
+        "--out", str(tmp_path / "x.fqz"), "--w-sep", "nan",
+    ], capsys)
+    assert rc == 1
+    assert "w_sep" in err
+    assert not (tmp_path / "x.fqz").exists()
 
 
 def test_compress_without_paths_is_usage_error(capsys):
@@ -671,6 +681,21 @@ def test_train_pipeline_and_determinism(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_training_commands_refuse_layer_sections(command, capsys, tmp_path):
+    # train and sweep fine-tune every layer with one setting, so a per-layer
+    # override would be silently ignored
+    cfg = tmp_path / "layer.cfg"
+    cfg.write_text(TRAIN_CONFIG + "\n[layer head]\nn_bits = 8\n")
+    rc, _, err = run_cli([
+        command, "--config", str(cfg), "--samples", "16", "--val-samples", "8",
+        "--out" if command == "sweep" else "--metrics", str(tmp_path / "out.csv"),
+    ], capsys)
+    assert rc == 1
+    assert "[layer head]" in err and "compress only" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # --- report ------------------------------------------------------------------------
 
 
@@ -722,7 +747,7 @@ w_sep = 0.0
 
 def test_config_parse():
     cfg = parse_config(SAMPLE_CONFIG)
-    assert cfg.model == "m.bin" and cfg.seed == 11
+    assert cfg.model == "m.bin" and cfg.train.seed == 11
     assert cfg.train.learning_rate == 0.002
     assert cfg.train.inq_fractions == (0.5, 0.75, 1.0)
     assert cfg.train.w_sep == 2.5 and cfg.train.n_bits == 5
@@ -738,6 +763,8 @@ def test_config_parse():
     ("[mystery]\nx = 1\n", "unknown section"),
     ("[layer ]\nn_bits = 5\n", "name"),
     ("[layer head]\nn_bits = 2\n", "n_bits"),
+    ("[pipeline]\nw_sep = nan\n", "w_sep"),
+    ("[layer head]\nw_sep = nan\n", "[layer head]"),
     ("[train]\ninq_fractions = 0.5\n", "inq_fractions"),
     ("[pipeline]\nseed = wobble\n", "cannot parse"),
     ("[train]\nrefresh_mode = fixed\n", "unknown key"),
@@ -749,7 +776,7 @@ def test_config_rejections(text, fragment):
 
 
 def test_seed_resolution(monkeypatch):
-    cfg = PipelineConfig(seed=5)
+    cfg = PipelineConfig(train=TrainConfig(seed=5))
     monkeypatch.delenv("FQ_SEED", raising=False)
     assert resolve_seed(None, cfg) == 5
     monkeypatch.setenv("FQ_SEED", "17")

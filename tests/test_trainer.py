@@ -71,6 +71,8 @@ def test_config_defaults_and_total():
     dict(n_bits=9),
     dict(prune_fraction=1.0),
     dict(momentum=1.0),
+    dict(w_sep=-1.0),
+    dict(w_sep=float("nan")),
 ])
 def test_config_validation(bad):
     with pytest.raises(ValueError):
@@ -145,6 +147,20 @@ def test_partition_validation():
 
 def test_zero_learning_rate_is_inert():
     net, images, labels = tiny_setup()
+    float_net = net.clone()
+    before = [layer.w.astype(np.float32) for _, layer in float_net.weight_layers()]
+    bn_before = [(bn.gamma.astype(np.float32), bn.beta.astype(np.float32),
+                  bn.running_mean.copy(), bn.running_var.copy()) for bn in float_net.bns]
+    history = train_float(float_net, images, labels, epochs=3, learning_rate=0.0,
+                          batch_size=32)
+    assert history[0][1] == history[1][1] == history[2][1]
+    for (_, layer), orig in zip(float_net.weight_layers(), before):
+        assert np.array_equal(layer.w, orig)
+    for bn, (gamma, beta, mean, var) in zip(float_net.bns, bn_before):
+        assert np.array_equal(bn.gamma, gamma) and np.array_equal(bn.beta, beta)
+        assert np.array_equal(bn.running_mean, mean)
+        assert np.array_equal(bn.running_var, var)
+
     before = [layer.w.copy() for _, layer in net.weight_layers()]
     stats = [(bn.running_mean.copy(), bn.running_var.copy()) for bn in net.bns]
     cfg = quick_config(learning_rate=0.0, epochs_per_step=3,
@@ -196,8 +212,8 @@ def test_inert_finetune_matches_direct_quantization(w_sep, n_bits):
                                 w_sep, seed=derive_seed(cfg.seed, name), name=name)
         lq = result.compressed.layer(name)
         assert encode_layer(lq) == encode_layer(direct)
-        assert lq.wsep == direct.wsep == result.wsep[name]
-        assert result.modes[name] == direct.mode
+        assert lq.wsep == direct.wsep
+        assert lq.mode == direct.mode
 
 
 def test_pruned_positions_stay_zero():
@@ -221,7 +237,8 @@ def test_history_and_metrics_column():
     assert [e for e, _, _ in result.history] == list(range(1, cfg.total_epochs + 1))
     assert all(t is not None and 0.0 <= t <= 1.0 for _, _, t in result.history)
     assert isinstance(result, InqResult)
-    assert set(result.modes) == {name for name, _ in net.weight_layers()}
+    assert {lq.name for lq in result.compressed.layers} == {
+        name for name, _ in net.weight_layers()}
 
 
 def test_training_is_deterministic():
@@ -237,11 +254,12 @@ def test_training_is_deterministic():
 def test_w_sep_threshold_forces_modes():
     net, images, labels = tiny_setup()
     low = finetune_inq(net.clone(), images, labels, quick_config(w_sep=0.0))
-    assert set(low.modes.values()) == {MODE_RECENTRALIZED}
+    assert {lq.mode for lq in low.compressed.layers} == {MODE_RECENTRALIZED}
     high = finetune_inq(net.clone(), images, labels, quick_config(w_sep=1e9))
-    assert set(high.modes.values()) == {MODE_SHIFT}
-    assert set(low.wsep) == set(high.wsep)
-    assert all(w >= 0.0 for w in low.wsep.values())
+    assert {lq.mode for lq in high.compressed.layers} == {MODE_SHIFT}
+    assert ({lq.name for lq in low.compressed.layers}
+            == {lq.name for lq in high.compressed.layers})
+    assert all(lq.wsep >= 0.0 for lq in low.compressed.layers)
 
 
 def test_all_zero_layer_is_degenerate():
@@ -268,6 +286,17 @@ def test_divergence_is_reported(lr):
                        inq_fractions=(1.0,))
     with pytest.raises(TrainingDivergedError):
         finetune_inq(net, images, labels, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_learning_rate_still_diverges():
+    # only a rate of exactly zero is inert; NaN trains and is caught
+    net, images, labels = tiny_setup()
+    with pytest.raises(TrainingDivergedError):
+        train_float(net.clone(), images, labels, epochs=2, learning_rate=float("nan"),
+                    batch_size=32)
+    with pytest.raises(TrainingDivergedError):
+        finetune_inq(net.clone(), images, labels, quick_config(learning_rate=float("nan")))
 
 
 def test_sample_count_mismatch():
