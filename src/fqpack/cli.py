@@ -240,6 +240,11 @@ def _load_images(path, limit=None):
 
 def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int) -> CompressedModel:
     """Prune + quantize every layer."""
+    names = [spec.name for spec in model.layers]
+    for name in cfg.layers:
+        if name not in names:
+            raise ConfigError(f"[layer {name}]: the model has no layer {name!r}; "
+                              f"its layers are {', '.join(names)}")
     quantized = []
     for spec in model.layers:
         n_bits = cfg.layer_value(spec.name, "n_bits")

@@ -1,10 +1,14 @@
-"""Canonical Huffman coding of symbol streams and the compressed container.
+"""Length-limited canonical Huffman coding of symbol streams, and the compressed container.
 
-Tree construction is deterministic: always merge the two lowest-count nodes,
-breaking count ties by the smallest symbol value contained in the node. Code
-assignment is canonical (shorter codes first, ties by ascending symbol), so a
-layer's table is fully described by one code length per alphabet symbol. A
-single-symbol alphabet gets a 1-bit code.
+Code lengths come from package-merge (Larmore & Hirschberg, "A fast algorithm
+for optimal length-limited Huffman codes", JACM 1990) with no code longer
+than ``MAX_CODE_LEN`` (16) bits: a minimum-redundancy code under that limit,
+so a Huffman-optimal one wherever the limit does not bind. Count ties break
+by symbol, so the lengths are deterministic. Code assignment is canonical
+(shorter codes first, ties by ascending symbol), so a layer's table is fully
+described by one code length per alphabet symbol. A single-symbol alphabet
+gets a 1-bit code. A table with a code longer than 16 bits is refused when
+it is built, so a container written with longer codes does not load.
 
 Both directions run as numpy array passes, not as Python steps per symbol
 or per bit:
@@ -13,19 +17,13 @@ or per bit:
   the cumulative sum of the lengths before it. It scatters the code bits
   into a one-byte-per-bit array, one pass per code bit index over blocks of
   ``_ENCODE_SYMBOLS`` symbols, and packs the array once.
-* decode reads the payload in chunks of ``_CHUNK_BYTES`` (2 KiB). For every
-  bit offset of a chunk it forms a left-justified 63-bit window and finds
-  the code length at that offset by searching the canonical per-length
-  limits, in the style of Moffat & Turpin ("On the implementation of
-  minimum redundancy prefix codes", IEEE TCOM 1997); no 2^L lookup table is
-  built. A Python walk along jump tables of those lengths picks out the
-  codeword starts, and canonical arithmetic maps each start's window to its
-  symbol. The scratch arrays of one chunk come to about 1 MB, whatever the
-  layer size.
-
-The window holds any code of up to ``MAX_CODE_LEN`` (57) bits; a table with
-longer codes is rejected when it is built. A Huffman code that long needs
-more than 10^11 symbols.
+* decode reads the payload in chunks of ``_CHUNK_BYTES`` (2 KiB). Every bit
+  offset of a chunk takes the 16 bits that start there from the three
+  payload bytes around it, and one gather into a 2^16-entry table of
+  ``length << 8 | symbol`` gives the code length and symbol at that offset.
+  A Python walk along jump tables of those lengths picks out the codeword
+  starts. The scratch arrays of one chunk come to under 1 MB, whatever the
+  layer size, and the table to 128 KiB.
 
 A layer record's body after its name field (little-endian; the name field
 and the framing around the body, with the header, record count and CRC32,
@@ -46,7 +44,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import framing
 from .errors import CorruptionError, FormatError, ValidationError
@@ -60,45 +57,57 @@ _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
 REPORT_HEADER = "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity"
 
-_WINDOW = 63  # decode window bits: 8 payload bytes, shifted left up to 7 bits, then right 1
-MAX_CODE_LEN = _WINDOW - 6  # bits of the window that always come from the payload
+MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 16  # symbols placed per encode step
 _CHUNK_BYTES = 1 << 11  # payload bytes decoded per step
 _JUMP_LEVELS = 3  # the decode walk steps 2**3 codewords at a time
 
 
 def _huffman_lengths(counts: dict) -> dict:
-    """Code length per symbol from positive counts (deterministic merges)."""
-    import heapq
+    """Code length per symbol from positive counts, none over MAX_CODE_LEN bits.
 
-    items = sorted(counts.items())
+    Package-merge: the leaves, sorted by (count, symbol), are merged with
+    pairs of the list one level deeper, MAX_CODE_LEN - 1 times, a package
+    going before a leaf of equal weight. The first 2n - 2 items of the top
+    level are taken, and a package taken takes the two items it was made of
+    one level down. A symbol's length is the number of levels at which its
+    leaf is taken.
+    """
+    items = sorted(counts.items(), key=lambda item: (item[1], item[0]))
     if not items:
         raise ValueError("no symbols to code")
-    if len(items) == 1:
+    n = len(items)
+    if n == 1:
         return {items[0][0]: 1}
-    # heap entries: (count, min symbol in subtree, symbols in subtree); no two
-    # subtrees share a min symbol, so the symbol lists are never compared
-    heap = [(cnt, sym, [sym]) for sym, cnt in items]
-    heapq.heapify(heap)
-    lengths = dict.fromkeys(counts, 0)
-    while len(heap) > 1:
-        c1, m1, s1 = heapq.heappop(heap)
-        c2, m2, s2 = heapq.heappop(heap)
-        merged = s1 + s2
-        for sym in merged:  # each merge puts both subtrees one level deeper
-            lengths[sym] += 1
-        heapq.heappush(heap, (c1 + c2, min(m1, m2), merged))
-    return lengths
+    leaf_weight = np.array([cnt for _, cnt in items], dtype=np.int64)
+    leaf = np.arange(n)
+    weight = leaf_weight
+    levels = []  # per level above the deepest: leaf index per item, -1 for a package
+    for _ in range(MAX_CODE_LEN - 1):
+        pairs = weight.size // 2
+        weight = np.concatenate([weight[0 : 2 * pairs : 2] + weight[1 : 2 * pairs : 2],
+                                 leaf_weight])
+        order = np.argsort(weight, kind="stable")
+        weight = weight[order]
+        levels.append(np.concatenate([np.full(pairs, -1), leaf])[order])
+    depth = np.zeros(n, dtype=np.int64)
+    take = 2 * n - 2
+    for tags in reversed(levels):
+        taken = tags[:take]
+        depth[taken[taken >= 0]] += 1
+        take = 2 * int(np.count_nonzero(taken < 0))  # a package takes in two items below
+    depth[:take] += 1  # the deepest level holds only the leaves, in order
+    return dict(zip((sym for sym, _ in items), depth.tolist()))
 
 
 @dataclass
 class HuffmanTable:
-    """Canonical prefix code over a fixed-size alphabet of small integers."""
+    """Canonical prefix code over an alphabet of at most 256 small integers."""
 
     lengths: np.ndarray  # uint8 per alphabet symbol; 0 = symbol absent
     codes: dict = field(init=False, repr=False)
     _left_codes: np.ndarray = field(init=False, repr=False)
-    _decode: tuple = field(init=False, repr=False)
+    _lookup: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
@@ -107,38 +116,33 @@ class HuffmanTable:
             raise FormatError("code table has no symbols")
         max_len = int(self.lengths.max())
         if max_len > MAX_CODE_LEN:
-            raise FormatError(
-                f"code length {max_len} exceeds the {MAX_CODE_LEN}-bit decode window"
-            )
+            raise FormatError(f"code length {max_len} exceeds the {MAX_CODE_LEN}-bit limit")
         count = np.bincount(self.lengths[present], minlength=max_len + 1).tolist()
         # canonical numbering: the codes of each length continue, one bit
         # longer, from just past the last code of the length before
         first_code = [0] * (max_len + 1)
-        first_index = [0] * (max_len + 1)
         for length in range(1, max_len + 1):
             first_code[length] = (first_code[length - 1] + count[length - 1]) << 1
-            first_index[length] = first_index[length - 1] + count[length - 1]
         if first_code[max_len] + count[max_len] > 1 << max_len:
             kraft = float(np.sum(2.0 ** -self.lengths[present].astype(np.float64)))
             raise FormatError(f"Kraft sum {kraft} exceeds 1: not a prefix code")
-        # symbols in canonical order (shorter codes first, ties by symbol);
-        # the symbol at index i with an l-bit code has code i - base[l]
+        # symbols in canonical order (shorter codes first, ties by symbol)
         ordered = present[np.lexsort((present, self.lengths[present]))]
         ordered_len = self.lengths[ordered].astype(np.int64)
-        base = np.array(first_index, dtype=np.int64) - np.array(first_code, dtype=np.int64)
-        codes = np.arange(ordered.size, dtype=np.int64) - base[ordered_len]
+        codes = np.array(first_code, dtype=np.int64)[ordered_len]
+        codes += np.arange(ordered.size) - np.searchsorted(ordered_len, ordered_len)
         self.codes = dict(zip(ordered.tolist(), codes.tolist()))
         left = np.zeros(self.lengths.size, dtype=np.uint64)
         left[ordered] = codes.astype(np.uint64) << (64 - ordered_len).astype(np.uint64)
         self._left_codes = left
-        # every code of length <= l, left-justified in _WINDOW bits, lies
-        # below limits[l - 1]
-        limits = np.array(
-            [(first_code[l] + count[l]) << (_WINDOW - l) for l in range(1, max_len + 1)],
-            dtype=np.uint64,
-        )
-        # symbols stay in the narrowest dtype until the whole stream is decoded
-        self._decode = (limits, base, ordered.astype(np.min_scalar_type(self.lengths.size - 1)))
+        # in canonical order the codes, left-justified in MAX_CODE_LEN bits,
+        # tile the table from 0: an l-bit code owns 2**(MAX_CODE_LEN - l)
+        # entries. Entries past the last code match none; their length
+        # max_len + 1 marks them.
+        lookup = np.full(1 << MAX_CODE_LEN, (max_len + 1) << 8, dtype=np.uint16)
+        span = 1 << (MAX_CODE_LEN - ordered_len)
+        lookup[: span.sum()] = np.repeat((ordered_len << 8 | ordered).astype(np.uint16), span)
+        self._lookup = lookup
 
     @classmethod
     def from_frequencies(cls, counts, alphabet_size: int) -> "HuffmanTable":
@@ -150,10 +154,8 @@ class HuffmanTable:
         if any(not 0 <= s < alphabet_size for s in counts):
             raise ValueError("symbol outside the alphabet")
         lengths = np.zeros(alphabet_size, dtype=np.uint8)
-        for sym, length in _huffman_lengths(counts).items():
-            if length > 255:
-                raise ValueError("code length exceeds u8")
-            lengths[sym] = length
+        code_lengths = _huffman_lengths(counts)
+        lengths[list(code_lengths)] = list(code_lengths.values())
         return cls(lengths)
 
     def encode(self, symbols: np.ndarray):
@@ -194,48 +196,46 @@ class HuffmanTable:
     def decode(self, payload, payload_bits: int) -> np.ndarray:
         """Decode exactly payload_bits bits back into symbols.
 
-        The payload is read _CHUNK_BYTES at a time. Within a chunk, the code
-        length at every bit offset comes from a search of the canonical
-        per-length limits; a walk along those lengths from the first codeword
-        start finds the codeword starts, and canonical arithmetic turns each
-        start's window into its symbol.
+        The payload is read _CHUNK_BYTES at a time. Within a chunk, the 16
+        bits at every bit offset index the lookup table, which gives the
+        code length and symbol there; a walk along those lengths from the
+        first codeword start finds the codeword starts, whose symbols are
+        the stream.
         """
         data = np.frombuffer(payload, dtype=np.uint8)
         if payload_bits > 8 * data.size:
             raise CorruptionError("payload shorter than its declared bit length")
-        limits, base, ordered = self._decode
-        max_len = limits.size
-        shifts = np.arange(8, dtype=np.uint64)
+        max_len = int(self.lengths.max())
+        shifts = np.arange(8, 0, -1, dtype=np.uint32)
         n_bytes = (payload_bits + 7) // 8
         pieces = []
         pos = 0  # bit offset of the next codeword
         for first in range(0, n_bytes, _CHUNK_BYTES):
             chunk = min(_CHUNK_BYTES, n_bytes - first)
-            seg = data[first : first + chunk + 7]
-            if seg.size < chunk + 7:  # zero bytes past the end keep windows full
-                seg = np.concatenate([seg, np.zeros(chunk + 7 - seg.size, np.uint8)])
-            words = sliding_window_view(seg, 8).view(">u8")[:, 0].astype(np.uint64)
-            window = ((words[:, None] << shifts) >> np.uint64(64 - _WINDOW)).ravel()
-            length = np.searchsorted(limits, window, side="right")
-            length += 1
+            seg = data[first : first + chunk + 2].astype(np.uint32)
+            if seg.size < chunk + 2:  # zero bytes past the end keep windows full
+                seg = np.concatenate([seg, np.zeros(chunk + 2 - seg.size, np.uint32)])
+            word = seg[:-2] << 16 | seg[1:-1] << 8 | seg[2:]  # 24 bits from each byte
+            entry = self._lookup[((word[:, None] >> shifts) & 0xFFFF).ravel()]
             offset = 8 * first
             n_offsets = min(8 * chunk, payload_bits - offset)
-            starts, at = _codeword_starts(length[:n_offsets], pos - offset)
+            starts, at = _codeword_starts(entry[:n_offsets] >> 8, pos - offset)
             pos = offset + at
             if not starts.size:
                 continue
-            start_len = length[starts]
-            unmatched = start_len > max_len
+            found = entry[starts]
+            unmatched = found >> 8 > max_len
             if unmatched.any():
                 bad = offset + int(starts[np.argmax(unmatched)])
                 if payload_bits - bad <= max_len:  # too few bits left to rule out every code
                     raise CorruptionError("payload ends inside a codeword")
                 raise CorruptionError("bit pattern matches no codeword")
-            code = window[starts] >> (_WINDOW - start_len).astype(np.uint64)
-            pieces.append(ordered[code.astype(np.int64) + base[start_len]])
+            # an entry's low byte is its symbol; symbols stay one byte each
+            # until the whole stream is decoded
+            pieces.append(found.astype(np.uint8))
         if pos != payload_bits:
             raise CorruptionError("payload ends inside a codeword")
-        return np.concatenate(pieces or [ordered[:0]]).astype(np.int64)
+        return np.concatenate(pieces or [np.zeros(0, np.uint8)]).astype(np.int64)
 
 
 def _codeword_starts(length: np.ndarray, at: int):
@@ -340,7 +340,11 @@ def decode_layer(data, offset: int = 0):
         raise FormatError(f"layer {name!r}: bad mode byte {mode_code}")
     if not 3 <= n_bits <= 8:
         raise FormatError(f"layer {name!r}: bad bit width {n_bits}")
-    table = HuffmanTable(np.frombuffer(fields.take(1 << n_bits), dtype=np.uint8).copy())
+    lengths = np.frombuffer(fields.take(1 << n_bits), dtype=np.uint8).copy()
+    try:
+        table = HuffmanTable(lengths)
+    except FormatError as exc:  # such as a code over 16 bits from an earlier writer
+        raise FormatError(f"layer {name!r}: {exc}") from exc
     (payload_bits,) = fields.unpack("<Q")
     payload = fields.take((payload_bits + 7) // 8)
     fields.done()

@@ -44,7 +44,9 @@ MUX_BIT = 3
 
 MAX_WEIGHT_SHIFT = 7  # widest power-of-two weight shift in any datapath
 CENTER_ALIGN_STAGES = 4  # component-sum alignment barrel (shifts up to 15)
-DECODE_GATES_PER_WEIGHT = 4  # amortized canonical-Huffman front-end
+# amortized canonical-Huffman front-end: a flat cost per weight assumes the
+# codec's 16-bit length limit, one 2^16-entry (length, symbol) table lookup
+DECODE_GATES_PER_WEIGHT = 4
 HP_COEFF_BITS = 16  # binary-basis scaling coefficient width
 
 DEFAULT_ACT_BITS = 8

@@ -313,17 +313,25 @@ def encode(values: np.ndarray, params: QuantParams) -> np.ndarray:
     return pack(params.assignment, sign, exponent, params)
 
 
+def _alphabet_values(params) -> np.ndarray:
+    """Value of each of the 2^n_bits symbols before the layer scale alpha."""
+    alphabet = np.arange(1 << params.n_bits)
+    component, sign, exponent = unpack(alphabet, params)
+    values = sign * np.ldexp(params.sigma, exponent - params.bias)
+    values += np.array(params.mu)[component]
+    values[ZERO] = 0.0
+    return values
+
+
 def decode(symbols: np.ndarray, params) -> np.ndarray:
     """Values of symbols before the layer scale alpha, float64:
     sigma * s * 2^(e - b) + mu_m, and 0.0 for ZERO.
 
-    ``params`` is a :class:`QuantParams` or a :class:`LayerQuantization`.
+    Each symbol of the alphabet is worked out once, and the stream gathers
+    from that table. ``params`` is a :class:`QuantParams` or a
+    :class:`LayerQuantization`.
     """
-    component, sign, exponent = unpack(symbols, params)
-    values = sign * np.ldexp(params.sigma, exponent - params.bias)
-    values += np.array(params.mu)[component]
-    values[np.asarray(symbols) == ZERO] = 0.0
-    return values
+    return _alphabet_values(params)[symbols]
 
 
 def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
@@ -364,7 +372,7 @@ def quantize_layer(
 
 def dequantize_layer(lq: LayerQuantization) -> np.ndarray:
     """Exact real weights encoded by the symbols, flat float64."""
-    return lq.alpha * decode(lq.symbols, lq)
+    return (lq.alpha * _alphabet_values(lq))[lq.symbols]
 
 
 def kl_complexity_cost(

@@ -1,10 +1,12 @@
 import os
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fqpack import codec, framing
 from fqpack.cli import (
     HIST_HEADER,
     MODES_HEADER,
@@ -149,6 +151,20 @@ def test_compress_rejects_nan_separation(assets, capsys, tmp_path):
     assert not (tmp_path / "x.fqz").exists()
 
 
+def test_compress_refuses_a_layer_section_the_model_lacks(assets, capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("[layer conv1]\nn_bits = 6\n[layer nosuch]\nn_bits = 8\n")
+    rc, _, err = run_cli([
+        "compress", "--model", str(assets["model"]), "--config", str(cfg),
+        "--out", str(tmp_path / "x.fqz"), "--report-dir", str(tmp_path / "rep"),
+    ], capsys)
+    assert rc == 1
+    assert "[layer nosuch]" in err
+    names = [spec.name for spec in load_model(assets["model"]).layers]
+    assert ", ".join(names) in err
+    assert not (tmp_path / "x.fqz").exists()
+
+
 def test_compress_without_paths_is_usage_error(capsys):
     rc, _, err = run_cli(["compress"], capsys)
     assert rc == 1
@@ -215,6 +231,31 @@ def test_container_cut_at_a_record_boundary(assets, capsys, tmp_path, command):
     rc, _, err = run_cli(argv, capsys)
     assert rc == 2
     assert "holds 1 of 10 records" in err
+
+
+@pytest.mark.parametrize("command", ["decompress", "report", "infer"])
+def test_container_with_a_code_over_sixteen_bits_exits_2(assets, capsys, tmp_path, command):
+    # what an unlimited Huffman code would write: conv1's code lengths become a
+    # complete prefix code whose two longest codewords are 17 bits
+    cm = load_compressed(assets["fqz"])
+    first = cm.layers[0]
+    lengths = np.zeros(first.alphabet_size, dtype=np.uint8)
+    lengths[:18] = list(range(1, 18)) + [17]
+    body = codec._body_head(first, SimpleNamespace(lengths=lengths), 8) + b"\0"
+    records = [framing.pack_record(body)] + [codec.encode_layer(lq) for lq in cm.layers[1:]]
+    old = tmp_path / "old.fqz"
+    old.write_bytes(framing.pack(codec.MAGIC, records))
+    argv = {
+        "decompress": ["decompress", "--in", str(old), "--model", str(assets["model"]),
+                       "--out", str(tmp_path / "restored.bin")],
+        "report": ["report", "--model", str(assets["model"]), "--compressed", str(old),
+                   "--out-dir", str(tmp_path / "r")],
+        "infer": ["infer", "--model", str(assets["model"]), "--compressed", str(old),
+                  "--data", str(assets["data"]), "--limit", "4"],
+    }[command]
+    rc, _, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert f"layer {first.name!r}: code length 17 exceeds the 16-bit limit" in err
 
 
 # --- infer ------------------------------------------------------------------------

@@ -35,6 +35,31 @@ from fqpack.model_store import LayerSpec, ModelFile
 from fqpack.pruner import prune_by_magnitude
 
 
+def heap_lengths(counts):
+    """Unlimited Huffman code lengths by heap merges (the optimality reference).
+
+    Always merges the two lowest-count subtrees, breaking count ties by the
+    smallest symbol in the subtree; each merge puts both subtrees one level
+    deeper.
+    """
+    import heapq
+
+    items = sorted(counts.items())
+    if len(items) == 1:
+        return {items[0][0]: 1}
+    # no two subtrees share a min symbol, so the symbol lists are never compared
+    heap = [(cnt, sym, [sym]) for sym, cnt in items]
+    heapq.heapify(heap)
+    lengths = dict.fromkeys(counts, 0)
+    while len(heap) > 1:
+        c1, m1, s1 = heapq.heappop(heap)
+        c2, m2, s2 = heapq.heappop(heap)
+        for sym in s1 + s2:
+            lengths[sym] += 1
+        heapq.heappush(heap, (c1 + c2, min(m1, m2), s1 + s2))
+    return lengths
+
+
 def optimal_cost(counts):
     """Two-queue Huffman oracle: minimum total bits for the given counts."""
     from collections import deque
@@ -511,11 +536,13 @@ def fibonacci_counts(n):
     return counts
 
 
-@pytest.mark.parametrize("n_symbols, longest", [(27, 26), (36, 35), (58, 57)])
-def test_long_codes_round_trip(n_symbols, longest):
-    table = HuffmanTable.from_frequencies(fibonacci_counts(n_symbols), 64)
-    assert int(table.lengths.max()) == longest
-    rng = np.random.default_rng(longest)
+@pytest.mark.parametrize("n_symbols, heap_longest", [(27, 26), (36, 35), (58, 57)])
+def test_long_codes_round_trip(n_symbols, heap_longest):
+    counts = fibonacci_counts(n_symbols)
+    assert max(heap_lengths(counts).values()) == heap_longest  # the unlimited code
+    table = HuffmanTable.from_frequencies(counts, 64)
+    assert int(table.lengths.max()) == MAX_CODE_LEN == 16
+    rng = np.random.default_rng(heap_longest)
     symbols = rng.integers(0, n_symbols, size=5000)
     payload, bits = table.encode(symbols)
     assert (payload, bits) == serial_encode(table.lengths, symbols)
@@ -523,13 +550,47 @@ def test_long_codes_round_trip(n_symbols, longest):
 
 
 def test_code_longer_than_decode_window_rejected():
-    table = HuffmanTable.from_frequencies(fibonacci_counts(58), 64)
-    lengths = table.lengths.copy()
-    lengths[np.argmax(lengths)] += 1  # still a prefix code, one bit too long
-    with pytest.raises(FormatError):
+    lengths = HuffmanTable.from_frequencies(fibonacci_counts(27), 64).lengths.copy()
+    lengths[np.argmax(lengths)] += 1  # still a prefix code, one bit over the limit
+    with pytest.raises(FormatError, match="code length 17 exceeds the 16-bit limit"):
         HuffmanTable(lengths)
-    with pytest.raises(FormatError):
-        HuffmanTable.from_frequencies(fibonacci_counts(59), 64)
+    complete = np.array(list(range(1, 18)) + [17], dtype=np.uint8)  # Kraft sum 1
+    with pytest.raises(FormatError, match="code length 17"):
+        HuffmanTable(complete)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skewed_counts())
+def test_lengths_are_limited_and_optimal_where_the_limit_does_not_bind(counts):
+    present = {int(s): int(c) for s, c in enumerate(counts) if c > 0}
+    lengths = _huffman_lengths(present)
+    assert set(lengths) == set(present)
+    assert max(lengths.values()) <= MAX_CODE_LEN
+    assert min(lengths.values()) >= 1
+    if len(present) >= 2:  # a full binary tree: every bit pattern starts a code
+        assert sum(2.0 ** -length for length in lengths.values()) == 1.0
+    reference = heap_lengths(present)
+    bits = sum(present[s] * lengths[s] for s in present)
+    heap_bits = sum(present[s] * reference[s] for s in present)
+    if max(reference.values()) <= MAX_CODE_LEN:
+        assert bits == heap_bits
+    else:
+        assert bits >= heap_bits  # no code beats the unlimited optimum
+
+
+def test_wide_eight_bit_layer_is_limited_to_sixteen_bits():
+    rng = np.random.default_rng(0)
+    weights = rng.normal(0.0, np.sqrt(2.0 / (3 * 3 * 128)), (3, 3, 128, 128))
+    lq = quantize_layer(weights, prune_by_magnitude(weights, 0.5), 8, seed=0, name="wide")
+    counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
+    present = {int(s): int(c) for s, c in enumerate(counts) if c > 0}
+    assert max(heap_lengths(present).values()) == 18  # unlimited, the code would be longer
+    table = HuffmanTable.from_frequencies(counts, lq.alphabet_size)
+    assert int(table.lengths.max()) == 16
+    record = encode_layer(lq)
+    decoded, _ = decode_layer(record)
+    assert np.array_equal(decoded.symbols, lq.symbols)
+    assert encode_layer(decoded) == record
 
 
 def test_stream_spanning_many_decode_chunks():

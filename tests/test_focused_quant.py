@@ -348,6 +348,42 @@ def test_decode_of_every_symbol_matches_the_table(mode, n_bits):
     assert decode(lq.symbols, lq).tolist() == [want[sym] for sym in listed]
 
 
+def per_symbol_decode(symbols, params):
+    """The stream form of decode: the arithmetic run on every symbol."""
+    component, sign, exponent = unpack(symbols, params)
+    values = sign * np.ldexp(params.sigma, exponent - params.bias)
+    values += np.array(params.mu)[component]
+    values[np.asarray(symbols) == ZERO] = 0.0
+    return values
+
+
+def _pow2_or_zero():
+    return st.one_of(st.just(0.0), st.builds(lambda s, e: s * 2.0**e, st.sampled_from((-1.0, 1.0)),
+                                             st.integers(-30, 10)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(1e-30, 1e6), st.integers(-32, 32), _pow2_or_zero(), _pow2_or_zero(),
+       st.floats(-1e3, 1e3, allow_nan=False), st.integers(0, 2**32 - 1))
+def test_table_decode_is_bit_identical_to_per_symbol_arithmetic(sigma, bias, mu_minus, mu_plus,
+                                                                alpha, seed):
+    for mode, n_bits in [(MODE_SHIFT, b) for b in range(3, 9)] + [
+            (MODE_RECENTRALIZED, b) for b in range(4, 9)]:
+        mu, sig = ((mu_minus, mu_plus), sigma) if mode == MODE_RECENTRALIZED else ((0.0, 0.0), 1.0)
+        valid = [sym for sym in range(1 << n_bits)
+                 if table_value(sym, mode, n_bits, bias, mu, sig) is not None]
+        # every valid symbol, then a shuffled stream of them with repeats
+        stream = np.r_[valid, np.random.default_rng(seed).choice(valid, size=500)]
+        lq = LayerQuantization(name="l", mode=mode, n_bits=n_bits, alpha=alpha, bias=bias,
+                               mu=mu, sigma=sig, symbols=stream)
+        want = per_symbol_decode(lq.symbols, lq)
+        got = decode(lq.symbols, lq)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        scaled = lq.alpha * want
+        assert np.array_equal(dequantize_layer(lq).view(np.int64), scaled.view(np.int64))
+
+
 @pytest.mark.parametrize("mode, n_bits", [(MODE_SHIFT, b) for b in range(3, 9)]
                          + [(MODE_RECENTRALIZED, b) for b in range(4, 9)])
 def test_layer_refuses_every_symbol_the_table_does_not_list(mode, n_bits):
