@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ class HuffmanTable:
     lengths: np.ndarray  # uint8 per alphabet symbol; 0 = symbol absent
     codes: dict = field(init=False, repr=False)
     _left_codes: np.ndarray = field(init=False, repr=False)
-    _lookup: np.ndarray = field(init=False, repr=False)
+    _ordered: np.ndarray = field(init=False, repr=False)  # symbols in canonical order
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
@@ -135,14 +136,22 @@ class HuffmanTable:
         left = np.zeros(self.lengths.size, dtype=np.uint64)
         left[ordered] = codes.astype(np.uint64) << (64 - ordered_len).astype(np.uint64)
         self._left_codes = left
-        # in canonical order the codes, left-justified in MAX_CODE_LEN bits,
-        # tile the table from 0: an l-bit code owns 2**(MAX_CODE_LEN - l)
-        # entries. Entries past the last code match none; their length
-        # max_len + 1 marks them.
-        lookup = np.full(1 << MAX_CODE_LEN, (max_len + 1) << 8, dtype=np.uint16)
+        self._ordered = ordered
+
+    @cached_property
+    def _lookup(self) -> np.ndarray:
+        """The decode table, built by the first decode, since encoding never reads it.
+
+        In canonical order the codes, left-justified in MAX_CODE_LEN bits,
+        tile the table from 0: an l-bit code owns 2**(MAX_CODE_LEN - l)
+        entries. Entries past the last code match none; their length
+        max_len + 1 marks them.
+        """
+        ordered_len = self.lengths[self._ordered].astype(np.int64)
+        lookup = np.full(1 << MAX_CODE_LEN, (int(self.lengths.max()) + 1) << 8, dtype=np.uint16)
         span = 1 << (MAX_CODE_LEN - ordered_len)
-        lookup[: span.sum()] = np.repeat((ordered_len << 8 | ordered).astype(np.uint16), span)
-        self._lookup = lookup
+        lookup[: span.sum()] = np.repeat((ordered_len << 8 | self._ordered).astype(np.uint16), span)
+        return lookup
 
     @classmethod
     def from_frequencies(cls, counts, alphabet_size: int) -> "HuffmanTable":

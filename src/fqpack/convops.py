@@ -11,7 +11,6 @@ summation layouts identical.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int = 0):
@@ -29,19 +28,36 @@ def conv_output_hw(ih: int, iw: int, fh: int, fw: int, stride: int = 1, pad: int
     return oh, ow
 
 
-def im2col(x: np.ndarray, fh: int, fw: int, stride: int = 1, pad: int = 0) -> np.ndarray:
+def zero_bordered(shape, pad: int, dtype):
+    """An (N, H + 2*pad, W + 2*pad, C) array of zeros for an (N, H, W, C)
+    ``shape``, and the view of its interior, where the unpadded input goes."""
+    n, h, w, c = shape
+    padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=dtype)
+    return padded, padded[:, pad : pad + h, pad : pad + w]
+
+
+def im2col(x: np.ndarray, fh: int, fw: int, stride: int = 1, pad: int = 0,
+           out=None) -> np.ndarray:
     """(N, H, W, C) -> (N*oh*ow, fh*fw*C) patch matrix in x's dtype: one
     strided window view of x (padded into a zero-bordered copy), copied once
-    into C order, since BLAS may sum a strided operand in another order."""
+    into C order, since BLAS may sum a strided operand in another order.
+
+    A source that already carries its zero border passes pad=0. ``out``, a
+    C-contiguous array of the patch matrix's shape and dtype, receives the
+    patches in place of a new array.
+    """
     n, h, w, c = x.shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
     if pad:
-        padded = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-        padded[:, pad : pad + h, pad : pad + w] = x
+        padded, inner = zero_bordered(x.shape, pad, x.dtype)
+        inner[...] = x
         x = padded
+    else:
+        x = np.ascontiguousarray(x)  # the window view below needs one buffer
     sn, sy, sx, sc = x.strides
-    win = as_strided(x, (n, oh, ow, fh, fw, c), (sn, sy * stride, sx * stride, sy, sx, sc))
-    cols = np.empty((n * oh * ow, fh * fw * c), dtype=x.dtype)
+    win = np.ndarray((n, oh, ow, fh, fw, c), x.dtype, x, 0,
+                     (sn, sy * stride, sx * stride, sy, sx, sc))
+    cols = np.empty((n * oh * ow, fh * fw * c), dtype=x.dtype) if out is None else out
     cols.reshape(win.shape)[...] = win
     return cols
 

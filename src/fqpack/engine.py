@@ -30,12 +30,23 @@ scaling to reals above runs in float64.
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
 activations to int8. One requantizer, ``quantize_activations``, does every
-rounding onto a power-of-two grid, into float32, which holds such integers
-exactly. Each sample gets the smallest exponent that loses nothing, so its
-output does not depend on its batch; only a frozen exponent (from
-``calibrate``) saturates. The classifier layer returns float logits without
-requantization; a global average pool (power of two window, rounded shift)
-bridges conv output to the dense head.
+rounding onto a power-of-two grid, into float32 or straight into the next
+stage's input buffer, both of which hold such integers exactly. Each sample
+gets the smallest exponent that loses nothing, so its output does not depend
+on its batch; only a frozen exponent (from ``calibrate``) saturates. The
+classifier layer returns float logits without requantization; a global
+average pool (power of two window, rounded shift) bridges conv output to the
+dense head.
+
+A forward runs in blocks of at most ``_BLOCK`` (32) samples, each through
+the whole network; the blocking is exact, since a sample's exponents are
+its own and the GEMMs are exact integer sums. Each stage's workspace (its
+zero-bordered input, patch matrix, GEMM output and float64 finalize
+buffers) is built when the first block reaches it, reused by the later
+blocks and dropped when the call returns, so peak memory depends on the
+block size, not the batch size, and no state outlives a call. The
+recording pass of ``calibrate`` picks one exponent per batch, so it runs
+its batch whole.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import CompressedModel, pair_layers
-from .convops import conv_output_hw, im2col
+from .convops import conv_output_hw, im2col, zero_bordered
 from .errors import AccumulatorOverflowError, ValidationError
 from .focused_quant import ZERO, LayerQuantization, decode, unpack
 from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
@@ -58,6 +69,9 @@ ACC_BITS = 32
 # holds every integer up to 2^24 exactly
 F32_EXACT_BITS = 24
 BN_EPS = 1e-5
+# samples per block: a forward runs each block through the whole network, so
+# its buffers are sized by the block, not the batch
+_BLOCK = 32
 
 
 def _round_away(values: np.ndarray, out=None) -> np.ndarray:
@@ -78,7 +92,7 @@ def _lossless_exponent(x: np.ndarray, bits: int, axis=None):
     return (exp - (bits - 1)) * (max_abs > 0)
 
 
-def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None):
+def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
     """Symmetric power-of-two quantization: x ~= values * 2^exponent.
 
     Returns (values, exponent), the values float32 integers in [-(2^(bits-1)-1),
@@ -88,6 +102,8 @@ def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None):
     saturates. An int array gives each sample (axis 0) its own, which the
     caller picks lossless after refusing non-finite input, as
     ``IntegerEngine`` does; otherwise non-finite input raises ValidationError.
+    ``out``, a float array of x's shape (a strided view will do), receives
+    the values in place of a new float32 array.
     """
     if not 2 <= bits <= 16:
         raise ValueError(f"activation bits must be in [2, 16], got {bits}")
@@ -101,7 +117,9 @@ def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None):
         lossless = int(_lossless_exponent(x, bits))  # also refuses non-finite input
         exponent = lossless if exponent is None else exponent
         shift = -exponent
-    ints = _round_away(np.ldexp(x, shift), out=np.empty(x.shape, dtype=np.float32))
+    if out is None:
+        out = np.empty(x.shape, dtype=np.float32)
+    ints = _round_away(np.ldexp(x, shift), out=out)
     if frozen:
         limit = (1 << (bits - 1)) - 1
         np.clip(ints, -limit, limit, out=ints)
@@ -294,63 +312,95 @@ def _build_stage(spec, lq: LayerQuantization, act_bits: int) -> _Stage:
     )
 
 
-def _integer_accumulate(stage: _Stage, cols: np.ndarray) -> np.ndarray:
+class _Workspace:
+    """One stage's buffers for one forward call, sized by its first block;
+    later, smaller blocks use their leading rows.
+
+    A conv's input, ``padded``, is zero-bordered in the GEMM dtype: the
+    border is zeroed once, and requantization writes the interior,
+    ``inner``. ``cols`` is the patch matrix, or a dense stage's input (and
+    ``inner``) itself; ``acc`` is the GEMM output, and ``real`` and ``cen``
+    are the float64 finalize buffers.
+    """
+
+    def __init__(self, stage: _Stage, shape):
+        dtype = stage.planes.dtype
+        patch, cout = stage.w_pre.shape
+        if stage.kind == KIND_CONV2D:
+            fh, fw, cin, _, pad, stride = stage.geometry
+            n, h, w, c = shape
+            if c != cin:
+                raise ValidationError(
+                    f"stage {stage.name!r}: input has {c} channels, expected {cin}"
+                )
+            self.out_hw = conv_output_hw(h, w, fh, fw, stride, pad)
+            self.padded, self.inner = zero_bordered(shape, pad, dtype)
+            self.cols = np.empty((n * self.out_hw[0] * self.out_hw[1], patch), dtype)
+        else:
+            if shape[-1] != patch:
+                raise ValidationError(
+                    f"stage {stage.name!r}: input width {shape[-1]}, expected {patch}"
+                )
+            self.inner = self.cols = np.empty(shape, dtype)
+        rows = len(self.cols)
+        self.acc = np.empty((rows, stage.planes.shape[1]), dtype)
+        self.real = np.empty((rows, cout))
+        self.cen = np.empty((rows, cout)) if stage.planes.shape[1] > cout else None
+
+
+def _integer_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Real-valued stage outputs from integer activation columns.
 
     The exact integer sums are widened to float64 inside the scaling
-    multiplies, and the finalize runs in place on that one float64 array.
+    multiplies, and the finalize runs in place in ``ws.real``.
     """
-    acc = cols @ stage.planes
+    rows = len(cols)
+    acc = np.matmul(cols, stage.planes, out=ws.acc[:rows])
     cout = stage.w_pre.shape[1]
-    inner = np.multiply(acc[:, :cout], stage.scale_dev, dtype=np.float64)
-    if acc.shape[1] > cout:
-        inner += np.multiply(acc[:, cout:], stage.scale_cen, dtype=np.float64)
+    inner = np.multiply(acc[:, :cout], stage.scale_dev, out=ws.real[:rows], dtype=np.float64)
+    if ws.cen is not None:
+        inner += np.multiply(acc[:, cout:], stage.scale_cen, out=ws.cen[:rows],
+                             dtype=np.float64)
     inner *= stage.alpha
     return inner
 
 
-def _float_accumulate(stage: _Stage, cols: np.ndarray) -> np.ndarray:
+def _float_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Float reference: products against real weights, alpha once per sum.
 
     The patches arrive in the stage's GEMM dtype and are widened to float64,
-    exactly, since they are integers; blocks of at least 4096 rows bound the
-    widened copy.
+    exactly, since they are integers.
     """
-    blocks = np.array_split(cols, max(1, len(cols) // 4096))
-    sums = np.concatenate([b.astype(np.float64) @ stage.w_pre for b in blocks])
+    sums = np.matmul(cols.astype(np.float64), stage.w_pre, out=ws.real[: len(cols)])
     sums *= stage.alpha
     return sums
 
 
-def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate):
+def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate, ws=None):
     """One stage on integer activations on 2^act_exp: accumulate, scale,
-    integer BN. Conv stages take and return NHWC; patches are built in the
-    GEMM dtype, as float32 activations already are."""
-    ints = ints.astype(stage.planes.dtype, copy=False)
+    integer BN. Conv stages take and return NHWC. With a workspace, ``ints``
+    is the view ``ws.inner[:n]`` that requantization has already filled;
+    without one, the call builds its own and copies ``ints`` in. The result
+    is a view of ``ws.real``."""
+    n = len(ints)
+    if ws is None:
+        ws = _Workspace(stage, ints.shape)
+        ws.inner[...] = ints
     if stage.kind == KIND_CONV2D:
-        fh, fw, cin, cout, pad, stride = stage.geometry
-        n, h, w, c = ints.shape
-        if c != cin:
-            raise ValidationError(
-                f"stage {stage.name!r}: input has {c} channels, expected {cin}"
-            )
-        real = accumulate(stage, im2col(ints, fh, fw, stride, pad))
-        oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
+        fh, fw, _, cout, _, stride = stage.geometry
+        oh, ow = ws.out_hw
+        cols = im2col(ws.padded[:n], fh, fw, stride, 0, out=ws.cols[: n * oh * ow])
         out_shape = (n, oh, ow, cout)
     else:
-        if ints.shape[-1] != stage.geometry[0]:
-            raise ValidationError(
-                f"stage {stage.name!r}: input width {ints.shape[-1]}, "
-                f"expected {stage.geometry[0]}"
-            )
-        real = accumulate(stage, ints)
-        out_shape = real.shape
+        cols = ws.cols[:n]
+        out_shape = (n, stage.w_pre.shape[1])
+    real = accumulate(stage, cols, ws)
     # an exact power of two; one per sample (an array) scales that sample's rows
     exps = np.asarray(act_exp, dtype=np.intc)
     per_sample = real.reshape(exps.size, -1, real.shape[-1])
     np.ldexp(per_sample, exps.reshape(-1, 1, 1), out=per_sample)
     if stage.qbn is not None:
-        real = stage.qbn.apply(real)  # a fresh array; channels are the last axis
+        stage.qbn.apply(real)  # channels are the last axis
     return real.reshape(out_shape)
 
 
@@ -382,28 +432,45 @@ class IntegerEngine:
         self.stages = [_build_stage(spec, lq, act_bits)
                        for spec, lq in pair_layers(model, compressed)]
 
-    def _requant(self, x: np.ndarray, point: int, record=None):
+    def _requant(self, x: np.ndarray, point: int, record=None, out=None):
         if self.act_exps is not None:
-            return quantize_activations(x, self.act_bits, self.act_exps[point])
+            return quantize_activations(x, self.act_bits, self.act_exps[point], out)
         if record is not None:  # calibration: the pass frozen exponents repeat, one per batch
-            ints, exp = quantize_activations(x, self.act_bits)
+            ints, exp = quantize_activations(x, self.act_bits, out=out)
             record.append(exp)
             return ints, exp
         per_sample = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
-        return quantize_activations(x, self.act_bits, per_sample)
+        return quantize_activations(x, self.act_bits, per_sample, out)
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
-        ints, act_exp = self._requant(x, 0, record)
-        if ints.ndim == 4:
-            ints = ints.transpose(0, 2, 3, 1)  # NHWC from here on
-        for i, stage in enumerate(self.stages):
-            if stage.kind == KIND_DENSE and ints.ndim == 4:
-                ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
-            real = _stage_real(stage, ints, act_exp, self.accumulate)
-            if i == len(self.stages) - 1:
-                return real.transpose(0, 3, 1, 2) if real.ndim == 4 else real
-            ints, act_exp = self._requant(np.maximum(real, 0.0, out=real), i + 1, record)
-        raise AssertionError("unreachable")
+        """Logits of the batch, _BLOCK samples at a time. The recording pass of
+        calibrate picks one exponent per batch, so it runs the batch whole."""
+        if x.ndim == 4:
+            x = x.transpose(0, 2, 3, 1)  # NHWC from here on
+        step = len(x) if record is not None else _BLOCK
+        spaces = [None] * len(self.stages)  # built by the first block
+        out = None
+        for start in range(0, max(len(x), 1), step):  # an empty batch fails in requantization
+            keep = start + step < len(x)  # a later block reuses the workspaces
+            real = x[start : start + step]
+            for i, stage in enumerate(self.stages):
+                if i:
+                    np.maximum(real, 0.0, out=real)  # ReLU between stages
+                if stage.kind == KIND_DENSE and real.ndim == 4:
+                    ints, act_exp = self._requant(real, i, record)
+                    ints, ws = global_avg_pool_int(ints.transpose(0, 3, 1, 2)), None
+                else:
+                    ws = spaces[i]
+                    if ws is None:
+                        ws = _Workspace(stage, real.shape)
+                        if keep:
+                            spaces[i] = ws
+                    ints, act_exp = self._requant(real, i, record, ws.inner[: len(real)])
+                real = _stage_real(stage, ints, act_exp, self.accumulate, ws)
+            if out is None:
+                out = np.empty((len(x),) + real.shape[1:])
+            out[start : start + step] = real
+        return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
 
     def forward(self, images: np.ndarray) -> np.ndarray:
         """Logits for a batch of NCHW images (float, any real scale)."""

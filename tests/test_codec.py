@@ -167,6 +167,7 @@ def test_random_stream_round_trips():
         counts = np.bincount(symbols, minlength=alphabet)
         table = HuffmanTable.from_frequencies(counts, alphabet)
         payload, bits = table.encode(symbols)
+        assert "_lookup" not in vars(table)  # encoding builds no decode table
         assert np.array_equal(table.decode(payload, bits), symbols)
 
 

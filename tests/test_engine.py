@@ -17,6 +17,7 @@ from fqpack.engine import (
     dot_shift_add,
     fold_bn,
     global_avg_pool_int,
+    _BLOCK,
     _build_stage,
     _lossless_exponent,
     _round_away,
@@ -807,3 +808,32 @@ def test_calibrated_inference_is_unchanged():
     # a batch beyond the calibrated range saturates, as before
     x = np.concatenate([scaled_batch(rng, 12), 64.0 * scaled_batch(rng, 4)])
     assert np.array_equal(engine.forward(x), _batchwide_run(engine, x, frozen)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 2 * _BLOCK + 3), batch_size=st.integers(1, 2 * _BLOCK + 3),
+       seed=st.integers(0, 2**32 - 1), engine_type=st.sampled_from([IntegerEngine, FloatSimulator]),
+       calibrated=st.booleans())
+def test_batches_across_blocks_match_sample_by_sample(n, batch_size, seed, engine_type,
+                                                      calibrated):
+    engine = engine_type(*toy_pair())
+    rng = np.random.default_rng(seed)
+    x = scaled_batch(rng, n)
+    if calibrated:
+        engine.calibrate(scaled_batch(rng, 8))
+    logits = engine.forward(x)
+    for i in range(n):
+        assert np.array_equal(engine.forward(x[i : i + 1])[0], logits[i])
+    assert np.array_equal(engine.predict(x, batch_size=batch_size), np.argmax(logits, axis=1))
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 5])
+def test_logits_outlive_the_next_forward(n):
+    engine = IntegerEngine(*toy_pair())
+    rng = np.random.default_rng(94)
+    x, other = scaled_batch(rng, n), scaled_batch(rng, n)
+    logits = engine.forward(x)
+    kept = logits.copy()
+    again = engine.forward(other)
+    assert not np.shares_memory(logits, again)
+    assert np.array_equal(logits, kept)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from fqpack.convops import col2im, conv_output_hw, im2col
+from fqpack.convops import col2im, conv_output_hw, im2col, zero_bordered
 from fqpack.model_store import decode_model, encode_model
 from fqpack.nn import (
     TOY_PLAN,
@@ -113,6 +113,25 @@ def test_im2col_matches_pad_and_window_oracle(shape, kernel, stride, pad, dtype,
     got, want = im2col(x, fh, fw, stride, pad), pad_window_im2col(x, fh, fw, stride, pad)
     assert got.flags.c_contiguous and got.dtype == want.dtype
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 4), spare=st.integers(0, 3),
+       kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+       stride=st.integers(1, 3), pad=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_im2col_of_a_bordered_source_into_out_matches_the_oracle(shape, spare, kernel, stride,
+                                                                 pad, seed):
+    # the engine's use: a prefix of a zero-bordered buffer, patches into a prefix of another
+    n, h, w, c = shape
+    fh, fw = kernel
+    assume(fh <= h + 2 * pad and fw <= w + 2 * pad)
+    x = np.random.default_rng(seed).normal(scale=50.0, size=shape).astype(np.float32)
+    padded, inner = zero_bordered((n + spare, h, w, c), pad, x.dtype)
+    inner[:n] = x
+    want = pad_window_im2col(x, fh, fw, stride, pad)
+    out = np.full(((n + spare) * len(want) // n, want.shape[1]), np.nan, dtype=x.dtype)
+    got = im2col(padded[:n], fh, fw, stride, 0, out=out[: len(want)])
+    assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
 
 
 def nchw_im2col(x, fh, fw, stride, pad):
