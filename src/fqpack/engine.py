@@ -19,48 +19,63 @@ from ``focused_quant.unpack``, so nothing here depends on the layer's mode.
 ``dot_shift_add`` is the reference scalar form of that sum — a single
 accumulator, shifts/adds/subtracts only. The batched path reaches the same
 integers through one matrix product per layer over an NHWC patch matrix,
-with the T and U weight planes side by side. A float GEMM is exact as long
+with each output's T and U weight columns side by side. A float GEMM is exact as long
 as every partial sum is an integer the format holds exactly: below 2^24 in
 float32, below 2^53 in float64. ``check_accumulator`` refuses a layer whose
 worst case needs more than ``ACC_BITS`` (32) bits, and each stage runs in
 float32 when that bound is at most 24 bits and in float64 above it, so the
 two paths agree to the last bit whenever sigma is a power of two. The
-scaling to reals above runs in float64.
+scaling to reals above runs in float64, with each sample's 2^act_exp folded
+into alpha: the centre sums are in units of 2^p_min, so a stage computes
+(T * sigma * 2^(-bias - p_min) + U) * (alpha * 2^(p_min + act_exp)). That
+makes the same roundings as scaling by alpha and then by 2^act_exp, since a
+power-of-two scale commutes with rounding on normal values.
 
 Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
-activations to int8. One requantizer, ``quantize_activations``, does every
-rounding onto a power-of-two grid, into float32 or straight into the next
-stage's input buffer, both of which hold such integers exactly. Each sample
-gets the smallest exponent that loses nothing, so its output does not depend
-on its batch; only a frozen exponent (from ``calibrate``) saturates. The
+activations to int8, straight into the next stage's input buffer, which
+holds such integers exactly. Each sample gets the smallest exponent that
+loses nothing, so its output does not depend on its batch; only a frozen
+exponent (from ``calibrate``) saturates. The rounding stays in float64 (a
+float32 cast first could move a value such as 2.4999999 onto a tie) and is
+half away from zero. The network input may be negative: its exponent reads
+each sample's max and min, and ``_round_away`` rounds it in three passes.
+After a ReLU every input is >= 0, so the max alone gives the exponent and
+trunc(v + 0.5) rounds in two passes, the same up to the sign of a zero.
+Exponents come from a per-engine table of the smallest peak of each
+exponent, one sorted search per block. ``quantize_activations`` is the same
+requantizer for a single array (BN coefficients, a whole batch). The
 classifier layer returns float logits without requantization; a global
 average pool (power of two window, rounded shift) bridges conv output to the
 dense head.
 
 A forward runs in blocks of at most ``_BLOCK`` (32) samples, each through
 the whole network; the blocking is exact, since a sample's exponents are
-its own and the GEMMs are exact integer sums. Each stage's workspace (its
-zero-bordered input, patch matrix, GEMM output and float64 finalize
-buffers) is built when the first block reaches it, reused by the later
-blocks and dropped when the call returns, so peak memory depends on the
-block size, not the batch size, and no state outlives a call. The
-recording pass of ``calibrate`` picks one exponent per batch, so it runs
-its batch whole.
+its own and the GEMMs are exact integer sums. The stage shapes for an input
+size are worked out once (the last such plan is kept; it holds shapes, not
+buffers). Each call then allocates its workspace from the plan, sized by its
+first block: every stage's zero-bordered input, whose border is zeroed once,
+and one patch matrix, GEMM output and float64 finalize buffer, which the
+stages take turns to use. Later blocks use the leading rows, everything is
+dropped when the call returns, so peak memory depends on the block size,
+not the batch size, and calls stay reentrant. ``FloatSimulator`` builds its
+inputs and patches in float64, so its GEMM reads them without a widening
+copy. The recording pass of ``calibrate`` picks one exponent per batch, so
+it runs its batch whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .codec import CompressedModel, pair_layers
-from .convops import conv_output_hw, im2col, zero_bordered
+from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
 from .focused_quant import ZERO, LayerQuantization, decode, unpack
-from .model_store import KIND_CONV2D, KIND_DENSE, ModelFile
+from .model_store import KIND_CONV2D, ModelFile
 
 # the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
 # float64 GEMM, which holds every integer up to 2^53, is always exact
@@ -72,6 +87,8 @@ BN_EPS = 1e-5
 # samples per block: a forward runs each block through the whole network, so
 # its buffers are sized by the block, not the batch
 _BLOCK = 32
+# positions per row when batch norm runs over a stage output: a power of two
+_BN_GROUPS = 64
 
 
 def _round_away(values: np.ndarray, out=None) -> np.ndarray:
@@ -81,15 +98,46 @@ def _round_away(values: np.ndarray, out=None) -> np.ndarray:
     return np.trunc(half, out=half if out is None else out)
 
 
-def _lossless_exponent(x: np.ndarray, bits: int, axis=None):
-    """Smallest e with round(max|x| / 2^e) <= 2^(bits-1) - 1 (0 where x is all
-    zero), over ``axis``, as intc; its one max/min pass refuses NaN and inf."""
-    max_abs = np.maximum(x.max(axis=axis), -x.min(axis=axis))
-    if not np.isfinite(max_abs).all():
+def _exponent(peak, bits: int):
+    """Smallest e with round(peak / 2^e) <= 2^(bits-1) - 1 for each non-negative
+    ``peak`` (0 where it is 0), as intc; refuses NaN and inf."""
+    if not np.isfinite(peak).all():
         raise ValidationError("activations contain non-finite values")
-    mant, exp = np.frexp(max_abs)  # max_abs = mant * 2^exp, mant in [0.5, 1)
-    exp += np.floor(mant * (1 << (bits - 1)) + 0.5) >= 1 << (bits - 1)  # rounds past the limit
-    return (exp - (bits - 1)) * (max_abs > 0)
+    mant, exp = np.frexp(peak)  # peak = mant * 2^exp, mant in [0.5, 1)
+    # round(mant * 2^(bits-1)) reaches 2^(bits-1), past the limit, exactly
+    # when mant >= 1 - 2^-bits
+    exp += mant >= 1.0 - 0.5**bits
+    return (exp - (bits - 1)) * (peak > 0)
+
+
+def _lossless_exponent(x: np.ndarray, bits: int, axis=None):
+    """``_exponent`` of max|x| over ``axis``, from one max/min pass."""
+    return _exponent(np.maximum(x.max(axis=axis), -x.min(axis=axis)), bits)
+
+
+class _ExponentTable:
+    """``_exponent`` for one bit width as a sorted search: the smallest peak
+    of each exponent e is found once, so a block's exponents cost two calls."""
+
+    def __init__(self, bits: int):
+        if not 2 <= bits <= 16:
+            raise ValueError(f"activation bits must be in [2, 16], got {bits}")
+        # every exponent of a positive finite peak, from 2^-1074 to the largest float
+        exps = np.arange(-1072 - bits, 1027 - bits)
+        # exponent e starts at (2^bits - 1) * 2^(e-2), where round(peak / 2^(e-1))
+        # passes the limit; below 2^-1022 that may round down one float short
+        starts = np.ldexp(float((1 << bits) - 1), exps - 2)
+        starts = np.where(_exponent(starts, bits) < exps, np.nextafter(starts, np.inf), starts)
+        # zero, below the first start, has exponent 0; NaN and inf land past the last entry
+        self.starts = np.append(starts, np.inf)
+        self.exps = np.append(0, exps).astype(np.intc)
+
+    def __call__(self, peaks):
+        """``_exponent(peaks, bits)``, for peaks >= 0 of any shape."""
+        try:
+            return self.exps.take(self.starts.searchsorted(peaks, "right"))
+        except IndexError:
+            raise ValidationError("activations contain non-finite values") from None
 
 
 def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
@@ -100,8 +148,8 @@ def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
     one (a Python int) that fits the whole array's extreme value, so nothing
     clips; 0 for all zeros. A frozen int exponent, as set by calibration,
     saturates. An int array gives each sample (axis 0) its own, which the
-    caller picks lossless after refusing non-finite input, as
-    ``IntegerEngine`` does; otherwise non-finite input raises ValidationError.
+    caller picks lossless after refusing non-finite input; otherwise
+    non-finite input raises ValidationError.
     ``out``, a float array of x's shape (a strided view will do), receives
     the values in place of a new float32 array.
     """
@@ -146,6 +194,9 @@ class QuantBN:
     def __post_init__(self):
         self.real_scale = np.ldexp(self.scale.astype(np.float64), self.scale_exp)
         self.real_offset = np.ldexp(self.offset.astype(np.float64), self.offset_exp)
+        # the same, repeated for _BN_GROUPS positions, so that apply runs rows of
+        # many positions' channels rather than one short row per position
+        self._rows = (np.tile(self.real_scale, _BN_GROUPS), np.tile(self.real_offset, _BN_GROUPS))
 
     @classmethod
     def from_float(cls, g: np.ndarray, t: np.ndarray) -> "QuantBN":
@@ -153,9 +204,14 @@ class QuantBN:
         return cls(scale.astype(np.int16), offset.astype(np.int16), se, oe)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """real_scale * x + real_offset over the last (channel) axis, in place."""
-        x *= self.real_scale
-        x += self.real_offset
+        """real_scale * x + real_offset over the last (channel) axis of a
+        C-contiguous x, in place."""
+        positions = x.size // self.real_scale.size
+        # a power of two that divides the positions, so each row is whole groups
+        width = min(positions & -positions or 1, _BN_GROUPS) * self.real_scale.size
+        rows = x.reshape(-1, width)
+        rows *= self._rows[0][:width]
+        rows += self._rows[1][:width]
         return x
 
 
@@ -285,8 +341,9 @@ class _Stage:
     name: str
     kind: str
     geometry: tuple
-    # the _planes, side by side in the GEMM dtype: float32 when the
-    # accumulator bound is <= 24 bits
+    # the _planes in the GEMM dtype (float32 when the accumulator bound is <=
+    # 24 bits): one column per output, or, with centres, each output's
+    # deviation and centre columns side by side
     planes: np.ndarray
     scale_dev: float
     scale_cen: float
@@ -300,108 +357,155 @@ def _build_stage(spec, lq: LayerQuantization, act_bits: int) -> _Stage:
     bits = check_accumulator(lq, patch, act_bits)
     dev, cen, scale_dev, scale_cen = _planes(lq)
     shape = (patch, spec.out_channels)
-    planes = np.concatenate([p.reshape(shape) for p in (dev, cen) if p is not None], axis=1)
+    planes = np.stack([p.reshape(shape) for p in (dev, cen) if p is not None], axis=-1)
     qbn = None
     if spec.bn_params is not None:
         qbn = QuantBN.from_float(*fold_bn(spec.bn_params))
     return _Stage(
         name=spec.name, kind=spec.kind, geometry=spec.geometry,
-        planes=planes.astype(np.float32 if bits <= F32_EXACT_BITS else np.float64),
+        planes=planes.reshape(patch, -1).astype(np.float32 if bits <= F32_EXACT_BITS
+                                                 else np.float64),
         scale_dev=scale_dev, scale_cen=scale_cen, alpha=lq.alpha,
         w_pre=decode(lq.symbols, lq).reshape(shape), qbn=qbn,
     )
 
 
-class _Workspace:
-    """One stage's buffers for one forward call, sized by its first block;
-    later, smaller blocks use their leading rows.
+class _Shape(NamedTuple):
+    """One stage's shapes for one sample."""
 
-    A conv's input, ``padded``, is zero-bordered in the GEMM dtype: the
-    border is zeroed once, and requantization writes the interior,
-    ``inner``. ``cols`` is the patch matrix, or a dense stage's input (and
-    ``inner``) itself; ``acc`` is the GEMM output, and ``real`` and ``cen``
-    are the float64 finalize buffers.
-    """
+    dtype: np.dtype  # of its input and patch matrix
+    padded: tuple  # its input: (h + 2*pad, w + 2*pad, cin) for a conv, or (width,)
+    interior: tuple  # slices of ``padded`` that requantization writes
+    rows: int  # GEMM rows: oh * ow, or 1
+    out: tuple  # its output: (oh, ow, cout), or (cout,)
+    pool: bool  # a dense stage fed by global_avg_pool_int of a conv's output
 
-    def __init__(self, stage: _Stage, shape):
-        dtype = stage.planes.dtype
+
+class _Plan(NamedTuple):
+    """Every stage's shapes for one per-sample input shape, and the per-sample
+    sizes of the buffers the stages share."""
+
+    shapes: tuple
+    cols_bytes: int
+    acc_bytes: int
+    real_size: int
+
+
+def _stage_plan(stages, shape, dtype=None) -> _Plan:
+    """The plan for per-sample input ``shape``, (h, w, c) or (width,), with
+    stage inputs in ``dtype``, or in each stage's GEMM dtype."""
+    shapes, cols, acc, real = [], [0], [], []
+    for stage in stages:
         patch, cout = stage.w_pre.shape
+        in_dtype = np.dtype(stage.planes.dtype if dtype is None else dtype)
         if stage.kind == KIND_CONV2D:
             fh, fw, cin, _, pad, stride = stage.geometry
-            n, h, w, c = shape
+            h, w, c = shape
             if c != cin:
                 raise ValidationError(
                     f"stage {stage.name!r}: input has {c} channels, expected {cin}"
                 )
-            self.out_hw = conv_output_hw(h, w, fh, fw, stride, pad)
-            self.padded, self.inner = zero_bordered(shape, pad, dtype)
-            self.cols = np.empty((n * self.out_hw[0] * self.out_hw[1], patch), dtype)
+            oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
+            s = _Shape(in_dtype, (h + 2 * pad, w + 2 * pad, c),
+                       (slice(pad, pad + h), slice(pad, pad + w)), oh * ow, (oh, ow, cout), False)
+            cols.append(s.rows * patch * in_dtype.itemsize)
         else:
             if shape[-1] != patch:
                 raise ValidationError(
                     f"stage {stage.name!r}: input width {shape[-1]}, expected {patch}"
                 )
-            self.inner = self.cols = np.empty(shape, dtype)
-        rows = len(self.cols)
-        self.acc = np.empty((rows, stage.planes.shape[1]), dtype)
-        self.real = np.empty((rows, cout))
-        self.cen = np.empty((rows, cout)) if stage.planes.shape[1] > cout else None
+            s = _Shape(in_dtype, (patch,), (), 1, (cout,), len(shape) == 3)
+        acc.append(s.rows * stage.planes.shape[1] * stage.planes.itemsize)
+        real.append(s.rows * cout)
+        shapes.append(s)
+        shape = s.out
+    return _Plan(tuple(shapes), max(cols), max(acc), max(real))
 
 
-def _integer_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Real-valued stage outputs from integer activation columns.
+class _Workspace:
+    """One forward call's buffers, sized by its first block of ``n`` samples;
+    later, smaller blocks use their leading rows.
+
+    ``inputs[i]`` is stage i's input in its dtype, zero-bordered for a conv:
+    the border is zeroed once, and requantization writes the interior. The
+    patch matrix, the GEMM output and the float64 finalize buffer serve one
+    stage at a time, so all stages share one of each, sized for the largest.
+    """
+
+    def __init__(self, plan: _Plan, n: int):
+        self.plan = plan
+        self.inputs = [np.zeros((n,) + s.padded, s.dtype) for s in plan.shapes]
+        self.cols = np.empty(n * plan.cols_bytes, np.uint8)
+        self.acc = np.empty(n * plan.acc_bytes, np.uint8)
+        self.real = np.empty(n * plan.real_size)
+
+    def inner(self, i: int, n: int) -> np.ndarray:
+        """Where requantization writes stage i's input for n samples."""
+        return self.inputs[i][(slice(n),) + self.plan.shapes[i].interior]
+
+
+def _scale_samples(real: np.ndarray, factors) -> None:
+    """Multiplies each sample's rows of ``real`` by its factor (one factor scales all)."""
+    per_sample = real.reshape(factors.size, -1)
+    per_sample *= factors.reshape(-1, 1)
+
+
+def _integer_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace, exps) -> np.ndarray:
+    """Real-valued stage outputs, in ``ws.real``, from integer activation
+    columns on the per-sample grids 2^exps.
 
     The exact integer sums are widened to float64 inside the scaling
-    multiplies, and the finalize runs in place in ``ws.real``.
+    operations. The centre sums are in units of scale_cen, a power of two, so
+    alpha * (dev * scale_dev + cen * scale_cen) * 2^e is computed as
+    (dev * (scale_dev / scale_cen) + cen) * (alpha * scale_cen * 2^e): every
+    rounding is the same, since power-of-two scales commute with rounding on
+    normal values.
     """
-    rows = len(cols)
-    acc = np.matmul(cols, stage.planes, out=ws.acc[:rows])
-    cout = stage.w_pre.shape[1]
-    inner = np.multiply(acc[:, :cout], stage.scale_dev, out=ws.real[:rows], dtype=np.float64)
-    if ws.cen is not None:
-        inner += np.multiply(acc[:, cout:], stage.scale_cen, out=ws.cen[:rows],
-                             dtype=np.float64)
-    inner *= stage.alpha
-    return inner
+    rows, width = len(cols), stage.planes.shape[1]
+    acc = np.matmul(cols, stage.planes, out=np.ndarray((rows, width), cols.dtype, ws.acc))
+    real = np.ndarray((rows, stage.w_pre.shape[1]), np.float64, ws.real)
+    unit = 1.0
+    if stage.scale_cen:  # each output's deviation and centre columns alternate
+        unit = stage.scale_cen
+        np.multiply(acc[:, 0::2], stage.scale_dev / unit, out=real, dtype=np.float64)
+        np.add(real, acc[:, 1::2], out=real)
+    else:
+        np.multiply(acc, stage.scale_dev, out=real, dtype=np.float64)
+    _scale_samples(real, np.ldexp(stage.alpha * unit, exps))
+    return real
 
 
-def _float_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Float reference: products against real weights, alpha once per sum.
+def _float_accumulate(stage: _Stage, cols: np.ndarray, ws: _Workspace, exps) -> np.ndarray:
+    """Float reference: products against real weights, alpha * 2^e once per sum.
 
-    The patches arrive in the stage's GEMM dtype and are widened to float64,
-    exactly, since they are integers.
+    The patches arrive in float64, exact, since they are integers.
     """
-    sums = np.matmul(cols.astype(np.float64), stage.w_pre, out=ws.real[: len(cols)])
-    sums *= stage.alpha
-    return sums
+    real = np.ndarray((len(cols), stage.w_pre.shape[1]), np.float64, ws.real)
+    np.matmul(cols, stage.w_pre, out=real)
+    _scale_samples(real, np.ldexp(stage.alpha, exps))
+    return real
 
 
-def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate, ws=None):
-    """One stage on integer activations on 2^act_exp: accumulate, scale,
-    integer BN. Conv stages take and return NHWC. With a workspace, ``ints``
-    is the view ``ws.inner[:n]`` that requantization has already filled;
-    without one, the call builds its own and copies ``ints`` in. The result
-    is a view of ``ws.real``."""
+def _stage_real(stage: _Stage, ints: np.ndarray, act_exp, accumulate, ws=None, i=0):
+    """One stage on integer activations on 2^act_exp (one exponent, or one
+    per sample): accumulate, scale, integer BN. Conv stages take and return
+    NHWC. With a workspace, ``ints`` is the view ``ws.inner(i, n)`` that
+    requantization has already filled; without one, the call builds its own
+    and copies ``ints`` in. The result is a view of ``ws.real``."""
     n = len(ints)
     if ws is None:
-        ws = _Workspace(stage, ints.shape)
-        ws.inner[...] = ints
+        ws = _Workspace(_stage_plan([stage], ints.shape[1:]), n)
+        ws.inner(0, n)[...] = ints
+    shape = ws.plan.shapes[i]
+    cols = ws.inputs[i][:n]
     if stage.kind == KIND_CONV2D:
-        fh, fw, _, cout, _, stride = stage.geometry
-        oh, ow = ws.out_hw
-        cols = im2col(ws.padded[:n], fh, fw, stride, 0, out=ws.cols[: n * oh * ow])
-        out_shape = (n, oh, ow, cout)
-    else:
-        cols = ws.cols[:n]
-        out_shape = (n, stage.w_pre.shape[1])
-    real = accumulate(stage, cols, ws)
-    # an exact power of two; one per sample (an array) scales that sample's rows
-    exps = np.asarray(act_exp, dtype=np.intc)
-    per_sample = real.reshape(exps.size, -1, real.shape[-1])
-    np.ldexp(per_sample, exps.reshape(-1, 1, 1), out=per_sample)
+        fh, fw, _, _, _, stride = stage.geometry
+        out = np.ndarray((n * shape.rows, stage.w_pre.shape[0]), shape.dtype, ws.cols)
+        cols = im2col(cols, fh, fw, stride, 0, out=out)
+    real = accumulate(stage, cols, ws, act_exp)
     if stage.qbn is not None:
         stage.qbn.apply(real)  # channels are the last axis
-    return real.reshape(out_shape)
+    return real.reshape((n,) + shape.out)
 
 
 class IntegerEngine:
@@ -415,61 +519,101 @@ class IntegerEngine:
     dtype: float32 up to 24 bits, float64 above, so the matrix products are
     exact integer sums.
 
-    Every requantization goes through ``quantize_activations``. Activation
-    scales are chosen per sample, so a sample's logits do not depend on its
-    batch, until :meth:`calibrate` freezes one per layer; only frozen scales
-    saturate, so later inputs clip rather than rescale. Non-finite inputs
-    raise ValidationError either way.
+    Activation scales are chosen per sample, so a sample's logits do not
+    depend on its batch, until :meth:`calibrate` freezes one per layer; only
+    frozen scales saturate, so later inputs clip rather than rescale.
+    Non-finite inputs raise ValidationError either way.
     """
 
     accumulate = staticmethod(_integer_accumulate)
+    _input_dtype = None  # of the stage inputs and patches; None: each stage's GEMM dtype
 
     def __init__(self, model: ModelFile, compressed: CompressedModel, act_bits: int = 8):
         if not model.layers:
             raise ValidationError("model has no layers")
         self.act_bits = act_bits
+        self._exponents = _ExponentTable(act_bits)
         self.act_exps = None  # set by calibrate()
         self.stages = [_build_stage(spec, lq, act_bits)
                        for spec, lq in pair_layers(model, compressed)]
+        self._last_plan = None  # (per-sample input shape, its _Plan)
+
+    def _plan(self, shape) -> _Plan:
+        """The plan for per-sample input ``shape``; the last one is kept."""
+        last = self._last_plan
+        if last is None or last[0] != shape:
+            last = shape, _stage_plan(self.stages, shape, self._input_dtype)
+            self._last_plan = last
+        return last[1]
 
     def _requant(self, x: np.ndarray, point: int, record=None, out=None):
-        if self.act_exps is not None:
-            return quantize_activations(x, self.act_bits, self.act_exps[point], out)
-        if record is not None:  # calibration: the pass frozen exponents repeat, one per batch
-            ints, exp = quantize_activations(x, self.act_bits, out=out)
-            record.append(exp)
-            return ints, exp
-        per_sample = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
-        return quantize_activations(x, self.act_bits, per_sample, out)
+        """Rounds the block ``x``, stage ``point``'s float64 input, onto its
+        power-of-two grid, into ``out`` or, after a ReLU, in place; returns
+        the exponents: the frozen one, one per batch when calibration
+        ``record``s, else one per sample.
+
+        The network input (point 0) may be negative, so its exponent reads
+        each sample's max and min, and it rounds half away from zero. Later
+        inputs pass the ReLU first: the max alone gives the exponent, and
+        trunc(v + 0.5) rounds, the same but for -0.0, which becomes +0.0.
+        """
+        if point:
+            x = x.reshape(len(x), -1)  # a view: stage outputs are C-contiguous
+            np.maximum(x, 0.0, out=x)  # ReLU between stages
+            peaks = x.max(axis=1, keepdims=True)
+        else:
+            axes = tuple(range(1, x.ndim))
+            peaks = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+        if record is not None:
+            peaks = peaks.max()
+        exps = self._exponents(peaks)  # refuses NaN and inf
+        if record is not None:
+            exps = int(exps)
+            record.append(exps)
+        elif self.act_exps is not None:
+            exps = self.act_exps[point]
+        shift = np.negative(exps)
+        limit = (1 << (self.act_bits - 1)) - 1
+        if point:
+            grid = np.ldexp(x, shift, out=x)
+            grid += 0.5
+            if self.act_exps is not None:  # frozen: saturate
+                np.minimum(grid, limit + 0.5, out=grid)
+            if out is None:
+                np.trunc(grid, out=grid)
+            else:
+                np.trunc(grid.reshape(out.shape), out=out)
+        else:
+            ints = _round_away(np.ldexp(x, shift), out=out)
+            if self.act_exps is not None:
+                np.clip(ints, -limit, limit, out=ints)
+        return exps
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
         """Logits of the batch, _BLOCK samples at a time. The recording pass of
         calibrate picks one exponent per batch, so it runs the batch whole."""
+        if x.size == 0:
+            raise ValueError("empty activation array")
         if x.ndim == 4:
             x = x.transpose(0, 2, 3, 1)  # NHWC from here on
         step = len(x) if record is not None else _BLOCK
-        spaces = [None] * len(self.stages)  # built by the first block
+        plan = self._plan(x.shape[1:])
+        ws = _Workspace(plan, min(len(x), step))
         out = None
-        for start in range(0, max(len(x), 1), step):  # an empty batch fails in requantization
-            keep = start + step < len(x)  # a later block reuses the workspaces
+        for start in range(0, len(x), step):
             real = x[start : start + step]
-            for i, stage in enumerate(self.stages):
-                if i:
-                    np.maximum(real, 0.0, out=real)  # ReLU between stages
-                if stage.kind == KIND_DENSE and real.ndim == 4:
-                    ints, act_exp = self._requant(real, i, record)
-                    ints, ws = global_avg_pool_int(ints.transpose(0, 3, 1, 2)), None
+            n = len(real)
+            for i, (stage, shape) in enumerate(zip(self.stages, plan.shapes)):
+                ints = ws.inner(i, n)
+                if shape.pool:
+                    exps = self._requant(real, i, record)
+                    ints[...] = global_avg_pool_int(real.transpose(0, 3, 1, 2))
                 else:
-                    ws = spaces[i]
-                    if ws is None:
-                        ws = _Workspace(stage, real.shape)
-                        if keep:
-                            spaces[i] = ws
-                    ints, act_exp = self._requant(real, i, record, ws.inner[: len(real)])
-                real = _stage_real(stage, ints, act_exp, self.accumulate, ws)
+                    exps = self._requant(real, i, record, ints)
+                real = _stage_real(stage, ints, exps, self.accumulate, ws, i)
             if out is None:
                 out = np.empty((len(x),) + real.shape[1:])
-            out[start : start + step] = real
+            out[start : start + n] = real
         return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
 
     def forward(self, images: np.ndarray) -> np.ndarray:
@@ -509,3 +653,5 @@ class FloatSimulator(IntegerEngine):
     """
 
     accumulate = staticmethod(_float_accumulate)
+    # float64 stage inputs and patches, so the GEMM reads them without a widening copy
+    _input_dtype = np.dtype(np.float64)

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 from functools import lru_cache
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fqpack.codec import CompressedModel
+from fqpack.convops import im2col
 from fqpack.engine import (
     ACC_BITS,
     F32_EXACT_BITS,
@@ -18,6 +21,7 @@ from fqpack.engine import (
     fold_bn,
     global_avg_pool_int,
     _BLOCK,
+    _ExponentTable,
     _build_stage,
     _lossless_exponent,
     _round_away,
@@ -389,7 +393,9 @@ def test_identity_model_echoes_pooled_input():
     assert np.array_equal(sim.forward(x), levels[None, :])
 
 
-def quantized_toy(seed=12, plan=((3, 8, 2), (8, 8, 2)), sparsity=0.5):
+def quantized_toy(seed=12, plan=((3, 8, 2), (8, 8, 2)), sparsity=0.5, layer_args=()):
+    """A small ToyNet and its 5-bit container; ``layer_args[i]`` holds extra
+    ``quantize_layer`` arguments for layer i."""
     net = ToyNet(seed=seed, plan=plan)
     rng = np.random.default_rng(seed + 1)
     for bn in net.bns:  # untrained stats are degenerate; give them texture
@@ -398,12 +404,13 @@ def quantized_toy(seed=12, plan=((3, 8, 2), (8, 8, 2)), sparsity=0.5):
         bn.running_var = rng.uniform(0.5, 1.5, bn.channels)
     model = net.to_model_file()
     layers = []
-    for spec in model.layers:
+    for i, spec in enumerate(model.layers):
         flat = np.asarray(spec.weight, dtype=np.float64).ravel()
         mask = prune_by_magnitude(flat, sparsity)
+        extra = layer_args[i] if i < len(layer_args) else {}
         layers.append(quantize_layer(flat, mask, 5,
                                      seed=derive_seed(seed, spec.name),
-                                     name=spec.name))
+                                     name=spec.name, **extra))
     return net, model, CompressedModel(layers)
 
 
@@ -837,3 +844,162 @@ def test_logits_outlive_the_next_forward(n):
     again = engine.forward(other)
     assert not np.shares_memory(logits, again)
     assert np.array_equal(logits, kept)
+
+
+# --- the stage loop: post-ReLU exponent, two-pass rounding, folded scaling ------------
+
+
+def _reference_stage_loop(engine, x):
+    """The stage loop in straight lines, kept as an oracle for the engine's
+    exponents, rounding and scaling: every stage input gets
+    ``_lossless_exponent`` from each sample's max and min and the three-pass
+    ``_round_away``, and each sum is multiplied by alpha, then by 2^e, as two
+    roundings."""
+    real = x.transpose(0, 2, 3, 1)
+    for i, stage in enumerate(engine.stages):
+        if i:
+            real = np.maximum(real, 0.0)
+        n, axes = len(real), tuple(range(1, real.ndim))
+        exps = _lossless_exponent(real, engine.act_bits, axes)
+        ints = _round_away(np.ldexp(real, -exps.reshape((-1,) + (1,) * len(axes))))
+        if stage.kind == "dense" and ints.ndim == 4:
+            ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
+        cout = stage.w_pre.shape[1]
+        if stage.kind == "conv2d":
+            fh, fw, _, _, pad, stride = stage.geometry
+            cols = im2col(ints.astype(stage.planes.dtype), fh, fw, stride, pad)
+            out_shape = (n, -1, cout)
+        else:
+            cols, out_shape = ints.astype(stage.planes.dtype), (n, 1, cout)
+        if isinstance(engine, FloatSimulator):
+            sums = cols.astype(np.float64) @ stage.w_pre
+        else:
+            acc = cols @ stage.planes
+            centres = acc.shape[1] > cout  # deviation and centre columns alternate
+            dev = acc[:, 0::2] if centres else acc
+            sums = np.multiply(dev, stage.scale_dev, dtype=np.float64)
+            if centres:
+                sums += np.multiply(acc[:, 1::2], stage.scale_cen, dtype=np.float64)
+        sums *= stage.alpha
+        sums = np.ldexp(sums.reshape(out_shape), exps.reshape(-1, 1, 1))
+        if stage.qbn is not None:
+            sums *= stage.qbn.real_scale
+            sums += stage.qbn.real_offset
+        if stage.kind == "conv2d":
+            fh, fw, _, _, pad, stride = stage.geometry
+            oh = (real.shape[1] + 2 * pad - fh) // stride + 1
+            ow = (real.shape[2] + 2 * pad - fw) // stride + 1
+            real = sums.reshape(n, oh, ow, cout)
+        else:
+            real = sums.reshape(n, cout)
+    return real
+
+
+KINDS = ("scaled", "zero", "negative", "negative_zeros", "ties")
+
+
+def varied_batch(rng, kinds):
+    """One image per kind: power-of-two scaled normal noise, all zeros,
+    negative only, -0.0 pixels in noise, or integers and halves under a
+    pinned 127, so the first grid is 2^0 and the halves are rounding ties."""
+    x = scaled_batch(rng, len(kinds))
+    for i, kind in enumerate(kinds):
+        if kind == "zero":
+            x[i] = 0.0
+        elif kind == "negative":
+            x[i] = -np.abs(x[i])
+        elif kind == "negative_zeros":
+            x[i][rng.random(x[i].shape) < 0.3] = -0.0
+        elif kind == "ties":
+            x[i] = rng.integers(-127, 127, x[i].shape) + rng.choice([0.0, 0.5], x[i].shape)
+            x[i].flat[0] = 127.0
+    return x
+
+
+@lru_cache(maxsize=None)
+def varied_pair():
+    """The toy with a shift layer between recentralized ones and alphas other
+    than 1, so that no scaling fold is exact by accident."""
+    return quantized_toy(layer_args=({"alpha": 0.9, "w_sep": 0.0}, {"alpha": 0.7, "w_sep": 1e3},
+                                     {"alpha": 1.3, "w_sep": 0.0}))[1:]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2 * _BLOCK + 3),
+       seed=st.integers(0, 2**32 - 1),
+       engine_type=st.sampled_from([IntegerEngine, FloatSimulator]))
+def test_forward_bytes_equal_the_reference_stage_loop(kinds, seed, engine_type):
+    engine = engine_type(*varied_pair())
+    x = varied_batch(np.random.default_rng(seed), kinds)
+    assert engine.forward(x).tobytes() == _reference_stage_loop(engine, x).tobytes()
+
+
+def _limit_peaks(bits):
+    """(2^(bits-1) - 0.5) * 2^k, where the exponent steps, and the floats next to it."""
+    at = np.ldexp(float((1 << bits) - 1), np.arange(-1076, 1000, 37) - 1)
+    at = at[at > 0]
+    return np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, np.inf)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.integers(2, 16), data=st.data())
+def test_post_relu_exponent_matches_the_lossless_one(bits, data):
+    special = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                               1.7976931348623157e308, *_limit_peaks(bits)])
+    value = st.one_of(st.floats(0.0, allow_nan=False, allow_infinity=False), special)
+    rows = np.array(data.draw(st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.one_of(st.lists(value, min_size=m, max_size=m),
+                  st.just([0.0] * m), st.just([-0.0] * m)),
+        min_size=1, max_size=8))))
+    got = _ExponentTable(bits)(rows.max(axis=1, keepdims=True))
+    assert got.dtype == np.intc
+    assert np.array_equal(got[:, 0], _lossless_exponent(rows, bits, 1))
+
+
+def test_exponent_table_steps_where_the_lossless_exponent_steps():
+    for bits in (2, 8, 16):
+        peaks = _limit_peaks(bits)
+        want = _lossless_exponent(peaks[:, None], bits, 1)
+        assert np.array_equal(_ExponentTable(bits)(peaks), want)
+
+
+@pytest.mark.parametrize("n", [1, 37])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_uncalibrated_forward_refuses_non_finite_images(n, bad):
+    engine = IntegerEngine(*toy_pair())
+    x = scaled_batch(np.random.default_rng(95), n)
+    x[n - 1, 2, 3, 4] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        engine.forward(x)
+
+
+def test_concurrent_forwards_of_two_input_sizes_keep_their_logits():
+    # the engine keeps the plan of the last input size it saw; calls on
+    # other threads with another size must still each use their own
+    engine = IntegerEngine(*toy_pair())
+    rng = np.random.default_rng(96)
+    batches = [scaled_batch(rng, 3), rng.normal(size=(3, 3, 16, 16))]
+    want = [engine.forward(x) for x in batches]
+    failures = []
+
+    def worker(k):
+        for _ in range(40):
+            try:
+                same = np.array_equal(engine.forward(batches[k % 2]), want[k % 2])
+            except Exception as error:  # a thread's exception would not fail the test
+                same = error
+            if same is not True:
+                failures.append(same)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
