@@ -38,13 +38,15 @@ holds such integers exactly. Each sample gets the smallest exponent that
 loses nothing, so its output does not depend on its batch; only a frozen
 exponent (from ``calibrate``) saturates. The rounding stays in float64 (a
 float32 cast first could move a value such as 2.4999999 onto a tie) and is
-half away from zero. The network input may be negative: its exponent reads
-each sample's max and min, and ``_round_away`` rounds it in three passes.
-After a ReLU every input is >= 0, so the max alone gives the exponent and
-trunc(v + 0.5) rounds in two passes, the same up to the sign of a zero.
-Exponents come from a per-engine table of the smallest peak of each
-exponent, one sorted search per block. ``quantize_activations`` is the same
-requantizer for a single array (BN coefficients, a whole batch). The
+half away from zero. The network input may be negative, and is the
+caller's: ``quantize_activations`` takes its exponent from each sample's
+max and min and rounds it with ``_round_away``, in three passes, into the
+first stage's input. After a ReLU every input is >= 0, so the max alone
+gives the exponent and trunc(v + 0.5) rounds in two passes, in place, the
+same up to the sign of a zero. ``_exponent`` finds the exponents of a
+block by one sorted search in the peaks where the exponent steps, worked
+out once per bit width. ``quantize_activations`` also requantizes single
+arrays (BN coefficients, a whole batch). The
 classifier layer returns float logits without requantization; a global
 average pool (power of two window, rounded shift) bridges conv output to the
 dense head.
@@ -67,6 +69,7 @@ it runs its batch whole.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -87,8 +90,6 @@ BN_EPS = 1e-5
 # samples per block: a forward runs each block through the whole network, so
 # its buffers are sized by the block, not the batch
 _BLOCK = 32
-# positions per row when batch norm runs over a stage output: a power of two
-_BN_GROUPS = 64
 
 
 def _round_away(values: np.ndarray, out=None) -> np.ndarray:
@@ -98,46 +99,33 @@ def _round_away(values: np.ndarray, out=None) -> np.ndarray:
     return np.trunc(half, out=half if out is None else out)
 
 
+@lru_cache(maxsize=None)
+def _exponent_steps(bits: int):
+    """(starts, exps) for ``_exponent``: peaks from starts[i-1] on, below
+    starts[i], take exponent exps[i]."""
+    # every exponent of a positive finite peak, from 2^-1074 to the largest float
+    exps = np.arange(-1072 - bits, 1027 - bits)
+    # e is needed from (2^bits - 1) * 2^(e-2) on, where round(peak / 2^(e-1))
+    # passes the limit; a start with e - 2 < -1074 is no float, and ldexp
+    # rounds it up, to the first float from which e is needed
+    starts = np.ldexp(float((1 << bits) - 1), exps - 2)
+    # zero, below the first start, has exponent 0; NaN and inf land past the last entry
+    return np.append(starts, np.inf), np.append(0, exps).astype(np.intc)
+
+
 def _exponent(peak, bits: int):
     """Smallest e with round(peak / 2^e) <= 2^(bits-1) - 1 for each non-negative
-    ``peak`` (0 where it is 0), as intc; refuses NaN and inf."""
-    if not np.isfinite(peak).all():
-        raise ValidationError("activations contain non-finite values")
-    mant, exp = np.frexp(peak)  # peak = mant * 2^exp, mant in [0.5, 1)
-    # round(mant * 2^(bits-1)) reaches 2^(bits-1), past the limit, exactly
-    # when mant >= 1 - 2^-bits
-    exp += mant >= 1.0 - 0.5**bits
-    return (exp - (bits - 1)) * (peak > 0)
+    ``peak`` (0 where it is 0), as intc, from one sorted search; refuses NaN and inf."""
+    starts, exps = _exponent_steps(bits)
+    try:
+        return exps.take(starts.searchsorted(peak, "right"))
+    except IndexError:
+        raise ValidationError("activations contain non-finite values") from None
 
 
 def _lossless_exponent(x: np.ndarray, bits: int, axis=None):
     """``_exponent`` of max|x| over ``axis``, from one max/min pass."""
     return _exponent(np.maximum(x.max(axis=axis), -x.min(axis=axis)), bits)
-
-
-class _ExponentTable:
-    """``_exponent`` for one bit width as a sorted search: the smallest peak
-    of each exponent e is found once, so a block's exponents cost two calls."""
-
-    def __init__(self, bits: int):
-        if not 2 <= bits <= 16:
-            raise ValueError(f"activation bits must be in [2, 16], got {bits}")
-        # every exponent of a positive finite peak, from 2^-1074 to the largest float
-        exps = np.arange(-1072 - bits, 1027 - bits)
-        # exponent e starts at (2^bits - 1) * 2^(e-2), where round(peak / 2^(e-1))
-        # passes the limit; below 2^-1022 that may round down one float short
-        starts = np.ldexp(float((1 << bits) - 1), exps - 2)
-        starts = np.where(_exponent(starts, bits) < exps, np.nextafter(starts, np.inf), starts)
-        # zero, below the first start, has exponent 0; NaN and inf land past the last entry
-        self.starts = np.append(starts, np.inf)
-        self.exps = np.append(0, exps).astype(np.intc)
-
-    def __call__(self, peaks):
-        """``_exponent(peaks, bits)``, for peaks >= 0 of any shape."""
-        try:
-            return self.exps.take(self.starts.searchsorted(peaks, "right"))
-        except IndexError:
-            raise ValidationError("activations contain non-finite values") from None
 
 
 def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
@@ -194,9 +182,6 @@ class QuantBN:
     def __post_init__(self):
         self.real_scale = np.ldexp(self.scale.astype(np.float64), self.scale_exp)
         self.real_offset = np.ldexp(self.offset.astype(np.float64), self.offset_exp)
-        # the same, repeated for _BN_GROUPS positions, so that apply runs rows of
-        # many positions' channels rather than one short row per position
-        self._rows = (np.tile(self.real_scale, _BN_GROUPS), np.tile(self.real_offset, _BN_GROUPS))
 
     @classmethod
     def from_float(cls, g: np.ndarray, t: np.ndarray) -> "QuantBN":
@@ -204,14 +189,9 @@ class QuantBN:
         return cls(scale.astype(np.int16), offset.astype(np.int16), se, oe)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """real_scale * x + real_offset over the last (channel) axis of a
-        C-contiguous x, in place."""
-        positions = x.size // self.real_scale.size
-        # a power of two that divides the positions, so each row is whole groups
-        width = min(positions & -positions or 1, _BN_GROUPS) * self.real_scale.size
-        rows = x.reshape(-1, width)
-        rows *= self._rows[0][:width]
-        rows += self._rows[1][:width]
+        """real_scale * x + real_offset over the last (channel) axis, in place."""
+        x *= self.real_scale
+        x += self.real_offset
         return x
 
 
@@ -532,7 +512,6 @@ class IntegerEngine:
         if not model.layers:
             raise ValidationError("model has no layers")
         self.act_bits = act_bits
-        self._exponents = _ExponentTable(act_bits)
         self.act_exps = None  # set by calibrate()
         self.stages = [_build_stage(spec, lq, act_bits)
                        for spec, lq in pair_layers(model, compressed)]
@@ -548,46 +527,43 @@ class IntegerEngine:
 
     def _requant(self, x: np.ndarray, point: int, record=None, out=None):
         """Rounds the block ``x``, stage ``point``'s float64 input, onto its
-        power-of-two grid, into ``out`` or, after a ReLU, in place; returns
-        the exponents: the frozen one, one per batch when calibration
-        ``record``s, else one per sample.
+        power-of-two grid, into ``out`` or, after a ReLU, in place. Returns
+        (values, exponents): the frozen exponent, one per batch when
+        calibration ``record``s, else one per sample.
 
-        The network input (point 0) may be negative, so its exponent reads
-        each sample's max and min, and it rounds half away from zero. Later
-        inputs pass the ReLU first: the max alone gives the exponent, and
-        trunc(v + 0.5) rounds, the same but for -0.0, which becomes +0.0.
+        The network input (point 0) may be negative, and is the caller's, so
+        ``quantize_activations`` rounds it half away from zero into ``out`` or
+        a new array. Later inputs pass the ReLU first: the max alone gives the
+        exponent, and trunc(v + 0.5) rounds, the same but for -0.0, which
+        becomes +0.0.
         """
-        if point:
-            x = x.reshape(len(x), -1)  # a view: stage outputs are C-contiguous
-            np.maximum(x, 0.0, out=x)  # ReLU between stages
-            peaks = x.max(axis=1, keepdims=True)
-        else:
-            axes = tuple(range(1, x.ndim))
-            peaks = np.maximum(x.max(axis=axes, keepdims=True), -x.min(axis=axes, keepdims=True))
+        frozen = None if self.act_exps is None else self.act_exps[point]
+        if not point:
+            if frozen is None and record is None:
+                frozen = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
+            ints, exps = quantize_activations(x, self.act_bits, frozen, out)
+            if record is not None:
+                record.append(exps)
+            return ints, exps
+        values, x = x, x.reshape(len(x), -1)  # a view: stage outputs are C-contiguous
+        np.maximum(x, 0.0, out=x)  # ReLU between stages
+        peaks = x.max(axis=1, keepdims=True)
         if record is not None:
             peaks = peaks.max()
-        exps = self._exponents(peaks)  # refuses NaN and inf
+        exps = _exponent(peaks, self.act_bits)  # refuses NaN and inf
         if record is not None:
             exps = int(exps)
             record.append(exps)
-        elif self.act_exps is not None:
-            exps = self.act_exps[point]
-        shift = np.negative(exps)
-        limit = (1 << (self.act_bits - 1)) - 1
-        if point:
-            grid = np.ldexp(x, shift, out=x)
-            grid += 0.5
-            if self.act_exps is not None:  # frozen: saturate
-                np.minimum(grid, limit + 0.5, out=grid)
-            if out is None:
-                np.trunc(grid, out=grid)
-            else:
-                np.trunc(grid.reshape(out.shape), out=out)
-        else:
-            ints = _round_away(np.ldexp(x, shift), out=out)
-            if self.act_exps is not None:
-                np.clip(ints, -limit, limit, out=ints)
-        return exps
+        elif frozen is not None:
+            exps = frozen
+        grid = np.ldexp(x, -exps, out=x)
+        grid += 0.5
+        if frozen is not None:  # saturate
+            np.minimum(grid, (1 << (self.act_bits - 1)) - 0.5, out=grid)
+        if out is None:
+            np.trunc(grid, out=grid)
+            return values, exps
+        return np.trunc(grid.reshape(out.shape), out=out), exps
 
     def _run(self, x: np.ndarray, record=None) -> np.ndarray:
         """Logits of the batch, _BLOCK samples at a time. The recording pass of
@@ -606,10 +582,10 @@ class IntegerEngine:
             for i, (stage, shape) in enumerate(zip(self.stages, plan.shapes)):
                 ints = ws.inner(i, n)
                 if shape.pool:
-                    exps = self._requant(real, i, record)
-                    ints[...] = global_avg_pool_int(real.transpose(0, 3, 1, 2))
+                    pooled, exps = self._requant(real, i, record)
+                    ints[...] = global_avg_pool_int(pooled.transpose(0, 3, 1, 2))
                 else:
-                    exps = self._requant(real, i, record, ints)
+                    exps = self._requant(real, i, record, ints)[1]
                 real = _stage_real(stage, ints, exps, self.accumulate, ws, i)
             if out is None:
                 out = np.empty((len(x),) + real.shape[1:])

@@ -21,8 +21,8 @@ from fqpack.engine import (
     fold_bn,
     global_avg_pool_int,
     _BLOCK,
-    _ExponentTable,
     _build_stage,
+    _exponent,
     _lossless_exponent,
     _round_away,
     _stage_real,
@@ -919,24 +919,43 @@ def varied_batch(rng, kinds):
 @lru_cache(maxsize=None)
 def varied_pair():
     """The toy with a shift layer between recentralized ones and alphas other
-    than 1, so that no scaling fold is exact by accident."""
+    than 1, so that a scaling that drops or misplaces alpha shows."""
     return quantized_toy(layer_args=({"alpha": 0.9, "w_sep": 0.0}, {"alpha": 0.7, "w_sep": 1e3},
                                      {"alpha": 1.3, "w_sep": 0.0}))[1:]
+
+
+@lru_cache(maxsize=None)
+def dense_first_pair():
+    """Two dense layers and no conv: images are pooled at the network input."""
+    rng = np.random.default_rng(97)
+    specs, layers = [], []
+    for name, shape, alpha in (("fc1", (3, 6), 0.9), ("head", (6, 4), 1.3)):
+        w = rng.normal(scale=0.5, size=shape)
+        specs.append(LayerSpec(name=name, kind="dense", weight=w.astype(np.float32),
+                               geometry=shape))
+        layers.append(quantize_layer(w.ravel(), prune_by_magnitude(w.ravel(), 0.3), 5,
+                                     seed=derive_seed(97, name), name=name, alpha=alpha))
+    return ModelFile(specs), CompressedModel(layers)
 
 
 @settings(max_examples=30, deadline=None)
 @given(kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=2 * _BLOCK + 3),
        seed=st.integers(0, 2**32 - 1),
-       engine_type=st.sampled_from([IntegerEngine, FloatSimulator]))
-def test_forward_bytes_equal_the_reference_stage_loop(kinds, seed, engine_type):
-    engine = engine_type(*varied_pair())
+       engine_type=st.sampled_from([IntegerEngine, FloatSimulator]),
+       pair=st.sampled_from([varied_pair, dense_first_pair]))
+def test_forward_bytes_equal_the_reference_stage_loop(kinds, seed, engine_type, pair):
+    engine = engine_type(*pair())
     x = varied_batch(np.random.default_rng(seed), kinds)
+    images = x.tobytes()
     assert engine.forward(x).tobytes() == _reference_stage_loop(engine, x).tobytes()
+    assert x.tobytes() == images  # the caller's images are left as they were
 
 
 def _limit_peaks(bits):
-    """(2^(bits-1) - 0.5) * 2^k, where the exponent steps, and the floats next to it."""
-    at = np.ldexp(float((1 << bits) - 1), np.arange(-1076, 1000, 37) - 1)
+    """(2^(bits-1) - 0.5) * 2^k, where the exponent steps, and the floats next
+    to it: every k whose step falls between subnormals, and a sample above."""
+    k = np.concatenate([np.arange(-1074 - bits, -1070), np.arange(-1070, 1000, 37)])
+    at = np.ldexp(float((1 << bits) - 1), k - 1)
     at = at[at > 0]
     return np.concatenate([at, np.nextafter(at, 0.0), np.nextafter(at, np.inf)])
 
@@ -951,16 +970,17 @@ def test_post_relu_exponent_matches_the_lossless_one(bits, data):
         st.one_of(st.lists(value, min_size=m, max_size=m),
                   st.just([0.0] * m), st.just([-0.0] * m)),
         min_size=1, max_size=8))))
-    got = _ExponentTable(bits)(rows.max(axis=1, keepdims=True))
+    got = _exponent(rows.max(axis=1, keepdims=True), bits)  # as the engine takes it after ReLU
     assert got.dtype == np.intc
     assert np.array_equal(got[:, 0], _lossless_exponent(rows, bits, 1))
+    assert got[:, 0].tolist() == [_old_quantize_activations(row, bits)[1] for row in rows]
 
 
-def test_exponent_table_steps_where_the_lossless_exponent_steps():
-    for bits in (2, 8, 16):
-        peaks = _limit_peaks(bits)
-        want = _lossless_exponent(peaks[:, None], bits, 1)
-        assert np.array_equal(_ExponentTable(bits)(peaks), want)
+@pytest.mark.parametrize("bits", range(2, 17))
+def test_exponent_steps_where_the_frexp_formula_steps(bits):
+    peaks = np.concatenate([[0.0, -0.0, 5e-324, 1.7976931348623157e308], _limit_peaks(bits)])
+    want = [_old_quantize_activations(np.array([peak]), bits)[1] for peak in peaks]
+    assert _exponent(peaks, bits).tolist() == want
 
 
 @pytest.mark.parametrize("n", [1, 37])
