@@ -358,7 +358,7 @@ class _Shape(NamedTuple):
     interior: tuple  # slices of ``padded`` that requantization writes
     rows: int  # GEMM rows: oh * ow, or 1
     out: tuple  # its output: (oh, ow, cout), or (cout,)
-    pool: bool  # a dense stage fed by global_avg_pool_int of a conv's output
+    pool: bool  # a dense stage fed a 4D input (images or a conv's output), pooled first
 
 
 class _Plan(NamedTuple):
