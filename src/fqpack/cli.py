@@ -356,8 +356,16 @@ def _training_data(args, seed: int):
     return images, labels, val
 
 
+def _at_least_one(args, *flags):
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise UsageError(f"{args.command}: {flag} must be >= 1, got {value}")
+
+
 def _training_setup(args):
     """(config, master seed, TrainConfig carrying that seed) for train and sweep."""
+    _at_least_one(args, "--samples", "--val-samples")
     cfg = load_config(args.config) if args.config else PipelineConfig()
     if cfg.layers:
         raise ConfigError(f"[layer {next(iter(cfg.layers))}]: per-layer overrides "
@@ -405,8 +413,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not np.isfinite([args.min, args.max, args.step]).all():
+        raise UsageError("sweep: --min, --max and --step must be finite")
     if args.step <= 0:
-        raise UsageError("--step must be positive")
+        raise UsageError("sweep: --step must be positive")
+    if args.min > args.max:
+        raise UsageError(f"sweep: --min {args.min:g} is above --max {args.max:g}")
+    _at_least_one(args, "--repeats")
     cfg, seed, train_cfg = _training_setup(args)
     grid = sweep_grid(args.min, args.max, args.step)
 

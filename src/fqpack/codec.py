@@ -13,17 +13,20 @@ it is built, so a container written with longer codes does not load.
 Both directions run as numpy array passes, not as Python steps per symbol
 or per bit:
 
-* encode looks up every symbol's code and length and places each code at
-  the cumulative sum of the lengths before it. It scatters the code bits
-  into a one-byte-per-bit array, one pass per code bit index over blocks of
-  ``_ENCODE_SYMBOLS`` symbols, and packs the array once.
+* encode works through blocks of ``_ENCODE_SYMBOLS`` symbols. One gather
+  gives every symbol's code left-justified in 16 bits, one unpack turns
+  those into rows of 16 bits, and a mask keeps each row's first
+  code-length bits. In row order the kept bits are the block's stream;
+  they go into one one-byte-per-bit array, packed once.
 * decode reads the payload in chunks of ``_CHUNK_BYTES`` (2 KiB). Every bit
   offset of a chunk takes the 16 bits that start there from the three
   payload bytes around it, and one gather into a 2^16-entry table of
   ``length << 8 | symbol`` gives the code length and symbol at that offset.
-  A Python walk along jump tables of those lengths picks out the codeword
-  starts. The scratch arrays of one chunk come to under 1 MB, whatever the
-  layer size, and the table to 128 KiB.
+  A Python walk along jump tables of those lengths, 2**``_JUMP_LEVELS``
+  codewords a step, picks out the codeword starts; it runs past the end of
+  the chunk rather than stopping short of it. The scratch arrays of one
+  chunk come to under 1 MB, whatever the layer size, and the table to
+  128 KiB.
 
 A layer record's body after its name field (little-endian; the name field
 and the framing around the body, with the header, record count and CRC32,
@@ -48,7 +51,7 @@ import numpy as np
 
 from . import framing
 from .errors import CorruptionError, FormatError, ValidationError
-from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization
+from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization, split_pow2
 from .model_store import ModelFile, NamedLayers, weight_payload_bytes
 
 MAGIC = b"FQZ1"
@@ -62,6 +65,7 @@ MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 16  # symbols placed per encode step
 _CHUNK_BYTES = 1 << 11  # payload bytes decoded per step
 _JUMP_LEVELS = 3  # the decode walk steps 2**3 codewords at a time
+_BIT_INDEX = np.arange(MAX_CODE_LEN)  # bit index within a left-justified code
 
 
 def _huffman_lengths(counts: dict) -> dict:
@@ -133,9 +137,9 @@ class HuffmanTable:
         codes = np.array(first_code, dtype=np.int64)[ordered_len]
         codes += np.arange(ordered.size) - np.searchsorted(ordered_len, ordered_len)
         self.codes = dict(zip(ordered.tolist(), codes.tolist()))
-        left = np.zeros(self.lengths.size, dtype=np.uint64)
-        left[ordered] = codes.astype(np.uint64) << (64 - ordered_len).astype(np.uint64)
-        self._left_codes = left
+        # big-endian, so the bytes of a code read MSB first
+        self._left_codes = np.zeros(self.lengths.size, dtype=">u2")
+        self._left_codes[ordered] = codes << (MAX_CODE_LEN - ordered_len)
         self._ordered = ordered
 
     @cached_property
@@ -170,11 +174,11 @@ class HuffmanTable:
     def encode(self, symbols: np.ndarray):
         """Pack symbols MSB-first; returns (payload bytes, payload bit count).
 
-        Each symbol's code starts where the previous one ends (a cumulative
-        sum of code lengths). Working through _ENCODE_SYMBOLS symbols at a
-        time, bit j of every code at least j + 1 bits long is scattered into
-        a one-byte-per-bit array, one code bit index at a time; the array is
-        packed once at the end.
+        Working through _ENCODE_SYMBOLS symbols at a time, each symbol's
+        left-justified code is unpacked into a row of 16 bits. The first
+        code-length bits of every row, taken in row order, are the block's
+        bit stream; it goes into a one-byte-per-bit array, packed once at
+        the end.
         """
         symbols = np.asarray(symbols, dtype=np.int64).ravel()
         if symbols.size == 0:
@@ -185,22 +189,15 @@ class HuffmanTable:
         sym_len = self.lengths[symbols]
         if not sym_len.all():
             raise ValueError(f"symbol {int(symbols[np.argmin(sym_len)])} not in the code table")
-        total_bits = int(sym_len.sum(dtype=np.int64))
-        bits = np.zeros(total_bits, dtype=np.uint8)
+        bits = np.empty(int(sym_len.sum(dtype=np.int64)), dtype=np.uint8)
         end = 0
         for first in range(0, symbols.size, _ENCODE_SYMBOLS):
-            length = sym_len[first : first + _ENCODE_SYMBOLS]
-            pos = np.cumsum(length, dtype=np.int64)
-            pos += end
-            end = int(pos[-1])
-            pos -= length
-            word = self._left_codes[symbols[first : first + _ENCODE_SYMBOLS]]
-            for j in range(int(length.max())):
-                if j:
-                    longer = length > j
-                    pos, word, length = pos[longer] + 1, word[longer] << np.uint64(1), length[longer]
-                bits[pos] = word >> np.uint64(63)
-        return np.packbits(bits).tobytes(), total_bits
+            block = slice(first, first + _ENCODE_SYMBOLS)
+            rows = np.unpackbits(self._left_codes[symbols[block]].view(np.uint8))
+            kept = rows.reshape(-1, MAX_CODE_LEN)[_BIT_INDEX < sym_len[block, None]]
+            bits[end : end + kept.size] = kept
+            end += kept.size
+        return np.packbits(bits).tobytes(), bits.size
 
     def decode(self, payload, payload_bits: int) -> np.ndarray:
         """Decode exactly payload_bits bits back into symbols.
@@ -217,21 +214,16 @@ class HuffmanTable:
         max_len = int(self.lengths.max())
         shifts = np.arange(8, 0, -1, dtype=np.uint32)
         n_bytes = (payload_bits + 7) // 8
+        data = np.concatenate([data[:n_bytes], np.zeros(2, np.uint8)])  # keep windows full
         pieces = []
         pos = 0  # bit offset of the next codeword
         for first in range(0, n_bytes, _CHUNK_BYTES):
-            chunk = min(_CHUNK_BYTES, n_bytes - first)
-            seg = data[first : first + chunk + 2].astype(np.uint32)
-            if seg.size < chunk + 2:  # zero bytes past the end keep windows full
-                seg = np.concatenate([seg, np.zeros(chunk + 2 - seg.size, np.uint32)])
+            seg = data[first : first + _CHUNK_BYTES + 2].astype(np.uint32)
             word = seg[:-2] << 16 | seg[1:-1] << 8 | seg[2:]  # 24 bits from each byte
             entry = self._lookup[((word[:, None] >> shifts) & 0xFFFF).ravel()]
             offset = 8 * first
-            n_offsets = min(8 * chunk, payload_bits - offset)
-            starts, at = _codeword_starts(entry[:n_offsets] >> 8, pos - offset)
+            starts, at = _codeword_starts(entry[: payload_bits - offset] >> 8, pos - offset)
             pos = offset + at
-            if not starts.size:
-                continue
             found = entry[starts]
             unmatched = found >> 8 > max_len
             if unmatched.any():
@@ -250,47 +242,37 @@ class HuffmanTable:
 def _codeword_starts(length: np.ndarray, at: int):
     """Offsets below length.size reached by stepping from ``at`` by length[offset].
 
-    Returns them in increasing order, with the first offset past the end. The
-    Python walk takes 2**_JUMP_LEVELS codewords per step, along jump tables
-    built by repeated gathers, and the skipped starts are filled in from the
-    same tables.
+    Returns them in increasing order, with the first offset past the end. A
+    length is at most MAX_CODE_LEN + 1 (an unmatched window), so the step
+    table runs that many identity entries past the end and the walk needs
+    no clamp. The Python walk takes 2**_JUMP_LEVELS codewords per step,
+    along jump tables built by repeated gathers, until it passes the end;
+    the skipped starts are filled in from the same tables.
     """
     n = length.size
-    if at >= n:
-        return np.zeros(0, dtype=np.int64), at
-    # jumps[k][p]: the offset 2**k codewords after p, clamped to n
-    step = np.arange(n + 1, dtype=np.int64)
+    # jumps[k][p]: the offset 2**k codewords after p, or the first one past the end
+    step = np.arange(n + MAX_CODE_LEN + 1, dtype=np.int64)
     step[:n] += length
-    np.minimum(step, n, out=step)
     jumps = [step]
     for _ in range(_JUMP_LEVELS):
         jumps.append(jumps[-1][jumps[-1]])
     far = memoryview(jumps[-1])
     blocks = []
-    while at < n and far[at] < n:
+    while at < n:
         blocks.append(at)
         at = far[at]
     starts = np.array(blocks, dtype=np.int64)
     for jump in reversed(jumps[:-1]):
         starts = np.stack([starts, jump[starts]], axis=1).ravel()
-    tail = []
-    while at < n:
-        tail.append(at)
-        at += int(length[at])
-    return np.concatenate([starts, tail]).astype(np.int64), at
+    return starts[starts < n], at
 
 
 def _encode_pow2(value: float):
     """Split an exact signed power of two (or 0) into (sign, exponent) bytes."""
-    if value == 0.0:
-        return 0, 0
-    mant, exp = np.frexp(abs(value))
-    if mant != 0.5:
-        raise ValueError(f"{value} is not a signed power of two")
-    exponent = int(exp) - 1
+    sign, exponent = split_pow2(value)
     if not -128 <= exponent <= 127:
         raise ValueError("power-of-two exponent outside i8 range")
-    return (1 if value > 0 else -1), exponent
+    return sign, exponent
 
 
 def _decode_pow2(sign: int, exponent: int) -> float:

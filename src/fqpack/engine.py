@@ -77,7 +77,7 @@ import numpy as np
 from .codec import CompressedModel, pair_layers
 from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
-from .focused_quant import ZERO, LayerQuantization, decode, unpack
+from .focused_quant import ZERO, LayerQuantization, decode, split_pow2, unpack
 from .model_store import KIND_CONV2D, ModelFile
 
 # the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
@@ -195,21 +195,10 @@ class QuantBN:
         return x
 
 
-def _pow2_exp(value: float) -> int:
-    """p with value = 2^p; raises if ``value`` is no positive power of two."""
-    mant, exp = np.frexp(value)
-    if mant != 0.5:
-        raise ValueError(f"{value} is not a power of two")
-    return int(exp) - 1
-
-
 def _scale_powers(lq: LayerQuantization):
     """(d, p_sigma) for the common denominator 2^-d of deviations and centres."""
-    p_sigma = _pow2_exp(lq.sigma)
-    d = max(lq.bias - p_sigma, 0)
-    for mu in lq.mu:
-        if mu != 0.0:
-            d = max(d, -_pow2_exp(abs(mu)))
+    p_sigma = split_pow2(lq.sigma)[1]
+    d = max([lq.bias - p_sigma, 0] + [-p for sign, p in map(split_pow2, lq.mu) if sign])
     return d, p_sigma
 
 
@@ -232,7 +221,7 @@ def dot_shift_add(activations, lq: LayerQuantization, positions=None):
         raise ValueError("activation count != weight count")
     d, p_sigma = _scale_powers(lq)
     # per component: None for a zero centre, else (mean > 0, shift of the mean)
-    centres = [None if mu == 0.0 else (mu > 0, _pow2_exp(abs(mu)) + d) for mu in lq.mu]
+    centres = [(sign > 0, p + d) if sign else None for sign, p in map(split_pow2, lq.mu)]
     fields = zip(symbols.tolist(), *(f.tolist() for f in unpack(symbols, lq)))
     acc = 0
     for x, (sym, component, sign, exponent) in zip(activations, fields):
@@ -262,7 +251,7 @@ def _planes(lq: LayerQuantization):
     component, sign, exponent = unpack(lq.symbols, lq)
     dev = sign * np.ldexp(1.0, exponent)
     scale_dev = lq.sigma * float(np.ldexp(1.0, -lq.bias))
-    powers = {c: _pow2_exp(abs(mu)) for c, mu in enumerate(lq.mu) if mu != 0.0}
+    powers = {c: p for c, (sign, p) in enumerate(map(split_pow2, lq.mu)) if sign}
     if not powers:
         return dev, None, scale_dev, 0.0
     p_min = min(powers.values())

@@ -65,11 +65,17 @@ def round_log2(value: float) -> int:
     return int(exp - 1 if mant <= _SQRT_HALF else exp)
 
 
-def _is_pow2_or_zero(value: float) -> bool:
+def split_pow2(value: float):
+    """(sign, exponent) with value = sign * 2**exponent, or (0, 0) for 0.
+
+    Raises ValueError if ``value`` is neither 0 nor a signed power of two.
+    """
     if value == 0.0:
-        return True
-    mant, _ = np.frexp(abs(value))
-    return mant == 0.5
+        return 0, 0
+    mant, exp = np.frexp(abs(value))
+    if mant != 0.5:
+        raise ValueError(f"{value} is not a signed power of two or 0")
+    return (1 if value > 0 else -1), int(exp) - 1
 
 
 def round_hyperparams(model: MixtureModel) -> MixtureModel:
@@ -166,8 +172,8 @@ class LayerQuantization(_OnGrid):
         if not -32 <= self.bias <= 32:
             raise ValueError(f"bias {self.bias} outside [-32, 32]")
         self.mu = (float(self.mu[0]), float(self.mu[1]))
-        if not (_is_pow2_or_zero(self.mu[0]) and _is_pow2_or_zero(self.mu[1])):
-            raise ValueError("component means must be signed powers of two or 0")
+        for mu in self.mu:
+            split_pow2(mu)  # each component mean is a signed power of two or 0
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.mode == MODE_SHIFT and (self.mu != (0.0, 0.0) or self.sigma != 1.0):
@@ -260,8 +266,8 @@ def _recentralized_params(values: np.ndarray, model: MixtureModel,
         )
     if model.sigma[MINUS] != model.sigma[PLUS]:
         raise ValueError("model must have a shared sigma (round_hyperparams)")
-    if not (_is_pow2_or_zero(model.mu[MINUS]) and _is_pow2_or_zero(model.mu[PLUS])):
-        raise ValueError("model means must be rounded to powers of two")
+    for mu in model.mu:
+        split_pow2(mu)  # the means must be rounded (round_hyperparams)
     if component.size != values.size:
         raise ValueError("assignment length != unpruned weight count")
     sigma = float(np.float32(model.sigma[MINUS]))  # container precision

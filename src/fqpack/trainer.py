@@ -240,6 +240,17 @@ def _bn_step(net, lr: float):
         bn.beta -= lr * bn.dbeta
 
 
+def _training_set(images, labels):
+    """(float32 images, labels), checked to hold the same number of samples, at least one."""
+    images = np.asarray(images, dtype=np.float32)
+    labels = np.asarray(labels)
+    if images.shape[0] != labels.shape[0]:
+        raise ValueError("images and labels disagree on the sample count")
+    if images.shape[0] == 0:
+        raise DegenerateInputError("no training images")
+    return images, labels
+
+
 def _batches(count: int, batch_size: int, seed: int) -> list:
     """Index batches of one seeded permutation, reused every epoch."""
     perm = np.random.default_rng(spawn_seed(seed, "shuffle")).permutation(count)
@@ -286,10 +297,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     encodes exactly those weights. ``eval_set`` = (images, labels) adds a
     per-epoch top-1 column to the history.
     """
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels)
-    if images.shape[0] != labels.shape[0]:
-        raise ValueError("images and labels disagree on the sample count")
+    images, labels = _training_set(images, labels)
     _cast_bn(net, np.float32)
     states = []
     for name, layer in net.weight_layers():
@@ -353,8 +361,7 @@ def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
                 batch_size: int = 64, seed: int = 0, eval_set=None) -> list:
     """Plain SGD baseline training in float32; returns (epoch, loss, top1)
     history. The net keeps its float32 weights and BN affine parameters."""
-    images = np.asarray(images, dtype=np.float32)
-    labels = np.asarray(labels)
+    images, labels = _training_set(images, labels)
     batches = _batches(images.shape[0], batch_size, seed)
     layers = [layer for _, layer in net.weight_layers()]
     for layer in layers:

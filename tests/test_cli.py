@@ -44,6 +44,7 @@ from fqpack.model_store import (
     load_cifar10_batch,
     load_model,
     save_model,
+    synthetic_blobs,
 )
 from fqpack.nn import ToyNet
 from fqpack.trainer import METRICS_HEADER, TrainConfig
@@ -670,6 +671,39 @@ def test_sweep_modes_report_each_layers_separation(capsys, tmp_path):
     assert {mode for _, mode, _, _ in rows} == {MODE_RECENTRALIZED, MODE_SHIFT}
     for (_, mode, _, _), sep in zip(rows, seps):
         assert (mode == MODE_RECENTRALIZED) == (sep >= 3.48)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["train", "--samples", "0"], "train: --samples must be >= 1, got 0"),
+    (["train", "--val-samples", "0"], "train: --val-samples must be >= 1, got 0"),
+    (["sweep", "--samples", "0"], "sweep: --samples must be >= 1, got 0"),
+    (["sweep", "--val-samples", "0"], "sweep: --val-samples must be >= 1, got 0"),
+    (["sweep", "--step", "nan"], "sweep: --min, --max and --step must be finite"),
+    (["sweep", "--min", "inf"], "sweep: --min, --max and --step must be finite"),
+    (["sweep", "--min", "3", "--max", "1"], "sweep: --min 3 is above --max 1"),
+    (["sweep", "--repeats", "0"], "sweep: --repeats must be >= 1, got 0"),
+])
+def test_training_flag_ranges_are_usage_errors(capsys, tmp_path, flags, message):
+    out = tmp_path / "out.csv"
+    command, *rest = flags
+    rc, stdout, err = run_cli([
+        command, "--samples", "8", "--val-samples", "8", *rest,
+        "--out" if command == "sweep" else "--metrics", str(out),
+    ], capsys)
+    assert (rc, stdout, err) == (1, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_train_refuses_a_data_file_that_leaves_no_training_images(capsys, tmp_path):
+    # a one-image batch gives its only image to the validation split
+    images, labels = synthetic_blobs(1, seed=3)
+    data = tmp_path / "one.bin"
+    write_cifar(data, images, labels)
+    metrics = tmp_path / "metrics.csv"
+    rc, stdout, err = run_cli(["train", "--data", str(data), "--metrics", str(metrics)],
+                              capsys)
+    assert (rc, stdout, err) == (2, "", "error: no training images\n")
+    assert not metrics.exists()
 
 
 def test_sweep_step_zero_is_usage_error(capsys, tmp_path):

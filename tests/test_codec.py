@@ -615,6 +615,52 @@ def test_decode_errors():
         table.decode(b"\x00", 9)
 
 
+# --- the end of the decode walk -----------------------------------------------------
+
+
+def serial_starts(length, at):
+    """Codeword starts below len(length) from ``at``, one step at a time, and the next one."""
+    starts = []
+    while at < len(length):
+        starts.append(at)
+        at += int(length[at])
+    return starts, at
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 17, 64, 1000])
+def test_walk_matches_a_serial_walk_before_at_and_past_the_end(n):
+    # an unmatched window reads length MAX_CODE_LEN + 1; at the last offset
+    # it steps to the last entry of the step table
+    rng = np.random.default_rng(n)
+    length = rng.integers(1, MAX_CODE_LEN + 2, size=n)
+    length[-1] = MAX_CODE_LEN + 1
+    for at in range(n + MAX_CODE_LEN + 1):
+        starts, end = codec._codeword_starts(length, at)
+        assert (starts.tolist(), end) == serial_starts(length, at)
+
+
+def edge_stream(tail: str):
+    """Payload and bit count of "010", then "00" until one bit short of the first
+    chunk's end, then ``tail``, under a table whose codes are 00, 010 and a 16-bit
+    0110...0; a window from 0110...01 up matches no code."""
+    bits = "010" + "00" * (4 * codec._CHUNK_BYTES - 2) + tail
+    assert len(bits) - len(tail) == 8 * codec._CHUNK_BYTES - 1
+    payload = np.packbits(np.frombuffer(bits.encode(), np.uint8) - ord("0")).tobytes()
+    return HuffmanTable(np.array([2, 3, 16], dtype=np.uint8)), payload, len(bits)
+
+
+@pytest.mark.parametrize("tail", [
+    "1",  # unmatched at the chunk's last offset, the payload's last bit
+    "1" * 17,  # unmatched at the chunk's last offset, the next chunk's bits after it
+    "0110",  # a 16-bit code cut short by the payload's end
+    "0110000000000000" "010",  # a 16-bit code from the chunk's last offset into the next
+])
+def test_walk_from_the_last_offset_of_a_chunk(tail):
+    table, payload, bits = edge_stream(tail)
+    got = outcome(table.decode, payload, bits)  # an IndexError would escape this
+    assert same_outcome(got, outcome(serial_decode, table.lengths, payload, bits))
+
+
 # --- record sizes, record checks, container version ---------------------------------
 
 

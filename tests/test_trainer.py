@@ -269,6 +269,20 @@ def test_all_zero_layer_is_degenerate():
         finetune_inq(net, images, labels, quick_config())
 
 
+@pytest.mark.parametrize("stage", ["float", "inq"])
+def test_training_on_no_images_is_degenerate(stage):
+    net, images, labels = tiny_setup()
+    before = [layer.w.copy() for _, layer in net.weight_layers()]
+    with pytest.raises(DegenerateInputError, match="no training images"):
+        if stage == "float":
+            train_float(net, images[:0], labels[:0], epochs=1, learning_rate=0.05)
+        else:
+            finetune_inq(net, images[:0], labels[:0], quick_config())
+    # refused before anything moves, the weights' dtype included
+    for old, (_, layer) in zip(before, net.weight_layers()):
+        assert layer.w.dtype == old.dtype and np.array_equal(layer.w, old)
+
+
 def test_layer_on_component_centres_is_degenerate():
     # every weight sits on a power-of-two component mean, so recentralized
     # mode has no deviations to put a grid on; compress rejects it the same way
