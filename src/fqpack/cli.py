@@ -420,8 +420,11 @@ def cmd_sweep(args) -> int:
     if args.min > args.max:
         raise UsageError(f"sweep: --min {args.min:g} is above --max {args.max:g}")
     _at_least_one(args, "--repeats")
+    try:
+        grid = sweep_grid(args.min, args.max, args.step)
+    except ValueError as exc:
+        raise UsageError(f"sweep: {exc}") from exc
     cfg, seed, train_cfg = _training_setup(args)
-    grid = sweep_grid(args.min, args.max, args.step)
 
     images, labels = synthetic_blobs(args.samples, seed=derive_seed(seed, "train"))
     test_images, test_labels = synthetic_blobs(

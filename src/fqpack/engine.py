@@ -78,7 +78,7 @@ from .codec import CompressedModel, pair_layers
 from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
 from .focused_quant import ZERO, LayerQuantization, decode, split_pow2, unpack
-from .model_store import KIND_CONV2D, ModelFile
+from .model_store import BN_EPS, KIND_CONV2D, ModelFile
 
 # the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
 # float64 GEMM, which holds every integer up to 2^53, is always exact
@@ -86,7 +86,6 @@ ACC_BITS = 32
 # a sum bounded to 24 bits (sign included) stays below 2^23, and float32
 # holds every integer up to 2^24 exactly
 F32_EXACT_BITS = 24
-BN_EPS = 1e-5
 # samples per block: a forward runs each block through the whole network, so
 # its buffers are sized by the block, not the batch
 _BLOCK = 32
@@ -162,10 +161,10 @@ def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
     return ints, exponent
 
 
-def fold_bn(bn_params, eps: float = BN_EPS):
+def fold_bn(bn_params):
     """Batch-norm (gamma, beta, mean, var) as per-channel y = g*x + t."""
     gamma, beta, mean, var = (np.asarray(p, dtype=np.float64) for p in bn_params)
-    g = gamma / np.sqrt(var + eps)
+    g = gamma / np.sqrt(var + BN_EPS)
     return g, beta - g * mean
 
 

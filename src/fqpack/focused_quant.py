@@ -1,4 +1,9 @@
-"""Mixture-guided quantization of one weight layer, and its one symbol layout.
+"""Mixture-guided quantization of one weight layer, its grid and its symbols.
+
+A layer's grid, with k exponent bits and integer bias b, holds 0 and
+s * 2^(e - b) for s = +-1 and e in [0, 2^k - 1]. :func:`nearest_power` rounds
+to the nearest member as (sign, exponent), ties toward the smaller magnitude
+and values past the largest clipped to it; :func:`select_bias` picks b.
 
 Two modes per layer, decided by the normalized separation of the fitted
 mixture components:
@@ -29,6 +34,7 @@ unpacked fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -42,7 +48,6 @@ from .mixture import (
     sample_assignments,
     wasserstein_separation,
 )
-from .shift_quant import ShiftGrid, nearest_power, select_bias
 
 ZERO = 0  # the symbol of pruned weights and true zeros, in both modes
 
@@ -53,6 +58,8 @@ MIN_BITS_SHIFT = 3
 MIN_BITS_RECENTRALIZED = 4
 
 DEFAULT_W_SEP = 2.0
+
+BIAS_SEARCH_RANGE = (-32, 32)
 
 _SQRT_HALF = float(np.sqrt(0.5))
 
@@ -76,6 +83,67 @@ def split_pow2(value: float):
     if mant != 0.5:
         raise ValueError(f"{value} is not a signed power of two or 0")
     return (1 if value > 0 else -1), int(exp) - 1
+
+
+def nearest_power(values: np.ndarray, exponent_bits: int, bias: int):
+    """Round an array onto the grid (k, b); returns (sign, exponent), both int64.
+
+    ``sign`` is -1, 0 or +1; values that round to zero give (0, 0).
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    mag = np.abs(v)
+
+    # region below the midpoint between 0 and the smallest level -> zero
+    zero_mid = 2.0 ** (-bias - 1)
+    is_zero = mag <= zero_mid
+
+    # nearest power of two in linear distance; tie at 1.5 * 2^a goes down
+    _, exp = np.frexp(np.where(is_zero, 1.0, mag))
+    lower = np.ldexp(1.0, exp - 1)  # 2^(exp-1) <= mag < 2^exp
+    go_up = mag > 1.5 * lower
+    e = exp - 1 + bias + go_up.astype(np.int64)
+    e = np.clip(e, 0, (1 << exponent_bits) - 1)
+
+    sign = np.where(is_zero, 0, np.where(v > 0, 1, -1))
+    return sign, np.where(is_zero, 0, e)
+
+
+@lru_cache(maxsize=None)
+def _bias_thresholds(exponent_bits: int) -> np.ndarray:
+    lo, hi = BIAS_SEARCH_RANGE
+    biases = np.arange(lo, hi + 1)
+    return 2.0 ** (((1 << exponent_bits) - 1) - biases)
+
+
+def select_bias(values: np.ndarray, exponent_bits: int) -> int:
+    """Pick the grid bias for a set of values.
+
+    Returns the largest bias (tightest grid, i.e. smallest maximum magnitude)
+    for which at most 1/(2^k + 1) of the non-zero values overflow the grid,
+    where overflow means |v| strictly above the maximum magnitude. The
+    overflowing fraction is monotone in the bias, so this is the unique
+    boundary point of the feasible range. If even the loosest grid overflows
+    too much, the loosest bias is returned.
+    """
+    if exponent_bits < 1:
+        raise ValueError("exponent_bits must be >= 1")
+    v = np.abs(np.asarray(values, dtype=np.float64).ravel())
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values must be finite")
+    nonzero = np.sort(v[v > 0.0])
+    if nonzero.size == 0:
+        raise ValueError("cannot select a bias for all-zero values")
+    bound = 1.0 / ((1 << exponent_bits) + 1)
+    max_mags = _bias_thresholds(exponent_bits)  # indexed by bias - lo
+    # count of values strictly above each grid's max magnitude
+    above = nonzero.size - np.searchsorted(nonzero, max_mags, side="right")
+    feasible = above / nonzero.size <= bound
+    lo, _ = BIAS_SEARCH_RANGE
+    if not feasible.any():
+        return lo
+    return int(lo + np.nonzero(feasible)[0].max())
 
 
 def round_hyperparams(model: MixtureModel) -> MixtureModel:
@@ -104,10 +172,6 @@ class _OnGrid:
     @property
     def exponent_bits(self) -> int:
         return self.n_bits - (3 if self.mode == MODE_RECENTRALIZED else 2)
-
-    @property
-    def grid(self) -> ShiftGrid:
-        return ShiftGrid(self.exponent_bits, self.bias)
 
 
 @dataclass(frozen=True)
@@ -151,15 +215,10 @@ class LayerQuantization(_OnGrid):
     def __post_init__(self):
         if self.mode not in (MODE_SHIFT, MODE_RECENTRALIZED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        min_bits = (
-            MIN_BITS_RECENTRALIZED
-            if self.mode == MODE_RECENTRALIZED
-            else MIN_BITS_SHIFT
-        )
+        min_bits = MIN_BITS_RECENTRALIZED if self.mode == MODE_RECENTRALIZED else MIN_BITS_SHIFT
         if not min_bits <= self.n_bits <= 8:
-            raise ValueError(
-                f"{self.mode} mode needs n_bits in [{min_bits}, 8], got {self.n_bits}"
-            )
+            raise ValueError(f"{self.mode} mode needs n_bits in [{min_bits}, 8], "
+                             f"got {self.n_bits}")
         # alpha, sigma and wsep live as f32 in the compressed container; hold
         # them at that precision from the start so round trips are bit-exact
         self.alpha = float(np.float32(self.alpha))
@@ -169,8 +228,8 @@ class LayerQuantization(_OnGrid):
             raise ValueError("alpha must be finite")
         if not (np.isfinite(self.wsep) and self.wsep >= 0):
             raise ValueError(f"wsep must be finite and >= 0, not {self.wsep}")
-        if not -32 <= self.bias <= 32:
-            raise ValueError(f"bias {self.bias} outside [-32, 32]")
+        if not BIAS_SEARCH_RANGE[0] <= self.bias <= BIAS_SEARCH_RANGE[1]:
+            raise ValueError(f"bias {self.bias} outside {list(BIAS_SEARCH_RANGE)}")
         self.mu = (float(self.mu[0]), float(self.mu[1]))
         for mu in self.mu:
             split_pow2(mu)  # each component mean is a signed power of two or 0
@@ -261,9 +320,7 @@ def _recentralized_params(values: np.ndarray, model: MixtureModel,
                           component: np.ndarray, n_bits: int,
                           wsep: float) -> QuantParams:
     if n_bits < MIN_BITS_RECENTRALIZED:
-        raise ValueError(
-            f"recentralized mode needs n_bits >= {MIN_BITS_RECENTRALIZED}"
-        )
+        raise ValueError(f"recentralized mode needs n_bits >= {MIN_BITS_RECENTRALIZED}")
     if model.sigma[MINUS] != model.sigma[PLUS]:
         raise ValueError("model must have a shared sigma (round_hyperparams)")
     for mu in model.mu:
@@ -315,7 +372,7 @@ def encode(values: np.ndarray, params: QuantParams) -> np.ndarray:
     """Symbols of the unpruned values, in order, under fitted parameters."""
     values = np.asarray(values, dtype=np.float64)
     normalized = _normalize(values, params.mu, params.sigma, params.assignment)
-    sign, exponent = nearest_power(normalized, params.grid)
+    sign, exponent = nearest_power(normalized, params.exponent_bits, params.bias)
     return pack(params.assignment, sign, exponent, params)
 
 

@@ -3,7 +3,7 @@
 Component 0 is "minus" (initialized from the negative values) and component 1
 is "plus" (positive values); when one sign is absent the initial split is at
 the median instead. Mixing weights start at 1/2 each. Iteration stops when
-the mean log-likelihood improves by less than ``tol`` or after ``max_iters``
+the mean log-likelihood improves by less than EM_TOL or after EM_MAX_ITERS
 rounds; standard deviations are floored at SIGMA_FLOOR rather than allowed to
 collapse. Each iteration's one E-step, over two 1-D log-density columns, gives
 the mean log-likelihood and the posterior, which a fit keeps for sampling.
@@ -20,6 +20,8 @@ from .rng import unit_uniform
 
 MINUS, PLUS = 0, 1
 SIGMA_FLOOR = 1e-8
+EM_MAX_ITERS = 200
+EM_TOL = 1e-7
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -98,7 +100,7 @@ def _initial_model(values: np.ndarray) -> MixtureModel:
     return MixtureModel(mu, sigma, np.array([0.5, 0.5]))
 
 
-def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> MixtureModel:
+def fit_em(values: np.ndarray) -> MixtureModel:
     """Fit the two-component mixture by expectation-maximization.
 
     The returned model records the mean log-likelihood after every iteration
@@ -118,7 +120,7 @@ def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> Mixtu
     model = _initial_model(v)
     post, ll = _e_step(model, v)
     trace = [ll]
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         counts = np.maximum([_ordered_sum(pc) for pc in post], 1e-300)
         mu = np.array([_ordered_sum(pc * v) for pc in post]) / counts
         var = np.array([_ordered_sum(pc * (v - m) ** 2) for pc, m in zip(post, mu)]) / counts
@@ -128,7 +130,7 @@ def fit_em(values: np.ndarray, max_iters: int = 200, tol: float = 1e-7) -> Mixtu
         model = MixtureModel(mu, sigma, lam)
         post, ll = _e_step(model, v)
         trace.append(ll)
-        if trace[-1] - trace[-2] < tol:
+        if trace[-1] - trace[-2] < EM_TOL:
             break
     model.ll_trace = trace
     model.p_plus = post[PLUS]

@@ -36,6 +36,7 @@ KIND_CONV2D = "conv2d"
 KIND_DENSE = "dense"
 _KIND_CODES = {KIND_CONV2D: 0, KIND_DENSE: 1}
 _KIND_NAMES = {code: name for name, code in _KIND_CODES.items()}
+BN_EPS = 1e-5  # the variance epsilon of every BN layer, in nn and in the engine's folded BN
 
 
 def as_tensor(data) -> np.ndarray:

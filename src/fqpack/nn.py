@@ -15,7 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from .convops import col2im, conv_output_hw, im2col
-from .model_store import LayerSpec, ModelFile
+from .model_store import BN_EPS, LayerSpec, ModelFile
+
+BN_MOMENTUM = 0.1  # running-statistics update rate of every BN layer
 
 
 class Conv2d:
@@ -56,10 +58,8 @@ class BatchNorm2d:
     whatever the compute dtype; running statistics stay float64.
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = np.ones(channels)
         self.beta = np.zeros(channels)
         self.running_mean = np.zeros(channels)
@@ -76,12 +76,12 @@ class BatchNorm2d:
             mean = _channel_sum(x) / m
             xc = x - mean.astype(dtype)
             var = _channel_sum(np.square(xc)) / m
-            self.running_mean += self.momentum * (mean - self.running_mean)
-            self.running_var += self.momentum * (var - self.running_var)
+            self.running_mean += BN_MOMENTUM * (mean - self.running_mean)
+            self.running_var += BN_MOMENTUM * (var - self.running_var)
         else:
             var = self.running_var
             xc = x - self.running_mean.astype(dtype)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         # the centred input is cached; xhat = xc * inv_std is never formed
         self._cache = (xc, inv_std, training)
         out = xc * (self.gamma * inv_std).astype(dtype)

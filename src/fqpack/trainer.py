@@ -404,8 +404,14 @@ def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predictions == labels))
 
 
+SWEEP_MAX_CELLS = 1000  # thresholds, each one INQ fine-tune per repeat; the default has 26
+
+
 def sweep_grid(lo: float = 1.0, hi: float = 3.5, step: float = 0.1) -> tuple:
-    """Separation-threshold grid, endpoints inclusive."""
+    """Separation-threshold grid, endpoints inclusive; ValueError past SWEEP_MAX_CELLS."""
+    if not (hi - lo) / step <= SWEEP_MAX_CELLS - 1:  # a float, so inf is refused too
+        raise ValueError(f"a step of {step:g} from {lo:g} to {hi:g} "
+                         f"makes more than {SWEEP_MAX_CELLS} thresholds")
     count = int(round((hi - lo) / step)) + 1
     return tuple(round(lo + i * step, 10) for i in range(count))
 

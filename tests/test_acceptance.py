@@ -39,10 +39,12 @@ from fqpack.focused_quant import (
     dequantize_layer,
     encode,
     kl_complexity_cost,
+    nearest_power,
     pack,
     quantize_layer,
     quantize_with,
     round_hyperparams,
+    select_bias,
 )
 from fqpack.mixture import (
     MINUS,
@@ -55,7 +57,6 @@ from fqpack.mixture import (
 from fqpack.model_store import LayerSpec, ModelFile, synthetic_blobs
 from fqpack.nn import Conv2d, ToyNet, softmax_cross_entropy
 from fqpack.pruner import prune_by_magnitude
-from fqpack.shift_quant import ShiftGrid, nearest_power, select_bias
 from fqpack.trainer import TrainConfig, finetune_inq, top1_accuracy, train_float
 
 
@@ -65,9 +66,10 @@ def report(num: int, ok: bool, detail: str):
     assert ok, line
 
 
-def nearest_on_grid(values, grid: ShiftGrid) -> np.ndarray:
+def nearest_on_grid(values, k: int, b: int) -> np.ndarray:
     """Enumeration nearest-value search, ties toward smaller magnitude."""
-    alphabet = np.array(sorted(grid.alphabet(), key=abs))
+    mags = 2.0 ** (np.arange(2**k) - b)
+    alphabet = np.array(sorted(np.concatenate(([0.0], mags, -mags)), key=abs))
     dist = np.abs(np.asarray(values)[:, None] - alphabet[None, :])
     return alphabet[np.argmin(dist, axis=1)]
 
@@ -87,7 +89,6 @@ def test_criterion_01_shift_quantizer_matches_enumeration():
     configs = [(k, b) for k in (1, 2, 3, 6) for b in (-4, 0, 7)]
     mismatches = total = 0
     for k, b in configs:
-        grid = ShiftGrid(k, b)
         top = 2.0 ** (2**k - 1 - b)
         ties = [1.5 * 2.0 ** (e - b) for e in range(2**k - 1)]
         ties += [2.0 ** (-b - 1)]  # halfway between zero and the smallest step
@@ -97,8 +98,8 @@ def test_criterion_01_shift_quantizer_matches_enumeration():
             np.array(ties), -np.array(ties),
         ])
         params = QuantParams(MODE_SHIFT, k + 2, b, assignment=np.zeros(vals.size, dtype=np.int64))
-        sign, exponent = nearest_power(vals, grid)
-        want = nearest_on_grid(vals, grid)
+        sign, exponent = nearest_power(vals, k, b)
+        want = nearest_on_grid(vals, k, b)
         mismatches += int(np.sum(decode(encode(vals, params), params) != want))
         mismatches += int(np.sum(sign * np.ldexp(1.0, exponent - b) != want))
         total += vals.size
@@ -182,7 +183,7 @@ def straight_line_recentralized(flat, keep, component, rounded, n_bits, alpha):
         if frac <= 1.0 / (2**k + 1):
             best = b
     bias = -32 if best is None else best
-    q = nearest_on_grid(z, ShiftGrid(k, bias))
+    q = nearest_on_grid(z, k, bias)
     out = np.zeros(flat.size)
     out[keep] = alpha * (sigma * q + mu)
     return out, bias

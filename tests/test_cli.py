@@ -682,6 +682,10 @@ def test_sweep_modes_report_each_layers_separation(capsys, tmp_path):
     (["sweep", "--min", "inf"], "sweep: --min, --max and --step must be finite"),
     (["sweep", "--min", "3", "--max", "1"], "sweep: --min 3 is above --max 1"),
     (["sweep", "--repeats", "0"], "sweep: --repeats must be >= 1, got 0"),
+    (["sweep", "--step", "1e-320"],
+     "sweep: a step of 9.99989e-321 from 1 to 3.5 makes more than 1000 thresholds"),
+    (["sweep", "--step", "1e-5"],
+     "sweep: a step of 1e-05 from 1 to 3.5 makes more than 1000 thresholds"),
 ])
 def test_training_flag_ranges_are_usage_errors(capsys, tmp_path, flags, message):
     out = tmp_path / "out.csv"

@@ -33,12 +33,12 @@ from fqpack.mixture import (
     sample_assignments,
 )
 from fqpack.pruner import prune_by_magnitude
-from fqpack.shift_quant import ShiftGrid
 
 
-def nearest_on_grid(values, grid):
+def nearest_on_grid(values, k, b):
     """Enumeration nearest-value lookup, ties toward smaller magnitude."""
-    alphabet = np.array(sorted(grid.alphabet(), key=abs))
+    mags = 2.0 ** (np.arange(2**k) - b)
+    alphabet = np.array(sorted(np.concatenate(([0.0], mags, -mags)), key=abs))
     dist = np.abs(np.asarray(values)[:, None] - alphabet[None, :])
     return alphabet[np.argmin(dist, axis=1)]
 
@@ -159,7 +159,7 @@ def straight_line_oracle(flat, keep, component, rounded, n_bits, alpha):
         if frac <= 1.0 / (2**k + 1):
             best = b
     bias = -32 if best is None else best
-    q = nearest_on_grid(z, ShiftGrid(k, bias))
+    q = nearest_on_grid(z, k, bias)
     out = np.zeros(flat.size)
     out[keep] = alpha * (sigma * q + mu)
     return out, bias
@@ -214,7 +214,7 @@ def test_shift_layer_matches_enumeration():
     params = fit_params(weights[keep], 5, 0.0, 0, mode=MODE_SHIFT)
     lq = quantize_with(weights, keep, params)
     expected = np.zeros(weights.size)
-    expected[keep] = nearest_on_grid(weights[keep], lq.grid)
+    expected[keep] = nearest_on_grid(weights[keep], lq.exponent_bits, lq.bias)
     assert np.array_equal(decode(lq.symbols, lq), expected)
 
 

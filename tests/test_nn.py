@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from fqpack.convops import col2im, conv_output_hw, im2col, zero_bordered
-from fqpack.model_store import decode_model, encode_model
+from fqpack.model_store import BN_EPS, decode_model, encode_model
 from fqpack.nn import (
     TOY_PLAN,
     BatchNorm2d,
@@ -324,7 +324,7 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_var = np.array([4.0, 0.25])
     x = np.ones((1, 2, 1, 1))
     out = bn.forward(x.transpose(0, 2, 3, 1), training=False).transpose(0, 3, 1, 2)
-    expect = (np.array([0.0, 2.0]) / np.sqrt(np.array([4.0, 0.25]) + bn.eps))
+    expect = (np.array([0.0, 2.0]) / np.sqrt(np.array([4.0, 0.25]) + BN_EPS))
     assert out[0, :, 0, 0] == pytest.approx(expect)
 
 

@@ -1,39 +1,47 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fqpack.focused_quant import (
+    BIAS_SEARCH_RANGE,
     MODE_SHIFT,
     ZERO,
     LayerQuantization,
     QuantParams,
     decode,
     encode,
+    nearest_power,
     pack,
+    select_bias,
     unpack,
 )
-from fqpack.shift_quant import ShiftGrid, nearest_power, select_bias
 
 
-def enumeration_oracle(values, grid):
+def grid_values(k, b):
+    """Every value of the grid with k exponent bits and bias b: 0, +-2^(e - b)."""
+    mags = 2.0 ** (np.arange(2**k) - b)
+    return np.concatenate(([0.0], mags, -mags))
+
+
+def enumeration_oracle(values, k, b):
     """Nearest alphabet member by exhaustive search; ties to smaller magnitude.
 
     Sorting the alphabet by |a| ascending makes argmin (which keeps the first
     of equal keys) resolve ties toward the smaller magnitude.
     """
-    alphabet = np.array(sorted(grid.alphabet(), key=abs))
+    alphabet = np.array(sorted(grid_values(k, b), key=abs))
     dist = np.abs(np.asarray(values)[:, None] - alphabet[None, :])
     return alphabet[np.argmin(dist, axis=1)]
 
 
-def quantized(values, grid):
-    sign, exponent = nearest_power(np.asarray(values, dtype=np.float64), grid)
-    return sign * np.ldexp(1.0, exponent - grid.bias)
+def quantized(values, k, b):
+    sign, exponent = nearest_power(np.asarray(values, dtype=np.float64), k, b)
+    return sign * np.ldexp(1.0, exponent - b)
 
 
-def shift_params(grid, count=0):
-    """Shift-mode parameters on ``grid``, for ``count`` unpruned weights."""
-    return QuantParams(MODE_SHIFT, grid.exponent_bits + 2, grid.bias,
-                       assignment=np.zeros(count, dtype=np.int64))
+def shift_params(k, b, count=0):
+    """Shift-mode parameters on the grid (k, b), for ``count`` unpruned weights."""
+    return QuantParams(MODE_SHIFT, k + 2, b, assignment=np.zeros(count, dtype=np.int64))
 
 
 def shift_layer(symbols, n_bits):
@@ -41,72 +49,88 @@ def shift_layer(symbols, n_bits):
                              mu=(0.0, 0.0), sigma=1.0, symbols=np.asarray(symbols))
 
 
-def test_alphabet_contents():
-    grid = ShiftGrid(exponent_bits=2, bias=3)
-    expected = {0.0, 0.125, 0.25, 0.5, 1.0, -0.125, -0.25, -0.5, -1.0}
-    assert set(grid.alphabet().tolist()) == expected
-    assert len(grid.alphabet()) == 1 + 2 * 2**2
-    assert np.all(np.diff(grid.alphabet()) > 0)  # sorted ascending
-
-
 def test_zero_maps_to_zero():
-    grid = ShiftGrid(2, 3)
-    sign, exponent = nearest_power(np.array([0.0]), grid)
+    sign, exponent = nearest_power(np.array([0.0]), 2, 3)
     assert (sign[0], exponent[0]) == (0, 0)
-    assert encode(np.array([0.0]), shift_params(grid, 1))[0] == ZERO
+    assert encode(np.array([0.0]), shift_params(2, 3, 1))[0] == ZERO
 
 
 def test_nearest_value_example():
-    grid = ShiftGrid(2, 3)
-    assert quantized([0.3], grid)[0] == 0.25
+    assert quantized([0.3], 2, 3)[0] == 0.25
 
 
 def test_clipping_example():
-    grid = ShiftGrid(2, 3)
-    assert quantized([100.0], grid)[0] == 1.0
-    assert quantized([-77.0], grid)[0] == -1.0
+    assert quantized([100.0], 2, 3)[0] == 1.0
+    assert quantized([-77.0], 2, 3)[0] == -1.0
 
 
 def test_tie_breaks_toward_smaller_magnitude():
-    grid = ShiftGrid(2, 3)
     # -0.1875 is equidistant from -0.125 and -0.25
-    assert quantized([-0.1875], grid)[0] == -0.125
-    assert quantized([0.1875], grid)[0] == 0.125
+    assert quantized([-0.1875], 2, 3)[0] == -0.125
+    assert quantized([0.1875], 2, 3)[0] == 0.125
     # the zero boundary: half the smallest level rounds down to zero
-    assert quantized([0.0625], grid)[0] == 0.0
+    assert quantized([0.0625], 2, 3)[0] == 0.0
 
 
 def test_non_finite_rejected():
-    grid = ShiftGrid(2, 3)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError):
-            nearest_power(np.array([bad]), grid)
+            nearest_power(np.array([bad]), 2, 3)
 
 
 def test_matches_enumeration_oracle():
     rng = np.random.default_rng(5)
     for k, b in [(1, 0), (2, 3), (3, -2), (5, 4)]:
-        grid = ShiftGrid(k, b)
         values = rng.normal(scale=2.0 ** -b, size=10_000)
-        assert np.array_equal(quantized(values, grid),
-                              enumeration_oracle(values, grid))
+        assert np.array_equal(quantized(values, k, b),
+                              enumeration_oracle(values, k, b))
+
+
+EVERY_GRID = [(k, b) for k in range(1, 7)
+              for b in range(BIAS_SEARCH_RANGE[0], BIAS_SEARCH_RANGE[1] + 1)]
+# a drawn input is a signed zero or sign * m * 2^(j - b) on the grid (k, b), with
+# j capped at 2^k + 1: beyond 2^53 times the top level the oracle's float
+# distances to every level round to the same number
+GRID_INPUT = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]),
+              st.sampled_from([1.0, 1.5]) | st.floats(0.5, 2.0),
+              st.integers(-3, 66)),
+)
+# m = 1.5 at j = e is the tie between levels e and e + 1, m = 1 at j = -1 the
+# midpoint between zero and the smallest level, and j = 64 is capped above the
+# top level of every grid
+ROUNDING_POINTS = ([0.0, -0.0, (1.0, 1.0, -1), (-1.0, 1.0, -1), (1.0, 1.0, 64), (-1.0, 1.9, 66)]
+                   + [(s, 1.5, e) for s in (-1.0, 1.0) for e in range(63)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(GRID_INPUT, min_size=1, max_size=30))
+@example(ROUNDING_POINTS)
+def test_rounding_matches_enumeration_on_every_grid(inputs):
+    for k, b in EVERY_GRID:
+        values = np.array([v if isinstance(v, float)
+                           else v[0] * v[1] * 2.0 ** (min(v[2], 2**k + 1) - b)
+                           for v in inputs])
+        sign, exponent = nearest_power(values, k, b)
+        assert np.all(exponent[sign == 0] == 0)
+        assert np.array_equal(sign * np.ldexp(1.0, exponent - b),
+                              enumeration_oracle(values, k, b)), (k, b)
 
 
 def test_idempotent_and_monotone():
     rng = np.random.default_rng(6)
-    grid = ShiftGrid(3, 2)
     values = np.sort(rng.normal(scale=0.5, size=5_000))
-    q = quantized(values, grid)
-    assert np.array_equal(quantized(q, grid), q)  # idempotence
+    q = quantized(values, 3, 2)
+    assert np.array_equal(quantized(q, 3, 2), q)  # idempotence
     assert np.all(np.diff(q) >= 0)  # monotonicity on sorted input
 
 
 def test_codes_decode_to_quantized():
     rng = np.random.default_rng(7)
-    grid = ShiftGrid(2, 1)
     values = rng.normal(size=1000)
-    params = shift_params(grid, values.size)
-    assert np.array_equal(decode(encode(values, params), params), quantized(values, grid))
+    params = shift_params(2, 1, values.size)
+    assert np.array_equal(decode(encode(values, params), params), quantized(values, 2, 1))
 
 
 # --- shift-mode symbols --------------------------------------------------------
@@ -114,14 +138,14 @@ def test_codes_decode_to_quantized():
 
 def test_pack_unpack_round_trip():
     for k in (1, 2, 3, 6):
-        params = shift_params(ShiftGrid(k, 0))
+        params = shift_params(k, 0)
         assert pack(0, 0, 0, params) == ZERO
         for e in range(2**k):
             for s in (-1, 1):
                 code = pack(0, s, e, params)
                 assert 0 < code < 2 ** (k + 2)
                 assert [int(f) for f in unpack(code, params)] == [0, s, e]
-    assert [int(f) for f in unpack(ZERO, shift_params(ShiftGrid(3, 0)))] == [0, 0, 0]
+    assert [int(f) for f in unpack(ZERO, shift_params(3, 0))] == [0, 0, 0]
 
 
 def test_unpack_rejects_bad_code():
@@ -131,7 +155,7 @@ def test_unpack_rejects_bad_code():
 
 
 def test_dequantize_symbol_examples():
-    params = shift_params(ShiftGrid(2, 3))
+    params = shift_params(2, 3)
     one = pack(0, 1, 3, params)
     minus_eighth = pack(0, -1, 0, params)
     got = decode(np.array([one, ZERO, minus_eighth]), params)
@@ -139,7 +163,7 @@ def test_dequantize_symbol_examples():
 
 
 def test_dequantize_rejects_out_of_range_exponent():
-    bad = pack(0, 1, 7, shift_params(ShiftGrid(3, 3)))  # e=7 needs k=3
+    bad = pack(0, 1, 7, shift_params(3, 3))  # e=7 needs k=3
     with pytest.raises(ValueError):
         shift_layer([bad], n_bits=4)  # k=2 reads it as sign field 3
 

@@ -17,6 +17,7 @@ from fqpack.rng import derive_seed
 from fqpack.trainer import (
     METRICS_HEADER,
     SWEEP_DETAIL_HEADER,
+    SWEEP_MAX_CELLS,
     SWEEP_SUMMARY_HEADER,
     InqResult,
     TrainConfig,
@@ -370,6 +371,13 @@ def test_sweep_grid_has_26_points():
     assert len(grid) == 26
     assert grid[0] == 1.0 and grid[-1] == 3.5
     assert grid[5] == pytest.approx(1.5)
+
+
+def test_sweep_grid_refuses_more_than_its_cap():
+    assert len(sweep_grid(0.0, SWEEP_MAX_CELLS - 1.0, 1.0)) == SWEEP_MAX_CELLS
+    for step in (1.0, 1e-320):
+        with pytest.raises(ValueError, match="more than"):
+            sweep_grid(0.0, float(SWEEP_MAX_CELLS), step)
 
 
 def test_wsep_sweep_shapes_and_determinism():
