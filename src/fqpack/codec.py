@@ -28,6 +28,12 @@ or per bit:
   chunk come to under 1 MB, whatever the layer size, and the table to
   128 KiB.
 
+Symbols are uint8 in both directions, as ``LayerQuantization`` holds them.
+``HuffmanTable.encode`` range-checks a stream of a wider dtype before it
+narrows it, so an out-of-range symbol is refused, not wrapped onto a valid
+code; ``HuffmanTable.decode`` and :func:`decode_layer` return one byte per
+symbol, and no full-length int64 copy of a stream is made on either side.
+
 A layer record's body after its name field (little-endian; the name field
 and the framing around the body, with the header, record count and CRC32,
 are described in ``fqpack.framing``):
@@ -51,7 +57,14 @@ import numpy as np
 
 from . import framing
 from .errors import CorruptionError, FormatError, ValidationError
-from .focused_quant import MODE_RECENTRALIZED, MODE_SHIFT, LayerQuantization, split_pow2
+from .focused_quant import (
+    MODE_RECENTRALIZED,
+    MODE_SHIFT,
+    LayerQuantization,
+    gather,
+    split_pow2,
+    symbol_counts,
+)
 from .model_store import ModelFile, NamedLayers, weight_payload_bytes
 
 MAGIC = b"FQZ1"
@@ -180,27 +193,29 @@ class HuffmanTable:
         bit stream; it goes into a one-byte-per-bit array, packed once at
         the end.
         """
-        symbols = np.asarray(symbols, dtype=np.int64).ravel()
+        symbols = np.asarray(symbols).ravel()
         if symbols.size == 0:
             return b"", 0
+        # in the given dtype, before the narrowing cast could wrap 256 onto 0
         if symbols.min() < 0 or symbols.max() >= self.lengths.size:
             outside = (symbols < 0) | (symbols >= self.lengths.size)
             raise ValueError(f"symbol {int(symbols[np.argmax(outside)])} not in the code table")
-        sym_len = self.lengths[symbols]
+        symbols = symbols.astype(np.uint8, copy=False)
+        sym_len = gather(self.lengths, symbols)
         if not sym_len.all():
             raise ValueError(f"symbol {int(symbols[np.argmin(sym_len)])} not in the code table")
         bits = np.empty(int(sym_len.sum(dtype=np.int64)), dtype=np.uint8)
         end = 0
         for first in range(0, symbols.size, _ENCODE_SYMBOLS):
             block = slice(first, first + _ENCODE_SYMBOLS)
-            rows = np.unpackbits(self._left_codes[symbols[block]].view(np.uint8))
+            rows = np.unpackbits(gather(self._left_codes, symbols[block]).view(np.uint8))
             kept = rows.reshape(-1, MAX_CODE_LEN)[_BIT_INDEX < sym_len[block, None]]
             bits[end : end + kept.size] = kept
             end += kept.size
         return np.packbits(bits).tobytes(), bits.size
 
     def decode(self, payload, payload_bits: int) -> np.ndarray:
-        """Decode exactly payload_bits bits back into symbols.
+        """Decode exactly payload_bits bits back into uint8 symbols.
 
         The payload is read _CHUNK_BYTES at a time. Within a chunk, the 16
         bits at every bit offset index the lookup table, which gives the
@@ -231,12 +246,10 @@ class HuffmanTable:
                 if payload_bits - bad <= max_len:  # too few bits left to rule out every code
                     raise CorruptionError("payload ends inside a codeword")
                 raise CorruptionError("bit pattern matches no codeword")
-            # an entry's low byte is its symbol; symbols stay one byte each
-            # until the whole stream is decoded
-            pieces.append(found.astype(np.uint8))
+            pieces.append(found.astype(np.uint8))  # an entry's low byte is its symbol
         if pos != payload_bits:
             raise CorruptionError("payload ends inside a codeword")
-        return np.concatenate(pieces or [np.zeros(0, np.uint8)]).astype(np.int64)
+        return np.concatenate(pieces or [np.zeros(0, np.uint8)])
 
 
 def _codeword_starts(length: np.ndarray, at: int):
@@ -288,7 +301,7 @@ _FIXED = "<BBfbbbbbff"  # mode, n_bits, alpha, bias, mu fields, sigma, wsep
 
 def _layer_table(lq: LayerQuantization):
     """The layer's Huffman table and its symbol counts."""
-    counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
+    counts = symbol_counts(lq.symbols, lq.alphabet_size)
     return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
 
 

@@ -77,7 +77,7 @@ import numpy as np
 from .codec import CompressedModel, pair_layers
 from .convops import conv_output_hw, im2col
 from .errors import AccumulatorOverflowError, ValidationError
-from .focused_quant import ZERO, LayerQuantization, decode, split_pow2, unpack
+from .focused_quant import ZERO, LayerQuantization, decode, gather, split_pow2, unpack
 from .model_store import BN_EPS, KIND_CONV2D, ModelFile
 
 # the one accumulator limit; a sum bounded to 32 bits stays below 2^31, so a
@@ -244,21 +244,23 @@ def _planes(lq: LayerQuantization):
 
     ``dev`` holds s * 2^e per weight. Layers with nonzero centres add
     ``cen``, sgn(mu_c) * 2^(p_c - p_min) on every weight assigned to
-    component c. The scales turn the two plane sums back into reals:
+    component c. Both are worked out once per alphabet symbol and gathered
+    by the uint8 symbols. The scales turn the two plane sums back into reals:
     scale_dev = sigma * 2^-bias, scale_cen = 2^p_min.
     """
-    component, sign, exponent = unpack(lq.symbols, lq)
-    dev = sign * np.ldexp(1.0, exponent)
+    alphabet = np.arange(lq.alphabet_size)
+    component, sign, exponent = unpack(alphabet, lq)
+    dev = gather(sign * np.ldexp(1.0, exponent), lq.symbols)
     scale_dev = lq.sigma * float(np.ldexp(1.0, -lq.bias))
     powers = {c: p for c, (sign, p) in enumerate(map(split_pow2, lq.mu)) if sign}
     if not powers:
         return dev, None, scale_dev, 0.0
     p_min = min(powers.values())
-    cen = np.zeros(lq.weight_count)
+    cen = np.zeros(lq.alphabet_size)
     for c, p in powers.items():
-        cen[(component == c) & (lq.symbols != ZERO)] = (
+        cen[(component == c) & (alphabet != ZERO)] = (
             np.sign(lq.mu[c]) * float(np.ldexp(1.0, p - p_min)))
-    return dev, cen, scale_dev, float(np.ldexp(1.0, p_min))
+    return dev, gather(cen, lq.symbols), scale_dev, float(np.ldexp(1.0, p_min))
 
 
 def accumulator_bits(lq: LayerQuantization, patch_size: int, act_bits: int = 8) -> int:

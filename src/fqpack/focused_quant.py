@@ -86,28 +86,30 @@ def split_pow2(value: float):
 
 
 def nearest_power(values: np.ndarray, exponent_bits: int, bias: int):
-    """Round an array onto the grid (k, b); returns (sign, exponent), both int64.
+    """Round an array onto the grid (k, b); returns (sign, exponent) as int8 and intc.
 
     ``sign`` is -1, 0 or +1; values that round to zero give (0, 0).
     """
     v = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("values must be finite")
-    mag = np.abs(v)
+    mag = np.abs(v.ravel())
 
     # region below the midpoint between 0 and the smallest level -> zero
-    zero_mid = 2.0 ** (-bias - 1)
-    is_zero = mag <= zero_mid
+    is_zero = mag <= 2.0 ** (-bias - 1)
+    mag[is_zero] = 1.0
 
-    # nearest power of two in linear distance; tie at 1.5 * 2^a goes down
-    _, exp = np.frexp(np.where(is_zero, 1.0, mag))
-    lower = np.ldexp(1.0, exp - 1)  # 2^(exp-1) <= mag < 2^exp
-    go_up = mag > 1.5 * lower
-    e = exp - 1 + bias + go_up.astype(np.int64)
-    e = np.clip(e, 0, (1 << exponent_bits) - 1)
+    # nearest power of two in linear distance: mag = mant * 2^exp with mant
+    # in [0.5, 1), so the tie at 1.5 * 2^(exp-1) is mant 0.75, and goes down
+    mant, exponent = np.frexp(mag, out=(mag, None))
+    exponent += bias - 1
+    exponent += mant > 0.75
+    np.clip(exponent, 0, (1 << exponent_bits) - 1, out=exponent)
+    exponent[is_zero] = 0
 
-    sign = np.where(is_zero, 0, np.where(v > 0, 1, -1))
-    return sign, np.where(is_zero, 0, e)
+    sign = np.where(v.ravel() > 0, np.int8(1), np.int8(-1))
+    sign[is_zero] = 0
+    return sign.reshape(v.shape), exponent.reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +134,8 @@ def select_bias(values: np.ndarray, exponent_bits: int) -> int:
     v = np.abs(np.asarray(values, dtype=np.float64).ravel())
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    nonzero = np.sort(v[v > 0.0])
+    nonzero = v[v > 0.0]
+    nonzero.sort()
     if nonzero.size == 0:
         raise ValueError("cannot select a bias for all-zero values")
     bound = 1.0 / ((1 << exponent_bits) + 1)
@@ -196,9 +199,11 @@ class QuantParams(_OnGrid):
 class LayerQuantization(_OnGrid):
     """Frozen quantization of one layer: parameters plus per-weight symbols.
 
-    ``symbols`` is a flat int64 array covering every weight position (pruned
-    positions hold ZERO). ``mu`` is (mu_minus, mu_plus); both are exact signed
-    powers of two or 0. ``sigma`` is the shared component scale. A shift
+    ``symbols`` is a flat uint8 array covering every weight position (pruned
+    positions hold ZERO): one byte per symbol, since n_bits <= 8. Symbols of
+    any other integer dtype are range-checked in that dtype, then narrowed,
+    so 256 is refused rather than wrapped onto ZERO. ``mu`` is
+    (mu_minus, mu_plus); both are exact signed powers of two or 0. ``sigma`` is the shared component scale. A shift
     layer has mu = (0, 0) and sigma = 1.
     """
 
@@ -238,13 +243,15 @@ class LayerQuantization(_OnGrid):
         if self.mode == MODE_SHIFT and (self.mu != (0.0, 0.0) or self.sigma != 1.0):
             raise ValueError(f"a shift layer has mu (0, 0) and sigma 1, "
                              f"not mu {self.mu} and sigma {self.sigma}")
-        self.symbols = np.asarray(self.symbols, dtype=np.int64).ravel()
-        if self.symbols.size == 0:
+        symbols = np.asarray(self.symbols).ravel()
+        if symbols.size == 0:
             raise ValueError("empty symbol stream")
-        if self.symbols.min() < 0 or self.symbols.max() >= (1 << self.n_bits):
+        # in the given dtype, before the narrowing cast could wrap 256 onto 0
+        if symbols.min() < 0 or symbols.max() >= (1 << self.n_bits):
             raise ValueError(f"symbol out of range for {self.n_bits}-bit codes")
+        self.symbols = symbols.astype(np.uint8, copy=False)
         # a nonzero symbol is valid iff it packs back from its own fields
-        codes = np.flatnonzero(np.bincount(self.symbols)[1:]) + 1  # the nonzero codes used
+        codes = np.flatnonzero(symbol_counts(self.symbols, self.alphabet_size)[1:]) + 1
         bad = codes[pack(*unpack(codes, self), self) != codes]
         if bad.size:
             _, field, bits = _fields(bad[0], self)
@@ -268,7 +275,7 @@ class LayerQuantization(_OnGrid):
 
 
 def pack(component, sign, exponent, params) -> np.ndarray:
-    """n-bit symbols of (component, sign, exponent) under ``params``' mode.
+    """uint8 n-bit symbols of (component, sign, exponent) under ``params``' mode.
 
     ``sign`` is -1, 0 or +1, and a zero sign goes with exponent 0. That zero
     deviation packs to ZERO in shift mode and to its component's centre code
@@ -277,11 +284,11 @@ def pack(component, sign, exponent, params) -> np.ndarray:
     :class:`LayerQuantization`.
     """
     k = params.exponent_bits
-    sign = np.asarray(sign, dtype=np.int64)
+    sign = np.asarray(sign)
     zero_field = 3 if params.mode == MODE_RECENTRALIZED else 0
-    field = np.where(sign == 0, zero_field, sign % 3)  # +1 -> 1, -1 -> 2
-    return ((np.asarray(component, dtype=np.int64) << (k + 2)) | (field << k)
-            | np.asarray(exponent, dtype=np.int64))
+    field = np.where(sign == 0, zero_field, sign % 3).astype(np.uint8)  # +1 -> 1, -1 -> 2
+    return ((np.asarray(component).astype(np.uint8, copy=False) << (k + 2)) | (field << k)
+            | np.asarray(exponent).astype(np.uint8, copy=False))
 
 
 def _fields(symbols, params):
@@ -303,8 +310,39 @@ def unpack(symbols, params):
     return component, sign, np.where(sign != 0, bits, 0)
 
 
+_BLOCK = 1 << 16  # symbols per step of gather and symbol_counts
+
+
+def gather(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """``table[symbols]`` for a flat array of one-byte symbols.
+
+    numpy gathers about 3x faster by intp indices than by uint8 ones, so the
+    indices are widened one block at a time; no full-length intp copy is made.
+    Every symbol must index the table: ``mode="clip"``, which spares ``take``
+    a buffered copy of its output, clamps rather than checks.
+    """
+    out = np.empty(symbols.size, dtype=table.dtype)
+    for first in range(0, symbols.size, _BLOCK):
+        block = slice(first, first + _BLOCK)
+        np.take(table, symbols[block].astype(np.intp), out=out[block], mode="clip")
+    return out
+
+
+def symbol_counts(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """int64 count of each symbol below ``alphabet_size`` in a flat symbol array.
+
+    ``np.bincount`` widens its input to intp, so it runs one block at a time.
+    """
+    counts = np.zeros(alphabet_size, dtype=np.int64)
+    for first in range(0, symbols.size, _BLOCK):
+        counts += np.bincount(symbols[first : first + _BLOCK], minlength=alphabet_size)
+    return counts
+
+
 def _normalize(values: np.ndarray, mu, sigma: float, component) -> np.ndarray:
-    return (values - np.asarray(mu, dtype=np.float64)[component]) / sigma
+    normalized = values - gather(np.asarray(mu, dtype=np.float64), component)
+    normalized /= sigma
+    return normalized
 
 
 def _shift_params(values: np.ndarray, n_bits: int, wsep: float) -> QuantParams:
@@ -313,7 +351,7 @@ def _shift_params(values: np.ndarray, n_bits: int, wsep: float) -> QuantParams:
     if not np.any(values != 0.0):
         raise DegenerateInputError("unpruned weights are all zero")
     return QuantParams(MODE_SHIFT, n_bits, select_bias(values, n_bits - 2),
-                       assignment=np.zeros(values.size, dtype=np.int64), wsep=float(wsep))
+                       assignment=np.zeros(values.size, dtype=np.uint8), wsep=float(wsep))
 
 
 def _recentralized_params(values: np.ndarray, model: MixtureModel,
@@ -394,14 +432,15 @@ def decode(symbols: np.ndarray, params) -> np.ndarray:
     from that table. ``params`` is a :class:`QuantParams` or a
     :class:`LayerQuantization`.
     """
-    return _alphabet_values(params)[symbols]
+    symbols = np.asarray(symbols)
+    return gather(_alphabet_values(params), symbols.ravel()).reshape(symbols.shape)
 
 
 def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
                   name: str = "", alpha: float = 1.0) -> LayerQuantization:
     """Freeze a layer: encode its kept weights, ZERO at pruned positions."""
     flat = np.asarray(weights, dtype=np.float64).ravel()
-    symbols = np.zeros(flat.size, dtype=np.int64)
+    symbols = np.zeros(flat.size, dtype=np.uint8)
     symbols[keep] = encode(flat[keep], params)
     return LayerQuantization(
         name=name, mode=params.mode, n_bits=params.n_bits, alpha=float(alpha),
@@ -435,7 +474,7 @@ def quantize_layer(
 
 def dequantize_layer(lq: LayerQuantization) -> np.ndarray:
     """Exact real weights encoded by the symbols, flat float64."""
-    return (lq.alpha * _alphabet_values(lq))[lq.symbols]
+    return gather(lq.alpha * _alphabet_values(lq), lq.symbols)
 
 
 def kl_complexity_cost(

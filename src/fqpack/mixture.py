@@ -7,6 +7,10 @@ the mean log-likelihood improves by less than EM_TOL or after EM_MAX_ITERS
 rounds; standard deviations are floored at SIGMA_FLOOR rather than allowed to
 collapse. Each iteration's one E-step, over two 1-D log-density columns, gives
 the mean log-likelihood and the posterior, which a fit keeps for sampling.
+The E-step and the M-step's ordered sums write in place into four arrays of
+the values' length that the whole fit reuses, with the same operations in
+the same order as fresh arrays would take them, so the results are the same
+to the bit.
 """
 
 from __future__ import annotations
@@ -45,32 +49,57 @@ class MixtureModel:
             raise ValueError("mixing weights must be non-negative and sum to 1")
 
 
-def _e_step(model: MixtureModel, v: np.ndarray) -> tuple:
+def _e_step(model: MixtureModel, v: np.ndarray, work: list) -> tuple:
     """Posterior columns (p_minus, p_plus) of the values and their mean
-    log-likelihood, NaN where both weighted densities underflow."""
+    log-likelihood, NaN where both weighted densities underflow.
+
+    ``work`` is four float64 arrays of the values' length, from
+    :func:`_work`. Every pass writes into them in place: the posterior
+    columns are the first two, and the last two are free once this returns.
+    """
+    post, shift, total = work[:2], work[2], work[3]
     var = model.sigma ** 2  # squared as an array: a scalar square can round apart
     log_var = np.log(var)
     with np.errstate(divide="ignore"):
         log_lam = np.log(model.lam)
-    log_w = [-0.5 * ((v - model.mu[c]) ** 2 / var[c] + log_var[c] + _LOG_2PI) + log_lam[c]
-             for c in (MINUS, PLUS)]
-    shift = np.maximum(*log_w)
+    for c, log_w in zip((MINUS, PLUS), post):
+        # -0.5 * ((v - mu_c) ** 2 / var_c + log_var_c + log 2 pi) + log_lam_c
+        np.subtract(v, model.mu[c], out=log_w)
+        np.square(log_w, out=log_w)
+        log_w /= var[c]
+        log_w += log_var[c]
+        log_w += _LOG_2PI
+        log_w *= -0.5
+        log_w += log_lam[c]
+    np.maximum(*post, out=shift)
     with np.errstate(invalid="ignore"):  # -inf - -inf where both densities underflow
-        w = [np.exp(lw - shift) for lw in log_w]
-    total = w[MINUS] + w[PLUS]
-    post = [wc / total for wc in w]
+        for w in post:
+            w -= shift
+            np.exp(w, out=w)
+    np.add(*post, out=total)
+    for w in post:
+        w /= total
     fallback = ~np.isfinite(shift)
     if fallback.any():
-        nearer = np.abs(v - model.mu[PLUS]) < np.abs(v - model.mu[MINUS])
-        post[MINUS][fallback] = ~nearer[fallback]
-        post[PLUS][fallback] = nearer[fallback]
-    return post, float((shift + np.log(total)).mean())
+        far = v[fallback]
+        nearer = np.abs(far - model.mu[PLUS]) < np.abs(far - model.mu[MINUS])
+        post[MINUS][fallback] = ~nearer
+        post[PLUS][fallback] = nearer
+    np.log(total, out=total)
+    total += shift
+    return post, float(total.mean())
 
 
-def _ordered_sum(x: np.ndarray) -> float:
+def _work(v: np.ndarray) -> list:
+    """The four scratch arrays one fit's E- and M-steps reuse."""
+    return [np.empty_like(v) for _ in range(4)]
+
+
+def _ordered_sum(x: np.ndarray, out: np.ndarray = None) -> float:
     """0.0 + x[0] + x[1] + ... in index order: how an axis-0 reduction adds
-    each column of an (n, 2) array. A 1-D ``sum`` adds pairwise instead."""
-    return np.cumsum(x)[-1] + 0.0  # + 0.0 turns an all -0.0 sum into 0.0
+    each column of an (n, 2) array. A 1-D ``sum`` adds pairwise instead.
+    ``out`` (which may be ``x``) takes the running sums."""
+    return np.cumsum(x, out=out)[-1] + 0.0  # + 0.0 turns an all -0.0 sum into 0.0
 
 
 def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarray:
@@ -79,7 +108,8 @@ def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarra
     Rows sum to 1. When both weighted densities underflow to zero the value
     is hard-assigned to the component with the nearer mean.
     """
-    return np.stack(_e_step(model, np.asarray(values, dtype=np.float64).ravel())[0], axis=1)
+    v = np.asarray(values, dtype=np.float64).ravel()
+    return np.stack(_e_step(model, v, _work(v))[0], axis=1)
 
 
 def _initial_model(values: np.ndarray) -> MixtureModel:
@@ -118,17 +148,26 @@ def fit_em(values: np.ndarray) -> MixtureModel:
     if 2.0 * max(-v.min(), v.max()) > np.sqrt(np.finfo(np.float64).max / v.size):
         raise ValueError("values too large: EM's squared deviations overflow float64")
     model = _initial_model(v)
-    post, ll = _e_step(model, v)
+    work = _work(v)
+    scratch = work[2]  # free between E-steps
+    post, ll = _e_step(model, v, work)
     trace = [ll]
     for _ in range(EM_MAX_ITERS):
-        counts = np.maximum([_ordered_sum(pc) for pc in post], 1e-300)
-        mu = np.array([_ordered_sum(pc * v) for pc in post]) / counts
-        var = np.array([_ordered_sum(pc * (v - m) ** 2) for pc, m in zip(post, mu)]) / counts
+        counts = np.maximum([_ordered_sum(pc, scratch) for pc in post], 1e-300)
+        mu = np.array([_ordered_sum(np.multiply(pc, v, out=scratch), scratch)
+                       for pc in post]) / counts
+        var = np.empty(2)
+        for c, (pc, m) in enumerate(zip(post, mu)):
+            np.subtract(v, m, out=scratch)
+            np.square(scratch, out=scratch)
+            scratch *= pc
+            var[c] = _ordered_sum(scratch, scratch)
+        var /= counts
         sigma = np.maximum(np.sqrt(var), SIGMA_FLOOR)
         lam = counts / v.size
         lam = lam / lam.sum()
         model = MixtureModel(mu, sigma, lam)
-        post, ll = _e_step(model, v)
+        post, ll = _e_step(model, v, work)
         trace.append(ll)
         if trace[-1] - trace[-2] < EM_TOL:
             break
@@ -146,7 +185,7 @@ def sample_assignments(p_plus: np.ndarray, seed: int) -> np.ndarray:
     reproducible and independent of chunking.
     """
     p_plus = np.asarray(p_plus, dtype=np.float64).ravel()
-    u = unit_uniform(seed, np.arange(p_plus.size))
+    u = unit_uniform(seed, np.arange(p_plus.size, dtype=np.uint64))
     return (u < p_plus).astype(np.uint8)
 
 

@@ -60,10 +60,18 @@ def _splitmix_scalar(x: int) -> int:
 def splitmix64(x: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer over uint64 input."""
     with np.errstate(over="ignore"):
-        z = (x + np.uint64(_GOLDEN)).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return _splitmix_into((x + np.uint64(_GOLDEN)).astype(np.uint64))
+
+
+def _splitmix_into(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 mixing of a uint64 array already advanced by _GOLDEN, in place."""
+    with np.errstate(over="ignore"):
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def unit_uniform(seed: int, indices: np.ndarray) -> np.ndarray:
@@ -73,7 +81,13 @@ def unit_uniform(seed: int, indices: np.ndarray) -> np.ndarray:
     """
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        counter = np.uint64(seed & _MASK64) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-    bits = splitmix64(counter)
-    # keep the top 53 bits: exactly representable in a float64 mantissa
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        # seed + (i + 1) * GOLDEN, advanced by one more GOLDEN for splitmix64
+        z = idx + np.uint64(1)
+        z *= np.uint64(_GOLDEN)
+        z += np.uint64(seed & _MASK64)
+        z += np.uint64(_GOLDEN)
+    bits = _splitmix_into(z)
+    bits >>= np.uint64(11)  # the top 53 bits: exactly representable in a float64 mantissa
+    u = bits.astype(np.float64)
+    u *= 2.0 ** -53
+    return u

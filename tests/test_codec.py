@@ -446,7 +446,7 @@ def outcome(fn, *args):
 
 def same_outcome(got, want):
     if isinstance(want, np.ndarray):
-        return isinstance(got, np.ndarray) and got.dtype == np.int64 and np.array_equal(got, want)
+        return isinstance(got, np.ndarray) and got.dtype == np.uint8 and np.array_equal(got, want)
     return got == want
 
 
@@ -502,7 +502,7 @@ def test_array_coder_matches_serial_reference(table_counts, size, seed, block, c
         payload, bits = table.encode(symbols)
         assert (payload, bits) == serial_encode(table.lengths, symbols)
         decoded = table.decode(payload, bits)
-    assert decoded.dtype == np.int64 and np.array_equal(decoded, symbols)
+    assert decoded.dtype == np.uint8 and np.array_equal(decoded, symbols)
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,8 +8,10 @@ from fqpack.mixture import (
     MINUS,
     PLUS,
     MixtureModel,
+    _e_step,
     _initial_model,
     _ordered_sum,
+    _work,
     fit_em,
     responsibilities_array,
     sample_assignments,
@@ -295,6 +297,89 @@ def test_fit_em_bit_identical_to_reference(kind, n, seed):
     draw = int(rng.integers(2**31))
     assert np.array_equal(sample_assignments(model.p_plus, draw),
                           sample_assignments(posterior[:, PLUS], draw))
+
+
+# --- bit-equality oracle: the column-form EM, with fresh arrays for every pass ---
+
+
+def column_e_step(model, v):
+    """The column-form E-step as it was before it ran in place, frozen."""
+    var = model.sigma ** 2
+    log_var = np.log(var)
+    with np.errstate(divide="ignore"):
+        log_lam = np.log(model.lam)
+    log_w = [-0.5 * ((v - model.mu[c]) ** 2 / var[c] + log_var[c] + _LOG_2PI) + log_lam[c]
+             for c in (MINUS, PLUS)]
+    shift = np.maximum(*log_w)
+    with np.errstate(invalid="ignore"):
+        w = [np.exp(lw - shift) for lw in log_w]
+    total = w[MINUS] + w[PLUS]
+    post = [wc / total for wc in w]
+    fallback = ~np.isfinite(shift)
+    if fallback.any():
+        nearer = np.abs(v - model.mu[PLUS]) < np.abs(v - model.mu[MINUS])
+        post[MINUS][fallback] = ~nearer[fallback]
+        post[PLUS][fallback] = nearer[fallback]
+    return post, float((shift + np.log(total)).mean())
+
+
+def column_sum(x):
+    return np.cumsum(x)[-1] + 0.0
+
+
+def column_fit_em(values):
+    """The column-form fit (E-step, then ordered-sum M-step) as it was, frozen."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    model = _initial_model(v)
+    post, ll = column_e_step(model, v)
+    trace = [ll]
+    for _ in range(200):
+        counts = np.maximum([column_sum(pc) for pc in post], 1e-300)
+        mu = np.array([column_sum(pc * v) for pc in post]) / counts
+        var = np.array([column_sum(pc * (v - m) ** 2) for pc, m in zip(post, mu)]) / counts
+        sigma = np.maximum(np.sqrt(var), 1e-8)
+        lam = counts / v.size
+        lam = lam / lam.sum()
+        model = MixtureModel(mu, sigma, lam)
+        post, ll = column_e_step(model, v)
+        trace.append(ll)
+        if trace[-1] - trace[-2] < 1e-7:
+            break
+    model.ll_trace = trace
+    model.p_plus = post[PLUS]
+    return model
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["gauss", "bimodal", "one-sign", "tied", "few", "two"]),
+       n=st.integers(2, 5000), seed=st.integers(0, 2**32 - 1))
+def test_in_place_fit_em_bit_identical_to_column_form(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "two":  # two values, up to 1e150 apart: each density underflows at the other
+        values = rng.choice(rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3, 150, 2), n)
+    else:
+        values = draw_values(kind, rng, n)
+    if np.unique(values).size < 2:
+        with pytest.raises(DegenerateInputError):
+            fit_em(values)
+        return
+    want = column_fit_em(values)
+    got = fit_em(values)
+    for a, b in ((got.ll_trace, want.ll_trace), (got.p_plus, want.p_plus), (got.mu, want.mu),
+                 (got.sigma, want.sigma), (got.lam, want.lam)):
+        assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("lam", [(0.5, 0.5), (0.0, 1.0)])
+def test_in_place_e_step_matches_column_form_where_both_densities_underflow(lam):
+    # sigma 1e-8: a value 1e150 from both means has log densities of -inf
+    model = MixtureModel(mu=[-1e140, 1e140], sigma=[1e-8, 1e-8], lam=lam)
+    v = np.array([-1e140, 1e140, 0.0, 1e150, -1e150, 1e140 + 1e125, 3e149, -1e-9])
+    want_post, want_ll = column_e_step(model, v)
+    got_post, got_ll = _e_step(model, v, _work(v))
+    assert same_bits(got_ll, want_ll) and np.isnan(got_ll)
+    assert same_bits(np.stack(got_post), np.stack(want_post))
+    assert got_post[PLUS][3:5].tolist() == [1.0, 0.0]  # the nearer mean takes it
 
 
 # --- Wasserstein separation ----------------------------------------------------
