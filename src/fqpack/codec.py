@@ -18,15 +18,22 @@ or per bit:
   those into rows of 16 bits, and a mask keeps each row's first
   code-length bits. In row order the kept bits are the block's stream;
   they go into one one-byte-per-bit array, packed once.
-* decode reads the payload in chunks of ``_CHUNK_BYTES`` (2 KiB). Every bit
-  offset of a chunk takes the 16 bits that start there from the three
-  payload bytes around it, and one gather into a 2^16-entry table of
-  ``length << 8 | symbol`` gives the code length and symbol at that offset.
-  A Python walk along jump tables of those lengths, 2**``_JUMP_LEVELS``
-  codewords a step, picks out the codeword starts; it runs past the end of
-  the chunk rather than stopping short of it. The scratch arrays of one
-  chunk come to under 1 MB, whatever the layer size, and the table to
-  128 KiB.
+* decode walks every block of ``_BLOCK_CODEWORDS`` (512) codewords as a
+  lane, all lanes in lockstep; the record stores where each block starts.
+  A decode table over the 2^16 16-bit windows holds, per window, the up to
+  ``_WINDOW_CODEWORDS`` (8) whole codewords it starts with and the bits
+  they take. A Python step reads 64 bits at every lane's position from a
+  big-endian word per payload byte, takes three windows from them in turn,
+  and moves each lane past each window's whole codewords. A 512-codeword
+  lane of a 5-bit layer takes about 115 windows, 39 steps, whatever the
+  layer's size. The windows each lane read before its end then give its
+  symbols, in order; a lane that does not land exactly on the next block's
+  start, a window that starts with no codeword, or a block of the wrong
+  codeword count is refused. The table is filled at every window where
+  the payload is 8 KiB or longer, and otherwise only at the windows the
+  payload holds. Block lengths cost about 0.03 bits per weight; blocks of
+  2048 codewords would cost a quarter of that, but would leave a layer of
+  a few thousand weights about 450 windows to walk in one lane.
 
 Symbols are uint8 in both directions, as ``LayerQuantization`` holds them.
 ``HuffmanTable.encode`` range-checks a stream of a wider dtype before it
@@ -43,7 +50,12 @@ are described in ``fqpack.framing``):
     mu_minus (sign i8, exponent i8), mu_plus (sign i8, exponent i8)
     sigma f32, wsep f32 (the separation measured when the layer was fitted)
     code lengths, u8 per alphabet symbol (2^n_bits bytes, 0 = absent)
+    count u32, the layer's symbol count
+    block bits, u16 per block of 512 codewords but the last: the bit
+        length of each (ceil(count / 512) - 1 of them; 512 * 16 < 2^16)
     payload_bits u64, payload bytes (zero-padded to a byte boundary)
+
+A record whose decoded symbols do not number its count is refused.
 """
 
 from __future__ import annotations
@@ -76,9 +88,14 @@ REPORT_HEADER = "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity"
 
 MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 16  # symbols placed per encode step
-_CHUNK_BYTES = 1 << 11  # payload bytes decoded per step
-_JUMP_LEVELS = 3  # the decode walk steps 2**3 codewords at a time
+_BLOCK_CODEWORDS = 1 << 9  # codewords per block; 2**9 * 16 bits fit a u16 block length
+_WINDOW_CODEWORDS = 8  # whole codewords a decode window holds at most: one uint64 of bytes
+_OUTPUT_LANES = 128  # lanes whose symbols are gathered at once, to bound the scratch
+# fill bytes of a window that keeps its first k codewords, k = 0..8
+_PREFIX_FILL = (np.arange(_WINDOW_CODEWORDS) < np.arange(_WINDOW_CODEWORDS + 1)[:, None]
+                ).view(np.uint64).ravel()
 _BIT_INDEX = np.arange(MAX_CODE_LEN)  # bit index within a left-justified code
+_BYTE_BITS = np.arange(8, dtype=np.uint64)  # bit offset within a byte
 
 
 def _huffman_lengths(counts: dict) -> dict:
@@ -156,19 +173,66 @@ class HuffmanTable:
         self._ordered = ordered
 
     @cached_property
-    def _lookup(self) -> np.ndarray:
-        """The decode table, built by the first decode, since encoding never reads it.
+    def _first(self) -> np.ndarray:
+        """The single-codeword lookup, built by the first decode, since encoding never reads it.
 
         In canonical order the codes, left-justified in MAX_CODE_LEN bits,
         tile the table from 0: an l-bit code owns 2**(MAX_CODE_LEN - l)
-        entries. Entries past the last code match none; their length
-        max_len + 1 marks them.
+        entries of ``length << 8 | symbol``. Entries past the last code match
+        none; their length MAX_CODE_LEN + 1 marks them.
         """
         ordered_len = self.lengths[self._ordered].astype(np.int64)
-        lookup = np.full(1 << MAX_CODE_LEN, (int(self.lengths.max()) + 1) << 8, dtype=np.uint16)
+        first = np.full(1 << MAX_CODE_LEN, (MAX_CODE_LEN + 1) << 8, dtype=np.uint16)
         span = 1 << (MAX_CODE_LEN - ordered_len)
-        lookup[: span.sum()] = np.repeat((ordered_len << 8 | self._ordered).astype(np.uint16), span)
-        return lookup
+        first[: span.sum()] = np.repeat((ordered_len << 8 | self._ordered).astype(np.uint16), span)
+        return first
+
+    def _codewords(self, windows: np.ndarray, room):
+        """The whole codewords each 16-bit window starts with, up to
+        _WINDOW_CODEWORDS of them and within ``room`` bits of it.
+
+        Returns their count, the bits they take and, per window, a row of
+        their symbols (the bytes after them are left over). Codeword j is read
+        from the single-codeword lookup at the window shifted past the first
+        j; the bits shifted in are past the window, so only a codeword that
+        ends within ``room`` counts, and the first that does not ends the row.
+        """
+        count = np.zeros(windows.size, dtype=np.uint8)
+        used = np.zeros(windows.size, dtype=np.uint16)
+        symbols = np.empty((windows.size, _WINDOW_CODEWORDS), dtype=np.uint8)
+        for j in range(_WINDOW_CODEWORDS):
+            entry = self._first.take(windows << used)
+            symbols[:, j] = entry  # its low byte
+            length = entry >> 8
+            fits = used + length <= room
+            count += fits
+            length *= fits
+            used += length
+        return count, used, symbols
+
+    def _window_table(self, windows=None):
+        """The decode table over the 16-bit windows, filled at ``windows`` (default: all).
+
+        For each window and the up to _WINDOW_CODEWORDS whole codewords it
+        starts with: ``used``, the bits they take (16 where the window starts
+        with no codeword); ``count``, how many there are; and ``fill`` and
+        ``symbols``, one uint64 per window whose bytes are 1 and the symbol
+        for each of them, 0 after them. Its first symbol column is the
+        single-codeword lookup.
+        """
+        size = 1 << MAX_CODE_LEN
+        rows = np.arange(size, dtype=np.uint16) if windows is None else windows
+        count, used, symbols = self._codewords(rows, MAX_CODE_LEN)
+        used[count == 0] = MAX_CODE_LEN
+        table = (used.astype(np.uint8), count, _PREFIX_FILL.take(count),
+                 symbols.view(np.uint64).ravel())
+        if windows is None:
+            return table
+        filled = []
+        for part in table:
+            filled.append(np.zeros(size, dtype=part.dtype))
+            filled[-1][windows] = part
+        return filled
 
     @classmethod
     def from_frequencies(cls, counts, alphabet_size: int) -> "HuffmanTable":
@@ -214,70 +278,128 @@ class HuffmanTable:
             end += kept.size
         return np.packbits(bits).tobytes(), bits.size
 
-    def decode(self, payload, payload_bits: int) -> np.ndarray:
+    def decode(self, payload, payload_bits: int, block_bits=()) -> np.ndarray:
         """Decode exactly payload_bits bits back into uint8 symbols.
 
-        The payload is read _CHUNK_BYTES at a time. Within a chunk, the 16
-        bits at every bit offset index the lookup table, which gives the
-        code length and symbol there; a walk along those lengths from the
-        first codeword start finds the codeword starts, whose symbols are
-        the stream.
+        ``block_bits`` are the bit lengths of the stream's blocks of
+        _BLOCK_CODEWORDS codewords but the last, as a layer record stores
+        them; with none, the stream is one block of any length. Each block is
+        a lane of one walk. A Python step reads 64 bits at every lane's
+        position and takes three 16-bit windows from them in turn, moving the
+        lane past each window's whole codewords. The walk stops once every
+        lane has reached the start of the next block, and after at most
+        _BLOCK_CODEWORDS windows when there are blocks, since every window
+        before a lane's end holds a codeword of it. Then each lane must end
+        exactly on the next block's start, every window before it must hold
+        a codeword, and each block but the last must hold exactly
+        _BLOCK_CODEWORDS codewords, the last 1 to that many.
         """
         data = np.frombuffer(payload, dtype=np.uint8)
         if payload_bits > 8 * data.size:
             raise CorruptionError("payload shorter than its declared bit length")
-        max_len = int(self.lengths.max())
-        shifts = np.arange(8, 0, -1, dtype=np.uint32)
+        starts = np.zeros(len(block_bits) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(block_bits, dtype=np.int64), out=starts[1:])
+        if starts[-1] > payload_bits:
+            raise CorruptionError("block lengths run past the payload")
+        stops = np.append(starts[1:], payload_bits)
         n_bytes = (payload_bits + 7) // 8
-        data = np.concatenate([data[:n_bytes], np.zeros(2, np.uint8)])  # keep windows full
-        pieces = []
-        pos = 0  # bit offset of the next codeword
-        for first in range(0, n_bytes, _CHUNK_BYTES):
-            seg = data[first : first + _CHUNK_BYTES + 2].astype(np.uint32)
-            word = seg[:-2] << 16 | seg[1:-1] << 8 | seg[2:]  # 24 bits from each byte
-            entry = self._lookup[((word[:, None] >> shifts) & 0xFFFF).ravel()]
-            offset = 8 * first
-            starts, at = _codeword_starts(entry[: payload_bits - offset] >> 8, pos - offset)
-            pos = offset + at
-            found = entry[starts]
-            unmatched = found >> 8 > max_len
-            if unmatched.any():
-                bad = offset + int(starts[np.argmax(unmatched)])
-                if payload_bits - bad <= max_len:  # too few bits left to rule out every code
+        padded = np.zeros(n_bytes + 8, dtype=np.uint8)
+        padded[:n_bytes] = data[:n_bytes]
+        # the 64 bits from each byte on; a window is 16 of them
+        words = np.ndarray(n_bytes + 1, dtype=">u8", buffer=padded, strides=(1,))
+        words = words.astype(np.uint64)
+        # a payload of fewer bit offsets than windows needs the table only at
+        # the windows it holds, up to the last word the walk reads
+        if 8 * words.size < 1 << MAX_CODE_LEN:
+            table = self._window_table(
+                ((words[:, None] << _BYTE_BITS) >> 48).astype(np.uint16).ravel())
+        else:
+            table = self._window_table()
+        # every window moves a lane at least one bit
+        limit = min(_BLOCK_CODEWORDS if starts.size > 1 else payload_bits,
+                    int((stops - starts).max()))
+        pos = starts.astype(np.uint64)
+        reached = pos.view(np.int64)
+        read = []  # the window of every lane, in the order read
+        take_word, take_used = words.take, table[0].astype(np.uint64).take
+        check = 1
+        while True:
+            word = take_word(pos >> 3, mode="clip")
+            word <<= pos & 7  # at least 57 bits from pos on: three windows
+            for _ in range(3):
+                window = word >> 48
+                read.append(window)
+                used = take_used(window)
+                pos += used
+                word <<= used
+            if len(read) >= limit:
+                break
+            if len(read) >= check:  # no window moves a lane more than 16 bits
+                gap = int((stops - reached).max())
+                if gap <= 0:
+                    break
+                check = len(read) + -(-gap // MAX_CODE_LEN)
+        return self._lane_symbols(table, np.stack(read).view(np.int64), starts, stops,
+                                  reached, payload_bits)
+
+    def _lane_symbols(self, table, read, starts, stops, reached, payload_bits):
+        """The codewords of each lane from the windows it read, lane after lane.
+
+        ``read`` holds the windows of every lane (column) in the order read
+        (row), and ``reached`` where each lane stopped.
+        """
+        used, count, fill, symbols = table
+        lanes = starts.size
+        lane = np.arange(lanes)
+        taken = used.take(read)
+        # each window's bit offset from its lane's start: blocks stay far below
+        # 2**31 bits, and a lone lane of any length takes int64
+        at = np.cumsum(taken, axis=0, dtype=np.int32 if lanes > 1 else np.int64)
+        at -= taken
+        live = at < stops - starts  # the window starts before the lane's end
+        last = np.maximum(np.count_nonzero(live, axis=0) - 1, 0)
+        # the window in which a lane reaches its end keeps the codewords before it
+        left = stops - starts - at[last, lane]
+        kept, reach, _ = self._codewords(read[last, lane].astype(np.uint16), left)
+        landed = reach == left
+        whole = count.take(read)
+        unmatched = (whole == 0) & live
+        whole *= live
+        codewords = whole.sum(axis=0, dtype=np.int64) - whole[last, lane] + kept
+        miscounted = np.zeros(lanes, dtype=bool)
+        if lanes > 1:  # the last block holds 1 to _BLOCK_CODEWORDS, every other exactly that
+            miscounted[:-1] = codewords[:-1] != _BLOCK_CODEWORDS
+            miscounted[-1] = not 0 < codewords[-1] <= _BLOCK_CODEWORDS
+        bad = unmatched.any(axis=0) | (reached < stops) | ~landed | miscounted
+        if bad.any():
+            i = int(np.argmax(bad))
+            final = i == lanes - 1
+            if unmatched[:, i].any():
+                bit = int(starts[i] + at[np.argmax(unmatched[:, i]), i])
+                if final and payload_bits - bit <= int(self.lengths.max()):
                     raise CorruptionError("payload ends inside a codeword")
                 raise CorruptionError("bit pattern matches no codeword")
-            pieces.append(found.astype(np.uint8))  # an entry's low byte is its symbol
-        if pos != payload_bits:
-            raise CorruptionError("payload ends inside a codeword")
-        return np.concatenate(pieces or [np.zeros(0, np.uint8)])
-
-
-def _codeword_starts(length: np.ndarray, at: int):
-    """Offsets below length.size reached by stepping from ``at`` by length[offset].
-
-    Returns them in increasing order, with the first offset past the end. A
-    length is at most MAX_CODE_LEN + 1 (an unmatched window), so the step
-    table runs that many identity entries past the end and the walk needs
-    no clamp. The Python walk takes 2**_JUMP_LEVELS codewords per step,
-    along jump tables built by repeated gathers, until it passes the end;
-    the skipped starts are filled in from the same tables.
-    """
-    n = length.size
-    # jumps[k][p]: the offset 2**k codewords after p, or the first one past the end
-    step = np.arange(n + MAX_CODE_LEN + 1, dtype=np.int64)
-    step[:n] += length
-    jumps = [step]
-    for _ in range(_JUMP_LEVELS):
-        jumps.append(jumps[-1][jumps[-1]])
-    far = memoryview(jumps[-1])
-    blocks = []
-    while at < n:
-        blocks.append(at)
-        at = far[at]
-    starts = np.array(blocks, dtype=np.int64)
-    for jump in reversed(jumps[:-1]):
-        starts = np.stack([starts, jump[starts]], axis=1).ravel()
-    return starts[starts < n], at
+            if reached[i] < stops[i]:
+                raise CorruptionError(f"block {i} holds over {_BLOCK_CODEWORDS} codewords")
+            if not landed[i]:
+                if final:
+                    raise CorruptionError("payload ends inside a codeword")
+                raise CorruptionError(f"block {i} ends inside a codeword, not at its length")
+            raise CorruptionError(f"block {i} holds {codewords[i]} codewords, "
+                                  f"not {'1 to ' if final else ''}{_BLOCK_CODEWORDS}")
+        out = np.empty(int(codewords.sum()), dtype=np.uint8)
+        done = 0
+        for first in range(0, lanes, _OUTPUT_LANES):
+            rows = slice(first, first + _OUTPUT_LANES)
+            windows = read[:, rows].T
+            flags = fill.take(windows)
+            flags *= live[:, rows].T
+            flags[lane[: flags.shape[0]], last[rows]] = _PREFIX_FILL[kept[rows]]
+            # flatnonzero then take runs about twice as fast as a boolean index
+            picked = symbols.take(windows).view(np.uint8).take(np.flatnonzero(flags.view(bool)))
+            out[done : done + picked.size] = picked
+            done += picked.size
+        return out
 
 
 def _encode_pow2(value: float):
@@ -305,6 +427,12 @@ def _layer_table(lq: LayerQuantization):
     return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
 
 
+def _block_bits(lengths: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The bit length of each block of _BLOCK_CODEWORDS symbols but the last."""
+    firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
+    return np.add.reduceat(gather(lengths, symbols), firsts, dtype=np.uint16)[:-1]
+
+
 def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
     """Every byte of a layer record's body before its payload."""
     ms, me = _encode_pow2(lq.mu[0])
@@ -316,6 +444,8 @@ def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) ->
             ms, me, ps, pe, np.float32(lq.sigma), np.float32(lq.wsep),
         ),
         table.lengths.tobytes(),
+        struct.pack("<I", lq.weight_count),
+        _block_bits(table.lengths, lq.symbols).astype("<u2").tobytes(),
         struct.pack("<Q", payload_bits),
     ))
 
@@ -349,10 +479,16 @@ def decode_layer(data, offset: int = 0):
         table = HuffmanTable(lengths)
     except FormatError as exc:  # such as a code over 16 bits from an earlier writer
         raise FormatError(f"layer {name!r}: {exc}") from exc
+    (count,) = fields.unpack("<I")
+    blocks = -(-count // _BLOCK_CODEWORDS)
+    block_bits = np.frombuffer(fields.take(2 * max(0, blocks - 1)), dtype="<u2")
     (payload_bits,) = fields.unpack("<Q")
     payload = fields.take((payload_bits + 7) // 8)
     fields.done()
-    symbols = table.decode(payload, payload_bits)
+    symbols = table.decode(payload, payload_bits, block_bits)
+    if symbols.size != count:
+        raise CorruptionError(f"layer {name!r}: {symbols.size} symbols, "
+                              f"the record counts {count}")
     try:
         lq = LayerQuantization(
             name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,

@@ -4,7 +4,10 @@ Both file formats are a header and a counted list of CRC-checked records
 (all integers little-endian):
 
     magic   4 bytes   b"FQZ1" or b"FQM1"
-    version u16       VERSION (2); any other version is rejected
+    version u16       VERSION (3); any other version is rejected. Version 3
+                      added each FQZ layer record's symbol count and block
+                      lengths; the FQM layout is that of version 2, and both
+                      formats share the version
     count   u32       number of records
     then count records, each:
         length u32    byte length of the body
@@ -25,7 +28,7 @@ import zlib
 
 from .errors import CorruptionError, FormatError, ValidationError
 
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, record count
 _U32 = struct.Struct("<I")  # a record's body length, and its CRC32

@@ -16,8 +16,10 @@ def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> np.ndarra
     smallest-magnitude weights.
 
     Ties are broken toward the lower flat index, so increasing the target
-    never unmasks a weight that a smaller target pruned. One O(n) partition
-    finds the smallest kept magnitude; the weights must be finite.
+    never unmasks a weight that a smaller target pruned. One O(n) partition,
+    in place on the one copy of the magnitudes, finds the smallest kept
+    magnitude t; the mask and the ties then come from comparing the weights
+    with +-t, once that copy is gone. The weights must be finite.
     """
     flat = np.asarray(weights, dtype=np.float64).ravel()
     if flat.size == 0:
@@ -28,8 +30,12 @@ def prune_by_magnitude(weights: np.ndarray, target_sparsity: float) -> np.ndarra
         raise ValueError(f"target sparsity {target_sparsity} outside [0, 1)")
     n_prune = int(np.floor(target_sparsity * flat.size))
     magnitude = np.abs(flat)
-    threshold = np.partition(magnitude, n_prune)[n_prune]  # the smallest kept
-    keep = magnitude > threshold
-    ties = np.flatnonzero(magnitude == threshold)  # pruned lowest index first
-    keep[ties[n_prune - np.count_nonzero(magnitude < threshold):]] = True
+    magnitude.partition(n_prune)
+    threshold = magnitude[n_prune]  # the smallest kept
+    del magnitude
+    keep = flat > threshold
+    keep |= flat < -threshold
+    ties = np.flatnonzero((flat == threshold) | (flat == -threshold))  # pruned lowest index first
+    below = flat.size - np.count_nonzero(keep) - ties.size
+    keep[ties[n_prune - below:]] = True
     return keep

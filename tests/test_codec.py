@@ -167,7 +167,7 @@ def test_random_stream_round_trips():
         counts = np.bincount(symbols, minlength=alphabet)
         table = HuffmanTable.from_frequencies(counts, alphabet)
         payload, bits = table.encode(symbols)
-        assert "_lookup" not in vars(table)  # encoding builds no decode table
+        assert "_first" not in vars(table)  # encoding builds no decode table
         assert np.array_equal(table.decode(payload, bits), symbols)
 
 
@@ -485,34 +485,39 @@ def stream_for(table, counts, size, seed):
     return np.random.default_rng(seed).choice(present, size=size, p=weights / weights.sum())
 
 
-# sizes small enough that short streams still cross block and chunk edges
+def block_bits(table, symbols):
+    """The bit length of each decode block but the last, as a layer record stores them."""
+    return codec._block_bits(table.lengths, np.asarray(symbols).astype(np.uint8))
+
+
+# sizes small enough that short streams still cross encode and decode block edges
 block_sizes = st.sampled_from([1, 3, 64, codec._ENCODE_SYMBOLS])
-chunk_sizes = st.sampled_from([1, 2, 5, 64, codec._CHUNK_BYTES])
+decode_block_sizes = st.sampled_from([1, 2, 5, 64, codec._BLOCK_CODEWORDS])
 
 
 @settings(max_examples=150, deadline=None)
 @given(code_tables(), st.integers(0, 3000), st.integers(0, 2**32 - 1), block_sizes,
-       chunk_sizes)
-def test_array_coder_matches_serial_reference(table_counts, size, seed, block, chunk):
+       decode_block_sizes)
+def test_array_coder_matches_serial_reference(table_counts, size, seed, block, codewords):
     table, counts = table_counts
     assert table.codes == serial_codes(table.lengths)
     symbols = stream_for(table, counts, size, seed)
     with mock.patch.object(codec, "_ENCODE_SYMBOLS", block), \
-            mock.patch.object(codec, "_CHUNK_BYTES", chunk):
+            mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
         payload, bits = table.encode(symbols)
         assert (payload, bits) == serial_encode(table.lengths, symbols)
-        decoded = table.decode(payload, bits)
+        decoded = table.decode(payload, bits, block_bits(table, symbols))
     assert decoded.dtype == np.uint8 and np.array_equal(decoded, symbols)
 
 
 @settings(max_examples=200, deadline=None)
-@given(code_tables(), st.binary(max_size=40), st.data(), chunk_sizes)
-def test_decode_of_any_bits_matches_serial_reference(table_counts, payload, data, chunk):
+@given(code_tables(), st.binary(max_size=40), st.data(), decode_block_sizes)
+def test_decode_of_any_bits_matches_serial_reference(table_counts, payload, data, codewords):
     # arbitrary payloads reach every error: unmatched patterns under
     # incomplete codes, trailing partial codewords, bit counts past the end
     table, _ = table_counts
     bits = data.draw(st.integers(0, 8 * len(payload) + 9))
-    with mock.patch.object(codec, "_CHUNK_BYTES", chunk):
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
         got = outcome(table.decode, payload, bits)
     assert same_outcome(got, outcome(serial_decode, table.lengths, payload, bits))
 
@@ -594,14 +599,15 @@ def test_wide_eight_bit_layer_is_limited_to_sixteen_bits():
     assert encode_layer(decoded) == record
 
 
-def test_stream_spanning_many_decode_chunks():
+def test_stream_spanning_many_blocks():
     rng = np.random.default_rng(56)
     symbols = rng.choice(32, size=200_000, p=np.r_[0.5, np.full(31, 0.5 / 31)])
     table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=32), 32)
     payload, bits = table.encode(symbols)
-    assert len(payload) > 4 * codec._CHUNK_BYTES
+    lengths = block_bits(table, symbols)
+    assert lengths.size == 390 and lengths.dtype == np.uint16  # 391 blocks of 512 codewords
     assert (payload, bits) == serial_encode(table.lengths, symbols)
-    assert np.array_equal(table.decode(payload, bits), symbols)
+    assert np.array_equal(table.decode(payload, bits, lengths), symbols)
 
 
 def test_decode_errors():
@@ -615,50 +621,134 @@ def test_decode_errors():
         table.decode(b"\x00", 9)
 
 
-# --- the end of the decode walk -----------------------------------------------------
-
-
-def serial_starts(length, at):
-    """Codeword starts below len(length) from ``at``, one step at a time, and the next one."""
-    starts = []
-    while at < len(length):
-        starts.append(at)
-        at += int(length[at])
-    return starts, at
+# --- the block walk ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 17, 64, 1000])
 def test_walk_matches_a_serial_walk_before_at_and_past_the_end(n):
-    # an unmatched window reads length MAX_CODE_LEN + 1; at the last offset
-    # it steps to the last entry of the step table
-    rng = np.random.default_rng(n)
-    length = rng.integers(1, MAX_CODE_LEN + 2, size=n)
-    length[-1] = MAX_CODE_LEN + 1
-    for at in range(n + MAX_CODE_LEN + 1):
-        starts, end = codec._codeword_starts(length, at)
-        assert (starts.tolist(), end) == serial_starts(length, at)
+    # n codewords of a code with 1- to 16-bit codes, then a byte of spare
+    # bits; the payload's declared end falls one bit before, at and one bit
+    # past the end of the last codeword
+    table = HuffmanTable.from_frequencies(fibonacci_counts(27), 64)
+    symbols = np.random.default_rng(n).integers(0, 27, size=n)
+    payload, bits = table.encode(symbols)
+    payload += bytes([n % 256])
+    for end in (bits - 1, bits, bits + 1):
+        want = outcome(serial_decode, table.lengths, payload, end)
+        assert same_outcome(outcome(table.decode, payload, end), want)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+        lengths = block_bits(table, symbols)
+        assert np.array_equal(table.decode(payload, bits, lengths), symbols)
+        with pytest.raises(CorruptionError, match="payload ends inside a codeword"):
+            table.decode(payload, bits - 1, lengths)
 
 
 def edge_stream(tail: str):
-    """Payload and bit count of "010", then "00" until one bit short of the first
-    chunk's end, then ``tail``, under a table whose codes are 00, 010 and a 16-bit
-    0110...0; a window from 0110...01 up matches no code."""
-    bits = "010" + "00" * (4 * codec._CHUNK_BYTES - 2) + tail
-    assert len(bits) - len(tail) == 8 * codec._CHUNK_BYTES - 1
+    """Payload, bit count and table of "010", "00" up to the last codeword of the
+    fourth 8-codeword block, then ``tail`` from there, under a table whose codes
+    are 00, 010 and a 16-bit 0110...0; a window from 0110...01 up matches no code."""
+    bits = "010" + "00" * 30 + tail
     payload = np.packbits(np.frombuffer(bits.encode(), np.uint8) - ord("0")).tobytes()
     return HuffmanTable(np.array([2, 3, 16], dtype=np.uint8)), payload, len(bits)
 
 
 @pytest.mark.parametrize("tail", [
-    "1",  # unmatched at the chunk's last offset, the payload's last bit
-    "1" * 17,  # unmatched at the chunk's last offset, the next chunk's bits after it
+    "1",  # unmatched at the block's last codeword, the payload's last bit
+    "1" * 17,  # unmatched at the block's last codeword, more bits after it
     "0110",  # a 16-bit code cut short by the payload's end
-    "0110000000000000" "010",  # a 16-bit code from the chunk's last offset into the next
+    "0110000000000000" "010",  # a 16-bit code that ends the block, then one more
 ])
-def test_walk_from_the_last_offset_of_a_chunk(tail):
+def test_walk_from_the_last_offset_of_a_block(tail):
     table, payload, bits = edge_stream(tail)
-    got = outcome(table.decode, payload, bits)  # an IndexError would escape this
-    assert same_outcome(got, outcome(serial_decode, table.lengths, payload, bits))
+    want = outcome(serial_decode, table.lengths, payload, bits)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 8):
+        # the lengths of the blocks the stream completes, before the tail
+        prefix = want if isinstance(want, np.ndarray) else [1] + [0] * 30
+        lengths = block_bits(table, prefix)
+        assert lengths.tolist()[:3] == [17, 16, 16]
+        got = outcome(table.decode, payload, bits, lengths)
+    assert same_outcome(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(code_tables(), st.sampled_from([1, 2, 5, 64]), st.sampled_from([-1, 0, 1, "k"]),
+       st.integers(2, 6), st.integers(0, 2**32 - 1))
+def test_block_walk_matches_serial_reference(table_counts, codewords, edge, k, seed):
+    # streams one codeword short of, at and one past a block, and of k blocks
+    table, counts = table_counts
+    size = k * codewords if edge == "k" else codewords + edge
+    symbols = stream_for(table, counts, size, seed)
+    payload, bits = table.encode(symbols)
+    want = serial_decode(table.lengths, payload, bits)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
+        lengths = block_bits(table, symbols)
+        assert lengths.size == max(0, -(-size // codewords) - 1)
+        got = table.decode(payload, bits, lengths)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+
+
+def two_bit_stream(symbols, lengths=(2, 2, 2, 2)):
+    """Table, payload and bit count of 2-bit codewords; a table with a 0 length
+    leaves a codeword that matches nothing."""
+    table = HuffmanTable(np.array(lengths, dtype=np.uint8))
+    return (table,) + serial_encode(np.array([2, 2, 2, 2]), symbols)
+
+
+# 3 blocks of 4 two-bit codewords, then 2 more: block lengths 8, 8, 8
+SYMBOLS_14 = [0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2, 0, 3]
+
+
+@pytest.mark.parametrize("lengths, message", [
+    ([8, 7, 8], "block 1 ends inside a codeword"),  # one length off by -1
+    ([8, 9, 8], "block 1 ends inside a codeword"),  # and by +1
+    ([9, 7, 8], "block 0 ends inside a codeword"),  # one offset inside a codeword
+    ([10, 6, 8], "block 0 holds 5 codewords, not 4"),  # one on another codeword's start
+    ([8, 8, 8, 11], "block lengths run past the payload"),
+    ([8, 8], "block 2 holds 6 codewords, not 1 to 4"),  # too few lengths
+    ([8, 8, 8, 2], "block 3 holds 1 codewords, not 4"),  # too many
+    ([8, 8, 8, 4], "block 3 holds 2 codewords, not 4"),
+])
+def test_block_lengths_that_do_not_fit_the_stream_are_refused(lengths, message):
+    table, payload, bits = two_bit_stream(SYMBOLS_14)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+        assert table.decode(payload, bits, [8, 8, 8]).tolist() == SYMBOLS_14
+        with pytest.raises(CorruptionError, match=message):
+            table.decode(payload, bits, lengths)
+
+
+def test_empty_last_block_is_refused():
+    table, payload, bits = two_bit_stream(SYMBOLS_14[:12])
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+        assert table.decode(payload, bits, [8, 8]).tolist() == SYMBOLS_14[:12]
+        with pytest.raises(CorruptionError, match="block 3 holds 0 codewords, not 1 to 4"):
+            table.decode(payload, bits, [8, 8, 8])
+
+
+def test_unmatched_window_inside_a_lane_is_refused():
+    # 11 matches no code of a table with 00, 01 and 10 only; it is the second
+    # codeword of block 1
+    symbols = SYMBOLS_14[:5] + [3] + [0] * 8
+    table, payload, bits = two_bit_stream(symbols, lengths=(2, 2, 2, 0))
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+        with pytest.raises(CorruptionError, match="bit pattern matches no codeword"):
+            table.decode(payload, bits, [8, 8, 8])
+    assert outcome(table.decode, payload, bits)[1] == "bit pattern matches no codeword"
+
+
+def test_payload_ending_inside_the_last_block_is_refused():
+    table, payload, bits = two_bit_stream(SYMBOLS_14)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+        with pytest.raises(CorruptionError, match="payload ends inside a codeword"):
+            table.decode(payload, bits - 1, [8, 8, 8])
+
+
+def test_lane_walk_stops_after_a_block_of_steps():
+    # 40 codewords, of which the first block claims 38 with the block size at
+    # 2: its lane cannot reach its end in 2 steps
+    table, payload, bits = two_bit_stream([0] * 40)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 2):
+        with pytest.raises(CorruptionError, match="block 0 holds over 2 codewords"):
+            table.decode(payload, bits, [76])
 
 
 # --- record sizes, record checks, container version ---------------------------------
@@ -680,6 +770,42 @@ def test_report_sizes_equal_encoded_records(mode, n_bits):
     rows = compression_report(ModelFile([spec]), cm)
     assert rows[0].comp_bytes == len(encode_layer(lq))
     assert rows[1].comp_bytes == len(encode_compressed(cm))
+
+
+@pytest.mark.parametrize("n", [512, 513, 5000])
+def test_report_size_counts_the_symbol_count_and_block_lengths(n):
+    lq = _shift_layer("wide", n=n)
+    spec = LayerSpec(name=lq.name, kind="conv2d", geometry=(1, 1, 1, n, 1, 1),
+                     weight=np.zeros((1, 1, 1, n), dtype=np.float32))
+    record = encode_layer(lq)
+    payload, _ = codec._layer_table(lq)[0].encode(lq.symbols)
+    # record length, name field, fixed fields, code lengths; then the symbol
+    # count, a u16 per 512-codeword block but the last, the bit count, payload, CRC
+    count_at = 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size
+    assert struct.unpack_from("<I", record, count_at) == (n,)
+    blocks = -(-n // 512) - 1
+    assert len(record) == count_at + 4 + 2 * blocks + 8 + len(payload) + 4
+    rows = compression_report(ModelFile([spec]), CompressedModel([lq]))
+    assert rows[0].comp_bytes == len(record)
+
+
+def test_record_whose_count_differs_from_its_symbols_is_refused():
+    lq = _shift_layer("conv", n=300)
+    record = bytearray(encode_layer(lq))
+    count_at = 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size
+    for count in (299, 301):  # the same single block, one symbol short or over
+        record[count_at : count_at + 4] = struct.pack("<I", count)
+        with pytest.raises(CorruptionError, match=f"300 symbols, the record counts {count}"):
+            decode_layer(_with_crc(bytes(record)))
+
+
+def test_record_round_trip_through_many_blocks():
+    lq = _rec_layer("conv", n=512)
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 5):
+        record = encode_layer(lq)
+        decoded, _ = decode_layer(record)
+    assert len(record) == len(encode_layer(lq)) + 2 * (103 - 1)  # 103 blocks of 5
+    assert np.array_equal(decoded.symbols, lq.symbols)
 
 
 def _with_crc(record: bytes) -> bytes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,3 +95,17 @@ def test_mask_matches_stable_sort_reference(kind, n, seed, target):
     else:
         w = np.full(n, rng.choice([0.0, -0.0, 0.5, -2.0]))
     assert np.array_equal(prune_by_magnitude(w, target), reference_mask(w, target) == 1)
+
+
+@pytest.mark.parametrize("target", [0.0, 0.5, 0.95])
+def test_prune_holds_one_layer_sized_float_array_at_most(target):
+    # the magnitudes are the one float64 copy; the partition runs in place on it
+    weights = np.random.default_rng(3).normal(size=(3, 3, 64, 256))
+    tracemalloc.start()  # numpy reports its buffers, so the peak is deterministic
+    try:
+        keep = prune_by_magnitude(weights, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(keep, reference_mask(weights, target) == 1)
+    assert peak < 1.1 * weights.nbytes, f"traced peak {peak / weights.nbytes:.2f} layers"
