@@ -55,7 +55,9 @@ are described in ``fqpack.framing``):
         length of each (ceil(count / 512) - 1 of them; 512 * 16 < 2^16)
     payload_bits u64, payload bytes (zero-padded to a byte boundary)
 
-A record whose decoded symbols do not number its count is refused.
+A record is refused if its payload holds more bits than its count times
+the longest code, before it is decoded, or if its decoded symbols do not
+number its count.
 """
 
 from __future__ import annotations
@@ -215,17 +217,16 @@ class HuffmanTable:
 
         For each window and the up to _WINDOW_CODEWORDS whole codewords it
         starts with: ``used``, the bits they take (16 where the window starts
-        with no codeword); ``count``, how many there are; and ``fill`` and
-        ``symbols``, one uint64 per window whose bytes are 1 and the symbol
-        for each of them, 0 after them. Its first symbol column is the
+        with no codeword); ``count``, how many there are; and ``symbols``,
+        one uint64 per window whose bytes are the symbol of each of them
+        (the bytes after them are left over). Its first symbol column is the
         single-codeword lookup.
         """
         size = 1 << MAX_CODE_LEN
         rows = np.arange(size, dtype=np.uint16) if windows is None else windows
         count, used, symbols = self._codewords(rows, MAX_CODE_LEN)
         used[count == 0] = MAX_CODE_LEN
-        table = (used.astype(np.uint8), count, _PREFIX_FILL.take(count),
-                 symbols.view(np.uint64).ravel())
+        table = (used.astype(np.uint8), count, symbols.view(np.uint64).ravel())
         if windows is None:
             return table
         filled = []
@@ -289,7 +290,11 @@ class HuffmanTable:
         lane past each window's whole codewords. The walk stops once every
         lane has reached the start of the next block, and after at most
         _BLOCK_CODEWORDS windows when there are blocks, since every window
-        before a lane's end holds a codeword of it. Then each lane must end
+        before a lane's end holds a codeword of it. A lone lane is bounded by
+        its bits: any two windows in a row move it at least 16 bits, as a
+        codeword one window cannot finish starts the next, and
+        :func:`decode_layer` holds a one-block record to its count times the
+        longest code (at most 8,192 bits, about 1,030 windows). Then each lane must end
         exactly on the next block's start, every window before it must hold
         a codeword, and each block but the last must hold exactly
         _BLOCK_CODEWORDS codewords, the last 1 to that many.
@@ -321,7 +326,7 @@ class HuffmanTable:
         pos = starts.astype(np.uint64)
         reached = pos.view(np.int64)
         read = []  # the window of every lane, in the order read
-        take_word, take_used = words.take, table[0].astype(np.uint64).take
+        take_word, take_used = words.take, table[0].take
         check = 1
         while True:
             word = take_word(pos >> 3, mode="clip")
@@ -348,7 +353,7 @@ class HuffmanTable:
         ``read`` holds the windows of every lane (column) in the order read
         (row), and ``reached`` where each lane stopped.
         """
-        used, count, fill, symbols = table
+        used, count, symbols = table
         lanes = starts.size
         lane = np.arange(lanes)
         taken = used.take(read)
@@ -391,12 +396,12 @@ class HuffmanTable:
         done = 0
         for first in range(0, lanes, _OUTPUT_LANES):
             rows = slice(first, first + _OUTPUT_LANES)
-            windows = read[:, rows].T
-            flags = fill.take(windows)
-            flags *= live[:, rows].T
+            # a flag byte per codeword a window holds before its lane's end
+            flags = _PREFIX_FILL.take(whole[:, rows].T)
             flags[lane[: flags.shape[0]], last[rows]] = _PREFIX_FILL[kept[rows]]
             # flatnonzero then take runs about twice as fast as a boolean index
-            picked = symbols.take(windows).view(np.uint8).take(np.flatnonzero(flags.view(bool)))
+            picked = symbols.take(read[:, rows].T).view(np.uint8).take(
+                np.flatnonzero(flags.view(bool)))
             out[done : done + picked.size] = picked
             done += picked.size
         return out
@@ -427,13 +432,19 @@ def _layer_table(lq: LayerQuantization):
     return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
 
 
+def _stored_blocks(count: int) -> int:
+    """How many block lengths a record of ``count`` symbols stores: one per block but the last."""
+    return max(0, -(-count // _BLOCK_CODEWORDS) - 1)
+
+
 def _block_bits(lengths: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     """The bit length of each block of _BLOCK_CODEWORDS symbols but the last."""
     firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
     return np.add.reduceat(gather(lengths, symbols), firsts, dtype=np.uint16)[:-1]
 
 
-def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
+def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
+               block_bits: np.ndarray) -> bytes:
     """Every byte of a layer record's body before its payload."""
     ms, me = _encode_pow2(lq.mu[0])
     ps, pe = _encode_pow2(lq.mu[1])
@@ -445,7 +456,7 @@ def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) ->
         ),
         table.lengths.tobytes(),
         struct.pack("<I", lq.weight_count),
-        _block_bits(table.lengths, lq.symbols).astype("<u2").tobytes(),
+        block_bits.astype("<u2").tobytes(),
         struct.pack("<Q", payload_bits),
     ))
 
@@ -454,15 +465,22 @@ def encode_layer(lq: LayerQuantization) -> bytes:
     """Serialize one quantized layer to its framed container record."""
     table, _ = _layer_table(lq)
     payload, payload_bits = table.encode(lq.symbols)
-    return framing.pack_record(_body_head(lq, table, payload_bits) + payload)
+    block_bits = _block_bits(table.lengths, lq.symbols)
+    return framing.pack_record(_body_head(lq, table, payload_bits, block_bits) + payload)
 
 
 def _record_size(lq: LayerQuantization) -> int:
-    """Exact byte length of ``encode_layer(lq)``, found without encoding."""
+    """Exact byte length of ``encode_layer(lq)``, found without encoding.
+
+    The block lengths take two bytes each whatever their values, so zeros
+    stand in for them.
+    """
     table, counts = _layer_table(lq)
     payload_bits = int(np.dot(counts, table.lengths.astype(np.int64)))
     payload = (payload_bits + 7) // 8
-    return framing.RECORD_OVERHEAD + len(_body_head(lq, table, payload_bits)) + payload
+    head = _body_head(lq, table, payload_bits,
+                      np.zeros(_stored_blocks(lq.weight_count), dtype=np.uint16))
+    return framing.RECORD_OVERHEAD + len(head) + payload
 
 
 def decode_layer(data, offset: int = 0):
@@ -480,11 +498,15 @@ def decode_layer(data, offset: int = 0):
     except FormatError as exc:  # such as a code over 16 bits from an earlier writer
         raise FormatError(f"layer {name!r}: {exc}") from exc
     (count,) = fields.unpack("<I")
-    blocks = -(-count // _BLOCK_CODEWORDS)
-    block_bits = np.frombuffer(fields.take(2 * max(0, blocks - 1)), dtype="<u2")
+    block_bits = np.frombuffer(fields.take(2 * _stored_blocks(count)), dtype="<u2")
     (payload_bits,) = fields.unpack("<Q")
     payload = fields.take((payload_bits + 7) // 8)
     fields.done()
+    # refused before the walk, whose one lane in a record of a single block
+    # is bounded only by these bits
+    if payload_bits > count * int(table.lengths.max()):
+        raise CorruptionError(f"layer {name!r}: {payload_bits} payload bits "
+                              f"for {count} symbols")
     symbols = table.decode(payload, payload_bits, block_bits)
     if symbols.size != count:
         raise CorruptionError(f"layer {name!r}: {symbols.size} symbols, "

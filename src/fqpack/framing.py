@@ -4,10 +4,9 @@ Both file formats are a header and a counted list of CRC-checked records
 (all integers little-endian):
 
     magic   4 bytes   b"FQZ1" or b"FQM1"
-    version u16       VERSION (3); any other version is rejected. Version 3
-                      added each FQZ layer record's symbol count and block
-                      lengths; the FQM layout is that of version 2, and both
-                      formats share the version
+    version u16       the magic's entry in VERSIONS; any other version is
+                      rejected. FQZ is at 3, which added each layer record's
+                      symbol count and block lengths; FQM is at 2
     count   u32       number of records
     then count records, each:
         length u32    byte length of the body
@@ -28,7 +27,7 @@ import zlib
 
 from .errors import CorruptionError, FormatError, ValidationError
 
-VERSION = 3
+VERSIONS = {b"FQZ1": 3, b"FQM1": 2}  # the version each magic's files are written and read at
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, record count
 _U32 = struct.Struct("<I")  # a record's body length, and its CRC32
@@ -39,7 +38,7 @@ RECORD_OVERHEAD = 2 * _U32.size  # framing bytes around each body
 
 def pack(magic: bytes, records: list) -> bytes:
     """A whole container: the header, then the records ``pack_record`` framed."""
-    return _HEADER.pack(magic, VERSION, len(records)) + b"".join(records)
+    return _HEADER.pack(magic, VERSIONS[magic], len(records)) + b"".join(records)
 
 
 def pack_record(body: bytes) -> bytes:
@@ -116,8 +115,9 @@ def read_container(data, magic: bytes, read_item, build):
     found, version, count = _HEADER.unpack_from(data)
     if found != magic:
         raise FormatError(f"bad magic {found!r}, expected {magic!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported container version {version}, expected {VERSION}")
+    if version != VERSIONS[magic]:
+        raise FormatError(f"unsupported container version {version}, "
+                          f"expected {VERSIONS[magic]}")
     items = []
     offset = _HEADER.size
     for index in range(count):

@@ -242,7 +242,8 @@ def test_container_with_a_code_over_sixteen_bits_exits_2(assets, capsys, tmp_pat
     first = cm.layers[0]
     lengths = np.zeros(first.alphabet_size, dtype=np.uint8)
     lengths[:18] = list(range(1, 18)) + [17]
-    body = codec._body_head(first, SimpleNamespace(lengths=lengths), 8) + b"\0"
+    blocks = np.zeros(codec._stored_blocks(first.weight_count), dtype=np.uint16)
+    body = codec._body_head(first, SimpleNamespace(lengths=lengths), 8, blocks) + b"\0"
     records = [framing.pack_record(body)] + [codec.encode_layer(lq) for lq in cm.layers[1:]]
     old = tmp_path / "old.fqz"
     old.write_bytes(framing.pack(codec.MAGIC, records))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqpack import codec
+from fqpack import codec, framing
 from fqpack.codec import (
     MAX_CODE_LEN,
     REPORT_HEADER,
@@ -797,6 +797,28 @@ def test_record_whose_count_differs_from_its_symbols_is_refused():
         record[count_at : count_at + 4] = struct.pack("<I", count)
         with pytest.raises(CorruptionError, match=f"300 symbols, the record counts {count}"):
             decode_layer(_with_crc(bytes(record)))
+
+
+def test_record_with_more_bits_than_its_count_can_take_is_refused_unwalked():
+    # 100 symbols, one block, so no block lengths cap the walk of its lane
+    lq = _shift_layer("conv", n=100)
+    table, _ = codec._layer_table(lq)
+    longest = int(table.lengths.max())
+    no_blocks = np.zeros(0, dtype=np.uint16)
+    payload = np.random.default_rng(3).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
+    for bits in (100 * longest + 1, 8 * len(payload)):
+        record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
+                                     + payload[: (bits + 7) // 8])
+        with mock.patch.object(HuffmanTable, "decode", side_effect=AssertionError("walked")):
+            with pytest.raises(CorruptionError, match=f"{bits} payload bits for 100 symbols"):
+                decode_layer(record)
+    # 100 codewords of the longest code: the record goes on to the walk
+    bits = 100 * longest
+    record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
+                                 + payload[: (bits + 7) // 8])
+    with mock.patch.object(HuffmanTable, "decode", side_effect=AssertionError("walked")):
+        with pytest.raises(AssertionError, match="walked"):
+            decode_layer(record)
 
 
 def test_record_round_trip_through_many_blocks():

@@ -55,6 +55,8 @@ CODECS = {
     "fqm": (decode_model, encode_model, ModelFile),
     "fqz": (decode_compressed, encode_compressed, CompressedModel),
 }
+# format -> its version: FQZ records gained a symbol count and block lengths at 3
+VERSIONS = {"fqm": 2, "fqz": 3}
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def test_header_layout(fmt, small):
     decode, encode, _ = CODECS[fmt]
     data = encode(small[fmt])
     magic, version, count = struct.unpack_from("<4sHI", data)
-    assert (magic, version, count) == (fmt.upper().encode() + b"1", 3, 3)
+    assert (magic, version, count) == (fmt.upper().encode() + b"1", VERSIONS[fmt], 3)
     assert encode(decode(data)) == data
 
 
@@ -108,17 +110,20 @@ def test_trailing_bytes_are_a_format_error(fmt, small):
 @pytest.mark.parametrize("fmt", sorted(CODECS))
 def test_version_1_file_is_rejected(fmt):
     decode, _, _ = CODECS[fmt]
-    with pytest.raises(FormatError, match="unsupported container version 1, expected 3"):
+    with pytest.raises(FormatError,
+                       match=f"unsupported container version 1, expected {VERSIONS[fmt]}"):
         decode(V1_FILES[fmt])
 
 
-@pytest.mark.parametrize("fmt", sorted(CODECS))
-@pytest.mark.parametrize("version", [0, 1, 2, 77, 0xFFFF])
+@pytest.mark.parametrize("version, fmt", [
+    (version, fmt) for fmt in sorted(CODECS)
+    for version in (0, 1, 2, 3, 77, 0xFFFF) if version != VERSIONS[fmt]
+])
 def test_any_other_version_is_rejected(fmt, version, small):
     decode, encode, _ = CODECS[fmt]
     data = bytearray(encode(small[fmt]))
     data[4:6] = struct.pack("<H", version)
-    with pytest.raises(FormatError, match=f"version {version}, expected 3"):
+    with pytest.raises(FormatError, match=f"version {version}, expected {VERSIONS[fmt]}"):
         decode(bytes(data))
 
 
