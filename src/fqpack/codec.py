@@ -17,19 +17,22 @@ or per bit:
   gives every symbol's code left-justified in 16 bits, one unpack turns
   those into rows of 16 bits, and a mask keeps each row's first
   code-length bits. In row order the kept bits are the block's stream;
-  they go into one one-byte-per-bit array, packed once.
+  they go into one one-byte-per-bit array, packed once. The code lengths
+  gathered for the mask, summed per block, are the record's block lengths.
 * decode walks every block of ``_BLOCK_CODEWORDS`` (512) codewords as a
   lane, all lanes in lockstep; the record stores where each block starts.
   A decode table over the 2^16 16-bit windows holds, per window, the up to
   ``_WINDOW_CODEWORDS`` (8) whole codewords it starts with and the bits
-  they take. A Python step reads 64 bits at every lane's position from a
-  big-endian word per payload byte, takes three windows from them in turn,
-  and moves each lane past each window's whole codewords. A 512-codeword
-  lane of a 5-bit layer takes about 115 windows, 39 steps, whatever the
-  layer's size. The windows each lane read before its end then give its
-  symbols, in order; a lane that does not land exactly on the next block's
-  start, a window that starts with no codeword, or a block of the wrong
-  codeword count is refused. The table is filled at every window where
+  they take; one loop of 8 single-codeword lookups builds it. A Python
+  step reads 64 bits at every lane's position from a big-endian word per
+  payload byte, takes three windows from them in turn, and moves each lane
+  past each window's whole codewords. A 512-codeword lane of a 5-bit layer
+  takes about 115 windows, 39 steps, whatever the layer's size. The
+  windows each lane read before its end then give its symbols, in order;
+  of the last, the codewords of its table row that end by the lane's end.
+  A lane that does not land exactly on the next block's start, a window
+  that starts with no codeword, or a block of the wrong codeword count is
+  refused. The table is filled at every window where
   the payload is 8 KiB or longer, and otherwise only at the windows the
   payload holds. Block lengths cost about 0.03 bits per weight; blocks of
   2048 codewords would cost a quarter of that, but would leave a layer of
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,23 +102,23 @@ _BIT_INDEX = np.arange(MAX_CODE_LEN)  # bit index within a left-justified code
 _BYTE_BITS = np.arange(8, dtype=np.uint64)  # bit offset within a byte
 
 
-def _huffman_lengths(counts: dict) -> dict:
-    """Code length per symbol from positive counts, none over MAX_CODE_LEN bits.
+def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
+    """uint8 code length per symbol of a dense count array (0 where the count is
+    0), none over MAX_CODE_LEN bits.
 
     Package-merge: the leaves, sorted by (count, symbol), are merged with
     pairs of the list one level deeper, MAX_CODE_LEN - 1 times, a package
     going before a leaf of equal weight. The first 2n - 2 items of the top
     level are taken, and a package taken takes the two items it was made of
     one level down. A symbol's length is the number of levels at which its
-    leaf is taken.
+    leaf is taken, and a lone symbol's is 1.
     """
-    items = sorted(counts.items(), key=lambda item: (item[1], item[0]))
-    if not items:
+    present = np.flatnonzero(counts)
+    if present.size == 0:
         raise ValueError("no symbols to code")
-    n = len(items)
-    if n == 1:
-        return {items[0][0]: 1}
-    leaf_weight = np.array([cnt for _, cnt in items], dtype=np.int64)
+    symbols = present[np.argsort(counts[present], kind="stable")]  # by (count, symbol)
+    n = symbols.size
+    leaf_weight = counts[symbols].astype(np.int64)
     leaf = np.arange(n)
     weight = leaf_weight
     levels = []  # per level above the deepest: leaf index per item, -1 for a package
@@ -134,7 +136,9 @@ def _huffman_lengths(counts: dict) -> dict:
         depth[taken[taken >= 0]] += 1
         take = 2 * int(np.count_nonzero(taken < 0))  # a package takes in two items below
     depth[:take] += 1  # the deepest level holds only the leaves, in order
-    return dict(zip((sym for sym, _ in items), depth.tolist()))
+    lengths = np.zeros(counts.size, dtype=np.uint8)
+    lengths[symbols] = np.maximum(depth, 1)
+    return lengths
 
 
 @dataclass
@@ -142,115 +146,82 @@ class HuffmanTable:
     """Canonical prefix code over an alphabet of at most 256 small integers."""
 
     lengths: np.ndarray  # uint8 per alphabet symbol; 0 = symbol absent
-    codes: dict = field(init=False, repr=False)
-    _left_codes: np.ndarray = field(init=False, repr=False)
     _ordered: np.ndarray = field(init=False, repr=False)  # symbols in canonical order
+    _span: np.ndarray = field(init=False, repr=False)  # 2**(16 - length) per ordered symbol
+    _left_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.uint8)
+        if self.lengths.size > 256:  # a symbol is one byte
+            raise ValueError(f"{self.lengths.size} symbols; an alphabet holds at most 256")
         present = np.nonzero(self.lengths)[0]
         if present.size == 0:
             raise FormatError("code table has no symbols")
         max_len = int(self.lengths.max())
         if max_len > MAX_CODE_LEN:
             raise FormatError(f"code length {max_len} exceeds the {MAX_CODE_LEN}-bit limit")
-        count = np.bincount(self.lengths[present], minlength=max_len + 1).tolist()
-        # canonical numbering: the codes of each length continue, one bit
-        # longer, from just past the last code of the length before
-        first_code = [0] * (max_len + 1)
-        for length in range(1, max_len + 1):
-            first_code[length] = (first_code[length - 1] + count[length - 1]) << 1
-        if first_code[max_len] + count[max_len] > 1 << max_len:
-            kraft = float(np.sum(2.0 ** -self.lengths[present].astype(np.float64)))
+        # canonical numbering: in canonical order (shorter codes first, ties
+        # by symbol) the codes, left-justified in MAX_CODE_LEN bits, tile the
+        # windows from 0, an l-bit code spanning 2**(MAX_CODE_LEN - l) of them
+        self._ordered = present[np.lexsort((present, self.lengths[present]))]
+        self._span = 1 << (MAX_CODE_LEN - self.lengths[self._ordered].astype(np.int64))
+        if self._span.sum() > 1 << MAX_CODE_LEN:
+            kraft = int(self._span.sum()) / (1 << MAX_CODE_LEN)
             raise FormatError(f"Kraft sum {kraft} exceeds 1: not a prefix code")
-        # symbols in canonical order (shorter codes first, ties by symbol)
-        ordered = present[np.lexsort((present, self.lengths[present]))]
-        ordered_len = self.lengths[ordered].astype(np.int64)
-        codes = np.array(first_code, dtype=np.int64)[ordered_len]
-        codes += np.arange(ordered.size) - np.searchsorted(ordered_len, ordered_len)
-        self.codes = dict(zip(ordered.tolist(), codes.tolist()))
         # big-endian, so the bytes of a code read MSB first
         self._left_codes = np.zeros(self.lengths.size, dtype=">u2")
-        self._left_codes[ordered] = codes << (MAX_CODE_LEN - ordered_len)
-        self._ordered = ordered
+        self._left_codes[self._ordered] = np.cumsum(self._span) - self._span
 
-    @cached_property
-    def _first(self) -> np.ndarray:
-        """The single-codeword lookup, built by the first decode, since encoding never reads it.
-
-        In canonical order the codes, left-justified in MAX_CODE_LEN bits,
-        tile the table from 0: an l-bit code owns 2**(MAX_CODE_LEN - l)
-        entries of ``length << 8 | symbol``. Entries past the last code match
-        none; their length MAX_CODE_LEN + 1 marks them.
-        """
-        ordered_len = self.lengths[self._ordered].astype(np.int64)
-        first = np.full(1 << MAX_CODE_LEN, (MAX_CODE_LEN + 1) << 8, dtype=np.uint16)
-        span = 1 << (MAX_CODE_LEN - ordered_len)
-        first[: span.sum()] = np.repeat((ordered_len << 8 | self._ordered).astype(np.uint16), span)
-        return first
-
-    def _codewords(self, windows: np.ndarray, room):
-        """The whole codewords each 16-bit window starts with, up to
-        _WINDOW_CODEWORDS of them and within ``room`` bits of it.
-
-        Returns their count, the bits they take and, per window, a row of
-        their symbols (the bytes after them are left over). Codeword j is read
-        from the single-codeword lookup at the window shifted past the first
-        j; the bits shifted in are past the window, so only a codeword that
-        ends within ``room`` counts, and the first that does not ends the row.
-        """
-        count = np.zeros(windows.size, dtype=np.uint8)
-        used = np.zeros(windows.size, dtype=np.uint16)
-        symbols = np.empty((windows.size, _WINDOW_CODEWORDS), dtype=np.uint8)
-        for j in range(_WINDOW_CODEWORDS):
-            entry = self._first.take(windows << used)
-            symbols[:, j] = entry  # its low byte
-            length = entry >> 8
-            fits = used + length <= room
-            count += fits
-            length *= fits
-            used += length
-        return count, used, symbols
-
-    def _window_table(self, windows=None):
-        """The decode table over the 16-bit windows, filled at ``windows`` (default: all).
+    def _window_table(self, words=None):
+        """The decode table over the 16-bit windows: filled at every window,
+        or, given ``words``, only at the windows those 64-bit words start with
+        at each bit offset of their first byte.
 
         For each window and the up to _WINDOW_CODEWORDS whole codewords it
         starts with: ``used``, the bits they take (16 where the window starts
         with no codeword); ``count``, how many there are; and ``symbols``,
         one uint64 per window whose bytes are the symbol of each of them
-        (the bytes after them are left over). Its first symbol column is the
-        single-codeword lookup.
+        (the bytes after them are left over). One loop reads codeword j of
+        every window from a single-codeword lookup at the window shifted past
+        the first j: each code's span of windows holds ``length << 8 | symbol``,
+        and the windows past the last code hold length 17. The first codeword
+        that does not end within the window ends its row.
         """
         size = 1 << MAX_CODE_LEN
-        rows = np.arange(size, dtype=np.uint16) if windows is None else windows
-        count, used, symbols = self._codewords(rows, MAX_CODE_LEN)
+        first = np.full(size, (MAX_CODE_LEN + 1) << 8, dtype=np.uint16)
+        entries = self.lengths[self._ordered].astype(np.uint16) << 8 | self._ordered
+        first[: self._span.sum()] = np.repeat(entries, self._span)
+        rows = (np.arange(size, dtype=np.uint16) if words is None
+                else ((words[:, None] << _BYTE_BITS) >> 48).astype(np.uint16).ravel())
+        count = np.zeros(rows.size, dtype=np.uint8)
+        used = np.zeros(rows.size, dtype=np.uint16)
+        symbols = np.empty((rows.size, _WINDOW_CODEWORDS), dtype=np.uint8)
+        for j in range(_WINDOW_CODEWORDS):
+            entry = first.take(rows << used)
+            symbols[:, j] = entry  # its low byte
+            length = entry >> 8
+            fits = used + length <= MAX_CODE_LEN
+            count += fits
+            length *= fits
+            used += length
         used[count == 0] = MAX_CODE_LEN
         table = (used.astype(np.uint8), count, symbols.view(np.uint64).ravel())
-        if windows is None:
+        if words is None:
             return table
-        filled = []
-        for part in table:
-            filled.append(np.zeros(size, dtype=part.dtype))
-            filled[-1][windows] = part
+        filled = [np.zeros(size, dtype=part.dtype) for part in table]
+        for full, part in zip(filled, table):
+            full[rows] = part
         return filled
 
     @classmethod
-    def from_frequencies(cls, counts, alphabet_size: int) -> "HuffmanTable":
-        """Build the table from symbol counts (mapping or dense array)."""
-        if isinstance(counts, np.ndarray):
-            counts = {int(s): int(c) for s, c in enumerate(counts) if c > 0}
-        else:
-            counts = {int(s): int(c) for s, c in counts.items() if c > 0}
-        if any(not 0 <= s < alphabet_size for s in counts):
-            raise ValueError("symbol outside the alphabet")
-        lengths = np.zeros(alphabet_size, dtype=np.uint8)
-        code_lengths = _huffman_lengths(counts)
-        lengths[list(code_lengths)] = list(code_lengths.values())
-        return cls(lengths)
+    def from_frequencies(cls, counts: np.ndarray) -> "HuffmanTable":
+        """Build the table from a dense array of symbol counts, one per alphabet symbol."""
+        return cls(_huffman_lengths(counts))
 
     def encode(self, symbols: np.ndarray):
-        """Pack symbols MSB-first; returns (payload bytes, payload bit count).
+        """Pack symbols MSB-first; returns (payload bytes, payload bit count,
+        block bits), the last the uint16 bit length of each block of
+        _BLOCK_CODEWORDS codewords but the last, from the same code lengths.
 
         Working through _ENCODE_SYMBOLS symbols at a time, each symbol's
         left-justified code is unpacked into a row of 16 bits. The first
@@ -260,7 +231,7 @@ class HuffmanTable:
         """
         symbols = np.asarray(symbols).ravel()
         if symbols.size == 0:
-            return b"", 0
+            return b"", 0, np.zeros(0, dtype=np.uint16)
         # in the given dtype, before the narrowing cast could wrap 256 onto 0
         if symbols.min() < 0 or symbols.max() >= self.lengths.size:
             outside = (symbols < 0) | (symbols >= self.lengths.size)
@@ -277,7 +248,9 @@ class HuffmanTable:
             kept = rows.reshape(-1, MAX_CODE_LEN)[_BIT_INDEX < sym_len[block, None]]
             bits[end : end + kept.size] = kept
             end += kept.size
-        return np.packbits(bits).tobytes(), bits.size
+        firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
+        block_bits = np.add.reduceat(sym_len, firsts, dtype=np.uint16)[:-1]
+        return np.packbits(bits).tobytes(), bits.size, block_bits
 
     def decode(self, payload, payload_bits: int, block_bits=()) -> np.ndarray:
         """Decode exactly payload_bits bits back into uint8 symbols.
@@ -311,15 +284,10 @@ class HuffmanTable:
         padded = np.zeros(n_bytes + 8, dtype=np.uint8)
         padded[:n_bytes] = data[:n_bytes]
         # the 64 bits from each byte on; a window is 16 of them
-        words = np.ndarray(n_bytes + 1, dtype=">u8", buffer=padded, strides=(1,))
-        words = words.astype(np.uint64)
+        words = np.ndarray(n_bytes + 1, dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
         # a payload of fewer bit offsets than windows needs the table only at
         # the windows it holds, up to the last word the walk reads
-        if 8 * words.size < 1 << MAX_CODE_LEN:
-            table = self._window_table(
-                ((words[:, None] << _BYTE_BITS) >> 48).astype(np.uint16).ravel())
-        else:
-            table = self._window_table()
+        table = self._window_table(words if 8 * words.size < 1 << MAX_CODE_LEN else None)
         # every window moves a lane at least one bit
         limit = min(_BLOCK_CODEWORDS if starts.size > 1 else payload_bits,
                     int((stops - starts).max()))
@@ -363,18 +331,24 @@ class HuffmanTable:
         at -= taken
         live = at < stops - starts  # the window starts before the lane's end
         last = np.maximum(np.count_nonzero(live, axis=0) - 1, 0)
-        # the window in which a lane reaches its end keeps the codewords before it
+        # the window in which a lane reaches its end keeps the codewords of its
+        # table row that end within the bits the lane has left
         left = stops - starts - at[last, lane]
-        kept, reach, _ = self._codewords(read[last, lane].astype(np.uint16), left)
-        landed = reach == left
+        row = read[last, lane]
+        ends = self.lengths.take(symbols.take(row).view(np.uint8)).reshape(lanes, -1)
+        ends = ends.cumsum(axis=1, dtype=np.int64)
+        in_row = np.arange(_WINDOW_CODEWORDS) < count.take(row)[:, None]
+        within = (ends <= left[:, None]) & in_row
+        kept = np.count_nonzero(within, axis=1)
+        landed = ends.max(axis=1, where=within, initial=0) == left
         whole = count.take(read)
         unmatched = (whole == 0) & live
         whole *= live
-        codewords = whole.sum(axis=0, dtype=np.int64) - whole[last, lane] + kept
-        miscounted = np.zeros(lanes, dtype=bool)
-        if lanes > 1:  # the last block holds 1 to _BLOCK_CODEWORDS, every other exactly that
-            miscounted[:-1] = codewords[:-1] != _BLOCK_CODEWORDS
-            miscounted[-1] = not 0 < codewords[-1] <= _BLOCK_CODEWORDS
+        whole[last, lane] = kept  # codewords each window holds before its lane's end
+        codewords = whole.sum(axis=0, dtype=np.int64)
+        # the last block holds 1 to _BLOCK_CODEWORDS, every other exactly that
+        miscounted = codewords != _BLOCK_CODEWORDS
+        miscounted[-1] = lanes > 1 and not 0 < codewords[-1] <= _BLOCK_CODEWORDS
         bad = unmatched.any(axis=0) | (reached < stops) | ~landed | miscounted
         if bad.any():
             i = int(np.argmax(bad))
@@ -398,7 +372,6 @@ class HuffmanTable:
             rows = slice(first, first + _OUTPUT_LANES)
             # a flag byte per codeword a window holds before its lane's end
             flags = _PREFIX_FILL.take(whole[:, rows].T)
-            flags[lane[: flags.shape[0]], last[rows]] = _PREFIX_FILL[kept[rows]]
             # flatnonzero then take runs about twice as fast as a boolean index
             picked = symbols.take(read[:, rows].T).view(np.uint8).take(
                 np.flatnonzero(flags.view(bool)))
@@ -429,18 +402,12 @@ _FIXED = "<BBfbbbbbff"  # mode, n_bits, alpha, bias, mu fields, sigma, wsep
 def _layer_table(lq: LayerQuantization):
     """The layer's Huffman table and its symbol counts."""
     counts = symbol_counts(lq.symbols, lq.alphabet_size)
-    return HuffmanTable.from_frequencies(counts, lq.alphabet_size), counts
+    return HuffmanTable.from_frequencies(counts), counts
 
 
 def _stored_blocks(count: int) -> int:
     """How many block lengths a record of ``count`` symbols stores: one per block but the last."""
     return max(0, -(-count // _BLOCK_CODEWORDS) - 1)
-
-
-def _block_bits(lengths: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """The bit length of each block of _BLOCK_CODEWORDS symbols but the last."""
-    firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
-    return np.add.reduceat(gather(lengths, symbols), firsts, dtype=np.uint16)[:-1]
 
 
 def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
@@ -464,8 +431,7 @@ def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
 def encode_layer(lq: LayerQuantization) -> bytes:
     """Serialize one quantized layer to its framed container record."""
     table, _ = _layer_table(lq)
-    payload, payload_bits = table.encode(lq.symbols)
-    block_bits = _block_bits(table.lengths, lq.symbols)
+    payload, payload_bits, block_bits = table.encode(lq.symbols)
     return framing.pack_record(_body_head(lq, table, payload_bits, block_bits) + payload)
 
 

@@ -375,6 +375,9 @@ def _stage_plan(stages, shape, dtype=None) -> _Plan:
                 raise ValidationError(
                     f"stage {stage.name!r}: input has {c} channels, expected {cin}"
                 )
+            if pad > max(fh, fw) or min(h + 2 * pad - fh, w + 2 * pad - fw) < 0:
+                raise ValidationError(f"stage {stage.name!r}: pad {pad} must not pass its "
+                                      f"{fh}x{fw} kernel, which must fit its {h}x{w} input")
             oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
             s = _Shape(in_dtype, (h + 2 * pad, w + 2 * pad, c),
                        (slice(pad, pad + h), slice(pad, pad + w)), oh * ow, (oh, ow, cout), False)
@@ -385,6 +388,9 @@ def _stage_plan(stages, shape, dtype=None) -> _Plan:
                     f"stage {stage.name!r}: input width {shape[-1]}, expected {patch}"
                 )
             s = _Shape(in_dtype, (patch,), (), 1, (cout,), len(shape) == 3)
+            if s.pool and (shape[0] * shape[1]) & (shape[0] * shape[1] - 1):
+                raise ValidationError(f"stage {stage.name!r}: pool window "
+                                      f"{shape[0]}x{shape[1]} is not a power-of-two area")
         acc.append(s.rows * stage.planes.shape[1] * stage.planes.itemsize)
         real.append(s.rows * cout)
         shapes.append(s)

@@ -202,9 +202,12 @@ class LayerQuantization(_OnGrid):
     ``symbols`` is a flat uint8 array covering every weight position (pruned
     positions hold ZERO): one byte per symbol, since n_bits <= 8. Symbols of
     any other integer dtype are range-checked in that dtype, then narrowed,
-    so 256 is refused rather than wrapped onto ZERO. ``mu`` is
-    (mu_minus, mu_plus); both are exact signed powers of two or 0. ``sigma`` is the shared component scale. A shift
-    layer has mu = (0, 0) and sigma = 1.
+    so 256 is refused rather than wrapped onto ZERO. ``mu`` is (mu_minus,
+    mu_plus); both are exact signed powers of two or 0. ``sigma`` is the
+    shared component scale. A shift layer has mu = (0, 0) and sigma = 1. Any
+    finite alpha is valid, zero or negative too, as INQ moves alpha by SGD
+    with no sign constraint; but every alphabet value times alpha must be
+    finite in float32, so a layer that loads dequantizes to finite weights.
     """
 
     name: str
@@ -238,11 +241,14 @@ class LayerQuantization(_OnGrid):
         self.mu = (float(self.mu[0]), float(self.mu[1]))
         for mu in self.mu:
             split_pow2(mu)  # each component mean is a signed power of two or 0
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, not {self.sigma}")
         if self.mode == MODE_SHIFT and (self.mu != (0.0, 0.0) or self.sigma != 1.0):
             raise ValueError(f"a shift layer has mu (0, 0) and sigma 1, "
                              f"not mu {self.mu} and sigma {self.sigma}")
+        peak = float(np.max(np.abs(self.alpha * _alphabet_values(self))))
+        if not peak <= float(np.finfo(np.float32).max):
+            raise ValueError(f"a symbol dequantizes to {peak:.4g}, outside float32's range")
         symbols = np.asarray(self.symbols).ravel()
         if symbols.size == 0:
             raise ValueError("empty symbol stream")

@@ -62,15 +62,16 @@ def _e_step(model: MixtureModel, v: np.ndarray, work: list) -> tuple:
     log_var = np.log(var)
     with np.errstate(divide="ignore"):
         log_lam = np.log(model.lam)
-    for c, log_w in zip((MINUS, PLUS), post):
-        # -0.5 * ((v - mu_c) ** 2 / var_c + log_var_c + log 2 pi) + log_lam_c
-        np.subtract(v, model.mu[c], out=log_w)
-        np.square(log_w, out=log_w)
-        log_w /= var[c]
-        log_w += log_var[c]
-        log_w += _LOG_2PI
-        log_w *= -0.5
-        log_w += log_lam[c]
+    with np.errstate(over="ignore"):  # far from a narrow mean the log density is -inf
+        for c, log_w in zip((MINUS, PLUS), post):
+            # -0.5 * ((v - mu_c) ** 2 / var_c + log_var_c + log 2 pi) + log_lam_c
+            np.subtract(v, model.mu[c], out=log_w)
+            np.square(log_w, out=log_w)
+            log_w /= var[c]
+            log_w += log_var[c]
+            log_w += _LOG_2PI
+            log_w *= -0.5
+            log_w += log_lam[c]
     np.maximum(*post, out=shift)
     with np.errstate(invalid="ignore"):  # -inf - -inf where both densities underflow
         for w in post:

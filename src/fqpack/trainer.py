@@ -339,21 +339,19 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
                     # unchanged shadows reproduces the same parameters
                     _fit_params(state, config, derive_seed(config.seed, state.name))
 
-    for state in states:
-        alpha32 = float(np.float32(state.alpha))
-        if not np.isfinite(alpha32):
-            raise TrainingDivergedError(
-                f"layer {state.name!r}: scale overflowed single precision"
-            )
-        state.alpha = alpha32
+    for state in states:  # finite: every update keeps |alpha| within float32
+        state.alpha = float(np.float32(state.alpha))
     # float64, so the weights equal the container's dequantized values and
     # the returned net computes in float64
     _install_weights(states, np.float64)
     _cast_bn(net, np.float64)
-    compressed = CompressedModel([
-        quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha) for s in states
-    ])
-    return InqResult(compressed=compressed, history=history)
+    layers = []
+    for s in states:
+        try:  # alpha times the layer's alphabet can still pass float32's range
+            layers.append(quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha))
+        except ValueError as exc:
+            raise TrainingDivergedError(f"layer {s.name!r}: {exc}") from None
+    return InqResult(compressed=CompressedModel(layers), history=history)
 
 
 def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,

@@ -1,4 +1,9 @@
+import io
 import os
+import re
+import struct
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -48,6 +53,7 @@ from fqpack.model_store import (
 )
 from fqpack.nn import ToyNet
 from fqpack.trainer import METRICS_HEADER, TrainConfig
+from test_codec import _with_crc
 
 
 def run_cli(argv, capsys):
@@ -551,6 +557,93 @@ def test_mutated_files_exit_1_or_2(assets, command, target, flips):
                   "--data", str(assets["data"]), "--limit", "2"],
     }[command]
     assert main(argv) in (1, 2)
+
+
+def resealed(data: bytes, record: int, edit) -> bytes:
+    """``data`` with ``edit(body)`` applied to the body of its ``record``-th record,
+    whose CRC is then recomputed, so the edit passes the checksum."""
+    start = framing.HEADER_SIZE
+    for _ in range(record):
+        start += framing.RECORD_OVERHEAD + struct.unpack_from("<I", data, start)[0]
+    end = start + framing.RECORD_OVERHEAD + struct.unpack_from("<I", data, start)[0]
+    framed = bytearray(data[start:end])
+    edit(memoryview(framed)[4:-4])
+    return data[:start] + _with_crc(bytes(framed)) + data[end:]
+
+
+def cli_argv(command, model, fqz, data, out):
+    return {
+        "decompress": ["decompress", "--in", str(fqz), "--model", str(model),
+                       "--out", str(out / "restored.bin")],
+        "report": ["report", "--model", str(model), "--compressed", str(fqz),
+                   "--out-dir", str(out)],
+        "infer": ["infer", "--model", str(model), "--compressed", str(fqz),
+                  "--data", str(data), "--limit", "2"],
+    }[command]
+
+
+@settings(max_examples=25, deadline=None)
+@given(target=st.sampled_from(["fqz", "model"]), record=st.integers(0, 9),
+       flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                      min_size=1, max_size=3))
+def test_resealed_record_loads_finite_or_exits_1_or_2(assets, target, record, flips):
+    # the flips pass the CRC, so they reach the field checks behind it
+    def flip(body):
+        for at, mask in flips:
+            body[at % len(body)] ^= mask
+
+    paths = {"fqz": assets["fqz"], "model": assets["model"]}
+    paths[target] = assets["root"] / f"resealed_{target}"
+    paths[target].write_bytes(resealed(assets[target].read_bytes(), record, flip))
+    out = assets["root"] / "resealed_out"
+    for command in ("decompress", "report", "infer"):
+        stdout, err = io.StringIO(), io.StringIO()  # capsys is not reset between examples
+        with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(err):
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(cli_argv(command, paths["model"], paths["fqz"], assets["data"], out))
+        stdout = stdout.getvalue()
+        assert rc in (0, 1, 2), err.getvalue()
+        if rc == 0:  # every number printed, and every weight written, is finite
+            numbers = []
+            for token in re.split(r"[\s,:()]+", stdout):
+                try:
+                    numbers.append(float(token))
+                except ValueError:
+                    pass
+            assert np.isfinite(numbers).all(), stdout
+            if command == "decompress":
+                assert all(np.isfinite(spec.weight).all()
+                           for spec in load_model(out / "restored.bin").layers)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sigma", float("inf"), "sigma must be positive and finite, not inf"),
+    ("sigma", 3e38, "a symbol dequantizes to 6e+38, outside float32's range"),
+    # conv1's alphabet peaks at 0.48 before alpha: at sigma 8 it passes 1.13,
+    # and 3e38 times that is past float32's range
+    ("alpha sigma", (3e38, 8.0), "outside float32's range"),
+])
+@pytest.mark.parametrize("command", ["decompress", "report", "infer"])
+def test_resealed_layer_that_dequantizes_past_float32_exits_2(assets, capsys, tmp_path,
+                                                              command, field, value, message):
+    name = load_compressed(assets["fqz"]).layers[0].name
+    fixed = 2 + len(name)  # mode, n_bits, alpha f32, bias, mu bytes, sigma f32, wsep f32
+    at = {"alpha": fixed + 2, "sigma": fixed + 11}
+    values = dict(zip(field.split(), value if isinstance(value, tuple) else (value,)))
+
+    def edit(body):
+        for key, v in values.items():
+            body[at[key] : at[key] + 4] = struct.pack("<f", v)
+
+    fqz = tmp_path / "edited.fqz"
+    fqz.write_bytes(resealed(assets["fqz"].read_bytes(), 0, edit))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, stdout, err = run_cli(cli_argv(command, assets["model"], fqz, assets["data"],
+                                           tmp_path / "out"), capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith(f"error: layer {name!r}: ") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- cost --------------------------------------------------------------------------

@@ -60,6 +60,22 @@ def heap_lengths(counts):
     return lengths
 
 
+def dense(counts: dict, size: int) -> np.ndarray:
+    """A {symbol: count} mapping as the dense count array ``from_frequencies`` takes."""
+    out = np.zeros(size, dtype=np.int64)
+    out[list(counts)] = list(counts.values())
+    return out
+
+
+def codes_of(table):
+    """{symbol: code} of every symbol the table codes, each encoded alone."""
+    codes = {}
+    for sym in np.flatnonzero(table.lengths).tolist():
+        payload, bits, _ = table.encode(np.array([sym]))
+        codes[sym] = int.from_bytes(payload, "big") >> (8 * len(payload) - bits)
+    return codes
+
+
 def optimal_cost(counts):
     """Two-queue Huffman oracle: minimum total bits for the given counts."""
     from collections import deque
@@ -86,33 +102,35 @@ def optimal_cost(counts):
 
 
 def test_three_symbol_lengths():
-    assert _huffman_lengths({1: 1, 2: 1, 3: 2}) == {1: 2, 2: 2, 3: 1}
+    assert _huffman_lengths(np.array([0, 1, 1, 2])).tolist() == [0, 2, 2, 1]
 
 
 def test_uniform_counts_give_equal_lengths():
     for j in (1, 2, 3, 4):
-        lengths = _huffman_lengths({s: 7 for s in range(2**j)})
-        assert all(length == j for length in lengths.values())
+        lengths = _huffman_lengths(np.full(2**j, 7))
+        assert lengths.dtype == np.uint8 and (lengths == j).all()
 
 
 def test_single_symbol_gets_one_bit():
-    assert _huffman_lengths({5: 100}) == {5: 1}
-    table = HuffmanTable.from_frequencies({5: 100}, 32)
-    payload, bits = table.encode(np.full(9, 5))
+    counts = dense({5: 100}, 32)
+    assert _huffman_lengths(counts).tolist() == [0] * 5 + [1] + [0] * 26
+    table = HuffmanTable.from_frequencies(counts)
+    payload, bits, _ = table.encode(np.full(9, 5))
     assert bits == 9 and len(payload) == 2
     assert table.decode(payload, bits).tolist() == [5] * 9
 
 
 def test_empty_counts_rejected():
     with pytest.raises(ValueError):
-        _huffman_lengths({})
+        _huffman_lengths(np.zeros(32, dtype=np.int64))
     with pytest.raises(ValueError):
-        HuffmanTable.from_frequencies({}, 32)
+        HuffmanTable.from_frequencies(np.zeros(32, dtype=np.int64))
 
 
 def test_symbol_outside_alphabet_rejected():
-    with pytest.raises(ValueError):
-        HuffmanTable.from_frequencies({40: 3}, 32)
+    # symbols are one byte: a count for symbol 256 is outside any alphabet
+    with pytest.raises(ValueError, match="at most 256"):
+        HuffmanTable.from_frequencies(np.ones(257, dtype=np.int64))
 
 
 # --- canonical table -------------------------------------------------------------
@@ -124,19 +142,18 @@ def test_canonical_assignment_order():
     lengths = np.zeros(8, dtype=np.uint8)
     lengths[[1, 2, 3]] = [2, 2, 1]
     table = HuffmanTable(lengths)
-    assert table.codes == {3: 0b0, 1: 0b10, 2: 0b11}
+    assert codes_of(table) == {3: 0b0, 1: 0b10, 2: 0b11}
 
 
 def test_codes_are_prefix_free():
     rng = np.random.default_rng(50)
     for _ in range(20):
-        counts = {int(s): int(c) for s, c in
-                  enumerate(rng.integers(0, 50, size=32)) if c > 0}
-        if len(counts) < 2:
+        counts = rng.integers(0, 50, size=32)
+        if np.count_nonzero(counts) < 2:
             continue
-        table = HuffmanTable.from_frequencies(counts, 32)
+        table = HuffmanTable.from_frequencies(counts)
         words = [format(code, f"0{int(table.lengths[s])}b")
-                 for s, code in table.codes.items()]
+                 for s, code in codes_of(table).items()]
         for i, a in enumerate(words):
             for j, b in enumerate(words):
                 if i != j:
@@ -165,9 +182,10 @@ def test_random_stream_round_trips():
         alphabet = int(rng.choice([8, 16, 32]))
         symbols = rng.integers(0, alphabet, size=size)
         counts = np.bincount(symbols, minlength=alphabet)
-        table = HuffmanTable.from_frequencies(counts, alphabet)
-        payload, bits = table.encode(symbols)
-        assert "_first" not in vars(table)  # encoding builds no decode table
+        table = HuffmanTable.from_frequencies(counts)
+        with mock.patch.object(HuffmanTable, "_window_table",
+                               side_effect=AssertionError("encode built a decode table")):
+            payload, bits, _ = table.encode(symbols)
         assert np.array_equal(table.decode(payload, bits), symbols)
 
 
@@ -177,20 +195,20 @@ def test_payload_matches_optimal_length():
         symbols = rng.integers(0, 16, size=int(rng.integers(2, 500)))
         counts = {int(s): int(c) for s, c in
                   enumerate(np.bincount(symbols, minlength=16)) if c > 0}
-        table = HuffmanTable.from_frequencies(counts, 16)
-        _, bits = table.encode(symbols)
+        table = HuffmanTable.from_frequencies(dense(counts, 16))
+        _, bits, _ = table.encode(symbols)
         assert bits == optimal_cost(counts)
 
 
 def test_encode_unknown_symbol_rejected():
-    table = HuffmanTable.from_frequencies({0: 3, 1: 1}, 4)
+    table = HuffmanTable.from_frequencies(np.array([3, 1, 0, 0]))
     with pytest.raises(ValueError):
         table.encode(np.array([2]))
 
 
 def test_decode_truncated_payload():
-    table = HuffmanTable.from_frequencies({0: 1, 1: 1, 2: 2}, 4)
-    payload, bits = table.encode(np.array([0, 1, 2, 0]))
+    table = HuffmanTable.from_frequencies(np.array([1, 1, 2, 0]))
+    payload, bits, _ = table.encode(np.array([0, 1, 2, 0]))
     with pytest.raises(CorruptionError):
         table.decode(payload, bits + 3)  # claims more bits than exist
     with pytest.raises(CorruptionError):
@@ -207,9 +225,9 @@ def test_sparse_layer_zero_symbol_is_one_bit():
     mask = prune_by_magnitude(weights, 0.9)
     lq = quantize_layer(weights, mask, n_bits, seed=7)
     counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
-    table = HuffmanTable.from_frequencies(counts, lq.alphabet_size)
+    table = HuffmanTable.from_frequencies(counts)
     assert table.lengths[0] == 1  # the pruned symbol dominates
-    _, bits = table.encode(lq.symbols)
+    _, bits, _ = table.encode(lq.symbols)
     fixed = n_bits * lq.symbols.size
     probs = counts[counts > 0] / lq.symbols.size
     entropy_bits = float(-(probs * np.log2(probs)).sum()) * lq.symbols.size
@@ -469,7 +487,7 @@ def code_tables(draw):
     """Huffman tables, and incomplete tables (Kraft sum < 1) made by
     lengthening some of their codes."""
     counts = draw(skewed_counts())
-    lengths = HuffmanTable.from_frequencies(counts, counts.size).lengths.copy()
+    lengths = HuffmanTable.from_frequencies(counts).lengths.copy()
     if draw(st.booleans()):
         present = np.nonzero(lengths)[0]
         extra = draw(st.lists(st.integers(0, 3), min_size=present.size,
@@ -485,9 +503,14 @@ def stream_for(table, counts, size, seed):
     return np.random.default_rng(seed).choice(present, size=size, p=weights / weights.sum())
 
 
-def block_bits(table, symbols):
-    """The bit length of each decode block but the last, as a layer record stores them."""
-    return codec._block_bits(table.lengths, np.asarray(symbols).astype(np.uint8))
+def serial_block_bits(lengths, symbols, codewords):
+    """The bit length of each block of ``codewords`` symbols but the last, one symbol at a time."""
+    sums = [0]
+    for i, sym in enumerate(np.asarray(symbols).ravel()):
+        if i and i % codewords == 0:
+            sums.append(0)
+        sums[-1] += int(lengths[sym])
+    return sums[:-1]
 
 
 # sizes small enough that short streams still cross encode and decode block edges
@@ -500,13 +523,15 @@ decode_block_sizes = st.sampled_from([1, 2, 5, 64, codec._BLOCK_CODEWORDS])
        decode_block_sizes)
 def test_array_coder_matches_serial_reference(table_counts, size, seed, block, codewords):
     table, counts = table_counts
-    assert table.codes == serial_codes(table.lengths)
+    assert codes_of(table) == serial_codes(table.lengths)
     symbols = stream_for(table, counts, size, seed)
     with mock.patch.object(codec, "_ENCODE_SYMBOLS", block), \
             mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
-        payload, bits = table.encode(symbols)
+        payload, bits, lengths = table.encode(symbols)
         assert (payload, bits) == serial_encode(table.lengths, symbols)
-        decoded = table.decode(payload, bits, block_bits(table, symbols))
+        assert lengths.dtype == np.uint16
+        assert lengths.tolist() == serial_block_bits(table.lengths, symbols, codewords)
+        decoded = table.decode(payload, bits, lengths)
     assert decoded.dtype == np.uint8 and np.array_equal(decoded, symbols)
 
 
@@ -527,7 +552,7 @@ def test_decode_of_any_bits_matches_serial_reference(table_counts, payload, data
 def test_encode_errors_match_serial_reference(table_counts, symbols):
     table, _ = table_counts
     want = outcome(serial_encode, table.lengths, np.array(symbols, dtype=np.int64))
-    got = outcome(table.encode, np.array(symbols, dtype=np.int64))
+    got = outcome(lambda s: table.encode(s)[:2], np.array(symbols, dtype=np.int64))
     if isinstance(want, tuple) and isinstance(want[0], type):
         assert got[0] is ValueError  # either unknown symbol may be named first
     else:
@@ -546,17 +571,17 @@ def fibonacci_counts(n):
 def test_long_codes_round_trip(n_symbols, heap_longest):
     counts = fibonacci_counts(n_symbols)
     assert max(heap_lengths(counts).values()) == heap_longest  # the unlimited code
-    table = HuffmanTable.from_frequencies(counts, 64)
+    table = HuffmanTable.from_frequencies(dense(counts, 64))
     assert int(table.lengths.max()) == MAX_CODE_LEN == 16
     rng = np.random.default_rng(heap_longest)
     symbols = rng.integers(0, n_symbols, size=5000)
-    payload, bits = table.encode(symbols)
+    payload, bits, _ = table.encode(symbols)
     assert (payload, bits) == serial_encode(table.lengths, symbols)
     assert np.array_equal(table.decode(payload, bits), symbols)
 
 
 def test_code_longer_than_decode_window_rejected():
-    lengths = HuffmanTable.from_frequencies(fibonacci_counts(27), 64).lengths.copy()
+    lengths = HuffmanTable.from_frequencies(dense(fibonacci_counts(27), 64)).lengths.copy()
     lengths[np.argmax(lengths)] += 1  # still a prefix code, one bit over the limit
     with pytest.raises(FormatError, match="code length 17 exceeds the 16-bit limit"):
         HuffmanTable(lengths)
@@ -569,8 +594,9 @@ def test_code_longer_than_decode_window_rejected():
 @given(skewed_counts())
 def test_lengths_are_limited_and_optimal_where_the_limit_does_not_bind(counts):
     present = {int(s): int(c) for s, c in enumerate(counts) if c > 0}
-    lengths = _huffman_lengths(present)
-    assert set(lengths) == set(present)
+    lengths = _huffman_lengths(counts)
+    assert lengths.dtype == np.uint8 and np.array_equal(lengths > 0, counts > 0)
+    lengths = {s: int(lengths[s]) for s in present}
     assert max(lengths.values()) <= MAX_CODE_LEN
     assert min(lengths.values()) >= 1
     if len(present) >= 2:  # a full binary tree: every bit pattern starts a code
@@ -591,7 +617,7 @@ def test_wide_eight_bit_layer_is_limited_to_sixteen_bits():
     counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
     present = {int(s): int(c) for s, c in enumerate(counts) if c > 0}
     assert max(heap_lengths(present).values()) == 18  # unlimited, the code would be longer
-    table = HuffmanTable.from_frequencies(counts, lq.alphabet_size)
+    table = HuffmanTable.from_frequencies(counts)
     assert int(table.lengths.max()) == 16
     record = encode_layer(lq)
     decoded, _ = decode_layer(record)
@@ -602,9 +628,8 @@ def test_wide_eight_bit_layer_is_limited_to_sixteen_bits():
 def test_stream_spanning_many_blocks():
     rng = np.random.default_rng(56)
     symbols = rng.choice(32, size=200_000, p=np.r_[0.5, np.full(31, 0.5 / 31)])
-    table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=32), 32)
-    payload, bits = table.encode(symbols)
-    lengths = block_bits(table, symbols)
+    table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=32))
+    payload, bits, lengths = table.encode(symbols)
     assert lengths.size == 390 and lengths.dtype == np.uint16  # 391 blocks of 512 codewords
     assert (payload, bits) == serial_encode(table.lengths, symbols)
     assert np.array_equal(table.decode(payload, bits, lengths), symbols)
@@ -614,7 +639,7 @@ def test_decode_errors():
     single = HuffmanTable(np.array([0, 1, 0, 0], dtype=np.uint8))  # one symbol, code "0"
     with pytest.raises(CorruptionError, match="matches no codeword"):
         single.decode(b"\x40", 8)  # 0 then 1: the second bit starts no code
-    table = HuffmanTable.from_frequencies({0: 5, 1: 1, 2: 1}, 4)  # 0 = "0", 1 = "10", 2 = "11"
+    table = HuffmanTable.from_frequencies(np.array([5, 1, 1, 0]))  # 0 = "0", 1 = "10", 2 = "11"
     with pytest.raises(CorruptionError, match="ends inside a codeword"):
         table.decode(b"\x80", 1)  # a lone "1"
     with pytest.raises(CorruptionError, match="shorter than its declared"):
@@ -629,15 +654,15 @@ def test_walk_matches_a_serial_walk_before_at_and_past_the_end(n):
     # n codewords of a code with 1- to 16-bit codes, then a byte of spare
     # bits; the payload's declared end falls one bit before, at and one bit
     # past the end of the last codeword
-    table = HuffmanTable.from_frequencies(fibonacci_counts(27), 64)
+    table = HuffmanTable.from_frequencies(dense(fibonacci_counts(27), 64))
     symbols = np.random.default_rng(n).integers(0, 27, size=n)
-    payload, bits = table.encode(symbols)
+    payload, bits, _ = table.encode(symbols)
     payload += bytes([n % 256])
     for end in (bits - 1, bits, bits + 1):
         want = outcome(serial_decode, table.lengths, payload, end)
         assert same_outcome(outcome(table.decode, payload, end), want)
     with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
-        lengths = block_bits(table, symbols)
+        _, _, lengths = table.encode(symbols)
         assert np.array_equal(table.decode(payload, bits, lengths), symbols)
         with pytest.raises(CorruptionError, match="payload ends inside a codeword"):
             table.decode(payload, bits - 1, lengths)
@@ -664,7 +689,7 @@ def test_walk_from_the_last_offset_of_a_block(tail):
     with mock.patch.object(codec, "_BLOCK_CODEWORDS", 8):
         # the lengths of the blocks the stream completes, before the tail
         prefix = want if isinstance(want, np.ndarray) else [1] + [0] * 30
-        lengths = block_bits(table, prefix)
+        _, _, lengths = table.encode(prefix)
         assert lengths.tolist()[:3] == [17, 16, 16]
         got = outcome(table.decode, payload, bits, lengths)
     assert same_outcome(got, want)
@@ -678,12 +703,11 @@ def test_block_walk_matches_serial_reference(table_counts, codewords, edge, k, s
     table, counts = table_counts
     size = k * codewords if edge == "k" else codewords + edge
     symbols = stream_for(table, counts, size, seed)
-    payload, bits = table.encode(symbols)
-    want = serial_decode(table.lengths, payload, bits)
     with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
-        lengths = block_bits(table, symbols)
+        payload, bits, lengths = table.encode(symbols)
         assert lengths.size == max(0, -(-size // codewords) - 1)
         got = table.decode(payload, bits, lengths)
+    want = serial_decode(table.lengths, payload, bits)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
 
 
@@ -778,7 +802,7 @@ def test_report_size_counts_the_symbol_count_and_block_lengths(n):
     spec = LayerSpec(name=lq.name, kind="conv2d", geometry=(1, 1, 1, n, 1, 1),
                      weight=np.zeros((1, 1, 1, n), dtype=np.float32))
     record = encode_layer(lq)
-    payload, _ = codec._layer_table(lq)[0].encode(lq.symbols)
+    payload, _, _ = codec._layer_table(lq)[0].encode(lq.symbols)
     # record length, name field, fixed fields, code lengths; then the symbol
     # count, a u16 per 512-codeword block but the last, the bit count, payload, CRC
     count_at = 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size

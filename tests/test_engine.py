@@ -1023,3 +1023,33 @@ def test_concurrent_forwards_of_two_input_sizes_keep_their_logits():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+# --- geometry a model file may hold but the engine cannot run ---------------------------
+
+
+def test_plan_refuses_a_pool_window_that_is_not_a_power_of_two():
+    model, cm = identity_model()
+    for engine in (IntegerEngine(model, cm), FloatSimulator(model, cm)):
+        with pytest.raises(ValidationError,
+                           match="stage 'head': pool window 3x3 is not a power-of-two area"):
+            engine.forward(np.zeros((3, 3, 3)))
+
+
+def test_plan_refuses_a_border_wider_than_the_kernel():
+    # a pad past the kernel's size only adds outputs that see the border alone,
+    # and a mutated pad of millions would ask for an input of that size
+    model, cm = identity_model()
+    conv1 = replace(model.layers[0], geometry=(1, 1, 3, 3, 2, 1))
+    engine = IntegerEngine(ModelFile([conv1, model.layers[1]]), cm)
+    with pytest.raises(ValidationError, match="stage 'conv1': pad 2 must not pass its 1x1 kernel"):
+        engine.forward(np.zeros((3, 4, 4)))
+
+
+def test_plan_refuses_a_kernel_that_does_not_fit_its_input():
+    _, model, cm = quantized_toy()
+    first = model.layers[0]
+    narrow = replace(first, geometry=first.geometry[:4] + (0, first.geometry[5]))
+    engine = IntegerEngine(ModelFile([narrow] + model.layers[1:]), cm)
+    with pytest.raises(ValidationError, match="which must fit its 2x2 input"):
+        engine.forward(np.zeros((3, 2, 2)))

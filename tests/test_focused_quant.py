@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -495,3 +497,36 @@ def test_kl_argument_validation():
         kl_complexity_cost(values, values, bins=8)  # below minimum bins
     with pytest.raises(ValueError):
         kl_complexity_cost(values, values.copy(), bins=32)  # zero-width range
+
+
+# --- layers that dequantize within float32 ---------------------------------------------
+
+
+def _recentralized(alpha=1.0, sigma=0.25, mu=(-0.5, 0.5)):
+    return LayerQuantization(name="l", mode=MODE_RECENTRALIZED, n_bits=5, alpha=alpha, bias=0,
+                             mu=mu, sigma=sigma, symbols=np.full(9, ZERO))
+
+
+@pytest.mark.parametrize("sigma", [float("inf"), float("nan"), 0.0, -0.25])
+def test_layer_refuses_a_sigma_that_is_not_positive_and_finite(sigma):
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        _recentralized(sigma=sigma)
+
+
+@pytest.mark.parametrize("alpha, sigma", [(1.0, 3e38), (3e38, 8.0), (-3e38, 8.0)])
+def test_layer_refuses_an_alphabet_past_float32(alpha, sigma):
+    # the largest alphabet value, sigma * 2**3 + 0.5 before alpha, times alpha
+    peak = abs(alpha) * (float(np.float32(sigma)) * 8 + 0.5)
+    assert peak > float(np.finfo(np.float32).max)
+    with pytest.raises(ValueError, match=re.escape(f"dequantizes to {peak:.4g}, outside float32")):
+        _recentralized(alpha=alpha, sigma=sigma)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 3e38])
+def test_layer_keeps_any_finite_alpha_whose_alphabet_stays_in_float32(alpha):
+    # at sigma 2**-6 the alphabet peaks at 2**-6 * 2**3 + 0.5 = 0.625 before
+    # alpha, so even alpha 3e38 dequantizes within float32's range
+    lq = _recentralized(alpha=alpha, sigma=2.0**-6)
+    values = dequantize_layer(lq)
+    assert np.isfinite(values.astype(np.float32)).all()
+    assert lq.alpha == float(np.float32(alpha))

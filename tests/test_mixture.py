@@ -308,8 +308,9 @@ def column_e_step(model, v):
     log_var = np.log(var)
     with np.errstate(divide="ignore"):
         log_lam = np.log(model.lam)
-    log_w = [-0.5 * ((v - model.mu[c]) ** 2 / var[c] + log_var[c] + _LOG_2PI) + log_lam[c]
-             for c in (MINUS, PLUS)]
+    with np.errstate(over="ignore"):
+        log_w = [-0.5 * ((v - model.mu[c]) ** 2 / var[c] + log_var[c] + _LOG_2PI) + log_lam[c]
+                 for c in (MINUS, PLUS)]
     shift = np.maximum(*log_w)
     with np.errstate(invalid="ignore"):
         w = [np.exp(lw - shift) for lw in log_w]
@@ -375,6 +376,7 @@ def test_in_place_e_step_matches_column_form_where_both_densities_underflow(lam)
     # sigma 1e-8: a value 1e150 from both means has log densities of -inf
     model = MixtureModel(mu=[-1e140, 1e140], sigma=[1e-8, 1e-8], lam=lam)
     v = np.array([-1e140, 1e140, 0.0, 1e150, -1e150, 1e140 + 1e125, 3e149, -1e-9])
+    # (v - mu)**2 / var overflows to inf on purpose; RuntimeWarnings are errors here
     want_post, want_ll = column_e_step(model, v)
     got_post, got_ll = _e_step(model, v, _work(v))
     assert same_bits(got_ll, want_ll) and np.isnan(got_ll)

@@ -35,7 +35,7 @@ def test_out_of_range_symbols_are_refused_before_narrowing(n_bits, dtype, which,
     with pytest.raises(ValueError, match=f"symbol out of range for {n_bits}-bit codes"):
         LayerQuantization(name="l", mode=MODE_SHIFT, n_bits=n_bits, alpha=1.0, bias=0,
                           mu=(0.0, 0.0), sigma=1.0, symbols=symbols)
-    table = HuffmanTable.from_frequencies(np.ones(1 << n_bits, dtype=np.int64), 1 << n_bits)
+    table = HuffmanTable.from_frequencies(np.ones(1 << n_bits, dtype=np.int64))
     with pytest.raises(ValueError, match=f"symbol {bad} not in the code table"):
         table.encode(symbols)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fqpack import trainer
 from fqpack.codec import encode_compressed, encode_layer
 from fqpack.errors import DegenerateInputError, TrainingDivergedError
 from fqpack.focused_quant import (
@@ -312,6 +313,24 @@ def test_nan_learning_rate_still_diverges():
                     batch_size=32)
     with pytest.raises(TrainingDivergedError):
         finetune_inq(net.clone(), images, labels, quick_config(learning_rate=float("nan")))
+
+
+def test_a_layer_refused_at_the_end_of_inq_is_divergence(monkeypatch):
+    # every update keeps |alpha| within float32, but alpha times the alphabet
+    # is checked only when the layer is built, as LayerQuantization refuses it
+    net, images, labels = tiny_setup()
+    first = net.weight_layers()[0][0]
+    quantize = trainer.quantize_with
+
+    def refused(shadow, kept, params, name, alpha):
+        if name == first:
+            raise ValueError("a symbol dequantizes to 4e+38, outside float32's range")
+        return quantize(shadow, kept, params, name, alpha)
+
+    monkeypatch.setattr(trainer, "quantize_with", refused)
+    with pytest.raises(TrainingDivergedError,
+                       match=f"layer {first!r}: a symbol dequantizes to 4e\\+38"):
+        finetune_inq(net, images, labels, quick_config())
 
 
 def test_sample_count_mismatch():
