@@ -13,12 +13,12 @@ it is built, so a container written with longer codes does not load.
 Both directions run as numpy array passes, not as Python steps per symbol
 or per bit:
 
-* encode works through blocks of ``_ENCODE_SYMBOLS`` symbols. One gather
-  gives every symbol's code left-justified in 16 bits, one unpack turns
-  those into rows of 16 bits, and a mask keeps each row's first
-  code-length bits. In row order the kept bits are the block's stream;
-  they go into one one-byte-per-bit array, packed once. The code lengths
-  gathered for the mask, summed per block, are the record's block lengths.
+* encode works through blocks of ``_ENCODE_SYMBOLS`` symbols, building the
+  payload as 64-bit words. A cumsum of the gathered code lengths gives each
+  code's start bit; each code, left-justified in a uint64, is shifted to its
+  place in its word, the codes of a word are OR-ed together in one reduce,
+  and the bits of a code that runs past its word go into the next. The
+  same code lengths, summed per block, are the record's block lengths.
 * decode walks every block of ``_BLOCK_CODEWORDS`` (512) codewords as a
   lane, all lanes in lockstep; the record stores where each block starts.
   A decode table over the 2^16 16-bit windows holds, per window, the up to
@@ -76,6 +76,7 @@ from .errors import CorruptionError, FormatError, ValidationError
 from .focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
+    ZERO,
     LayerQuantization,
     gather,
     split_pow2,
@@ -91,14 +92,13 @@ _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 REPORT_HEADER = "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity"
 
 MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
-_ENCODE_SYMBOLS = 1 << 16  # symbols placed per encode step
+_ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
 _BLOCK_CODEWORDS = 1 << 9  # codewords per block; 2**9 * 16 bits fit a u16 block length
 _WINDOW_CODEWORDS = 8  # whole codewords a decode window holds at most: one uint64 of bytes
 _OUTPUT_LANES = 128  # lanes whose symbols are gathered at once, to bound the scratch
 # fill bytes of a window that keeps its first k codewords, k = 0..8
 _PREFIX_FILL = (np.arange(_WINDOW_CODEWORDS) < np.arange(_WINDOW_CODEWORDS + 1)[:, None]
                 ).view(np.uint64).ravel()
-_BIT_INDEX = np.arange(MAX_CODE_LEN)  # bit index within a left-justified code
 _BYTE_BITS = np.arange(8, dtype=np.uint64)  # bit offset within a byte
 
 
@@ -168,9 +168,9 @@ class HuffmanTable:
         if self._span.sum() > 1 << MAX_CODE_LEN:
             kraft = int(self._span.sum()) / (1 << MAX_CODE_LEN)
             raise FormatError(f"Kraft sum {kraft} exceeds 1: not a prefix code")
-        # big-endian, so the bytes of a code read MSB first
-        self._left_codes = np.zeros(self.lengths.size, dtype=">u2")
+        self._left_codes = np.zeros(self.lengths.size, dtype=np.uint64)
         self._left_codes[self._ordered] = np.cumsum(self._span) - self._span
+        self._left_codes <<= 48  # left-justified in 64 bits
 
     def _window_table(self, words=None):
         """The decode table over the 16-bit windows: filled at every window,
@@ -223,11 +223,12 @@ class HuffmanTable:
         block bits), the last the uint16 bit length of each block of
         _BLOCK_CODEWORDS codewords but the last, from the same code lengths.
 
-        Working through _ENCODE_SYMBOLS symbols at a time, each symbol's
-        left-justified code is unpacked into a row of 16 bits. The first
-        code-length bits of every row, taken in row order, are the block's
-        bit stream; it goes into a one-byte-per-bit array, packed once at
-        the end.
+        The payload is built as big-endian 64-bit words, _ENCODE_SYMBOLS
+        symbols at a time, from a cumsum of the code lengths carried from
+        block to block. Each code, left-justified in a uint64, is shifted
+        right by its start bit within its word, one OR-reduce joins the codes
+        that start in each word (codes of at most 16 bits start in every
+        word), and the bits of a word's last code past the word go into the next.
         """
         symbols = np.asarray(symbols).ravel()
         if symbols.size == 0:
@@ -240,17 +241,28 @@ class HuffmanTable:
         sym_len = gather(self.lengths, symbols)
         if not sym_len.all():
             raise ValueError(f"symbol {int(symbols[np.argmin(sym_len)])} not in the code table")
-        bits = np.empty(int(sym_len.sum(dtype=np.int64)), dtype=np.uint8)
+        bits = int(sym_len.sum(dtype=np.int64))
+        words = np.zeros(bits // 64 + 2, dtype=np.uint64)  # a spare word past the last
         end = 0
         for first in range(0, symbols.size, _ENCODE_SYMBOLS):
             block = slice(first, first + _ENCODE_SYMBOLS)
-            rows = np.unpackbits(gather(self._left_codes, symbols[block]).view(np.uint8))
-            kept = rows.reshape(-1, MAX_CODE_LEN)[_BIT_INDEX < sym_len[block, None]]
-            bits[end : end + kept.size] = kept
-            end += kept.size
+            # each code's start bit, then the block's end
+            starts = np.cumsum(np.concatenate(([end], sym_len[block])), dtype=np.uint64)
+            end = int(starts[-1])
+            # the words the block's codes start in, and one more
+            word = np.arange(int(starts[0]) >> 6, (int(starts[-2]) >> 6) + 2, dtype=np.uint64)
+            edges = np.searchsorted(starts[:-1], word << 6)  # each word's first code, then n
+            shift = starts[:-1] & 63
+            codes = gather(self._left_codes, symbols[block])
+            last = edges[1:] - 1  # each word's last code
+            # its bits past the word, if any; numpy shifts by 64 (a code at bit 0) to 0
+            spill = codes.take(last) << (64 - shift.take(last))
+            codes >>= shift
+            words[word[0] : word[-1]] |= np.bitwise_or.reduceat(codes, edges[:-1])
+            words[word[1] : word[-1] + 1] |= spill
         firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
         block_bits = np.add.reduceat(sym_len, firsts, dtype=np.uint16)[:-1]
-        return np.packbits(bits).tobytes(), bits.size, block_bits
+        return words.astype(">u8").view(np.uint8)[: (bits + 7) // 8].tobytes(), bits, block_bits
 
     def decode(self, payload, payload_bits: int, block_bits=()) -> np.ndarray:
         """Decode exactly payload_bits bits back into uint8 symbols.
@@ -435,18 +447,16 @@ def encode_layer(lq: LayerQuantization) -> bytes:
     return framing.pack_record(_body_head(lq, table, payload_bits, block_bits) + payload)
 
 
-def _record_size(lq: LayerQuantization) -> int:
-    """Exact byte length of ``encode_layer(lq)``, found without encoding.
+def _record_size(lq: LayerQuantization, table: HuffmanTable, counts: np.ndarray) -> int:
+    """Exact byte length of ``encode_layer(lq)`` from its table and counts, without encoding.
 
     The block lengths take two bytes each whatever their values, so zeros
     stand in for them.
     """
-    table, counts = _layer_table(lq)
     payload_bits = int(np.dot(counts, table.lengths.astype(np.int64)))
-    payload = (payload_bits + 7) // 8
     head = _body_head(lq, table, payload_bits,
                       np.zeros(_stored_blocks(lq.weight_count), dtype=np.uint16))
-    return framing.RECORD_OVERHEAD + len(head) + payload
+    return framing.RECORD_OVERHEAD + len(head) + (payload_bits + 7) // 8
 
 
 def decode_layer(data, offset: int = 0):
@@ -562,22 +572,16 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     total_zero = 0
     for layer, lq in pair_layers(model, cm):
         orig = 4 * layer.weight_count
-        comp = _record_size(lq)
-        rows.append(
-            ReportRow(
-                layer.name, lq.mode, lq.n_bits, orig, comp,
-                compression_ratio(orig, comp), lq.zero_fraction,
-            )
-        )
+        table, counts = _layer_table(lq)
+        comp = _record_size(lq, table, counts)
+        zeros = int(counts[ZERO])
+        rows.append(ReportRow(layer.name, lq.mode, lq.n_bits, orig, comp,
+                              compression_ratio(orig, comp), zeros / lq.weight_count))
         total_comp += comp
-        total_zero += int(np.count_nonzero(lq.symbols == 0))
-    rows.append(
-        ReportRow(
-            "total", "-", 0, weight_payload_bytes(model), total_comp,
-            compression_ratio(weight_payload_bytes(model), total_comp),
-            total_zero / model.weight_count if model.weight_count else 0.0,
-        )
-    )
+        total_zero += zeros
+    orig = weight_payload_bytes(model)
+    rows.append(ReportRow("total", "-", 0, orig, total_comp, compression_ratio(orig, total_comp),
+                          total_zero / model.weight_count if model.weight_count else 0.0))
     return rows
 
 

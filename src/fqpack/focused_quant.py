@@ -228,10 +228,11 @@ class LayerQuantization(_OnGrid):
             raise ValueError(f"{self.mode} mode needs n_bits in [{min_bits}, 8], "
                              f"got {self.n_bits}")
         # alpha, sigma and wsep live as f32 in the compressed container; hold
-        # them at that precision from the start so round trips are bit-exact
-        self.alpha = float(np.float32(self.alpha))
-        self.sigma = float(np.float32(self.sigma))
-        self.wsep = float(np.float32(self.wsep))
+        # them at that precision from the start so round trips are bit-exact.
+        # A value past float32's range becomes inf, which its check refuses.
+        with np.errstate(over="ignore"):
+            self.alpha, self.sigma, self.wsep = (
+                float(np.float32(v)) for v in (self.alpha, self.sigma, self.wsep))
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
         if not (np.isfinite(self.wsep) and self.wsep >= 0):
@@ -273,11 +274,6 @@ class LayerQuantization(_OnGrid):
     @property
     def weight_count(self) -> int:
         return int(self.symbols.size)
-
-    @property
-    def zero_fraction(self) -> float:
-        """Fraction of positions decoding to exactly zero."""
-        return float(np.count_nonzero(self.symbols == ZERO)) / self.symbols.size
 
 
 def pack(component, sign, exponent, params) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 from unittest import mock
@@ -358,7 +359,7 @@ def test_report_rows_and_csv():
     assert rows[0].orig_bytes == 4 * lq.weight_count
     assert rows[0].comp_bytes == len(encode_layer(lq))
     assert rows[1].comp_bytes == rows[0].comp_bytes + 10
-    assert rows[0].sparsity == pytest.approx(lq.zero_fraction)
+    assert rows[0].sparsity == np.count_nonzero(lq.symbols == 0) / lq.weight_count
     csv = report_to_csv(rows)
     assert csv.splitlines()[0] == REPORT_HEADER
     assert csv.splitlines()[1].startswith("conv,shift,5,")
@@ -633,6 +634,34 @@ def test_stream_spanning_many_blocks():
     assert lengths.size == 390 and lengths.dtype == np.uint16  # 391 blocks of 512 codewords
     assert (payload, bits) == serial_encode(table.lengths, symbols)
     assert np.array_equal(table.decode(payload, bits, lengths), symbols)
+
+
+# 1- to 15-bit codes and two 16-bit ones: every code length, Kraft sum 1
+ALL_LENGTHS = np.array(list(range(1, MAX_CODE_LEN)) + [MAX_CODE_LEN] * 2, dtype=np.uint8)
+
+
+def test_encoded_bytes_are_pinned():
+    # a stream of integer arithmetic over every code length, across three
+    # encode blocks: no RNG or BLAS, so the digest holds on any platform
+    table = HuffmanTable(ALL_LENGTHS)
+    i = np.arange(40_000)
+    payload, bits, block_bits = table.encode((i * 7 + i // 17) % 17)
+    assert bits == 357_640 and len(payload) == 44_705 and block_bits.size == 78
+    assert hashlib.sha256(payload + block_bits.astype("<u2").tobytes()).hexdigest() == (
+        "69afc9a5bec1e9921fc19d41b2dc58f82b3016f3816e3f5dec4ee4ebb558ed2f")
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_sixteen_bit_codes_at_every_start_bit_of_a_word(block):
+    # a word of 1-bit codes and `start` more, then both 16-bit codes (the
+    # second all ones) and a 3-bit code: from start 49 on, the first 16-bit
+    # code runs into the next word; blocks of 1 and 3 symbols end mid-word
+    table = HuffmanTable(ALL_LENGTHS)
+    for start in range(64):
+        symbols = [0] * (64 + start) + [15, 16, 2]
+        with mock.patch.object(codec, "_ENCODE_SYMBOLS", block):
+            payload, bits, _ = table.encode(np.array(symbols))
+        assert (payload, bits) == serial_encode(table.lengths, symbols)
 
 
 def test_decode_errors():

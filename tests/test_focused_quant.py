@@ -144,7 +144,7 @@ def test_pruned_positions_are_zero():
     lq = quantize_layer(weights, keep, 5, seed=3)
     assert np.all(lq.symbols[~keep] == ZERO)
     assert np.all(dequantize_layer(lq)[~keep] == 0.0)
-    assert lq.zero_fraction >= 0.4
+    assert np.count_nonzero(lq.symbols == ZERO) >= 0.4 * lq.weight_count
 
 
 def straight_line_oracle(flat, keep, component, rounded, n_bits, alpha):
@@ -502,15 +502,28 @@ def test_kl_argument_validation():
 # --- layers that dequantize within float32 ---------------------------------------------
 
 
-def _recentralized(alpha=1.0, sigma=0.25, mu=(-0.5, 0.5)):
+def _recentralized(alpha=1.0, sigma=0.25, mu=(-0.5, 0.5), wsep=0.0):
     return LayerQuantization(name="l", mode=MODE_RECENTRALIZED, n_bits=5, alpha=alpha, bias=0,
-                             mu=mu, sigma=sigma, symbols=np.full(9, ZERO))
+                             mu=mu, sigma=sigma, symbols=np.full(9, ZERO), wsep=wsep)
 
 
 @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), 0.0, -0.25])
 def test_layer_refuses_a_sigma_that_is_not_positive_and_finite(sigma):
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         _recentralized(sigma=sigma)
+
+
+@pytest.mark.parametrize("field, message", [
+    ("alpha", "alpha must be finite"),
+    ("sigma", "sigma must be positive and finite, not -?inf"),
+    ("wsep", "wsep must be finite and >= 0, not -?inf"),
+])
+@pytest.mark.parametrize("value", [1e39, -1e39])
+def test_layer_refuses_a_value_past_float32_with_its_own_error(field, message, value):
+    # float32 holds no value this large: the cast gives inf, which the field's
+    # check refuses, and numpy's overflow warning (an error here) is not raised
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _recentralized(**{field: value})
 
 
 @pytest.mark.parametrize("alpha, sigma", [(1.0, 3e38), (3e38, 8.0), (-3e38, 8.0)])
