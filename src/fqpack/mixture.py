@@ -114,20 +114,17 @@ def responsibilities_array(model: MixtureModel, values: np.ndarray) -> np.ndarra
 
 
 def _initial_model(values: np.ndarray) -> MixtureModel:
-    neg = values[values < 0.0]
-    pos = values[values >= 0.0]
+    upper = values >= 0.0  # -0.0 goes with the positives; np.compress gathers by index
+    neg, pos = np.compress(~upper, values), np.compress(upper, values)
     if neg.size < 2 or pos.size < 2:
-        median = np.median(values)
-        neg = values[values <= median]
-        pos = values[values > median]
+        upper = values > np.median(values)
+        neg, pos = np.compress(~upper, values), np.compress(upper, values)
         if neg.size == 0 or pos.size == 0:  # constant tail around the median
             half = values.size // 2
             ordered = np.sort(values)
             neg, pos = ordered[:half], ordered[half:]
     mu = np.array([neg.mean(), pos.mean()])
-    sigma = np.array(
-        [max(neg.std(), SIGMA_FLOOR), max(pos.std(), SIGMA_FLOOR)]
-    )
+    sigma = np.maximum([neg.std(), pos.std()], SIGMA_FLOOR)
     return MixtureModel(mu, sigma, np.array([0.5, 0.5]))
 
 

@@ -141,8 +141,8 @@ def _fit_params(state: _LayerState, config: TrainConfig, seed: int):
     """
     mode = None if state.params is None else state.params.mode
     try:
-        state.params = fit_params(state.shadow[state.kept], config.n_bits,
-                                  config.w_sep, seed, mode)
+        state.params = fit_params(np.compress(state.kept, state.shadow),
+                                  config.n_bits, config.w_sep, seed, mode)
     except DegenerateInputError as exc:
         if state.params is None:
             raise DegenerateInputError(f"layer {state.name!r}: {exc}") from exc
@@ -181,14 +181,13 @@ def _grow_quantized(state: _LayerState, fraction: float):
 
 
 def _effective_weights(state: _LayerState) -> np.ndarray:
-    """Flat weights the network actually runs: quantized / raw / zero mix."""
+    """Flat weights the network actually runs: quantized / raw / zero mix, by index."""
+    kept = np.flatnonzero(state.kept)
+    on_grid = np.flatnonzero(state.quantized)
     w = np.where(state.kept, state.shadow, 0.0)
-    q_pre = np.zeros(state.shadow.size)
-    q_pre[state.kept] = decode(encode(state.shadow[state.kept], state.params),
-                               state.params)
-    state.q_pre = q_pre
-    on_grid = state.quantized & state.kept
-    w[on_grid] = state.alpha * q_pre[on_grid]
+    state.q_pre = q_pre = np.zeros(state.shadow.size)
+    q_pre[kept] = decode(encode(state.shadow.take(kept), state.params), state.params)
+    w[on_grid] = state.alpha * q_pre.take(on_grid)
     return w
 
 
@@ -202,14 +201,13 @@ def _install_weights(states, dtype=np.float32):
 def _apply_gradients(state: _LayerState, lr: float, momentum: float):
     """Straight-through update of shadows and alpha from the layer gradient."""
     dw = state.layer.dw.ravel().astype(np.float64)  # updates run in float64
-    on_grid = state.quantized & state.kept
-    free = state.kept & ~state.quantized
-    dshadow = np.zeros_like(state.shadow)
-    dshadow[on_grid] = state.alpha * dw[on_grid]
-    dshadow[free] = dw[free]
+    on_grid = np.flatnonzero(state.quantized)
+    dw_on_grid = dw.take(on_grid)
+    dshadow = np.where(state.kept, dw, 0.0)
+    dshadow[on_grid] = state.alpha * dw_on_grid
     state.velocity = momentum * state.velocity + dshadow
     state.shadow -= lr * state.velocity
-    dalpha = float(np.dot(dw[on_grid], state.q_pre[on_grid]))
+    dalpha = float(np.dot(dw_on_grid, state.q_pre.take(on_grid)))
     state.alpha_velocity = momentum * state.alpha_velocity + dalpha
     state.alpha -= lr * state.alpha_velocity
     # batch norm keeps the loss finite long after the weights explode, so

@@ -17,6 +17,7 @@ from fqpack.focused_quant import (
     decode,
     _recentralized_params,
     dequantize_layer,
+    encode,
     fit_params,
     kl_complexity_cost,
     pack,
@@ -237,6 +238,100 @@ def test_keep_mask_must_be_bool_over_every_weight():
         quantize_layer(weights, np.array([1, 2, 1, 1], dtype=np.uint8), 5)
     with pytest.raises(ValueError, match="keep mask"):
         quantize_layer(weights, np.ones(3, dtype=bool), 5)
+
+
+@pytest.mark.parametrize("keep", [
+    np.array([1, 1, 1, 1]),  # as an index, four copies of w[1] into position 1
+    np.array([1, 0, 1, 1]),
+    np.ones(3, dtype=bool),
+    np.ones(5, dtype=bool),
+    np.array([0, 2, 3]),  # an index array, not a mask
+], ids=["int-ones", "int-mask", "short", "long", "index"])
+@pytest.mark.parametrize("quantize", ["layer", "with"])
+def test_quantizers_refuse_a_keep_that_is_not_a_bool_mask_over_every_weight(quantize, keep):
+    weights = np.array([0.1, -0.2, 0.3, -0.4])
+    message = re.escape(f"keep mask must be bool over all 4 weights, "
+                        f"not {keep.dtype} over {keep.size}")
+    with pytest.raises(ValueError, match=message):
+        if quantize == "layer":
+            quantize_layer(weights, keep, 5)
+        else:
+            quantize_with(weights, keep, fit_params(weights, 5, 0.0, 0, mode=MODE_SHIFT))
+
+
+# --- index gathers against the bool-mask forms they replaced ---------------------
+
+
+def bool_mask_quantize_with(weights, keep, params, name="", alpha=1.0):
+    """quantize_with as it gathered and scattered by bool mask: the reference."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    symbols = np.zeros(flat.size, dtype=np.uint8)
+    symbols[keep] = encode(flat[keep], params)
+    return LayerQuantization(
+        name=name, mode=params.mode, n_bits=params.n_bits, alpha=float(alpha),
+        bias=params.bias, mu=params.mu, sigma=params.sigma, symbols=symbols,
+        wsep=params.wsep,
+    )
+
+
+def bool_mask_quantize_layer(weights, keep, n_bits, w_sep, seed, name="", alpha=1.0):
+    """quantize_layer as it gathered by bool mask: the reference."""
+    flat = np.asarray(weights, dtype=np.float64).ravel()
+    if not keep.any():
+        raise DegenerateInputError("all weights pruned")
+    params = fit_params(flat[keep], n_bits, w_sep, seed)
+    return bool_mask_quantize_with(flat, keep, params, name, alpha)
+
+
+def layer_bits(quantize, *args):
+    """Every field of the layer ``quantize`` returns, as exact bytes, or the
+    type and message of what it raised."""
+    try:
+        lq = quantize(*args)
+    except (DegenerateInputError, ValueError) as exc:
+        return type(exc), str(exc)
+    floats = np.array([lq.alpha, *lq.mu, lq.sigma, lq.wsep]).tobytes()
+    return lq.name, lq.mode, lq.n_bits, lq.bias, floats, lq.symbols.dtype, lq.symbols.tobytes()
+
+
+# exact zeros of both signs among the weights: -0.0 >= 0.0, so the mixture's
+# initial split puts it with the positives
+WEIGHTS = st.one_of(st.sampled_from([-0.0, 0.0]),
+                    st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def weights_and_keep(draw, max_size=200):
+    """(weights, bool keep mask) with one kept weight, all kept or a random density."""
+    weights = np.array(draw(st.lists(WEIGHTS, min_size=1, max_size=max_size)))
+    density = draw(st.sampled_from(["one", "all", "random"]))
+    if density == "one":
+        keep = np.zeros(weights.size, dtype=bool)
+        keep[draw(st.integers(0, weights.size - 1))] = True
+    elif density == "all":
+        keep = np.ones(weights.size, dtype=bool)
+    else:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=weights.size,
+                                      max_size=weights.size)), dtype=bool)
+    return weights, keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights_and_keep(), st.integers(MIN_BITS_SHIFT, 8), st.sampled_from([0.0, 1e9]),
+       st.integers(0, 3), st.floats(-2.0, 2.0, allow_nan=False))
+def test_quantizers_by_index_match_the_bool_mask_forms_to_the_bit(case, n_bits, w_sep,
+                                                                   seed, alpha):
+    # w_sep 0 recentralizes any layer with a mixture to fit, 1e9 none
+    weights, keep = case
+    args = (weights, keep, n_bits, w_sep, seed, "conv", alpha)
+    assert layer_bits(quantize_layer, *args) == layer_bits(bool_mask_quantize_layer, *args)
+    for mode in (MODE_SHIFT, MODE_RECENTRALIZED):
+        try:
+            params = fit_params(weights[keep], n_bits, w_sep, seed, mode)
+        except (DegenerateInputError, ValueError):
+            continue
+        args = (weights, keep, params, "conv", alpha)
+        assert layer_bits(quantize_with, *args) == layer_bits(bool_mask_quantize_with, *args)
 
 
 # --- symbol packing / validation ------------------------------------------------

@@ -424,3 +424,48 @@ def test_separation_scale_free():
         w = wasserstein_separation(model, float((values * scale).var()))
         base = wasserstein_separation(fit_em(values), float(values.var()))
         assert w == pytest.approx(base, rel=1e-6)
+
+
+def bool_mask_initial_split(values):
+    """_initial_model's (mu, sigma) as it split the values by bool mask: the reference."""
+    neg = values[values < 0.0]
+    pos = values[values >= 0.0]
+    if neg.size < 2 or pos.size < 2:
+        median = np.median(values)
+        neg = values[values <= median]
+        pos = values[values > median]
+        if neg.size == 0 or pos.size == 0:
+            half = values.size // 2
+            ordered = np.sort(values)
+            neg, pos = ordered[:half], ordered[half:]
+    mu = np.array([neg.mean(), pos.mean()])
+    sigma = np.array([max(neg.std(), 1e-8), max(pos.std(), 1e-8)])
+    return mu, sigma
+
+
+SPLIT_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0]),
+                         st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SPLIT_VALUES, min_size=2, max_size=60), st.sampled_from(["mixed", "one sign"]))
+def test_initial_split_by_index_matches_the_bool_mask_split_to_the_bit(values, signs):
+    # one sign: at most one negative value, so the split falls back to the
+    # median; values piled at the median reach the sort fallback
+    v = np.array(values)
+    if signs == "one sign":
+        v = np.concatenate([np.abs(v[:-1]), v[-1:]])
+    if not v.min() < v.max():  # fit_em's precondition
+        return
+    model = _initial_model(v)
+    mu, sigma = bool_mask_initial_split(v)
+    assert same_bits(model.mu, mu) and same_bits(model.sigma, sigma)
+
+
+@pytest.mark.parametrize("values, mu", [
+    ([-0.0, 1.0, 3.0, -0.0, -1.0, -3.0], [-2.0, 1.0]),  # -0.0 is no negative
+    ([-0.0, 0.0, 2.0, 4.0], [0.0, 3.0]),  # nothing below 0: the median splits
+])
+def test_initial_split_puts_negative_zero_with_the_positives(values, mu):
+    v = np.array(values)
+    assert same_bits(_initial_model(v).mu, mu) and same_bits(bool_mask_initial_split(v)[0], mu)

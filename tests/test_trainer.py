@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fqpack import trainer
 from fqpack.codec import encode_compressed, encode_layer
@@ -8,7 +9,10 @@ from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
     ZERO,
+    decode,
     dequantize_layer,
+    encode,
+    fit_params,
     quantize_layer,
 )
 from fqpack.model_store import synthetic_blobs
@@ -229,6 +233,94 @@ def test_pruned_positions_stay_zero():
         assert np.count_nonzero(lq.symbols == ZERO) >= pruned
         assert np.count_nonzero(flat == 0.0) >= pruned
         assert np.all(flat[lq.symbols == ZERO] == 0.0)
+
+
+# --- index gathers against the bool-mask forms they replaced ---------------------
+
+
+def bool_mask_effective_weights(state):
+    """_effective_weights as it gathered and scattered by bool mask: the reference."""
+    w = np.where(state.kept, state.shadow, 0.0)
+    q_pre = np.zeros(state.shadow.size)
+    q_pre[state.kept] = decode(encode(state.shadow[state.kept], state.params),
+                               state.params)
+    state.q_pre = q_pre
+    on_grid = state.quantized & state.kept
+    w[on_grid] = state.alpha * q_pre[on_grid]
+    return w
+
+
+def bool_mask_apply_gradients(state, lr, momentum):
+    """_apply_gradients' updates as they were made by bool mask: the reference."""
+    dw = state.layer.dw.ravel().astype(np.float64)
+    on_grid = state.quantized & state.kept
+    free = state.kept & ~state.quantized
+    dshadow = np.zeros_like(state.shadow)
+    dshadow[on_grid] = state.alpha * dw[on_grid]
+    dshadow[free] = dw[free]
+    state.velocity = momentum * state.velocity + dshadow
+    state.shadow -= lr * state.velocity
+    dalpha = float(np.dot(dw[on_grid], state.q_pre[on_grid]))
+    state.alpha_velocity = momentum * state.alpha_velocity + dalpha
+    state.alpha -= lr * state.alpha_velocity
+
+
+class _Gradient:
+    """Stands in for a layer: the update reads only its ``dw``."""
+
+    def __init__(self, dw):
+        self.dw = dw
+
+
+# exact zeros of both signs, as shadows, gradients and velocities
+TRAIN_VALUES = st.one_of(st.sampled_from([-0.0, 0.0]),
+                         st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def layer_states(draw):
+    """Keyword arguments of a _LayerState, one kept weight, all kept or a random
+    density, its quantized positions a random subset of the kept ones."""
+    n = draw(st.integers(1, 40))
+    column = st.lists(TRAIN_VALUES, min_size=n, max_size=n)
+    shadow, dw, velocity = (np.array(draw(column)) for _ in range(3))
+    density = draw(st.sampled_from(["one", "all", "random"]))
+    if density == "one":
+        kept = np.zeros(n, dtype=bool)
+        kept[draw(st.integers(0, n - 1))] = True
+    elif density == "all":
+        kept = np.ones(n, dtype=bool)
+    else:
+        kept = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    quantized = kept & np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    try:
+        params = fit_params(shadow[kept], draw(st.integers(3, 8)),
+                            draw(st.sampled_from([0.0, 1e9])), draw(st.integers(0, 3)))
+    except DegenerateInputError:
+        assume(False)
+    return dict(shadow=shadow, kept=kept, quantized=quantized, params=params,
+                dw=dw.astype(np.float32), velocity=velocity,
+                alpha=draw(TRAIN_VALUES), alpha_velocity=draw(TRAIN_VALUES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layer_states(), st.floats(0.0, 1.0), st.floats(0.0, 0.99))
+def test_inq_step_by_index_matches_the_bool_mask_forms_to_the_bit(fields, lr, momentum):
+    # w_sep 0 recentralizes any layer with a mixture to fit, 1e9 none
+    def run(effective_weights, apply_gradients):
+        state = trainer._LayerState(
+            name="conv", layer=_Gradient(fields["dw"]), shadow=fields["shadow"].copy(),
+            kept=fields["kept"], quantized=fields["quantized"], alpha=fields["alpha"],
+            params=fields["params"], velocity=fields["velocity"].copy(),
+            alpha_velocity=fields["alpha_velocity"])
+        w = effective_weights(state)
+        apply_gradients(state, lr, momentum)
+        return (w.tobytes(), state.q_pre.tobytes(), state.shadow.tobytes(),
+                state.velocity.tobytes(), np.float64(state.alpha).tobytes(),
+                np.float64(state.alpha_velocity).tobytes())
+
+    assert (run(trainer._effective_weights, trainer._apply_gradients)
+            == run(bool_mask_effective_weights, bool_mask_apply_gradients))
 
 
 def test_history_and_metrics_column():
