@@ -395,6 +395,8 @@ def fit_params(values: np.ndarray, n_bits: int, w_sep: float, seed: int,
     except DegenerateInputError:
         model = None
     total_variance = float(values.var())
+    if not total_variance > 0:  # distinct values whose squared spread underflows
+        model = None
     wsep = 0.0 if model is None else wasserstein_separation(model, total_variance)
     if mode is None:
         mode = MODE_SHIFT

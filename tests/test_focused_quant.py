@@ -227,6 +227,15 @@ def test_all_pruned_is_degenerate():
         quantize_layer(weights, np.zeros(2, dtype=bool), 5)
 
 
+def test_distinct_values_whose_variance_underflows_go_shift():
+    values = np.array([0.0, 1e-165])  # var = 2.5e-331 rounds to 0.0
+    assert values.var() == 0.0
+    params = fit_params(values, 5, 0.0, 0)
+    assert params.mode == MODE_SHIFT and params.wsep == 0.0
+    with pytest.raises(DegenerateInputError):
+        fit_params(values, 5, 0.0, 0, mode=MODE_RECENTRALIZED)
+
+
 def test_shift_needs_three_bits():
     with pytest.raises(ValueError):
         quantize_layer(np.array([0.1, 0.2]), np.ones(2, dtype=bool), 2)
