@@ -86,8 +86,6 @@ class PipelineConfig:
     report_dir: str = ""
     act_bits: int = 8
     float_epochs: int = 4
-    float_lr: float = 0.05
-    float_momentum: float = 0.9
     train: TrainConfig = field(default_factory=TrainConfig)
     # per-layer overrides for compress: name -> {"n_bits"|"prune_fraction"|"w_sep": value}
     layers: dict = field(default_factory=dict)
@@ -99,9 +97,8 @@ class PipelineConfig:
 # keys allowed per section; each is a PipelineConfig or TrainConfig field
 _PIPELINE_KEYS = ("model", "output", "report_dir", "n_bits", "prune_fraction",
                   "w_sep", "seed", "act_bits")
-_TRAIN_KEYS = ("learning_rate", "epochs_per_step", "inq_fractions", "refresh_interval",
-               "refresh_growth", "momentum", "batch_size", "lr_decay", "lr_decay_every",
-               "float_epochs", "float_lr", "float_momentum")
+_TRAIN_KEYS = ("learning_rate", "epochs_per_step", "inq_fractions", "batch_size",
+               "float_epochs")
 _LAYER_KEYS = ("n_bits", "prune_fraction", "w_sep")
 
 
@@ -382,7 +379,6 @@ def _pretrained_net(cfg: PipelineConfig, seed: int, images, labels, eval_set=Non
     # float32, which changes the INQ shadows and the container bytes
     if cfg.float_epochs > 0:
         history = train_float(net, images, labels, epochs=cfg.float_epochs,
-                              learning_rate=cfg.float_lr, momentum=cfg.float_momentum,
                               seed=derive_seed(seed, "float"), eval_set=eval_set)
     return net, history
 

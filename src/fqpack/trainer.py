@@ -9,16 +9,17 @@ receive alpha * dL/dw_eff and alpha receives sum(dL/dw_eff * decode(w)).
 
 Quantization parameters (mode, component means/scale, grid bias, component
 assignments) come from the same ``focused_quant.fit_params`` that compress
-uses. They are fitted before the first epoch and refitted on a refresh
-schedule — after epochs k, k*g, k*g^2, ... (every k epochs when g = 1).
-A layer's mode is decided by its first fit and kept thereafter, so refreshes
-adjust the grid without flipping the layer between representations mid-run.
+uses. They are fitted before the first epoch and refitted after epochs
+1, 2, 4, 8, ... before the last. A layer's mode is decided by its first fit
+and kept thereafter, so refreshes adjust the grid without flipping the layer
+between representations mid-run.
 
-The shadows, alpha and their momentum are float64 master copies. Each
-batch runs the network on float32 effective weights (the layers compute in
-their parameters' dtype); the final install casts weights and BN affine
-parameters to float64, so the returned network computes in float64 and its
-weights equal the container's dequantized values bit for bit.
+The shadows and alpha are float64 master copies, stepped by plain SGD with
+no momentum state. Each batch runs the network on float32 effective weights
+(the layers compute in their parameters' dtype); the final install casts
+weights and BN affine parameters to float64, so the returned network
+computes in float64 and its weights equal the container's dequantized values
+bit for bit.
 
 Float SGD and INQ share one batch loop (``_epoch``). The batch order is one
 fixed seeded permutation reused every epoch, and a zero learning rate runs
@@ -54,16 +55,11 @@ class TrainConfig:
     learning_rate: float = 0.001
     epochs_per_step: int = 3
     inq_fractions: tuple = (0.25, 0.5, 0.75, 0.875, 1.0)
-    refresh_interval: int = 1
-    refresh_growth: int = 2
-    momentum: float = 0.0
     batch_size: int = 64
     seed: int = 0
     w_sep: float = DEFAULT_W_SEP
     n_bits: int = 5
     prune_fraction: float = 0.5
-    lr_decay: float = 0.1
-    lr_decay_every: int = 3
 
     def __post_init__(self):
         f = tuple(float(v) for v in self.inq_fractions)
@@ -78,8 +74,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.epochs_per_step < 1 or self.batch_size < 1:
             raise ValueError("epochs_per_step and batch_size must be >= 1")
-        if self.refresh_interval < 1 or self.refresh_growth < 1:
-            raise ValueError("refresh_interval and refresh_growth must be >= 1")
         if not MIN_BITS_SHIFT <= self.n_bits <= 8:
             raise ValueError(f"n_bits {self.n_bits} outside [{MIN_BITS_SHIFT}, 8] "
                              f"(the symbol layout needs at least {MIN_BITS_SHIFT} bits)")
@@ -87,8 +81,6 @@ class TrainConfig:
             raise ValueError(f"prune_fraction {self.prune_fraction} not in [0, 1)")
         if not self.w_sep >= 0.0:  # written so that NaN fails too
             raise ValueError(f"w_sep {self.w_sep} must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
 
     @property
     def total_epochs(self) -> int:
@@ -96,17 +88,8 @@ class TrainConfig:
 
 
 def refresh_epochs(config: TrainConfig) -> set:
-    """Global epochs after which quantization parameters are refitted."""
-    total = config.total_epochs
-    epochs = set()
-    e = config.refresh_interval
-    while e <= total:
-        epochs.add(e)
-        if config.refresh_growth == 1:
-            e += config.refresh_interval
-        else:
-            e *= config.refresh_growth
-    return epochs
+    """Global epochs after which quantization parameters are refitted: the powers of two."""
+    return {1 << i for i in range(config.total_epochs.bit_length())}
 
 
 @dataclass
@@ -117,18 +100,10 @@ class _LayerState:
     layer: object
     shadow: np.ndarray  # flat float64
     kept: np.ndarray  # bool, False = pruned
-    quantized: np.ndarray = None  # bool over flat positions, subset of kept
+    quantized: np.ndarray  # bool over flat positions, subset of kept
     alpha: float = 1.0
     params: Optional[QuantParams] = None  # quantizer from the last fit
-    velocity: np.ndarray = None
-    alpha_velocity: float = 0.0
     q_pre: np.ndarray = field(default=None, repr=False)  # pre-alpha decode cache
-
-    def __post_init__(self):
-        if self.quantized is None:
-            self.quantized = np.zeros(self.shadow.size, dtype=bool)
-        if self.velocity is None:
-            self.velocity = np.zeros(self.shadow.size)
 
 
 def _fit_params(state: _LayerState, config: TrainConfig, seed: int):
@@ -198,18 +173,15 @@ def _install_weights(states, dtype=np.float32):
         state.layer.w = w.astype(dtype, copy=False)
 
 
-def _apply_gradients(state: _LayerState, lr: float, momentum: float):
+def _apply_gradients(state: _LayerState, lr: float):
     """Straight-through update of shadows and alpha from the layer gradient."""
     dw = state.layer.dw.ravel().astype(np.float64)  # updates run in float64
     on_grid = np.flatnonzero(state.quantized)
     dw_on_grid = dw.take(on_grid)
     dshadow = np.where(state.kept, dw, 0.0)
     dshadow[on_grid] = state.alpha * dw_on_grid
-    state.velocity = momentum * state.velocity + dshadow
-    state.shadow -= lr * state.velocity
-    dalpha = float(np.dot(dw_on_grid, state.q_pre.take(on_grid)))
-    state.alpha_velocity = momentum * state.alpha_velocity + dalpha
-    state.alpha -= lr * state.alpha_velocity
+    state.shadow -= lr * dshadow
+    state.alpha -= lr * float(np.dot(dw_on_grid, state.q_pre.take(on_grid)))
     # batch norm keeps the loss finite long after the weights explode, so
     # divergence has to be caught at the update itself; anything outside the
     # single-precision range can never quantize sanely (alpha is stored f32)
@@ -301,8 +273,8 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     for name, layer in net.weight_layers():
         flat = layer.w.ravel().astype(np.float64)
         kept = prune_by_magnitude(flat, config.prune_fraction)
-        state = _LayerState(name=name, layer=layer,
-                            shadow=np.where(kept, flat, 0.0), kept=kept)
+        state = _LayerState(name=name, layer=layer, shadow=np.where(kept, flat, 0.0),
+                            kept=kept, quantized=np.zeros(kept.size, dtype=bool))
         _fit_params(state, config, derive_seed(config.seed, name))
         states.append(state)
 
@@ -310,22 +282,18 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
 
     def update(lr):
         for state in states:
-            _apply_gradients(state, lr, config.momentum)
+            _apply_gradients(state, lr)
 
     refresh_at = refresh_epochs(config)
     history = []
     global_epoch = 0
-    final_step = len(config.inq_fractions) - 1
-    for step, fraction in enumerate(config.inq_fractions):
+    for fraction in config.inq_fractions:
         for state in states:
             _grow_quantized(state, fraction)
-        for local in range(config.epochs_per_step):
+        for _ in range(config.epochs_per_step):
             global_epoch += 1
-            lr = config.learning_rate
-            if step == final_step and config.lr_decay_every > 0:
-                lr *= config.lr_decay ** (local // config.lr_decay_every)
-            loss = _epoch(net, images, labels, batches, lr, f"epoch {global_epoch}",
-                          lambda: _install_weights(states), update)
+            loss = _epoch(net, images, labels, batches, config.learning_rate,
+                          f"epoch {global_epoch}", lambda: _install_weights(states), update)
             top1 = None
             if eval_set is not None:
                 _install_weights(states)
@@ -353,7 +321,7 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
 
 
 def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
-                learning_rate: float, momentum: float = 0.9,
+                learning_rate: float = 0.05, momentum: float = 0.9,
                 batch_size: int = 64, seed: int = 0, eval_set=None) -> list:
     """Plain SGD baseline training in float32; returns (epoch, loss, top1)
     history. The net keeps its float32 weights and BN affine parameters."""

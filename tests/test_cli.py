@@ -825,7 +825,6 @@ epochs_per_step = 1
 inq_fractions = 0.5,1.0
 batch_size = 64
 float_epochs = 1
-float_lr = 0.05
 """
 
 
@@ -866,6 +865,27 @@ def test_training_commands_refuse_layer_sections(command, capsys, tmp_path):
     ], capsys)
     assert rc == 1
     assert "[layer head]" in err and "compress only" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+# the refit schedule, momentum, learning-rate decay and float pretraining rate
+# are constants of the trainer, so no config sets them
+FIXED_TRAIN_SETTINGS = [("refresh_interval", "1"), ("refresh_growth", "2"),
+                        ("momentum", "0.9"), ("lr_decay", "0.1"), ("lr_decay_every", "3"),
+                        ("float_lr", "nan"), ("float_momentum", "nan")]
+
+
+@pytest.mark.parametrize("key,value", FIXED_TRAIN_SETTINGS)
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_training_commands_refuse_fixed_settings(command, key, value, capsys, tmp_path):
+    cfg = tmp_path / "fixed.cfg"
+    cfg.write_text(TRAIN_CONFIG + f"{key} = {value}\n")  # into its [train] section
+    rc, _, err = run_cli([
+        command, "--config", str(cfg), "--samples", "16", "--val-samples", "8",
+        "--out" if command == "sweep" else "--metrics", str(tmp_path / "out.csv"),
+    ], capsys)
+    assert rc == 1
+    assert f"[train] unknown key '{key}'" in err
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -71,12 +71,9 @@ def test_config_defaults_and_total():
     dict(learning_rate=-0.1),
     dict(epochs_per_step=0),
     dict(batch_size=0),
-    dict(refresh_growth=0),
-    dict(refresh_interval=0),
     dict(n_bits=2),
     dict(n_bits=9),
     dict(prune_fraction=1.0),
-    dict(momentum=1.0),
     dict(w_sep=-1.0),
     dict(w_sep=float("nan")),
 ])
@@ -86,12 +83,8 @@ def test_config_validation(bad):
 
 
 def test_refresh_epoch_schedules():
-    cfg = TrainConfig(epochs_per_step=3, inq_fractions=(0.25, 0.5, 0.75, 0.875, 1.0),
-                      refresh_interval=1, refresh_growth=2)
+    cfg = TrainConfig(epochs_per_step=3, inq_fractions=(0.25, 0.5, 0.75, 0.875, 1.0))
     assert refresh_epochs(cfg) == {1, 2, 4, 8}
-    linear = TrainConfig(epochs_per_step=2, inq_fractions=(0.5, 0.75, 1.0),
-                         refresh_interval=2, refresh_growth=1)
-    assert refresh_epochs(linear) == {2, 4, 6}
 
 
 # --- partition ----------------------------------------------------------------------
@@ -250,7 +243,7 @@ def bool_mask_effective_weights(state):
     return w
 
 
-def bool_mask_apply_gradients(state, lr, momentum):
+def bool_mask_apply_gradients(state, lr):
     """_apply_gradients' updates as they were made by bool mask: the reference."""
     dw = state.layer.dw.ravel().astype(np.float64)
     on_grid = state.quantized & state.kept
@@ -258,11 +251,8 @@ def bool_mask_apply_gradients(state, lr, momentum):
     dshadow = np.zeros_like(state.shadow)
     dshadow[on_grid] = state.alpha * dw[on_grid]
     dshadow[free] = dw[free]
-    state.velocity = momentum * state.velocity + dshadow
-    state.shadow -= lr * state.velocity
-    dalpha = float(np.dot(dw[on_grid], state.q_pre[on_grid]))
-    state.alpha_velocity = momentum * state.alpha_velocity + dalpha
-    state.alpha -= lr * state.alpha_velocity
+    state.shadow -= lr * dshadow
+    state.alpha -= lr * float(np.dot(dw[on_grid], state.q_pre[on_grid]))
 
 
 class _Gradient:
@@ -272,7 +262,7 @@ class _Gradient:
         self.dw = dw
 
 
-# exact zeros of both signs, as shadows, gradients and velocities
+# exact zeros of both signs, as shadows and gradients
 TRAIN_VALUES = st.one_of(st.sampled_from([-0.0, 0.0]),
                          st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False))
 
@@ -283,7 +273,7 @@ def layer_states(draw):
     density, its quantized positions a random subset of the kept ones."""
     n = draw(st.integers(1, 40))
     column = st.lists(TRAIN_VALUES, min_size=n, max_size=n)
-    shadow, dw, velocity = (np.array(draw(column)) for _ in range(3))
+    shadow, dw = (np.array(draw(column)) for _ in range(2))
     density = draw(st.sampled_from(["one", "all", "random"]))
     if density == "one":
         kept = np.zeros(n, dtype=bool)
@@ -299,25 +289,22 @@ def layer_states(draw):
     except DegenerateInputError:
         assume(False)
     return dict(shadow=shadow, kept=kept, quantized=quantized, params=params,
-                dw=dw.astype(np.float32), velocity=velocity,
-                alpha=draw(TRAIN_VALUES), alpha_velocity=draw(TRAIN_VALUES))
+                dw=dw.astype(np.float32), alpha=draw(TRAIN_VALUES))
 
 
 @settings(max_examples=100, deadline=None)
-@given(layer_states(), st.floats(0.0, 1.0), st.floats(0.0, 0.99))
-def test_inq_step_by_index_matches_the_bool_mask_forms_to_the_bit(fields, lr, momentum):
+@given(layer_states(), st.floats(0.0, 1.0))
+def test_inq_step_by_index_matches_the_bool_mask_forms_to_the_bit(fields, lr):
     # w_sep 0 recentralizes any layer with a mixture to fit, 1e9 none
     def run(effective_weights, apply_gradients):
         state = trainer._LayerState(
             name="conv", layer=_Gradient(fields["dw"]), shadow=fields["shadow"].copy(),
             kept=fields["kept"], quantized=fields["quantized"], alpha=fields["alpha"],
-            params=fields["params"], velocity=fields["velocity"].copy(),
-            alpha_velocity=fields["alpha_velocity"])
+            params=fields["params"])
         w = effective_weights(state)
-        apply_gradients(state, lr, momentum)
+        apply_gradients(state, lr)
         return (w.tobytes(), state.q_pre.tobytes(), state.shadow.tobytes(),
-                state.velocity.tobytes(), np.float64(state.alpha).tobytes(),
-                np.float64(state.alpha_velocity).tobytes())
+                np.float64(state.alpha).tobytes())
 
     assert (run(trainer._effective_weights, trainer._apply_gradients)
             == run(bool_mask_effective_weights, bool_mask_apply_gradients))
