@@ -35,21 +35,19 @@ Between layers: fold BN into per-channel (scale, offset), quantize those to
 int16 with shared power-of-two exponents, apply ReLU, and requantize
 activations to int8, straight into the next stage's input buffer, which
 holds such integers exactly. Each sample gets the smallest exponent that
-loses nothing, so its output does not depend on its batch; only a frozen
-exponent (from ``calibrate``) saturates. The rounding stays in float64 (a
-float32 cast first could move a value such as 2.4999999 onto a tie) and is
-half away from zero. The network input may be negative, and is the
-caller's: ``quantize_activations`` takes its exponent from each sample's
-max and min and rounds it with ``_round_away``, in three passes, into the
-first stage's input. After a ReLU every input is >= 0, so the max alone
-gives the exponent and trunc(v + 0.5) rounds in two passes, in place, the
-same up to the sign of a zero. ``_exponent`` finds the exponents of a
+loses nothing, so its output does not depend on its batch. The rounding
+stays in float64 (a float32 cast first could move a value such as 2.4999999
+onto a tie) and is half away from zero. The network input may be negative,
+and is the caller's: ``quantize_activations`` takes its exponent from each
+sample's max and min and rounds it with ``_round_away``, in three passes,
+into the first stage's input. After a ReLU every input is >= 0, so the max
+alone gives the exponent and trunc(v + 0.5) rounds in two passes, in place,
+the same up to the sign of a zero. ``_exponent`` finds the exponents of a
 block by one sorted search in the peaks where the exponent steps, worked
 out once per bit width. ``quantize_activations`` also requantizes single
-arrays (BN coefficients, a whole batch). The
-classifier layer returns float logits without requantization; a global
-average pool (power of two window, rounded shift) bridges conv output to the
-dense head.
+arrays (BN coefficients, a whole batch). The classifier layer returns float
+logits without requantization; a global average pool (power of two window,
+rounded shift) bridges conv output to the dense head.
 
 A forward runs in blocks of at most ``_BLOCK`` (32) samples, each through
 the whole network; the blocking is exact, since a sample's exponents are
@@ -61,9 +59,7 @@ and one patch matrix, GEMM output and float64 finalize buffer, which the
 stages take turns to use. Later blocks use the leading rows, everything is
 dropped when the call returns, so peak memory depends on the block size,
 not the batch size, and calls stay reentrant. ``FloatSimulator`` builds its
-inputs and patches in float64, so its GEMM reads them without a widening
-copy. The recording pass of ``calibrate`` picks one exponent per batch, so
-it runs its batch whole.
+inputs and patches in float64, so its GEMM reads them without a widening copy.
 """
 
 from __future__ import annotations
@@ -133,10 +129,10 @@ def quantize_activations(x: np.ndarray, bits: int = 8, exponent=None, out=None):
     Returns (values, exponent), the values float32 integers in [-(2^(bits-1)-1),
     2^(bits-1)-1], rounded half away from zero. With no exponent, the smallest
     one (a Python int) that fits the whole array's extreme value, so nothing
-    clips; 0 for all zeros. A frozen int exponent, as set by calibration,
-    saturates. An int array gives each sample (axis 0) its own, which the
-    caller picks lossless after refusing non-finite input; otherwise
-    non-finite input raises ValidationError.
+    clips; 0 for all zeros. A given int exponent saturates. An int array
+    gives each sample (axis 0) its own, which the caller picks lossless after
+    refusing non-finite input; otherwise non-finite input raises
+    ValidationError.
     ``out``, a float array of x's shape (a strided view will do), receives
     the values in place of a new float32 array.
     """
@@ -370,6 +366,9 @@ def _stage_plan(stages, shape, dtype=None) -> _Plan:
         in_dtype = np.dtype(stage.planes.dtype if dtype is None else dtype)
         if stage.kind == KIND_CONV2D:
             fh, fw, cin, _, pad, stride = stage.geometry
+            if len(shape) != 3:
+                raise ValidationError(f"stage {stage.name!r}: a conv needs an (h, w, c) "
+                                      f"input, got shape {shape}")
             h, w, c = shape
             if c != cin:
                 raise ValidationError(
@@ -495,10 +494,8 @@ class IntegerEngine:
     dtype: float32 up to 24 bits, float64 above, so the matrix products are
     exact integer sums.
 
-    Activation scales are chosen per sample, so a sample's logits do not
-    depend on its batch, until :meth:`calibrate` freezes one per layer; only
-    frozen scales saturate, so later inputs clip rather than rescale.
-    Non-finite inputs raise ValidationError either way.
+    Activation scales are chosen per sample, lossless, so a sample's logits
+    do not depend on its batch. Non-finite inputs raise ValidationError.
     """
 
     accumulate = staticmethod(_integer_accumulate)
@@ -508,7 +505,6 @@ class IntegerEngine:
         if not model.layers:
             raise ValidationError("model has no layers")
         self.act_bits = act_bits
-        self.act_exps = None  # set by calibrate()
         self.stages = [_build_stage(spec, lq, act_bits)
                        for spec, lq in pair_layers(model, compressed)]
         self._last_plan = None  # (per-sample input shape, its _Plan)
@@ -521,11 +517,10 @@ class IntegerEngine:
             self._last_plan = last
         return last[1]
 
-    def _requant(self, x: np.ndarray, point: int, record=None, out=None):
-        """Rounds the block ``x``, stage ``point``'s float64 input, onto its
-        power-of-two grid, into ``out`` or, after a ReLU, in place. Returns
-        (values, exponents): the frozen exponent, one per batch when
-        calibration ``record``s, else one per sample.
+    def _requant(self, x: np.ndarray, point: int, out=None):
+        """Rounds the block ``x``, stage ``point``'s float64 input, onto each
+        sample's power-of-two grid, into ``out`` or, after a ReLU, in place.
+        Returns (values, exponents), one exponent per sample.
 
         The network input (point 0) may be negative, and is the caller's, so
         ``quantize_activations`` rounds it half away from zero into ``out`` or
@@ -533,81 +528,54 @@ class IntegerEngine:
         exponent, and trunc(v + 0.5) rounds, the same but for -0.0, which
         becomes +0.0.
         """
-        frozen = None if self.act_exps is None else self.act_exps[point]
         if not point:
-            if frozen is None and record is None:
-                frozen = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
-            ints, exps = quantize_activations(x, self.act_bits, frozen, out)
-            if record is not None:
-                record.append(exps)
-            return ints, exps
+            exps = _lossless_exponent(x, self.act_bits, tuple(range(1, x.ndim)))
+            return quantize_activations(x, self.act_bits, exps, out)
         values, x = x, x.reshape(len(x), -1)  # a view: stage outputs are C-contiguous
         np.maximum(x, 0.0, out=x)  # ReLU between stages
-        peaks = x.max(axis=1, keepdims=True)
-        if record is not None:
-            peaks = peaks.max()
-        exps = _exponent(peaks, self.act_bits)  # refuses NaN and inf
-        if record is not None:
-            exps = int(exps)
-            record.append(exps)
-        elif frozen is not None:
-            exps = frozen
+        exps = _exponent(x.max(axis=1, keepdims=True), self.act_bits)  # refuses NaN and inf
         grid = np.ldexp(x, -exps, out=x)
         grid += 0.5
-        if frozen is not None:  # saturate
-            np.minimum(grid, (1 << (self.act_bits - 1)) - 0.5, out=grid)
         if out is None:
             np.trunc(grid, out=grid)
             return values, exps
         return np.trunc(grid.reshape(out.shape), out=out), exps
 
-    def _run(self, x: np.ndarray, record=None) -> np.ndarray:
-        """Logits of the batch, _BLOCK samples at a time. The recording pass of
-        calibrate picks one exponent per batch, so it runs the batch whole."""
+    def forward(self, images: np.ndarray) -> np.ndarray:
+        """Logits for a batch of NCHW images (float, any real scale), _BLOCK
+        samples at a time."""
+        x = np.asarray(images, dtype=np.float64)
+        if x.ndim == 3:
+            x = x[None]
         if x.size == 0:
             raise ValueError("empty activation array")
         if x.ndim == 4:
             x = x.transpose(0, 2, 3, 1)  # NHWC from here on
-        step = len(x) if record is not None else _BLOCK
         plan = self._plan(x.shape[1:])
-        ws = _Workspace(plan, min(len(x), step))
+        ws = _Workspace(plan, min(len(x), _BLOCK))
         out = None
-        for start in range(0, len(x), step):
-            real = x[start : start + step]
+        for start in range(0, len(x), _BLOCK):
+            real = x[start : start + _BLOCK]
             n = len(real)
             for i, (stage, shape) in enumerate(zip(self.stages, plan.shapes)):
                 ints = ws.inner(i, n)
                 if shape.pool:
-                    pooled, exps = self._requant(real, i, record)
+                    pooled, exps = self._requant(real, i)
                     ints[...] = global_avg_pool_int(pooled.transpose(0, 3, 1, 2))
                 else:
-                    exps = self._requant(real, i, record, ints)[1]
+                    exps = self._requant(real, i, ints)[1]
                 real = _stage_real(stage, ints, exps, self.accumulate, ws, i)
             if out is None:
                 out = np.empty((len(x),) + real.shape[1:])
             out[start : start + n] = real
         return out.transpose(0, 3, 1, 2) if out.ndim == 4 else out
 
-    def forward(self, images: np.ndarray) -> np.ndarray:
-        """Logits for a batch of NCHW images (float, any real scale)."""
-        x = np.asarray(images, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
-        return self._run(x)
-
-    def calibrate(self, images: np.ndarray, samples: int = 64) -> list:
-        """Freeze per-layer activation exponents, lossless on the calibration batch."""
-        x = np.asarray(images, dtype=np.float64)
-        if x.ndim == 3:
-            x = x[None]
-        self.act_exps = None
-        record = []
-        self._run(x[:samples], record=record)
-        self.act_exps = record
-        return list(record)
-
     def logits(self, images: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Logits of every image, ``batch_size`` images per forward pass."""
+        """Class logits of every image, ``batch_size`` images per forward pass;
+        refuses a model whose last layer is not dense, before any image runs."""
+        if self.stages[-1].kind == KIND_CONV2D:
+            raise ValidationError(f"last layer {self.stages[-1].name!r} is a conv: "
+                                  "class logits need a dense last layer")
         return np.concatenate([self.forward(images[start : start + batch_size])
                                for start in range(0, images.shape[0], batch_size)])
 

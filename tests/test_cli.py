@@ -386,6 +386,41 @@ def test_infer_container_missing_a_layer(assets, capsys, tmp_path):
     assert "'head' is missing" in err
 
 
+FC = ("fc", "dense", (3, 8), (3, 8))
+CONV_AFTER_FC = ("conv", "conv2d", (1, 1, 8, 4), (1, 1, 8, 4, 0, 1))
+CONV_LAST = "error: last layer 'conv' is a conv: class logits need a dense last layer"
+
+
+@pytest.mark.parametrize("layers, message", [
+    ([FC, CONV_AFTER_FC, ("head", "dense", (4, 10), (4, 10))],
+     r"error: stage 'conv': a conv needs an \(h, w, c\) input, got shape \(8,\)"),
+    ([FC, CONV_AFTER_FC], CONV_LAST),
+    ([("conv", "conv2d", (3, 3, 3, 4), (3, 3, 3, 4, 1, 1))], CONV_LAST),
+], ids=["conv_after_dense", "conv_after_dense_last", "conv_only"])
+def test_infer_refuses_a_model_it_cannot_classify_with(assets, capsys, tmp_path, monkeypatch,
+                                                       layers, message):
+    rng = np.random.default_rng(24)
+    model_path = tmp_path / "model.fqm"
+    save_model(ModelFile([LayerSpec(name, kind, rng.normal(size=shape), geometry)
+                          for name, kind, shape, geometry in layers]), model_path)
+    fqz = tmp_path / "model.fqz"
+    assert run_cli(["compress", "--model", str(model_path), "--out", str(fqz),
+                    "--report-dir", str(tmp_path / "rep"), "--seed", "1"], capsys)[0] == 0
+    ran, accumulate = [], IntegerEngine.accumulate  # the stages whose GEMM ran
+
+    def counting_accumulate(stage, *args):
+        ran.append(stage.name)
+        return accumulate(stage, *args)
+
+    monkeypatch.setattr(IntegerEngine, "accumulate", staticmethod(counting_accumulate))
+    rc, out, err = run_cli([
+        "infer", "--model", str(model_path), "--compressed", str(fqz),
+        "--data", str(assets["data"]), "--limit", "4",
+    ], capsys)
+    assert (rc, out, ran) == (2, "", [])
+    assert re.fullmatch(message + "\n", err)
+
+
 def unused_sign_field_artifacts(tmp_path, mode):
     """The identity model and data, and a well-framed container whose conv1
     holds one symbol with a sign field no ``mode`` code uses -> (paths, symbol)."""

@@ -30,6 +30,7 @@ from fqpack.engine import (
 )
 from fqpack.errors import (
     AccumulatorOverflowError,
+    FqError,
     ValidationError,
 )
 from fqpack.focused_quant import (
@@ -431,21 +432,6 @@ def test_zero_input_rides_the_offset_path():
     assert np.array_equal(logits[0], logits[1])
 
 
-def test_calibration_freezes_exponents():
-    _, model, cm = quantized_toy()
-    engine = IntegerEngine(model, cm)
-    x = np.random.default_rng(91).normal(scale=0.3, size=(64, 3, 8, 8))
-    exps = engine.calibrate(x, samples=64)
-    assert len(exps) == len(engine.stages)
-    assert engine.act_exps == exps
-    before = engine.forward(x[:4])
-    assert np.array_equal(engine.forward(x[:4]), before)
-    # larger inputs now saturate instead of changing scale
-    big = engine.forward(100.0 * x[:4])
-    assert np.all(np.isfinite(big))
-    assert engine.calibrate(x, samples=64) == exps
-
-
 def test_engine_validation_errors():
     _, model, cm = quantized_toy()
     with pytest.raises(AccumulatorOverflowError):
@@ -676,17 +662,6 @@ def test_one_requantizer_matches_the_two_it_replaced(bits, frozen, values):
     assert got.dtype == np.float32 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_calibrated_engine_refuses_non_finite_images(bad):
-    _, model, cm = quantized_toy()
-    engine = IntegerEngine(model, cm)
-    x = np.random.default_rng(92).normal(scale=0.3, size=(8, 3, 8, 8))
-    engine.calibrate(x)
-    x[3, 1, 2, 2] = bad
-    with pytest.raises(ValidationError, match="non-finite"):
-        engine.forward(x)
-
-
 def _old_accumulator_bits(lq, patch_size, act_bits=8):
     """The bound decoded from the symbols before it read the planes, as an oracle."""
     xmax = (1 << (act_bits - 1)) - 1
@@ -765,69 +740,11 @@ def scaled_batch(rng, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 9), batch_size=st.integers(1, 9),
-       seed=st.integers(0, 2**32 - 1), calibrated=st.booleans())
-def test_forward_does_not_depend_on_the_batch(n, batch_size, seed, calibrated):
-    engine = IntegerEngine(*toy_pair())
-    rng = np.random.default_rng(seed)
-    x = scaled_batch(rng, n)
-    if calibrated:
-        engine.calibrate(scaled_batch(rng, 8))
-    logits = engine.forward(x)
-    for i in range(n):
-        assert np.array_equal(engine.forward(x[i : i + 1])[0], logits[i])
-    assert np.array_equal(engine.predict(x, batch_size=batch_size), np.argmax(logits, axis=1))
-
-
-def _batchwide_run(engine, x, frozen=None):
-    """The engine's pass before per-sample exponents, kept as an oracle: one
-    exponent per batch at every point (or the frozen ones), int64
-    activations. Returns (logits, exponents)."""
-    def requant(values, point):
-        ints, exp = quantize_activations(values, engine.act_bits,
-                                         None if frozen is None else frozen[point])
-        return ints.astype(np.int64), exp
-
-    ints, exp = requant(x, 0)
-    ints, record = ints.transpose(0, 2, 3, 1), [exp]
-    for i, stage in enumerate(engine.stages):
-        if stage.kind == "dense" and ints.ndim == 4:
-            ints = global_avg_pool_int(ints.transpose(0, 3, 1, 2))
-        real = _stage_real(stage, ints, exp, engine.accumulate)
-        if i == len(engine.stages) - 1:
-            return real, record
-        ints, exp = requant(np.maximum(real, 0.0), i + 1)
-        record.append(exp)
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-def test_calibration_keeps_the_batchwide_exponents(n, seed):
-    engine = IntegerEngine(*toy_pair())
-    x = scaled_batch(np.random.default_rng(seed), n)
-    assert engine.calibrate(x) == _batchwide_run(engine, x)[1]
-
-
-def test_calibrated_inference_is_unchanged():
-    engine = IntegerEngine(*toy_pair())
-    rng = np.random.default_rng(93)
-    frozen = engine.calibrate(scaled_batch(rng, 64))
-    # a batch beyond the calibrated range saturates, as before
-    x = np.concatenate([scaled_batch(rng, 12), 64.0 * scaled_batch(rng, 4)])
-    assert np.array_equal(engine.forward(x), _batchwide_run(engine, x, frozen)[0])
-
-
-@settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 2 * _BLOCK + 3), batch_size=st.integers(1, 2 * _BLOCK + 3),
-       seed=st.integers(0, 2**32 - 1), engine_type=st.sampled_from([IntegerEngine, FloatSimulator]),
-       calibrated=st.booleans())
-def test_batches_across_blocks_match_sample_by_sample(n, batch_size, seed, engine_type,
-                                                      calibrated):
+       seed=st.integers(0, 2**32 - 1), engine_type=st.sampled_from([IntegerEngine, FloatSimulator]))
+def test_batches_across_blocks_match_sample_by_sample(n, batch_size, seed, engine_type):
     engine = engine_type(*toy_pair())
-    rng = np.random.default_rng(seed)
-    x = scaled_batch(rng, n)
-    if calibrated:
-        engine.calibrate(scaled_batch(rng, 8))
+    x = scaled_batch(np.random.default_rng(seed), n)
     logits = engine.forward(x)
     for i in range(n):
         assert np.array_equal(engine.forward(x[i : i + 1])[0], logits[i])
@@ -985,7 +902,7 @@ def test_exponent_steps_where_the_frexp_formula_steps(bits):
 
 @pytest.mark.parametrize("n", [1, 37])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_uncalibrated_forward_refuses_non_finite_images(n, bad):
+def test_forward_refuses_non_finite_images(n, bad):
     engine = IntegerEngine(*toy_pair())
     x = scaled_batch(np.random.default_rng(95), n)
     x[n - 1, 2, 3, 4] = bad
@@ -1053,3 +970,72 @@ def test_plan_refuses_a_kernel_that_does_not_fit_its_input():
     engine = IntegerEngine(ModelFile([narrow] + model.layers[1:]), cm)
     with pytest.raises(ValidationError, match="which must fit its 2x2 input"):
         engine.forward(np.zeros((3, 2, 2)))
+
+
+def _compressed_stack(layers):
+    """(ModelFile, CompressedModel) of (name, kind, weight, geometry) layers,
+    every weight kept and quantized to 5 bits."""
+    specs = [LayerSpec(name, kind, w.astype(np.float32), geometry)
+             for name, kind, w, geometry in layers]
+    return ModelFile(specs), CompressedModel([
+        quantize_layer(w.ravel(), np.ones(w.size, bool), 5, seed=i, name=name)
+        for i, (name, _, w, _) in enumerate(layers)])
+
+
+def test_plan_refuses_a_conv_fed_a_dense_output():
+    rng = np.random.default_rng(98)
+    conv = rng.normal(size=(1, 1, 8, 4))
+    pair = _compressed_stack([("fc", "dense", rng.normal(size=(3, 8)), (3, 8)),
+                              ("conv", "conv2d", conv, (1, 1, 8, 4, 0, 1))])
+    for engine in (IntegerEngine(*pair), FloatSimulator(*pair)):
+        with pytest.raises(ValidationError, match=r"stage 'conv': a conv needs an \(h, w, c\) "
+                                                  r"input, got shape \(8,\)"):
+            engine.forward(rng.normal(size=(2, 3, 8, 8)))
+
+
+def test_class_logits_need_a_dense_last_layer():
+    rng = np.random.default_rng(99)
+    pair = _compressed_stack([("conv", "conv2d", rng.normal(size=(3, 3, 3, 4)),
+                               (3, 3, 3, 4, 1, 1))])
+    engine = IntegerEngine(*pair)
+    x = rng.normal(size=(2, 3, 8, 8))
+    assert engine.forward(x).shape == (2, 4, 8, 8)  # forward still returns NCHW
+    for run in (engine.logits, engine.predict, FloatSimulator(*pair).predict):
+        with pytest.raises(ValidationError, match="last layer 'conv' is a conv: "
+                                                  "class logits need a dense last layer"):
+            run(x)
+
+
+@st.composite
+def layer_stacks(draw):
+    """1-3 conv2d and dense layers in any order, each fed the one before's
+    output width, as (ModelFile, CompressedModel)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers, cin = [], 3
+    for i in range(draw(st.integers(1, 3))):
+        cout = draw(st.integers(1, 8))
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([1, 3]))
+            geometry = (k, k, cin, cout, draw(st.integers(0, 1)), draw(st.integers(1, 2)))
+            layers.append((f"conv{i}", "conv2d", rng.normal(size=geometry[:4]), geometry))
+        else:
+            layers.append((f"fc{i}", "dense", rng.normal(size=(cin, cout)), (cin, cout)))
+        cin = cout
+    return _compressed_stack(layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=layer_stacks(), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_any_stack_of_layers_runs_or_is_refused(pair, n, seed):
+    x = np.random.default_rng(seed).normal(size=(n, 3, 8, 8))
+    try:
+        engine = IntegerEngine(*pair)
+        logits = engine.forward(x)
+    except FqError:
+        return
+    assert np.all(np.isfinite(logits))
+    if pair[0].layers[-1].kind == "conv2d":
+        with pytest.raises(ValidationError, match="class logits need a dense last layer"):
+            engine.predict(x)
+    else:
+        assert np.array_equal(engine.predict(x), np.argmax(logits, axis=1))
