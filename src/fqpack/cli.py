@@ -10,7 +10,7 @@ import configparser
 import os
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .codec import (
     compression_report,
     load_compressed,
     pair_layers,
-    report_to_csv,
     save_compressed,
 )
 from .cost_model import (
@@ -27,7 +26,6 @@ from .cost_model import (
     DEFAULT_GEOMETRY,
     DEFAULT_SCHEMES,
     gate_report,
-    gate_report_csv,
     parse_geometry,
     parse_scheme,
 )
@@ -47,17 +45,12 @@ from .rng import derive_seed
 from .trainer import (
     TrainConfig,
     finetune_inq,
-    metrics_csv,
-    sweep_detail_csv,
     sweep_grid,
-    sweep_summary_csv,
     top1_accuracy,
     train_float,
     wsep_sweep,
 )
 
-MODES_HEADER = "layer,mode,bits,wsep"
-HIST_HEADER = "bin_left,bin_right,count"
 SEED_ENV = "FQ_SEED"
 
 
@@ -208,16 +201,23 @@ def weight_histogram(values: np.ndarray, bins: int = 64):
             for i in range(len(counts))]
 
 
-def histogram_csv(rows) -> str:
-    lines = [HIST_HEADER]
-    lines += [f"{left:.6g},{right:.6g},{count}" for left, right, count in rows]
-    return "\n".join(lines) + "\n"
+# ---------------------------------------------------------------------------
+# CSV output: each kind is its (header, row format)
+
+REPORT_CSV = ("layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity",
+              "{},{},{},{},{},{:.2f},{:.4f}")
+MODES_CSV = ("layer,mode,bits,wsep", "{},{},{},{:.4f}")
+HIST_CSV = ("bin_left,bin_right,count", "{:.6g},{:.6g},{}")
+METRICS_CSV = ("epoch,loss,top1", "{},{:.6f},{}")  # top1 comes formatted, or ""
+SWEEP_DETAIL_CSV = ("wsep,run,top1", "{:.1f},{},{:.4f}")
+SWEEP_SUMMARY_CSV = ("wsep,mean_top1,std_top1", "{:.1f},{:.4f},{:.4f}")
+COST_CSV = ("scheme,geometry,gates,ratio", "{},{},{},{:.4f}")
 
 
-def modes_csv(rows) -> str:
-    lines = [MODES_HEADER]
-    lines += [f"{name},{mode},{bits},{wsep:.4f}" for name, mode, bits, wsep in rows]
-    return "\n".join(lines) + "\n"
+def csv_text(kind, rows) -> str:
+    """The header line of ``kind``, then one line per row, newline-terminated."""
+    header, row_format = kind
+    return "\n".join([header] + [row_format.format(*row) for row in rows]) + "\n"
 
 
 def _write_text(path, text: str):
@@ -260,19 +260,19 @@ def _quantize_model(model: ModelFile, cfg: PipelineConfig, seed: int) -> Compres
 
 
 def _emit_reports(report_dir, model: ModelFile, cm: CompressedModel):
-    rows = compression_report(model, cm)
-    _write_text(os.path.join(report_dir, "compression.csv"), report_to_csv(rows))
-    _write_text(os.path.join(report_dir, "modes.csv"), modes_csv(
-        [(lq.name, lq.mode, lq.n_bits, lq.wsep) for lq in cm.layers]))
+    text = csv_text(REPORT_CSV, [astuple(row) for row in compression_report(model, cm)])
+    _write_text(os.path.join(report_dir, "compression.csv"), text)
+    _write_text(os.path.join(report_dir, "modes.csv"), csv_text(
+        MODES_CSV, [(lq.name, lq.mode, lq.n_bits, lq.wsep) for lq in cm.layers]))
     for spec, lq in pair_layers(model, cm):
         stem = _safe_name(spec.name)
         pre = weight_histogram(spec.weight)
         post = weight_histogram(dequantize_layer(lq))
         _write_text(os.path.join(report_dir, f"hist_pre_{stem}.csv"),
-                    histogram_csv(pre))
+                    csv_text(HIST_CSV, pre))
         _write_text(os.path.join(report_dir, f"hist_post_{stem}.csv"),
-                    histogram_csv(post))
-    return rows
+                    csv_text(HIST_CSV, post))
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +298,7 @@ def cmd_compress(args) -> int:
     model = load_model(cfg.model)
     cm = _quantize_model(model, cfg, seed)
     save_compressed(cm, cfg.output)
-    rows = _emit_reports(report_dir, model, cm)
-    print(report_to_csv(rows), end="")
+    print(_emit_reports(report_dir, model, cm), end="")
     print(f"wrote {cfg.output} and reports under {report_dir}")
     return 0
 
@@ -398,7 +397,10 @@ def cmd_train(args) -> int:
     if args.out_compressed:
         save_compressed(result.compressed, args.out_compressed)
     if args.metrics:
-        _write_text(args.metrics, metrics_csv(float_history + result.history))
+        # one epoch count: the INQ epochs follow the float epochs
+        _write_text(args.metrics, csv_text(METRICS_CSV, [
+            (epoch, loss, "" if top1 is None else f"{top1:.4f}")
+            for epoch, (_, loss, top1) in enumerate(float_history + result.history, 1)]))
     engine = IntegerEngine(model, result.compressed, act_bits=cfg.act_bits)
     engine_top1 = top1_accuracy(engine.predict(val_images), val_labels)
     print(f"float top1 {float_top1:.4f}")
@@ -430,14 +432,15 @@ def cmd_sweep(args) -> int:
         net, images, labels, test_images, test_labels, train_cfg,
         grid=grid, repeats=args.repeats,
     )
-    _write_text(args.out, sweep_detail_csv(detail))
+    _write_text(args.out, csv_text(SWEEP_DETAIL_CSV, detail))
+    summary_text = csv_text(SWEEP_SUMMARY_CSV, summary)
     if args.summary:
-        _write_text(args.summary, sweep_summary_csv(summary))
+        _write_text(args.summary, summary_text)
     if args.modes:
-        _write_text(args.modes, modes_csv(
-            [(f"{w:g}/{r}/{name}", mode, train_cfg.n_bits, sep)
-             for w, r, name, mode, sep in modes]))
-    print(sweep_summary_csv(summary), end="")
+        _write_text(args.modes, csv_text(MODES_CSV, [
+            (f"{w:g}/{r}/{name}", mode, train_cfg.n_bits, sep)
+            for w, r, name, mode, sep in modes]))
+    print(summary_text, end="")
     return 0
 
 
@@ -452,10 +455,10 @@ def cmd_cost(args) -> int:
                     for label, g_text, gates, _ in rows]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    csv_text = gate_report_csv(rows)
+    text = csv_text(COST_CSV, rows)
     if args.out:
-        _write_text(args.out, csv_text)
-    print(csv_text, end="")
+        _write_text(args.out, text)
+    print(text, end="")
     return 0
 
 
@@ -470,8 +473,7 @@ def _baseline_gates(rows, baseline: str) -> float:
 def cmd_report(args) -> int:
     model = load_model(args.model)
     cm = load_compressed(args.compressed)
-    rows = _emit_reports(args.out_dir, model, cm)
-    print(report_to_csv(rows), end="")
+    print(_emit_reports(args.out_dir, model, cm), end="")
     return 0
 
 

@@ -89,8 +89,6 @@ MAGIC = b"FQZ1"
 _MODE_CODES = {MODE_SHIFT: 0, MODE_RECENTRALIZED: 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
-REPORT_HEADER = "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity"
-
 MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
 _BLOCK_CODEWORDS = 1 << 9  # codewords per block; 2**9 * 16 bits fit a u16 block length
@@ -583,13 +581,3 @@ def compression_report(model: ModelFile, cm: CompressedModel):
     rows.append(ReportRow("total", "-", 0, orig, total_comp, compression_ratio(orig, total_comp),
                           total_zero / model.weight_count if model.weight_count else 0.0))
     return rows
-
-
-def report_to_csv(rows) -> str:
-    lines = [REPORT_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.layer},{r.mode},{r.bits},{r.orig_bytes},{r.comp_bytes},"
-            f"{r.cr:.2f},{r.sparsity:.4f}"
-        )
-    return "\n".join(lines) + "\n"

@@ -53,8 +53,6 @@ DEFAULT_ACT_BITS = 8
 DEFAULT_SCHEMES = "binary_basis:5,binary_basis:2,shift:3,fq:5,fq_huffman:5"
 DEFAULT_GEOMETRY = "3x3x100x100@8x8/1/1"
 
-GATE_REPORT_HEADER = "scheme,geometry,gates,ratio"
-
 
 def ripple_adder(width: int) -> int:
     return FULL_ADDER * width
@@ -181,9 +179,3 @@ def gate_report(schemes, geom: ConvGeometry, act_bits: int = DEFAULT_ACT_BITS):
         (f"{name}:{param}", str(geom), g, g / base)
         for (name, param), g in zip(parsed, gates)
     ]
-
-
-def gate_report_csv(rows) -> str:
-    lines = [GATE_REPORT_HEADER]
-    lines += [f"{s},{g},{n},{r:.4f}" for s, g, n, r in rows]
-    return "\n".join(lines) + "\n"

@@ -382,10 +382,9 @@ def _stage_plan(stages, shape, dtype=None) -> _Plan:
                        (slice(pad, pad + h), slice(pad, pad + w)), oh * ow, (oh, ow, cout), False)
             cols.append(s.rows * patch * in_dtype.itemsize)
         else:
-            if shape[-1] != patch:
-                raise ValidationError(
-                    f"stage {stage.name!r}: input width {shape[-1]}, expected {patch}"
-                )
+            if len(shape) not in (1, 3) or shape[-1] != patch:
+                raise ValidationError(f"stage {stage.name!r}: a dense stage needs a ({patch},) "
+                                      f"or (h, w, {patch}) input, got shape {shape}")
             s = _Shape(in_dtype, (patch,), (), 1, (cout,), len(shape) == 3)
             if s.pool and (shape[0] * shape[1]) & (shape[0] * shape[1] - 1):
                 raise ValidationError(f"stage {stage.name!r}: pool window "

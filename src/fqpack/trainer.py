@@ -349,17 +349,6 @@ def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
     return history
 
 
-METRICS_HEADER = "epoch,loss,top1"
-
-
-def metrics_csv(history) -> str:
-    lines = [METRICS_HEADER]
-    for epoch, loss, top1 in history:
-        tail = "" if top1 is None else f"{top1:.4f}"
-        lines.append(f"{epoch},{loss:.6f},{tail}")
-    return "\n".join(lines) + "\n"
-
-
 def top1_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -410,19 +399,3 @@ def wsep_sweep(base_net, images, labels, test_images, test_labels,
         vals = np.array([t for w, _, t in detail if w == float(wsep)])
         summary.append((float(wsep), float(vals.mean()), float(vals.std())))
     return detail, summary, modes
-
-
-SWEEP_DETAIL_HEADER = "wsep,run,top1"
-SWEEP_SUMMARY_HEADER = "wsep,mean_top1,std_top1"
-
-
-def sweep_detail_csv(rows) -> str:
-    lines = [SWEEP_DETAIL_HEADER]
-    lines += [f"{w:.1f},{run},{top1:.4f}" for w, run, top1 in rows]
-    return "\n".join(lines) + "\n"
-
-
-def sweep_summary_csv(rows) -> str:
-    lines = [SWEEP_SUMMARY_HEADER]
-    lines += [f"{w:.1f},{mean:.4f},{std:.4f}" for w, mean, std in rows]
-    return "\n".join(lines) + "\n"

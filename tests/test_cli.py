@@ -4,7 +4,7 @@ import re
 import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,20 +13,25 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fqpack import codec, framing
 from fqpack.cli import (
-    HIST_HEADER,
-    MODES_HEADER,
+    COST_CSV,
+    HIST_CSV,
+    METRICS_CSV,
+    MODES_CSV,
+    REPORT_CSV,
+    SWEEP_DETAIL_CSV,
+    SWEEP_SUMMARY_CSV,
     ConfigError,
     PipelineConfig,
     UsageError,
+    csv_text,
     main,
     parse_config,
     resolve_seed,
     weight_histogram,
-    histogram_csv,
 )
 from fqpack.codec import (
-    REPORT_HEADER,
     CompressedModel,
+    ReportRow,
     encode_compressed,
     load_compressed,
     save_compressed,
@@ -52,7 +57,7 @@ from fqpack.model_store import (
     synthetic_blobs,
 )
 from fqpack.nn import ToyNet
-from fqpack.trainer import METRICS_HEADER, TrainConfig
+from fqpack.trainer import TrainConfig
 from test_codec import _with_crc
 
 
@@ -112,19 +117,19 @@ def test_compress_writes_reports_and_container(assets, capsys, tmp_path):
     assert len(layer_names) == 10  # nine convs and the dense head
 
     report = (tmp_path / "rep" / "compression.csv").read_text().splitlines()
-    assert report[0] == REPORT_HEADER
+    assert report[0] == REPORT_CSV[0]
     assert len(report) == 1 + len(layer_names) + 1  # header, layers, total
     assert report[-1].startswith("total,")
 
     modes = (tmp_path / "rep" / "modes.csv").read_text().splitlines()
-    assert modes[0] == MODES_HEADER
+    assert modes[0] == MODES_CSV[0]
     assert len(modes) == 1 + len(layer_names)
 
     for name in layer_names:
         assert (tmp_path / "rep" / f"hist_pre_{name}.csv").exists()
         assert (tmp_path / "rep" / f"hist_post_{name}.csv").exists()
     hist = (tmp_path / "rep" / "hist_pre_conv1.csv").read_text().splitlines()
-    assert hist[0] == HIST_HEADER
+    assert hist[0] == HIST_CSV[0]
     assert "wrote" in out and str(tmp_path / "out.fqz") in out
 
 
@@ -880,9 +885,10 @@ def test_train_pipeline_and_determinism(capsys, tmp_path):
         assert rc == 0
         assert "float top1" in out and "quantized top1" in out
         metrics = (base / "metrics.csv").read_text()
-        assert metrics.splitlines()[0] == METRICS_HEADER
-        # one float epoch plus two INQ steps of one epoch each
+        assert metrics.splitlines()[0] == METRICS_CSV[0]
+        # one float epoch plus two INQ steps of one epoch each, counted on
         assert len(metrics.splitlines()) == 1 + 1 + 2
+        assert [line.split(",")[0] for line in metrics.splitlines()[1:]] == ["1", "2", "3"]
         outputs.append((metrics, (base / "model.fqz").read_bytes()))
         assert load_model(base / "model.bin").layers
     assert outputs[0] == outputs[1]
@@ -935,7 +941,7 @@ def test_report_regenerates_files(assets, capsys, tmp_path):
     assert rc == 0
     assert (tmp_path / "r" / "compression.csv").exists()
     assert (tmp_path / "r" / "modes.csv").exists()
-    assert out.splitlines()[0] == REPORT_HEADER
+    assert out.splitlines()[0] == REPORT_CSV[0]
 
 
 def test_report_writes_the_modes_csv_of_compress(assets, capsys, tmp_path):
@@ -1023,10 +1029,34 @@ def test_weight_histogram_constant_input():
     assert len(rows) == 4
     assert rows[0][0] == 1.5 and rows[-1][1] == 2.5
     assert sum(count for _, _, count in rows) == 10
-    csv = histogram_csv(rows)
-    assert csv.splitlines()[0] == HIST_HEADER
+    csv = csv_text(HIST_CSV, rows)
+    assert csv.splitlines()[0] == HIST_CSV[0]
     with pytest.raises(ValueError):
         weight_histogram(np.array([]))
+
+
+# one row of each CSV kind, as the commands pass it, and the bytes it makes
+CSV_LINES = [
+    (REPORT_CSV, astuple(ReportRow("conv1", "recentralized", 5, 6912, 1011, 6912 / 1011,
+                                   0.7500289351851852)),
+     "layer,mode,bits,orig_bytes,comp_bytes,cr,sparsity\nconv1,recentralized,5,6912,1011,6.84,0.7500\n"),
+    (MODES_CSV, ("conv1", "shift", 5, 1.23456789), "layer,mode,bits,wsep\nconv1,shift,5,1.2346\n"),
+    (MODES_CSV, ("1.5/0/head", "recentralized", 5, 3.52094),  # a sweep cell's layer
+     "layer,mode,bits,wsep\n1.5/0/head,recentralized,5,3.5209\n"),
+    (HIST_CSV, (-0.123456789, 1.5e-07, 12), "bin_left,bin_right,count\n-0.123457,1.5e-07,12\n"),
+    (METRICS_CSV, (19, 2.2589516, "0.0625"), "epoch,loss,top1\n19,2.258952,0.0625\n"),
+    (METRICS_CSV, (2, 0.3, ""), "epoch,loss,top1\n2,0.300000,\n"),  # no top-1
+    (SWEEP_DETAIL_CSV, (1.5, 1, 0.53125), "wsep,run,top1\n1.5,1,0.5312\n"),
+    (SWEEP_SUMMARY_CSV, (2.0, 0.546875, 0.015625), "wsep,mean_top1,std_top1\n2.0,0.5469,0.0156\n"),
+    (COST_CSV, ("fq:5", DEFAULT_GEOMETRY, 102656, 102656 / 123187),  # a --baseline ratio
+     "scheme,geometry,gates,ratio\nfq:5,3x3x100x100@8x8/1/1,102656,0.8333\n"),
+]
+
+
+@pytest.mark.parametrize("kind,row,text", CSV_LINES)
+def test_csv_text_writes_the_header_and_row_of_each_kind(kind, row, text):
+    assert csv_text(kind, [row]) == text
+    assert csv_text(kind, []) == text.splitlines()[0] + "\n"
 
 
 def test_no_command_prints_usage(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 import zlib
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fqpack import codec, framing
+from fqpack.cli import REPORT_CSV, csv_text
 from fqpack.codec import (
     MAX_CODE_LEN,
-    REPORT_HEADER,
     CompressedModel,
     HuffmanTable,
     compression_ratio,
@@ -21,7 +22,6 @@ from fqpack.codec import (
     encode_layer,
     load_compressed,
     pair_layers,
-    report_to_csv,
     save_compressed,
     _huffman_lengths,
 )
@@ -360,8 +360,8 @@ def test_report_rows_and_csv():
     assert rows[0].comp_bytes == len(encode_layer(lq))
     assert rows[1].comp_bytes == rows[0].comp_bytes + 10
     assert rows[0].sparsity == np.count_nonzero(lq.symbols == 0) / lq.weight_count
-    csv = report_to_csv(rows)
-    assert csv.splitlines()[0] == REPORT_HEADER
+    csv = csv_text(REPORT_CSV, [astuple(row) for row in rows])
+    assert csv.splitlines()[0] == REPORT_CSV[0]
     assert csv.splitlines()[1].startswith("conv,shift,5,")
 
 

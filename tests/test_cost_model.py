@@ -2,18 +2,17 @@ import math
 
 import pytest
 
+from fqpack.cli import COST_CSV, csv_text
 from fqpack.cost_model import (
     DEFAULT_ACT_BITS,
     DEFAULT_GEOMETRY,
     DEFAULT_SCHEMES,
-    GATE_REPORT_HEADER,
     ConvGeometry,
     accumulator_width,
     array_multiplier,
     barrel_shifter,
     estimate_gates,
     gate_report,
-    gate_report_csv,
     parse_geometry,
     parse_scheme,
     ripple_adder,
@@ -180,8 +179,8 @@ def test_gate_report_empty_rejected():
 
 def test_gate_report_csv_golden():
     rows = gate_report(["shift:3", "fq:5"], TABLE_GEOM)
-    lines = gate_report_csv(rows).splitlines()
-    assert lines[0] == GATE_REPORT_HEADER == "scheme,geometry,gates,ratio"
+    lines = csv_text(COST_CSV, rows).splitlines()
+    assert lines[0] == COST_CSV[0] == "scheme,geometry,gates,ratio"
     want = straight_line_costs()
     assert lines[1] == f"shift:3,{DEFAULT_GEOMETRY},{want['shift:3']},1.0000"
     ratio = want["fq:5"] / want["shift:3"]

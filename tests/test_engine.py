@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from dataclasses import replace
@@ -991,6 +992,15 @@ def test_plan_refuses_a_conv_fed_a_dense_output():
         with pytest.raises(ValidationError, match=r"stage 'conv': a conv needs an \(h, w, c\) "
                                                   r"input, got shape \(8,\)"):
             engine.forward(rng.normal(size=(2, 3, 8, 8)))
+
+
+@pytest.mark.parametrize("batch,shape", [((1, 2, 3, 8, 3), "(2, 3, 8, 3)"), ((2, 5), "(5,)")])
+def test_plan_refuses_a_dense_stage_fed_the_wrong_shape(batch, shape):
+    # a 5-D batch gives each sample four axes, which no requantizer buffer fits
+    for engine in (IntegerEngine(*dense_first_pair()), FloatSimulator(*dense_first_pair())):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"stage 'fc1': a dense stage needs a (3,) or (h, w, 3) input, got shape {shape}")):
+            engine.forward(np.ones(batch))
 
 
 def test_class_logits_need_a_dense_last_layer():

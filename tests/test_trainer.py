@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fqpack import trainer
+from fqpack.cli import METRICS_CSV, SWEEP_DETAIL_CSV, SWEEP_SUMMARY_CSV, csv_text
 from fqpack.codec import encode_compressed, encode_layer
 from fqpack.errors import DegenerateInputError, TrainingDivergedError
 from fqpack.focused_quant import (
@@ -20,19 +21,13 @@ from fqpack.nn import ToyNet
 from fqpack.pruner import prune_by_magnitude
 from fqpack.rng import derive_seed
 from fqpack.trainer import (
-    METRICS_HEADER,
-    SWEEP_DETAIL_HEADER,
     SWEEP_MAX_CELLS,
-    SWEEP_SUMMARY_HEADER,
     InqResult,
     TrainConfig,
     finetune_inq,
     inq_partition,
-    metrics_csv,
     refresh_epochs,
-    sweep_detail_csv,
     sweep_grid,
-    sweep_summary_csv,
     top1_accuracy,
     train_float,
     wsep_sweep,
@@ -448,9 +443,10 @@ def test_train_float_learns_blobs():
 
 
 def test_metrics_csv_format():
-    csv = metrics_csv([(1, 0.5, 0.25), (2, 0.3, None)])
+    # cmd_train formats the top-1 column, leaving it blank where there is none
+    csv = csv_text(METRICS_CSV, [(1, 0.5, f"{0.25:.4f}"), (2, 0.3, "")])
     lines = csv.splitlines()
-    assert lines[0] == METRICS_HEADER == "epoch,loss,top1"
+    assert lines[0] == METRICS_CSV[0] == "epoch,loss,top1"
     assert lines[1] == "1,0.500000,0.2500"
     assert lines[2] == "2,0.300000,"
 
@@ -498,9 +494,9 @@ def test_wsep_sweep_shapes_and_determinism():
 
 
 def test_sweep_csv_headers():
-    detail_csv = sweep_detail_csv([(1.0, 0, 0.5)])
-    summary_csv = sweep_summary_csv([(1.0, 0.5, 0.0)])
-    assert detail_csv.splitlines()[0] == SWEEP_DETAIL_HEADER == "wsep,run,top1"
-    assert summary_csv.splitlines()[0] == SWEEP_SUMMARY_HEADER == "wsep,mean_top1,std_top1"
+    detail_csv = csv_text(SWEEP_DETAIL_CSV, [(1.0, 0, 0.5)])
+    summary_csv = csv_text(SWEEP_SUMMARY_CSV, [(1.0, 0.5, 0.0)])
+    assert detail_csv.splitlines()[0] == SWEEP_DETAIL_CSV[0] == "wsep,run,top1"
+    assert summary_csv.splitlines()[0] == SWEEP_SUMMARY_CSV[0] == "wsep,mean_top1,std_top1"
     assert detail_csv.splitlines()[1] == "1.0,0,0.5000"
     assert summary_csv.splitlines()[1] == "1.0,0.5000,0.0000"
