@@ -455,6 +455,8 @@ def cmd_cost(args) -> int:
                     for label, g_text, gates, _ in rows]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    except OverflowError as exc:  # a gate count past the float range, in a ratio
+        raise UsageError(f"--schemes {args.schemes}: {exc}") from exc
     text = csv_text(COST_CSV, rows)
     if args.out:
         _write_text(args.out, text)

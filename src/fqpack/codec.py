@@ -21,22 +21,18 @@ or per bit:
   same code lengths, summed per block, are the record's block lengths.
 * decode walks every block of ``_BLOCK_CODEWORDS`` (512) codewords as a
   lane, all lanes in lockstep; the record stores where each block starts.
-  A decode table over the 2^16 16-bit windows holds, per window, the up to
-  ``_WINDOW_CODEWORDS`` (8) whole codewords it starts with and the bits
-  they take; one loop of 8 single-codeword lookups builds it. A Python
-  step reads 64 bits at every lane's position from a big-endian word per
-  payload byte, takes three windows from them in turn, and moves each lane
-  past each window's whole codewords. A 512-codeword lane of a 5-bit layer
-  takes about 115 windows, 39 steps, whatever the layer's size. The
-  windows each lane read before its end then give its symbols, in order;
-  of the last, the codewords of its table row that end by the lane's end.
-  A lane that does not land exactly on the next block's start, a window
-  that starts with no codeword, or a block of the wrong codeword count is
-  refused. The table is filled at every window where
-  the payload is 8 KiB or longer, and otherwise only at the windows the
-  payload holds. Block lengths cost about 0.03 bits per weight; blocks of
-  2048 codewords would cost a quarter of that, but would leave a layer of
-  a few thousand weights about 450 windows to walk in one lane.
+  :func:`decode_compressed` walks the lanes of every layer of a container
+  in one walk, each lane reading its own layer's decode table: per 16-bit
+  window, ``length << 8 | symbol`` of the codeword the window starts with,
+  or 0 where it starts with none. A Python step reads 64 bits at every
+  lane's position, from a big-endian word at every second payload byte,
+  and takes ``_READ_CODEWORDS`` (3) codewords from them in turn, one per
+  lane each, so a container of 512-codeword lanes takes 171 steps however
+  many layers it holds. A lane that does not land exactly on the next
+  block's start, a window that starts with no codeword, or a block of the
+  wrong codeword count is refused, and the refusal names its layer. Block
+  lengths cost about 0.03 bits per weight; blocks of 2048 codewords would
+  cost a quarter of that, but would take four times the steps.
 
 Symbols are uint8 in both directions, as ``LayerQuantization`` holds them.
 ``HuffmanTable.encode`` range-checks a stream of a wider dtype before it
@@ -67,6 +63,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,12 +89,9 @@ _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
 _BLOCK_CODEWORDS = 1 << 9  # codewords per block; 2**9 * 16 bits fit a u16 block length
-_WINDOW_CODEWORDS = 8  # whole codewords a decode window holds at most: one uint64 of bytes
-_OUTPUT_LANES = 128  # lanes whose symbols are gathered at once, to bound the scratch
-# fill bytes of a window that keeps its first k codewords, k = 0..8
-_PREFIX_FILL = (np.arange(_WINDOW_CODEWORDS) < np.arange(_WINDOW_CODEWORDS + 1)[:, None]
-                ).view(np.uint64).ravel()
-_BYTE_BITS = np.arange(8, dtype=np.uint64)  # bit offset within a byte
+# codewords a lane takes per 64-bit read: a word starts at every second
+# payload byte, so a read holds at least 64 - 15 bits from the lane's position
+_READ_CODEWORDS = (64 - 15) // MAX_CODE_LEN
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
@@ -170,46 +164,13 @@ class HuffmanTable:
         self._left_codes[self._ordered] = np.cumsum(self._span) - self._span
         self._left_codes <<= 48  # left-justified in 64 bits
 
-    def _window_table(self, words=None):
-        """The decode table over the 16-bit windows: filled at every window,
-        or, given ``words``, only at the windows those 64-bit words start with
-        at each bit offset of their first byte.
-
-        For each window and the up to _WINDOW_CODEWORDS whole codewords it
-        starts with: ``used``, the bits they take (16 where the window starts
-        with no codeword); ``count``, how many there are; and ``symbols``,
-        one uint64 per window whose bytes are the symbol of each of them
-        (the bytes after them are left over). One loop reads codeword j of
-        every window from a single-codeword lookup at the window shifted past
-        the first j: each code's span of windows holds ``length << 8 | symbol``,
-        and the windows past the last code hold length 17. The first codeword
-        that does not end within the window ends its row.
-        """
-        size = 1 << MAX_CODE_LEN
-        first = np.full(size, (MAX_CODE_LEN + 1) << 8, dtype=np.uint16)
+    def _decode_table(self) -> np.ndarray:
+        """``length << 8 | symbol`` of the codeword each 16-bit window starts
+        with; 0 at the windows past the last code, which start with none."""
+        table = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint16)
         entries = self.lengths[self._ordered].astype(np.uint16) << 8 | self._ordered
-        first[: self._span.sum()] = np.repeat(entries, self._span)
-        rows = (np.arange(size, dtype=np.uint16) if words is None
-                else ((words[:, None] << _BYTE_BITS) >> 48).astype(np.uint16).ravel())
-        count = np.zeros(rows.size, dtype=np.uint8)
-        used = np.zeros(rows.size, dtype=np.uint16)
-        symbols = np.empty((rows.size, _WINDOW_CODEWORDS), dtype=np.uint8)
-        for j in range(_WINDOW_CODEWORDS):
-            entry = first.take(rows << used)
-            symbols[:, j] = entry  # its low byte
-            length = entry >> 8
-            fits = used + length <= MAX_CODE_LEN
-            count += fits
-            length *= fits
-            used += length
-        used[count == 0] = MAX_CODE_LEN
-        table = (used.astype(np.uint8), count, symbols.view(np.uint64).ravel())
-        if words is None:
-            return table
-        filled = [np.zeros(size, dtype=part.dtype) for part in table]
-        for full, part in zip(filled, table):
-            full[rows] = part
-        return filled
+        table[: self._span.sum()] = np.repeat(entries, self._span)
+        return table
 
     @classmethod
     def from_frequencies(cls, counts: np.ndarray) -> "HuffmanTable":
@@ -263,131 +224,123 @@ class HuffmanTable:
         return words.astype(">u8").view(np.uint8)[: (bits + 7) // 8].tobytes(), bits, block_bits
 
     def decode(self, payload, payload_bits: int, block_bits=()) -> np.ndarray:
-        """Decode exactly payload_bits bits back into uint8 symbols.
+        """Decode exactly payload_bits bits into uint8 symbols by the walk of one stream
+        (:func:`_walk`); with no ``block_bits``, it is one block of any length."""
+        return _walk([(self, payload, payload_bits, block_bits)])[0]
 
-        ``block_bits`` are the bit lengths of the stream's blocks of
-        _BLOCK_CODEWORDS codewords but the last, as a layer record stores
-        them; with none, the stream is one block of any length. Each block is
-        a lane of one walk. A Python step reads 64 bits at every lane's
-        position and takes three 16-bit windows from them in turn, moving the
-        lane past each window's whole codewords. The walk stops once every
-        lane has reached the start of the next block, and after at most
-        _BLOCK_CODEWORDS windows when there are blocks, since every window
-        before a lane's end holds a codeword of it. A lone lane is bounded by
-        its bits: any two windows in a row move it at least 16 bits, as a
-        codeword one window cannot finish starts the next, and
-        :func:`decode_layer` holds a one-block record to its count times the
-        longest code (at most 8,192 bits, about 1,030 windows). Then each lane must end
-        exactly on the next block's start, every window before it must hold
-        a codeword, and each block but the last must hold exactly
-        _BLOCK_CODEWORDS codewords, the last 1 to that many.
-        """
+
+def _lane_ends(lengths: np.ndarray, lane_bits):
+    """Each lane's (column's) codeword ends from 0 on, and how many start before its end."""
+    ends = np.zeros((lengths.shape[0] + 1,) + lengths.shape[1:], dtype=np.int64)
+    np.cumsum(lengths, axis=0, out=ends[1:])
+    return ends, np.count_nonzero(ends[:-1] < lane_bits, axis=0)
+
+
+def _walk(streams, names=None, refuse=False) -> list:
+    """The uint8 symbols of each stream of (table, payload, payload bits,
+    block bits), from one lockstep walk over the lanes of them all.
+
+    Each block of _BLOCK_CODEWORDS codewords is a lane. For each codeword,
+    every lane looks up the 16-bit window at its position in its stream's
+    table, which moves it past one codeword, or leaves it where it is if
+    the window starts with none. The walk stops once every lane has reached
+    its end, and after _BLOCK_CODEWORDS codewords when there are several
+    lanes; a lone lane is bounded by its bits. Each lane must land exactly
+    on the next block's start, every codeword before it matched, and each
+    block but the last must hold exactly _BLOCK_CODEWORDS codewords, the
+    last 1 to that many. A stream that fails is walked again alone with
+    ``refuse``, which makes room for twice as many codewords and refuses it
+    from the column of its first failing lane, or gives the symbols of a
+    lone lane longer than a walk of several lanes takes. ``names`` starts
+    each refusal with ``layer 'NAME': ``.
+    """
+    n = _BLOCK_CODEWORDS
+    label = (lambda s: "") if names is None else (lambda s: f"layer {names[s]!r}: ")
+    datas, heads, size = [], [], 0
+    for s, (_, payload, payload_bits, block_bits) in enumerate(streams):
         data = np.frombuffer(payload, dtype=np.uint8)
         if payload_bits > 8 * data.size:
-            raise CorruptionError("payload shorter than its declared bit length")
-        starts = np.zeros(len(block_bits) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(block_bits, dtype=np.int64), out=starts[1:])
-        if starts[-1] > payload_bits:
-            raise CorruptionError("block lengths run past the payload")
-        stops = np.append(starts[1:], payload_bits)
-        n_bytes = (payload_bits + 7) // 8
-        padded = np.zeros(n_bytes + 8, dtype=np.uint8)
-        padded[:n_bytes] = data[:n_bytes]
-        # the 64 bits from each byte on; a window is 16 of them
-        words = np.ndarray(n_bytes + 1, dtype=">u8", buffer=padded, strides=(1,)).astype(np.uint64)
-        # a payload of fewer bit offsets than windows needs the table only at
-        # the windows it holds, up to the last word the walk reads
-        table = self._window_table(words if 8 * words.size < 1 << MAX_CODE_LEN else None)
-        # every window moves a lane at least one bit
-        limit = min(_BLOCK_CODEWORDS if starts.size > 1 else payload_bits,
-                    int((stops - starts).max()))
-        pos = starts.astype(np.uint64)
-        reached = pos.view(np.int64)
-        read = []  # the window of every lane, in the order read
-        take_word, take_used = words.take, table[0].take
-        check = 1
-        while True:
-            word = take_word(pos >> 3, mode="clip")
-            word <<= pos & 7  # at least 57 bits from pos on: three windows
-            for _ in range(3):
-                window = word >> 48
-                read.append(window)
-                used = take_used(window)
-                pos += used
-                word <<= used
-            if len(read) >= limit:
+            raise CorruptionError(label(s) + "payload shorter than its declared bit length")
+        edge = np.concatenate(([0], np.cumsum(block_bits, dtype=np.int64), [payload_bits]))
+        if edge[-2] > payload_bits:
+            raise CorruptionError(label(s) + "block lengths run past the payload")
+        datas.append(data[: (payload_bits + 7) // 8])
+        heads.append(edge + 8 * size)  # the stream's lane edges in ``padded``
+        size += datas[-1].size
+    padded = np.frombuffer(b"".join(datas + [bytes(8)]), dtype=np.uint8)
+    # the 64 bits from every second byte on
+    words = np.ndarray(size // 2 + 1, dtype=">u8", buffer=padded, strides=(2,)).astype(np.uint64)
+    tables = np.concatenate([table._decode_table() for table, *_ in streams])
+    blocks = [edge.size - 2 for edge in heads]  # each stream's lanes but its last
+    full = sum(blocks)
+    starts = np.concatenate([edge[:-2] for edge in heads] + [[edge[-2] for edge in heads]])
+    stops = np.concatenate([edge[1:-1] for edge in heads] + [[edge[-1] for edge in heads]])
+    owner = np.r_[np.repeat(np.arange(len(heads)), blocks), : len(heads)]  # each lane's stream
+    base = owner.astype(np.uint64) << MAX_CODE_LEN  # its table in ``tables``
+    bits = stops - starts
+    limit = int(bits.max()) if bits.size == 1 else min(int(bits.max()), (1 + refuse) * n)
+    rows = np.empty((-(-limit // _READ_CODEWORDS) * _READ_CODEWORDS, bits.size), dtype=np.uint16)
+    pos = starts.astype(np.uint64)
+    reached = pos.view(np.int64)
+    before_last = None  # the positions of the lanes of blocks but the last before codeword n
+    step, check = 0, 1
+    while step < limit:
+        word = words.take(pos >> 4, mode="clip")
+        word <<= pos & 15  # at least 49 bits from pos on
+        for _ in range(_READ_CODEWORDS):
+            if step == n - 1:
+                before_last = reached[:full].copy()
+            window = word >> 48
+            window |= base  # below tables.size: "clip" only spares take a copy of out
+            length = tables.take(window, out=rows[step], mode="clip") >> 8
+            word <<= length
+            pos += length
+            step += 1
+        if step >= check:  # no codeword moves a lane more than 16 bits
+            gap = int((stops - reached).max())
+            if gap <= 0:
                 break
-            if len(read) >= check:  # no window moves a lane more than 16 bits
-                gap = int((stops - reached).max())
-                if gap <= 0:
-                    break
-                check = len(read) + -(-gap // MAX_CODE_LEN)
-        return self._lane_symbols(table, np.stack(read).view(np.int64), starts, stops,
-                                  reached, payload_bits)
-
-    def _lane_symbols(self, table, read, starts, stops, reached, payload_bits):
-        """The codewords of each lane from the windows it read, lane after lane.
-
-        ``read`` holds the windows of every lane (column) in the order read
-        (row), and ``reached`` where each lane stopped.
-        """
-        used, count, symbols = table
-        lanes = starts.size
-        lane = np.arange(lanes)
-        taken = used.take(read)
-        # each window's bit offset from its lane's start: blocks stay far below
-        # 2**31 bits, and a lone lane of any length takes int64
-        at = np.cumsum(taken, axis=0, dtype=np.int32 if lanes > 1 else np.int64)
-        at -= taken
-        live = at < stops - starts  # the window starts before the lane's end
-        last = np.maximum(np.count_nonzero(live, axis=0) - 1, 0)
-        # the window in which a lane reaches its end keeps the codewords of its
-        # table row that end within the bits the lane has left
-        left = stops - starts - at[last, lane]
-        row = read[last, lane]
-        ends = self.lengths.take(symbols.take(row).view(np.uint8)).reshape(lanes, -1)
-        ends = ends.cumsum(axis=1, dtype=np.int64)
-        in_row = np.arange(_WINDOW_CODEWORDS) < count.take(row)[:, None]
-        within = (ends <= left[:, None]) & in_row
-        kept = np.count_nonzero(within, axis=1)
-        landed = ends.max(axis=1, where=within, initial=0) == left
-        whole = count.take(read)
-        unmatched = (whole == 0) & live
-        whole *= live
-        whole[last, lane] = kept  # codewords each window holds before its lane's end
-        codewords = whole.sum(axis=0, dtype=np.int64)
-        # the last block holds 1 to _BLOCK_CODEWORDS, every other exactly that
-        miscounted = codewords != _BLOCK_CODEWORDS
-        miscounted[-1] = lanes > 1 and not 0 < codewords[-1] <= _BLOCK_CODEWORDS
-        bad = unmatched.any(axis=0) | (reached < stops) | ~landed | miscounted
-        if bad.any():
-            i = int(np.argmax(bad))
-            final = i == lanes - 1
-            if unmatched[:, i].any():
-                bit = int(starts[i] + at[np.argmax(unmatched[:, i]), i])
-                if final and payload_bits - bit <= int(self.lengths.max()):
-                    raise CorruptionError("payload ends inside a codeword")
-                raise CorruptionError("bit pattern matches no codeword")
-            if reached[i] < stops[i]:
-                raise CorruptionError(f"block {i} holds over {_BLOCK_CODEWORDS} codewords")
-            if not landed[i]:
-                if final:
-                    raise CorruptionError("payload ends inside a codeword")
-                raise CorruptionError(f"block {i} ends inside a codeword, not at its length")
-            raise CorruptionError(f"block {i} holds {codewords[i]} codewords, "
-                                  f"not {'1 to ' if final else ''}{_BLOCK_CODEWORDS}")
-        out = np.empty(int(codewords.sum()), dtype=np.uint8)
-        done = 0
-        for first in range(0, lanes, _OUTPUT_LANES):
-            rows = slice(first, first + _OUTPUT_LANES)
-            # a flag byte per codeword a window holds before its lane's end
-            flags = _PREFIX_FILL.take(whole[:, rows].T)
-            # flatnonzero then take runs about twice as fast as a boolean index
-            picked = symbols.take(read[:, rows].T).view(np.uint8).take(
-                np.flatnonzero(flags.view(bool)))
-            out[done : done + picked.size] = picked
-            done += picked.size
-        return out
+            check = step + -(-gap // MAX_CODE_LEN)
+    del words, padded, tables  # freed before the symbols are copied out
+    walked = min(step, limit)
+    tail = rows[:walked, full:] >> 8
+    ends, count = _lane_ends(tail, bits[full:])
+    good = np.zeros(bits.size, dtype=bool)
+    if before_last is not None:
+        good[:full] = ((before_last < stops[:full])
+                       & (before_last + (rows[n - 1, :full] >> 8) == stops[:full]))
+    good[full:] = ((ends[count, np.arange(len(heads))] == bits[full:])
+                   & ~((tail == 0) & (np.arange(walked)[:, None] < count)).any(axis=0)
+                   & (((count > 0) & (count <= n)) | (np.array(blocks) == 0)))
+    if refuse and not good.all():  # one stream, its lanes in block order
+        i = int(np.argmax(~good))
+        final, short = i == bits.size - 1, "payload ends inside a codeword"
+        length = rows[:walked, i] >> 8
+        ends, count = _lane_ends(length, bits[i])
+        unmatched = np.flatnonzero(length[:count] == 0)
+        if unmatched.size:  # the bits from its window on may end inside a codeword
+            left = stops[-1] - starts[i] - ends[unmatched[0]]
+            why = (short if final and left <= streams[0][0].lengths.max()
+                   else "bit pattern matches no codeword")
+        elif ends[-1] < bits[i]:
+            why = f"block {i} holds over {n} codewords"
+        elif ends[count] != bits[i]:
+            why = short if final else f"block {i} ends inside a codeword, not at its length"
+        else:
+            why = f"block {i} holds {count} codewords, not {'1 to ' if final else ''}{n}"
+        raise CorruptionError(label(0) + why)
+    out = []
+    for s, lanes in enumerate(blocks):
+        first = sum(blocks[:s])
+        if not (good[first : first + lanes].all() and good[full + s]):
+            out.append(_walk([streams[s]], names and [names[s]], refuse=True)[0])
+            continue
+        symbols = np.empty(lanes * n + count[s], dtype=np.uint8)
+        if lanes:  # row by row in the walk, lane by lane here
+            symbols[: lanes * n].reshape(lanes, n)[...] = rows[:n, first : first + lanes].T
+        symbols[lanes * n :] = rows[: count[s], full + s]
+        out.append(symbols)
+    return out
 
 
 def _encode_pow2(value: float):
@@ -457,8 +410,9 @@ def _record_size(lq: LayerQuantization, table: HuffmanTable, counts: np.ndarray)
     return framing.RECORD_OVERHEAD + len(head) + (payload_bits + 7) // 8
 
 
-def decode_layer(data, offset: int = 0):
-    """Verify and parse one framed layer record; returns (LayerQuantization, next offset)."""
+def _read_layer(data, offset: int):
+    """Verify and parse one framed layer record but walk none of its payload; returns
+    ((name, its LayerQuantization but for the symbols, stream, count), next offset)."""
     fields, end = framing.read_record(data, offset)
     name = fields.name()
     mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma, wsep = fields.unpack(_FIXED)
@@ -469,32 +423,42 @@ def decode_layer(data, offset: int = 0):
     lengths = np.frombuffer(fields.take(1 << n_bits), dtype=np.uint8).copy()
     try:
         table = HuffmanTable(lengths)
-    except FormatError as exc:  # such as a code over 16 bits from an earlier writer
+    except FormatError as exc:  # such as a code over 16 bits, which no version 3 writer makes
         raise FormatError(f"layer {name!r}: {exc}") from exc
     (count,) = fields.unpack("<I")
     block_bits = np.frombuffer(fields.take(2 * _stored_blocks(count)), dtype="<u2")
     (payload_bits,) = fields.unpack("<Q")
     payload = fields.take((payload_bits + 7) // 8)
     fields.done()
-    # refused before the walk, whose one lane in a record of a single block
-    # is bounded only by these bits
+    # refused before the walk, which walks a lone lane to the end of these bits
     if payload_bits > count * int(table.lengths.max()):
         raise CorruptionError(f"layer {name!r}: {payload_bits} payload bits "
                               f"for {count} symbols")
-    symbols = table.decode(payload, payload_bits, block_bits)
-    if symbols.size != count:
-        raise CorruptionError(f"layer {name!r}: {symbols.size} symbols, "
-                              f"the record counts {count}")
-    try:
-        lq = LayerQuantization(
-            name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,
-            alpha=float(alpha), bias=int(bias),
-            mu=(_decode_pow2(ms, me), _decode_pow2(ps, pe)),
-            sigma=float(sigma), symbols=symbols, wsep=float(wsep),
-        )
-    except ValueError as exc:
-        raise FormatError(f"layer {name!r}: {exc}") from exc
-    return lq, end
+    make = partial(LayerQuantization, name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,
+                   alpha=float(alpha), bias=int(bias), sigma=float(sigma), wsep=float(wsep),
+                   mu=(_decode_pow2(ms, me), _decode_pow2(ps, pe)))
+    return (name, make, (table, payload, payload_bits, block_bits), count), end
+
+
+def _layers(records) -> list:
+    """The layers of records of ``_read_layer``, from one walk of them all."""
+    walked = _walk([stream for *_, stream, _ in records], [name for name, *_ in records])
+    layers = []
+    for (name, make, _, count), symbols in zip(records, walked):
+        if symbols.size != count:
+            raise CorruptionError(f"layer {name!r}: {symbols.size} symbols, "
+                                  f"the record counts {count}")
+        try:
+            layers.append(make(symbols=symbols))
+        except ValueError as exc:
+            raise FormatError(f"layer {name!r}: {exc}") from exc
+    return layers
+
+
+def decode_layer(data, offset: int = 0):
+    """Verify and parse one framed layer record; returns (LayerQuantization, next offset)."""
+    record, end = _read_layer(data, offset)
+    return _layers([record])[0], end
 
 
 @dataclass
@@ -509,7 +473,9 @@ def encode_compressed(cm: CompressedModel) -> bytes:
 
 
 def decode_compressed(data: bytes) -> CompressedModel:
-    return framing.read_container(data, MAGIC, decode_layer, CompressedModel)
+    """Verify and parse every record, then walk the payloads of them all at once."""
+    return framing.read_container(data, MAGIC, _read_layer,
+                                  lambda records: CompressedModel(records and _layers(records)))
 
 
 def save_compressed(cm: CompressedModel, path) -> int:

@@ -131,6 +131,8 @@ def _per_output_shift(geom: ConvGeometry, stages: int, act_bits: int) -> int:
 
 def _per_output(scheme: str, param: int, geom: ConvGeometry, act_bits: int) -> int:
     w_acc = accumulator_width(geom, act_bits)
+    if scheme in ("shift", "fq", "fq_huffman") and param > 8:  # no weight code is wider
+        raise ValueError(f"{scheme}:{param}: a weight code is at most 8 bits wide")
     if scheme == "shift":
         if param < 1:
             raise ValueError("shift width must be >= 1")

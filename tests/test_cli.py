@@ -726,6 +726,17 @@ def test_cost_bad_inputs_are_usage_errors(capsys, tmp_path):
         assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("schemes, named", [
+    ("shift:3,shift:2000", "shift:2000: a weight code is at most 8 bits wide"),
+    # a gate count past the float range: its ratio to shift:3 cannot be formed
+    ("shift:3,binary_basis:" + "9" * 400, "binary_basis:" + "9" * 400),
+])
+def test_cost_scheme_too_wide_is_a_usage_error(capsys, schemes, named):
+    rc, out, err = run_cli(["cost", "--schemes", schemes], capsys)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and named in err
+
+
 def test_cost_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "gates.csv"
     rc, out, _ = run_cli(["cost", "--schemes", "shift:3",

@@ -1,7 +1,7 @@
 import hashlib
 import struct
 import zlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -30,9 +30,12 @@ from fqpack.focused_quant import (
     MODE_RECENTRALIZED,
     MODE_SHIFT,
     LayerQuantization,
+    pack,
     quantize_layer,
+    unpack,
 )
 from fqpack.model_store import LayerSpec, ModelFile
+from fqpack.nn import ToyNet
 from fqpack.pruner import prune_by_magnitude
 
 
@@ -184,7 +187,7 @@ def test_random_stream_round_trips():
         symbols = rng.integers(0, alphabet, size=size)
         counts = np.bincount(symbols, minlength=alphabet)
         table = HuffmanTable.from_frequencies(counts)
-        with mock.patch.object(HuffmanTable, "_window_table",
+        with mock.patch.object(HuffmanTable, "_decode_table",
                                side_effect=AssertionError("encode built a decode table")):
             payload, bits, _ = table.encode(symbols)
         assert np.array_equal(table.decode(payload, bits), symbols)
@@ -315,6 +318,8 @@ def test_container_round_trip(tmp_path):
     loaded = load_compressed(path)
     assert [lq.name for lq in loaded.layers] == ["a", "b"]
     assert encode_compressed(loaded) == path.read_bytes()
+    empty = encode_compressed(CompressedModel([]))  # a header and no records
+    assert decode_compressed(empty).layers == [] and len(empty) == framing.HEADER_SIZE
 
 
 def test_bad_magic_rejected():
@@ -804,6 +809,98 @@ def test_lane_walk_stops_after_a_block_of_steps():
             table.decode(payload, bits, [76])
 
 
+# --- the container walk ------------------------------------------------------------
+
+
+@st.composite
+def walk_layers(draw):
+    """A layer of k distinct symbols at Fibonacci counts times r, whose longest
+    code is max(1, k - 1) bits: 1 to 16 bits for k = 1 to 17."""
+    k = draw(st.integers(1, 17))
+    # an n-bit shift code has 2**(n - 1) + 1 valid symbols
+    n_bits = draw(st.integers(max(3, (k - 2).bit_length() + 1), 8))
+    zero = LayerQuantization(name="", mode=MODE_SHIFT, n_bits=n_bits, alpha=0.5, bias=0,
+                             mu=(0.0, 0.0), sigma=1.0, symbols=np.zeros(1, dtype=np.uint8))
+    codes = np.arange(zero.alphabet_size)
+    valid = np.flatnonzero(pack(*unpack(codes, zero), zero) == codes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.array(list(fibonacci_counts(k).values())) * draw(st.integers(1, 3))
+    symbols = rng.permutation(np.repeat(rng.choice(valid, size=k, replace=False), counts))
+    return replace(zero, symbols=symbols)
+
+
+def record_offsets(data):
+    """The byte offset of each record of a container, then its end."""
+    offsets = [framing.HEADER_SIZE]
+    for _ in range(struct.unpack_from("<I", data, 6)[0]):
+        offsets.append(offsets[-1] + 8 + struct.unpack_from("<I", data, offsets[-1])[0])
+    return offsets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(walk_layers(), min_size=1, max_size=6), st.integers(1, 8), st.data())
+def test_container_walk_matches_each_record_and_names_a_bad_layer(drawn, codewords, data):
+    cm = CompressedModel([replace(lq, name=f"layer{i}") for i, lq in enumerate(drawn)])
+    assert 1 <= max(int(codec._layer_table(lq)[0].lengths.max()) for lq in cm.layers) <= 16
+    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
+        blob = encode_compressed(cm)
+        loaded = decode_compressed(blob)
+        offsets = record_offsets(blob)
+        for lq, back, at, end in zip(cm.layers, loaded.layers, offsets, offsets[1:]):
+            assert np.array_equal(back.symbols, lq.symbols) and back.symbols.dtype == np.uint8
+            alone, next_at = decode_layer(blob, at)
+            assert next_at == end and astuple(alone)[:-2] == astuple(back)[:-2]
+            assert np.array_equal(alone.symbols, back.symbols) and alone.wsep == back.wsep
+        # one layer's payload cut short by 1 or more bits, its record resealed:
+        # refused, with that layer named
+        i = data.draw(st.integers(0, len(cm.layers) - 1))
+        lq = cm.layers[i]
+        table = codec._layer_table(lq)[0]
+        payload, bits, block_bits = table.encode(lq.symbols)
+        cut = data.draw(st.integers(0, bits - 1))
+        record = framing.pack_record(codec._body_head(lq, table, cut, block_bits)
+                                     + payload[: (cut + 7) // 8])
+        bad = blob[: offsets[i]] + record + blob[offsets[i + 1] :]
+        with pytest.raises(CorruptionError, match=f"^layer 'layer{i}': "):
+            decode_compressed(bad)
+        # one payload byte flipped instead: refused with that layer named, or
+        # every other layer loads as it was
+        flip = bytearray(blob)
+        at = offsets[i + 1] - 5 - data.draw(st.integers(0, (bits + 7) // 8 - 1))
+        flip[at] ^= data.draw(st.integers(1, 255))
+        flip[offsets[i + 1] - 4 : offsets[i + 1]] = struct.pack(
+            "<I", zlib.crc32(flip[offsets[i] : offsets[i + 1] - 4]))
+        try:
+            other = decode_compressed(bytes(flip))
+        except CorruptionError as exc:
+            assert str(exc).startswith(f"layer 'layer{i}': ")
+        else:
+            assert all(np.array_equal(a.symbols, b.symbols)
+                       for j, (a, b) in enumerate(zip(other.layers, loaded.layers)) if j != i)
+
+
+def _toy_container():
+    model = ToyNet(seed=3).to_model_file()
+    return encode_compressed(CompressedModel([
+        quantize_layer(spec.weight, prune_by_magnitude(spec.weight, 0.5), 5, seed=i,
+                       name=spec.name)
+        for i, spec in enumerate(model.layers)]))
+
+
+def test_walk_refusal_names_its_layer():
+    # the fourth record's last 39 payload bytes flipped, its CRC resealed
+    data = bytearray(_toy_container())
+    offsets = record_offsets(data)
+    assert len(data) == 15_140 and len(offsets) == 11
+    end = offsets[4] - 4  # the fourth record's CRC
+    data[end - 39 : end] = bytes(b ^ 0xFF for b in data[end - 39 : end])
+    data[end : end + 4] = struct.pack("<I", zlib.crc32(data[offsets[3] : end]))
+    with pytest.raises(CorruptionError, match="^layer 'conv4': payload ends inside a codeword$"):
+        decode_compressed(bytes(data))
+    with pytest.raises(CorruptionError, match="^layer 'conv4': payload ends inside a codeword$"):
+        decode_layer(bytes(data), offsets[3])
+
+
 # --- record sizes, record checks, container version ---------------------------------
 
 
@@ -862,14 +959,14 @@ def test_record_with_more_bits_than_its_count_can_take_is_refused_unwalked():
     for bits in (100 * longest + 1, 8 * len(payload)):
         record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
                                      + payload[: (bits + 7) // 8])
-        with mock.patch.object(HuffmanTable, "decode", side_effect=AssertionError("walked")):
+        with mock.patch.object(codec, "_walk", side_effect=AssertionError("walked")):
             with pytest.raises(CorruptionError, match=f"{bits} payload bits for 100 symbols"):
                 decode_layer(record)
     # 100 codewords of the longest code: the record goes on to the walk
     bits = 100 * longest
     record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
                                  + payload[: (bits + 7) // 8])
-    with mock.patch.object(HuffmanTable, "decode", side_effect=AssertionError("walked")):
+    with mock.patch.object(codec, "_walk", side_effect=AssertionError("walked")):
         with pytest.raises(AssertionError, match="walked"):
             decode_layer(record)
 

@@ -116,7 +116,7 @@ def test_cost_grows_with_act_bits_and_patch():
 
 @pytest.mark.parametrize("name,param", [
     ("shift", 0), ("fq", 3), ("fq_huffman", 3), ("binary_basis", 0),
-    ("carry_save", 4),
+    ("carry_save", 4), ("shift", 9), ("fq", 9), ("fq_huffman", 2000),
 ])
 def test_scheme_parameter_validation(name, param):
     with pytest.raises(ValueError):
