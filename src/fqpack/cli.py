@@ -68,16 +68,12 @@ class ConfigError(UsageError):
 
 @dataclass
 class PipelineConfig:
-    """Everything a pipeline run needs, mirroring the config file layout.
+    """What a config file sets, mirroring its layout.
 
     The quantization settings (n_bits, prune_fraction, w_sep) and the seed
     live only on ``train``, which compress, train and sweep all read.
     """
 
-    model: str = ""
-    output: str = ""
-    report_dir: str = ""
-    act_bits: int = 8
     float_epochs: int = 4
     train: TrainConfig = field(default_factory=TrainConfig)
     # per-layer overrides for compress: name -> {"n_bits"|"prune_fraction"|"w_sep": value}
@@ -87,22 +83,19 @@ class PipelineConfig:
         return self.layers.get(name, {}).get(key, getattr(self.train, key))
 
 
-# keys allowed per section; each is a PipelineConfig or TrainConfig field
-_PIPELINE_KEYS = ("model", "output", "report_dir", "n_bits", "prune_fraction",
-                  "w_sep", "seed", "act_bits")
+# keys allowed per section; each is a TrainConfig field but [train] float_epochs
+_PIPELINE_KEYS = ("n_bits", "prune_fraction", "w_sep", "seed")
 _TRAIN_KEYS = ("learning_rate", "epochs_per_step", "inq_fractions", "batch_size",
                "float_epochs")
 _LAYER_KEYS = ("n_bits", "prune_fraction", "w_sep")
 
 
 def _convert(section: str, key: str, raw: str):
-    """Parse ``raw`` as the type of the key's dataclass default."""
-    default = getattr(TrainConfig, key, getattr(PipelineConfig, key, None))
+    """Parse ``raw`` as the type of the key's default."""
+    default = getattr(TrainConfig, key, PipelineConfig.float_epochs)
     try:
         if isinstance(default, tuple):
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if isinstance(default, str):
-            return raw.strip()
         return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
@@ -116,11 +109,6 @@ def _train_config(where: str, base: TrainConfig, **values) -> TrainConfig:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _validate_act_bits(where: str, act_bits: int):
-    if not 2 <= act_bits <= 16:
-        raise ConfigError(f"{where}: act_bits {act_bits} not in [2, 16]")
-
-
 def parse_config(text: str) -> PipelineConfig:
     """Parse the flat ``key = value`` config with layer-scoped sections."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -131,7 +119,7 @@ def parse_config(text: str) -> PipelineConfig:
         raise ConfigError(f"config syntax: {exc}") from exc
 
     cfg = PipelineConfig()
-    pipeline, train = {}, {}  # TrainConfig values from [pipeline] and [train]
+    pipeline, train = {}, {}
     for section in parser.sections():
         if section == "pipeline":
             keys, values = _PIPELINE_KEYS, pipeline
@@ -147,14 +135,10 @@ def parse_config(text: str) -> PipelineConfig:
         for key, raw in parser[section].items():
             if key not in keys:
                 raise ConfigError(f"[{section}] unknown key {key!r}")
-            value = _convert(section, key, raw)
-            if hasattr(TrainConfig, key):
-                values[key] = value
-            else:
-                setattr(cfg, key, value)
+            values[key] = _convert(section, key, raw)
 
     cfg.train = _train_config("[pipeline]", cfg.train, **pipeline)
-    _validate_act_bits("[pipeline]", cfg.act_bits)
+    cfg.float_epochs = train.pop("float_epochs", cfg.float_epochs)
     if cfg.float_epochs < 0:
         raise ConfigError("[train] float_epochs must be >= 0")
     for name, overrides in cfg.layers.items():
@@ -281,25 +265,19 @@ def _emit_reports(report_dir, model: ModelFile, cm: CompressedModel):
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.model:
-        cfg.model = args.model
-    if args.out:
-        cfg.output = args.out
-    if args.report_dir:
-        cfg.report_dir = args.report_dir
     flags = {"n_bits": args.n_bits, "prune_fraction": args.prune, "w_sep": args.w_sep}
     cfg.train = _train_config("compress", cfg.train,
                               **{k: v for k, v in flags.items() if v is not None})
-    if not cfg.model or not cfg.output:
+    if not args.model or not args.out:
         raise UsageError("compress needs a model path and an output path")
     seed = resolve_seed(args.seed, cfg)
-    report_dir = cfg.report_dir or (os.path.dirname(os.path.abspath(cfg.output)))
+    report_dir = args.report_dir or os.path.dirname(os.path.abspath(args.out))
 
-    model = load_model(cfg.model)
+    model = load_model(args.model)
     cm = _quantize_model(model, cfg, seed)
-    save_compressed(cm, cfg.output)
+    save_compressed(cm, args.out)
     print(_emit_reports(report_dir, model, cm), end="")
-    print(f"wrote {cfg.output} and reports under {report_dir}")
+    print(f"wrote {args.out} and reports under {report_dir}")
     return 0
 
 
@@ -314,7 +292,8 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    _validate_act_bits("infer", args.act_bits)
+    if not 2 <= args.act_bits <= 16:
+        raise UsageError(f"infer: act_bits {args.act_bits} not in [2, 16]")
     if args.print_logits < 0:
         raise UsageError(f"infer: --print-logits must be >= 0, got {args.print_logits}")
     if args.limit is not None and args.limit < 1:
@@ -346,7 +325,6 @@ def _training_data(args, seed: int):
     elif args.data:
         split = max(1, len(images) // 5)
         val, images, labels = (images[:split], labels[:split]), images[split:], labels[split:]
-        return images, labels, val
     else:
         val = synthetic_blobs(args.val_samples, seed=derive_seed(seed, "val"))
     return images, labels, val
@@ -401,7 +379,7 @@ def cmd_train(args) -> int:
         _write_text(args.metrics, csv_text(METRICS_CSV, [
             (epoch, loss, "" if top1 is None else f"{top1:.4f}")
             for epoch, (_, loss, top1) in enumerate(float_history + result.history, 1)]))
-    engine = IntegerEngine(model, result.compressed, act_bits=cfg.act_bits)
+    engine = IntegerEngine(model, result.compressed)
     engine_top1 = top1_accuracy(engine.predict(val_images), val_labels)
     print(f"float top1 {float_top1:.4f}")
     print(f"quantized top1 {engine_top1:.4f}")
@@ -415,6 +393,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("sweep: --min, --max and --step must be finite")
     if args.step <= 0:
         raise UsageError("sweep: --step must be positive")
+    if args.min < 0:
+        raise UsageError(f"sweep: --min must be >= 0, got {args.min:g}")
     if args.min > args.max:
         raise UsageError(f"sweep: --min {args.min:g} is above --max {args.max:g}")
     _at_least_one(args, "--repeats")

@@ -351,11 +351,11 @@ def _encode_pow2(value: float):
     return sign, exponent
 
 
-def _decode_pow2(sign: int, exponent: int) -> float:
+def _decode_pow2(name: str, sign: int, exponent: int) -> float:
     if sign == 0:
         return 0.0
     if sign not in (-1, 1):
-        raise FormatError(f"bad mean sign byte {sign}")
+        raise FormatError(f"layer {name!r}: bad mean sign byte {sign}")
     return float(sign) * float(np.ldexp(1.0, exponent))
 
 
@@ -436,7 +436,7 @@ def _read_layer(data, offset: int):
                               f"for {count} symbols")
     make = partial(LayerQuantization, name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,
                    alpha=float(alpha), bias=int(bias), sigma=float(sigma), wsep=float(wsep),
-                   mu=(_decode_pow2(ms, me), _decode_pow2(ps, pe)))
+                   mu=(_decode_pow2(name, ms, me), _decode_pow2(name, ps, pe)))
     return (name, make, (table, payload, payload_bits, block_bits), count), end
 
 

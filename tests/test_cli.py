@@ -831,6 +831,7 @@ def test_sweep_modes_report_each_layers_separation(capsys, tmp_path):
      "sweep: a step of 9.99989e-321 from 1 to 3.5 makes more than 1000 thresholds"),
     (["sweep", "--step", "1e-5"],
      "sweep: a step of 1e-05 from 1 to 3.5 makes more than 1000 thresholds"),
+    (["sweep", "--min", "-1", "--max", "-0.9"], "sweep: --min must be >= 0, got -1"),
 ])
 def test_training_flag_ranges_are_usage_errors(capsys, tmp_path, flags, message):
     out = tmp_path / "out.csv"
@@ -941,6 +942,40 @@ def test_training_commands_refuse_fixed_settings(command, key, value, capsys, tm
     assert not (tmp_path / "out.csv").exists()
 
 
+# compress's --model, --out and --report-dir and infer's --act-bits are flags, not
+# config keys; train's engine top-1 runs at the engine's 8-bit activations
+@pytest.mark.parametrize("key,value", [("model", "m.bin"), ("output", "m.fqz"),
+                                       ("report_dir", "reports"), ("act_bits", "8")])
+def test_compress_refuses_removed_pipeline_keys(assets, key, value, capsys, tmp_path):
+    cfg = tmp_path / "removed.cfg"
+    cfg.write_text(f"[pipeline]\n{key} = {value}\n")
+    rc, _, err = run_cli([
+        "compress", "--config", str(cfg), "--model", str(assets["model"]),
+        "--out", str(tmp_path / "x.fqz"), "--report-dir", str(tmp_path / "rep"),
+    ], capsys)
+    assert rc == 1
+    assert f"[pipeline] unknown key '{key}'" in err
+    assert not (tmp_path / "x.fqz").exists()
+
+
+def test_train_validates_on_its_val_data_batch(capsys, tmp_path):
+    # 7 validation images, which no 20% split of the 40 training images gives
+    data, val = tmp_path / "train.bin", tmp_path / "val.bin"
+    write_cifar(data, *synthetic_blobs(40, seed=5))
+    write_cifar(val, *synthetic_blobs(7, seed=6))
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("[train]\nepochs_per_step = 1\ninq_fractions = 0.5,1.0\nfloat_epochs = 2\n")
+    metrics = tmp_path / "metrics.csv"
+    rc, out, _ = run_cli(["train", "--config", str(cfg), "--data", str(data),
+                          "--val-data", str(val), "--metrics", str(metrics)], capsys)
+    assert rc == 0
+    top1 = [float(line.split(",")[2]) for line in metrics.read_text().splitlines()[1:]]
+    top1 += [float(line.split()[-1]) for line in out.splitlines() if " top1 " in line]
+    assert len(top1) == 4 + 2  # 2 float and 2 INQ epochs, then the float and quantized lines
+    assert all(abs(v * 7 - round(v * 7)) < 7e-4 for v in top1), top1
+    assert any(0 < v < 1 for v in top1), top1  # 0 and 1 are multiples of 1/8 too
+
+
 # --- report ------------------------------------------------------------------------
 
 
@@ -972,8 +1007,6 @@ def test_report_writes_the_modes_csv_of_compress(assets, capsys, tmp_path):
 
 SAMPLE_CONFIG = """\
 [pipeline]
-model = m.bin
-output = m.fqz
 n_bits = 5
 prune_fraction = 0.6
 w_sep = 2.5
@@ -992,7 +1025,7 @@ w_sep = 0.0
 
 def test_config_parse():
     cfg = parse_config(SAMPLE_CONFIG)
-    assert cfg.model == "m.bin" and cfg.train.seed == 11
+    assert cfg.train.seed == 11
     assert cfg.train.learning_rate == 0.002
     assert cfg.train.inq_fractions == (0.5, 0.75, 1.0)
     assert cfg.train.w_sep == 2.5 and cfg.train.n_bits == 5

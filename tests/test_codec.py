@@ -1009,6 +1009,17 @@ def test_record_with_a_bad_separation_is_a_format_error(wsep):
         decode_layer(_with_crc(bytes(record)))
 
 
+def test_record_with_a_bad_mean_sign_byte_names_its_layer():
+    record = bytearray(encode_layer(_rec_layer("conv")))
+    at = 6 + len("conv") + struct.calcsize("<BBfb")  # the sign byte of mu_minus
+    assert record[at] == 0xFF  # -1: mu_minus is a negative power of two
+    record[at] = 5
+    record = _with_crc(bytes(record))
+    for decode in (decode_layer, lambda r: decode_compressed(framing.pack(codec.MAGIC, [r]))):
+        with pytest.raises(FormatError, match="^layer 'conv': bad mean sign byte 5$"):
+            decode(record)
+
+
 def test_unknown_container_version_rejected():
     data = bytearray(encode_compressed(CompressedModel([_shift_layer()])))
     data[4:6] = struct.pack("<H", 99)  # header: magic (4 bytes), version u16
