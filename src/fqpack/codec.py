@@ -17,22 +17,29 @@ or per bit:
   payload as 64-bit words. A cumsum of the gathered code lengths gives each
   code's start bit; each code, left-justified in a uint64, is shifted to its
   place in its word, the codes of a word are OR-ed together in one reduce,
-  and the bits of a code that runs past its word go into the next. The
-  same code lengths, summed per block, are the record's block lengths.
-* decode walks every block of ``_BLOCK_CODEWORDS`` (512) codewords as a
-  lane, all lanes in lockstep; the record stores where each block starts.
-  :func:`decode_compressed` walks the lanes of every layer of a container
-  in one walk, each lane reading its own layer's decode table: per 16-bit
-  window, ``length << 8 | symbol`` of the codeword the window starts with,
-  or 0 where it starts with none. A Python step reads 64 bits at every
-  lane's position, from a big-endian word at every second payload byte,
-  and takes ``_READ_CODEWORDS`` (3) codewords from them in turn, one per
-  lane each, so a container of 512-codeword lanes takes 171 steps however
-  many layers it holds. A lane that does not land exactly on the next
-  block's start, a window that starts with no codeword, or a block of the
-  wrong codeword count is refused, and the refusal names its layer. Block
-  lengths cost about 0.03 bits per weight; blocks of 2048 codewords would
-  cost a quarter of that, but would take four times the steps.
+  and the bits of a code that runs past its word go into the next.
+* decode cuts each payload into lanes of bits and walks every lane of
+  every layer of a container in one lockstep walk, each lane reading its
+  own layer's decode table: per 16-bit window, ``length << 8 | symbol`` of
+  the codeword the window starts with, or 0 where it starts with none. A
+  Python step reads 64 bits at every lane's position, from a big-endian
+  word at every second payload byte, and takes ``_READ_CODEWORDS`` (3)
+  codewords from them in turn, one per lane each. The record stores no
+  lane starts: the decoder picks them, a multiple of the gcd of the code
+  lengths apart, so most lanes start inside a codeword. A Huffman decoder
+  started at any bit falls onto the codeword boundaries within a few
+  codewords (Klein & Wiseman, "Parallel Huffman decoding with
+  applications to JPEG files", The Computer Journal 2003); each lane walks
+  past its own bits until it stands on a codeword start of a later lane's
+  first codewords, and the layer's symbols are stitched from lane to lane
+  at those starts. A lane that meets no later lane is continued by itself,
+  alone if need be, so a stream whose lanes never fall into step is walked
+  as one serial lane. Lanes are sized for at most ``_LANE_CODEWORDS``
+  codewords, fewer in a small container, so a container of ToyNet's size
+  takes a few dozen steps. A window that starts no codeword on the way, a
+  last codeword that runs past the payload's end, or a symbol count other
+  than the record's shape holds is refused, and the refusal names its
+  layer.
 
 Symbols are uint8 in both directions, as ``LayerQuantization`` holds them.
 ``HuffmanTable.encode`` range-checks a stream of a wider dtype before it
@@ -49,21 +56,21 @@ are described in ``fqpack.framing``):
     mu_minus (sign i8, exponent i8), mu_plus (sign i8, exponent i8)
     sigma f32, wsep f32 (the separation measured when the layer was fitted)
     code lengths, u8 per alphabet symbol (2^n_bits bytes, 0 = absent)
-    count u32, the layer's symbol count
-    block bits, u16 per block of 512 codewords but the last: the bit
-        length of each (ceil(count / 512) - 1 of them; 512 * 16 < 2^16)
+    rank u8, then u32 per dimension: the layer's weight shape
     payload_bits u64, payload bytes (zero-padded to a byte boundary)
 
-A record is refused if its payload holds more bits than its count times
-the longest code, before it is decoded, or if its decoded symbols do not
-number its count.
+A record is refused, before its payload is walked, if its shape holds no
+weights, if its payload holds more bits than its weights times the
+longest code, or if its code table codes a symbol no code of its mode
+uses; and after, if its decoded symbols do not number its weights.
 """
 
 from __future__ import annotations
 
+import copy
+import math
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -88,10 +95,15 @@ _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
 MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
-_BLOCK_CODEWORDS = 1 << 9  # codewords per block; 2**9 * 16 bits fit a u16 block length
 # codewords a lane takes per 64-bit read: a word starts at every second
 # payload byte, so a read holds at least 64 - 15 bits from the lane's position
 _READ_CODEWORDS = (64 - 15) // MAX_CODE_LEN
+_LANE_CODEWORDS = 512  # the most codewords, of the code's mean length, a lane is sized for
+_LANES = 1024  # lanes a container is cut into at least, where lanes of one head allow
+_HEAD_READS = 12  # reads whose codeword starts a lane flags for its predecessor
+_CHECK_READS = 3  # reads between the checks of whether a lane is to leave
+_FLAG, _END, _HALT, _STUCK = 1, 2, 4, 8  # why a lane leaves the walk
+
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
@@ -178,9 +190,7 @@ class HuffmanTable:
         return cls(_huffman_lengths(counts))
 
     def encode(self, symbols: np.ndarray):
-        """Pack symbols MSB-first; returns (payload bytes, payload bit count,
-        block bits), the last the uint16 bit length of each block of
-        _BLOCK_CODEWORDS codewords but the last, from the same code lengths.
+        """Pack symbols MSB-first; returns (payload bytes, payload bit count).
 
         The payload is built as big-endian 64-bit words, _ENCODE_SYMBOLS
         symbols at a time, from a cumsum of the code lengths carried from
@@ -191,7 +201,7 @@ class HuffmanTable:
         """
         symbols = np.asarray(symbols).ravel()
         if symbols.size == 0:
-            return b"", 0, np.zeros(0, dtype=np.uint16)
+            return b"", 0
         # in the given dtype, before the narrowing cast could wrap 256 onto 0
         if symbols.min() < 0 or symbols.max() >= self.lengths.size:
             outside = (symbols < 0) | (symbols >= self.lengths.size)
@@ -219,127 +229,248 @@ class HuffmanTable:
             codes >>= shift
             words[word[0] : word[-1]] |= np.bitwise_or.reduceat(codes, edges[:-1])
             words[word[1] : word[-1] + 1] |= spill
-        firsts = np.arange(0, symbols.size, _BLOCK_CODEWORDS)
-        block_bits = np.add.reduceat(sym_len, firsts, dtype=np.uint16)[:-1]
-        return words.astype(">u8").view(np.uint8)[: (bits + 7) // 8].tobytes(), bits, block_bits
+        return words.astype(">u8").view(np.uint8)[: (bits + 7) // 8].tobytes(), bits
 
-    def decode(self, payload, payload_bits: int, block_bits=()) -> np.ndarray:
+    def decode(self, payload, payload_bits: int) -> np.ndarray:
         """Decode exactly payload_bits bits into uint8 symbols by the walk of one stream
-        (:func:`_walk`); with no ``block_bits``, it is one block of any length."""
-        return _walk([(self, payload, payload_bits, block_bits)])[0]
+        (:func:`_walk`)."""
+        return _walk([(self, payload, payload_bits)])[0]
 
 
-def _lane_ends(lengths: np.ndarray, lane_bits):
-    """Each lane's (column's) codeword ends from 0 on, and how many start before its end."""
-    ends = np.zeros((lengths.shape[0] + 1,) + lengths.shape[1:], dtype=np.int64)
-    np.cumsum(lengths, axis=0, out=ends[1:])
-    return ends, np.count_nonzero(ends[:-1] < lane_bits, axis=0)
+def _mean_length(table: HuffmanTable) -> float:
+    """The mean length of a code, each l-bit code weighted 2**-l."""
+    present = table.lengths[table.lengths > 0].astype(np.int64)
+    weight = np.ldexp(1.0, -present)
+    return float(np.dot(present, weight) / weight.sum())
 
 
-def _walk(streams, names=None, refuse=False) -> list:
-    """The uint8 symbols of each stream of (table, payload, payload bits,
-    block bits), from one lockstep walk over the lanes of them all.
+def _lane_bits(table: HuffmanTable, payload_bits: int, wanted: float) -> int:
+    """The bit length of each lane of a stream, the last lane's at most.
 
-    Each block of _BLOCK_CODEWORDS codewords is a lane. For each codeword,
-    every lane looks up the 16-bit window at its position in its stream's
-    table, which moves it past one codeword, or leaves it where it is if
-    the window starts with none. The walk stops once every lane has reached
-    its end, and after _BLOCK_CODEWORDS codewords when there are several
-    lanes; a lone lane is bounded by its bits. Each lane must land exactly
-    on the next block's start, every codeword before it matched, and each
-    block but the last must hold exactly _BLOCK_CODEWORDS codewords, the
-    last 1 to that many. A stream that fails is walked again alone with
-    ``refuse``, which makes room for twice as many codewords and refuses it
-    from the column of its first failing lane, or gives the symbols of a
-    lone lane longer than a walk of several lanes takes. ``names`` starts
-    each refusal with ``layer 'NAME': ``.
+    A lane is sized for ``wanted`` bits, but holds at least a head of
+    _HEAD_READS reads of the longest code, so that no lane's head reaches
+    past its own bits. Its length is a multiple of the gcd of the code
+    lengths, so every lane starts where a codeword can.
     """
-    n = _BLOCK_CODEWORDS
-    label = (lambda s: "") if names is None else (lambda s: f"layer {names[s]!r}: ")
-    datas, heads, size = [], [], 0
-    for s, (_, payload, payload_bits, block_bits) in enumerate(streams):
-        data = np.frombuffer(payload, dtype=np.uint8)
-        if payload_bits > 8 * data.size:
-            raise CorruptionError(label(s) + "payload shorter than its declared bit length")
-        edge = np.concatenate(([0], np.cumsum(block_bits, dtype=np.int64), [payload_bits]))
-        if edge[-2] > payload_bits:
-            raise CorruptionError(label(s) + "block lengths run past the payload")
-        datas.append(data[: (payload_bits + 7) // 8])
-        heads.append(edge + 8 * size)  # the stream's lane edges in ``padded``
-        size += datas[-1].size
-    padded = np.frombuffer(b"".join(datas + [bytes(8)]), dtype=np.uint8)
-    # the 64 bits from every second byte on
-    words = np.ndarray(size // 2 + 1, dtype=">u8", buffer=padded, strides=(2,)).astype(np.uint64)
-    tables = np.concatenate([table._decode_table() for table, *_ in streams])
-    blocks = [edge.size - 2 for edge in heads]  # each stream's lanes but its last
-    full = sum(blocks)
-    starts = np.concatenate([edge[:-2] for edge in heads] + [[edge[-2] for edge in heads]])
-    stops = np.concatenate([edge[1:-1] for edge in heads] + [[edge[-1] for edge in heads]])
-    owner = np.r_[np.repeat(np.arange(len(heads)), blocks), : len(heads)]  # each lane's stream
-    base = owner.astype(np.uint64) << MAX_CODE_LEN  # its table in ``tables``
-    bits = stops - starts
-    limit = int(bits.max()) if bits.size == 1 else min(int(bits.max()), (1 + refuse) * n)
-    rows = np.empty((-(-limit // _READ_CODEWORDS) * _READ_CODEWORDS, bits.size), dtype=np.uint16)
-    pos = starts.astype(np.uint64)
-    reached = pos.view(np.int64)
-    before_last = None  # the positions of the lanes of blocks but the last before codeword n
-    step, check = 0, 1
-    while step < limit:
+    present = table.lengths[table.lengths > 0].astype(np.int64)
+    unit = int(np.gcd.reduce(present))
+    head = _HEAD_READS * _READ_CODEWORDS * int(present.max())
+    lanes = max(1, payload_bits // max(head, int(wanted)))
+    return max(1, -(-payload_bits // (lanes * unit))) * unit
+
+
+@dataclass
+class _Lanes:
+    """What a lockstep walk leaves: each lane's steps, position and reason as it
+    left, and the table entry of each codeword each lane took."""
+
+    start: np.ndarray  # each lane's first bit
+    steps: np.ndarray
+    at: np.ndarray
+    why: np.ndarray
+    met: np.ndarray  # the lane whose head a lane left on, times the head size, plus the index
+    blocks: list = field(default_factory=list)  # (first step, lanes, entries row by step)
+    heads: np.ndarray = None  # the codeword starts of each lane's head, lane by lane
+
+    def entries(self, lane: int) -> np.ndarray:
+        """The table entry of each codeword the lane took before it left."""
+        parts = []
+        for _, lanes, rows in self.blocks:
+            column = np.searchsorted(lanes, lane)
+            if column == lanes.size or lanes[column] != lane:
+                break
+            parts.append(rows[:, column])
+        return np.concatenate(parts)[: self.steps[lane]]
+
+    def positions(self, lane: int) -> np.ndarray:
+        """The start of each codeword the lane took, then the end of the last."""
+        lengths = self.entries(lane) >> 8
+        return int(self.start[lane]) + np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+
+    def symbols(self, first: int, a, e) -> list:
+        """The symbols of lanes ``first``, ``first`` + 1, ... from codeword a to e
+        of each, as one buffer per lane."""
+        width = int(e.max())
+        lanes = np.empty((a.size, width), dtype=np.uint8)
+        for step, ids, rows in self.blocks:  # row by step in the walk, lane by lane here
+            if step >= width:
+                break
+            lo, hi = np.searchsorted(ids, (first, first + a.size))
+            # cast first: numpy transposes one byte faster than it casts across
+            rows = rows[: width - step, lo:hi].astype(np.uint8).T
+            if hi - lo == a.size:
+                lanes[:, step : step + rows.shape[1]] = rows
+            else:
+                lanes[ids[lo:hi] - first, step : step + rows.shape[1]] = rows
+        flat = memoryview(lanes).cast("B")
+        offset = np.arange(0, a.size * width, width)
+        return list(map(flat.__getitem__, map(slice, (offset + a).tolist(),
+                                              (offset + e).tolist())))
+
+
+def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=None) -> _Lanes:
+    """Walk lanes from bit positions ``start`` in lockstep, one codeword per lane
+    per step, until every lane has left.
+
+    Each step, every lane looks up the 16-bit window at its position in its
+    table (``base`` is its offset in ``tables``), which moves it past one
+    codeword, or leaves it where it is if the window starts with none. The
+    first _HEAD_READS reads are each lane's head: the codeword starts of
+    every head, lane by lane, are the flags, unless ``heads`` gives them.
+    From then on, every _CHECK_READS reads, a lane at or past its ``bound``
+    (the next lane's start), or stuck on a window that starts no codeword,
+    leaves if it is on a flag (_FLAG), at or past its stream's ``end``
+    (_END), or stuck or at or past its ``cap`` (_HALT). Lanes that have left
+    walk on until half of their block's lanes have; the rest go on in a
+    new, narrower block. ``expect`` steps are made room for.
+    """
+    n = start.size
+    head, check = _HEAD_READS * _READ_CODEWORDS, _CHECK_READS * _READ_CODEWORDS
+    walk = _Lanes(start, np.zeros(n, np.int64), np.zeros(n, np.uint64), np.zeros(n, np.uint8),
+                  np.zeros(n, np.int64), heads=heads)
+    trail = np.empty((head, n), dtype=np.uint64) if heads is None else None
+    ids, pos = np.arange(n), start.copy()
+    live = np.ones(n, dtype=bool)  # False once a lane of the block has left
+    rows = np.empty((max(expect, head), n), dtype=np.uint16)
+    step = first = left = 0
+    while True:
+        if step - first + _READ_CODEWORDS > rows.shape[0]:
+            rows = np.concatenate((rows, np.empty_like(rows)))
         word = words.take(pos >> 4, mode="clip")
         word <<= pos & 15  # at least 49 bits from pos on
         for _ in range(_READ_CODEWORDS):
-            if step == n - 1:
-                before_last = reached[:full].copy()
+            if step < head and trail is not None:
+                trail[step] = pos
             window = word >> 48
             window |= base  # below tables.size: "clip" only spares take a copy of out
-            length = tables.take(window, out=rows[step], mode="clip") >> 8
+            length = tables.take(window, out=rows[step - first], mode="clip") >> 8
             word <<= length
             pos += length
             step += 1
-        if step >= check:  # no codeword moves a lane more than 16 bits
-            gap = int((stops - reached).max())
-            if gap <= 0:
-                break
-            check = step + -(-gap // MAX_CODE_LEN)
-    del words, padded, tables  # freed before the symbols are copied out
-    walked = min(step, limit)
-    tail = rows[:walked, full:] >> 8
-    ends, count = _lane_ends(tail, bits[full:])
-    good = np.zeros(bits.size, dtype=bool)
-    if before_last is not None:
-        good[:full] = ((before_last < stops[:full])
-                       & (before_last + (rows[n - 1, :full] >> 8) == stops[:full]))
-    good[full:] = ((ends[count, np.arange(len(heads))] == bits[full:])
-                   & ~((tail == 0) & (np.arange(walked)[:, None] < count)).any(axis=0)
-                   & (((count > 0) & (count <= n)) | (np.array(blocks) == 0)))
-    if refuse and not good.all():  # one stream, its lanes in block order
-        i = int(np.argmax(~good))
-        final, short = i == bits.size - 1, "payload ends inside a codeword"
-        length = rows[:walked, i] >> 8
-        ends, count = _lane_ends(length, bits[i])
-        unmatched = np.flatnonzero(length[:count] == 0)
-        if unmatched.size:  # the bits from its window on may end inside a codeword
-            left = stops[-1] - starts[i] - ends[unmatched[0]]
-            why = (short if final and left <= streams[0][0].lengths.max()
-                   else "bit pattern matches no codeword")
-        elif ends[-1] < bits[i]:
-            why = f"block {i} holds over {n} codewords"
-        elif ends[count] != bits[i]:
-            why = short if final else f"block {i} ends inside a codeword, not at its length"
-        else:
-            why = f"block {i} holds {count} codewords, not {'1 to ' if final else ''}{n}"
-        raise CorruptionError(label(0) + why)
-    out = []
-    for s, lanes in enumerate(blocks):
-        first = sum(blocks[:s])
-        if not (good[first : first + lanes].all() and good[full + s]):
-            out.append(_walk([streams[s]], names and [names[s]], refuse=True)[0])
+        if step < head or step % check:
             continue
-        symbols = np.empty(lanes * n + count[s], dtype=np.uint8)
-        if lanes:  # row by row in the walk, lane by lane here
-            symbols[: lanes * n].reshape(lanes, n)[...] = rows[:n, first : first + lanes].T
-        symbols[lanes * n :] = rows[: count[s], full + s]
-        out.append(symbols)
+        if walk.heads is None:  # in order, as each lane's head lies in its own bits
+            walk.heads = heads = trail.T.ravel()
+            trail = None
+        near = pos >= bound
+        near |= length == 0
+        near &= live
+        near = np.flatnonzero(near)
+        if not near.size:
+            continue
+        at = pos[near]
+        met = heads.searchsorted(at)
+        why = (heads.take(met, mode="clip") == at).view(np.uint8)
+        why |= (at >= end[near]).view(np.uint8) * np.uint8(_END)
+        stuck = length[near] == 0
+        why |= (stuck | (at >= cap[near])).view(np.uint8) * np.uint8(_HALT)
+        why |= stuck.view(np.uint8) * np.uint8(_STUCK)
+        leave = why != 0
+        if not leave.any():
+            continue
+        gone = near[leave]
+        lanes = ids[gone]
+        walk.steps[lanes], walk.at[lanes] = step, at[leave]
+        walk.met[lanes], walk.why[lanes] = met[leave], why[leave]
+        live[gone] = False
+        left += gone.size
+        if 2 * left >= ids.size:
+            walk.blocks.append((first, ids, rows[: step - first]))
+            ids, pos, base = ids[live], pos[live], base[live]
+            bound, end, cap = bound[live], end[live], cap[live]
+            if not ids.size:
+                return walk
+            live, left, first = live[live], 0, step
+            rows = np.empty((max(expect - step, head), ids.size), dtype=np.uint16)
+
+
+def _walk(streams, names=None) -> list:
+    """The uint8 symbols of each stream of (table, payload, payload bits), from one
+    lockstep walk (:func:`_lockstep`) over the lanes of them all.
+
+    Each stream is cut into lanes of :func:`_lane_bits`, each starting at its
+    first bit, most inside a codeword. A lane started off the codeword
+    boundaries falls onto them within a few codewords, and from there takes
+    the stream's own codewords. A lane walks on past its own bits until it
+    is found on a codeword start of a later lane's head: from there the two
+    take the same codewords. A stream's symbols are its first lane's up to
+    that start, then the later lane's from it, and so on to the lane that
+    reaches the stream's end. A lane that meets no later lane within the
+    two past its own halts; if the stream runs through it, it is walked on
+    alone from where it halted, so a stream whose lanes never fall into
+    step decodes as one serial lane. The symbols must end exactly at the
+    stream's end, every codeword before it matched, or the stream is
+    refused; ``names`` starts each refusal with ``layer 'NAME': ``.
+    """
+    label = (lambda s: "") if names is None else (lambda s: f"layer {names[s]!r}: ")
+    head = _HEAD_READS * _READ_CODEWORDS
+    gap = bytes(head * MAX_CODE_LEN // 8 + 8)  # after each stream: room for a head past its end
+    # lanes of _LANE_CODEWORDS codewords, or shorter ones for a small container
+    means = [_mean_length(table) for table, *_ in streams]
+    codewords = sum(bits / mean for (*_, bits), mean in zip(streams, means))
+    codewords = min(_LANE_CODEWORDS, int(codewords) // _LANES)
+    chunks, layout, size = [], [], 0
+    for s, ((table, payload, payload_bits), mean) in enumerate(zip(streams, means)):
+        data = np.frombuffer(payload, dtype=np.uint8)
+        if payload_bits > 8 * data.size:
+            raise CorruptionError(label(s) + "payload shorter than its declared bit length")
+        chunks += [data[: (payload_bits + 7) // 8], gap]
+        layout.append((8 * size, payload_bits, _lane_bits(table, payload_bits, codewords * mean)))
+        size += chunks[-2].size + len(gap)
+    padded = np.frombuffer(b"".join(chunks + [bytes(8)]), dtype=np.uint8)
+    # the 64 bits from every second byte on
+    words = np.ndarray(size // 2 + 1, dtype=">u8", buffer=padded, strides=(2,)).astype(np.uint64)
+    tables = np.concatenate([table._decode_table() for table, *_ in streams])
+    first, bits, lane = np.array(layout, dtype=np.int64).T
+    count = np.maximum(1, -(-bits // lane))
+    lead = np.r_[0, np.cumsum(count)]  # each stream's first lane
+    owner = np.repeat(np.arange(len(streams)), count)
+    k = np.arange(lead[-1]) - lead[owner]  # each lane's index in its stream
+    base = owner.astype(np.uint64) << MAX_CODE_LEN  # its table in ``tables``
+    starts, ends = first[owner] + k * lane[owner], (first + bits)[owner]
+    never = np.iinfo(np.int64).max
+    bounds = np.minimum(starts + lane[owner], ends)
+    caps = np.where(k + 3 < count[owner], starts + 3 * lane[owner], never)
+    starts, bounds, ends, caps = (v.astype(np.uint64) for v in (starts, bounds, ends, caps))
+    walk = _lockstep(words, tables, starts, base, bounds, ends, caps,
+                     int(1.125 * max(lane / means)))
+    # each lane but the last of a stream ends on the next lane's head, at index joins
+    regular = (walk.why & (_FLAG | _END | _STUCK)) == _FLAG
+    regular &= walk.met // head == np.arange(1, starts.size + 1)
+    joins, odd = walk.met % head, np.flatnonzero(~regular)
+    out = []
+    for s, (first, bits, _) in enumerate(layout):
+        end, k, a = first + bits, int(lead[s]), 0
+        pieces, lanes = [], walk
+        while True:
+            if lanes is walk:
+                r = int(odd[np.searchsorted(odd, k)])
+                if r > k:
+                    pieces += walk.symbols(k, np.r_[a, joins[k : r - 1]], walk.steps[k:r])
+                    k, a = r, int(joins[r - 1])
+            steps, why = int(lanes.steps[k]), int(lanes.why[k])
+            if why & _END:  # its codewords must end exactly at the stream's end
+                edges = lanes.positions(k)
+                e = int(np.searchsorted(edges, end))
+                if e == edges.size or edges[e] != end:
+                    raise CorruptionError(label(s) + "payload ends inside a codeword")
+                pieces.append(lanes.entries(k)[a:e].astype(np.uint8))
+                break
+            if why & _STUCK:  # on a window that starts no codeword
+                left = end - int(lanes.at[k])
+                raise CorruptionError(label(s) + (
+                    "payload ends inside a codeword" if left <= streams[s][0].lengths.max()
+                    else "bit pattern matches no codeword"))
+            pieces.append(lanes.entries(k)[a:steps].astype(np.uint8))
+            if why & _FLAG:  # on to the lane whose head it is on
+                k, a = divmod(int(lanes.met[k]), head)
+                lanes = walk
+            else:  # halted: on alone from where it stopped
+                at, lead_lane = lanes.at[k : k + 1], slice(lead[s], lead[s] + 1)
+                lanes = _lockstep(words, tables, at, base[lead_lane], at, ends[lead_lane],
+                                  np.full(1, never, dtype=np.uint64), 1, walk.heads)
+                k, a = 0, 0
+        out.append(np.frombuffer(bytearray().join(pieces), dtype=np.uint8))
     return out
 
 
@@ -368,13 +499,7 @@ def _layer_table(lq: LayerQuantization):
     return HuffmanTable.from_frequencies(counts), counts
 
 
-def _stored_blocks(count: int) -> int:
-    """How many block lengths a record of ``count`` symbols stores: one per block but the last."""
-    return max(0, -(-count // _BLOCK_CODEWORDS) - 1)
-
-
-def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
-               block_bits: np.ndarray) -> bytes:
+def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int) -> bytes:
     """Every byte of a layer record's body before its payload."""
     ms, me = _encode_pow2(lq.mu[0])
     ps, pe = _encode_pow2(lq.mu[1])
@@ -385,8 +510,7 @@ def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
             ms, me, ps, pe, np.float32(lq.sigma), np.float32(lq.wsep),
         ),
         table.lengths.tobytes(),
-        struct.pack("<I", lq.weight_count),
-        block_bits.astype("<u2").tobytes(),
+        struct.pack(f"<B{len(lq.shape)}I", len(lq.shape), *lq.shape),
         struct.pack("<Q", payload_bits),
     ))
 
@@ -394,25 +518,21 @@ def _body_head(lq: LayerQuantization, table: HuffmanTable, payload_bits: int,
 def encode_layer(lq: LayerQuantization) -> bytes:
     """Serialize one quantized layer to its framed container record."""
     table, _ = _layer_table(lq)
-    payload, payload_bits, block_bits = table.encode(lq.symbols)
-    return framing.pack_record(_body_head(lq, table, payload_bits, block_bits) + payload)
+    payload, payload_bits = table.encode(lq.symbols)
+    return framing.pack_record(_body_head(lq, table, payload_bits) + payload)
 
 
 def _record_size(lq: LayerQuantization, table: HuffmanTable, counts: np.ndarray) -> int:
-    """Exact byte length of ``encode_layer(lq)`` from its table and counts, without encoding.
-
-    The block lengths take two bytes each whatever their values, so zeros
-    stand in for them.
-    """
+    """Exact byte length of ``encode_layer(lq)`` from its table and counts, without encoding."""
     payload_bits = int(np.dot(counts, table.lengths.astype(np.int64)))
-    head = _body_head(lq, table, payload_bits,
-                      np.zeros(_stored_blocks(lq.weight_count), dtype=np.uint16))
+    head = _body_head(lq, table, payload_bits)
     return framing.RECORD_OVERHEAD + len(head) + (payload_bits + 7) // 8
 
 
 def _read_layer(data, offset: int):
     """Verify and parse one framed layer record but walk none of its payload; returns
-    ((name, its LayerQuantization but for the symbols, stream, count), next offset)."""
+    ((the layer with its table's symbols in place of its own, stream, shape), next
+    offset)."""
     fields, end = framing.read_record(data, offset)
     name = fields.name()
     mode_code, n_bits, alpha, bias, ms, me, ps, pe, sigma, wsep = fields.unpack(_FIXED)
@@ -423,35 +543,41 @@ def _read_layer(data, offset: int):
     lengths = np.frombuffer(fields.take(1 << n_bits), dtype=np.uint8).copy()
     try:
         table = HuffmanTable(lengths)
-    except FormatError as exc:  # such as a code over 16 bits, which no version 3 writer makes
+    except FormatError as exc:  # such as a code over 16 bits, which no version 4 writer makes
         raise FormatError(f"layer {name!r}: {exc}") from exc
-    (count,) = fields.unpack("<I")
-    block_bits = np.frombuffer(fields.take(2 * _stored_blocks(count)), dtype="<u2")
+    (rank,) = fields.unpack("<B")
+    shape = fields.unpack(f"<{rank}I")
     (payload_bits,) = fields.unpack("<Q")
     payload = fields.take((payload_bits + 7) // 8)
     fields.done()
+    if not math.prod(shape):
+        raise FormatError(f"layer {name!r}: shape {shape} holds no weights")
     # refused before the walk, which walks a lone lane to the end of these bits
-    if payload_bits > count * int(table.lengths.max()):
+    if payload_bits > math.prod(shape) * int(table.lengths.max()):
         raise CorruptionError(f"layer {name!r}: {payload_bits} payload bits "
-                              f"for {count} symbols")
-    make = partial(LayerQuantization, name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits,
-                   alpha=float(alpha), bias=int(bias), sigma=float(sigma), wsep=float(wsep),
-                   mu=(_decode_pow2(name, ms, me), _decode_pow2(name, ps, pe)))
-    return (name, make, (table, payload, payload_bits, block_bits), count), end
+                              f"for shape {shape}")
+    try:  # every symbol the walk can give has a code, so checking those checks them all
+        coded = LayerQuantization(
+            name=name, mode=_MODE_NAMES[mode_code], n_bits=n_bits, alpha=float(alpha),
+            bias=int(bias), sigma=float(sigma), wsep=float(wsep),
+            mu=(_decode_pow2(name, ms, me), _decode_pow2(name, ps, pe)),
+            symbols=np.flatnonzero(table.lengths))
+    except ValueError as exc:
+        raise FormatError(f"layer {name!r}: {exc}") from exc
+    return (coded, (table, payload, payload_bits), shape), end
 
 
 def _layers(records) -> list:
     """The layers of records of ``_read_layer``, from one walk of them all."""
-    walked = _walk([stream for *_, stream, _ in records], [name for name, *_ in records])
+    walked = _walk([stream for _, stream, _ in records], [lq.name for lq, *_ in records])
     layers = []
-    for (name, make, _, count), symbols in zip(records, walked):
-        if symbols.size != count:
-            raise CorruptionError(f"layer {name!r}: {symbols.size} symbols, "
-                                  f"the record counts {count}")
-        try:
-            layers.append(make(symbols=symbols))
-        except ValueError as exc:
-            raise FormatError(f"layer {name!r}: {exc}") from exc
+    for (coded, _, shape), symbols in zip(records, walked):
+        if symbols.size != math.prod(shape):
+            raise CorruptionError(f"layer {coded.name!r}: {symbols.size} codewords, "
+                                  f"its shape {shape} holds {math.prod(shape)}")
+        layer = copy.copy(coded)  # its symbols were checked as the table's
+        layer.symbols, layer.shape = symbols, shape
+        layers.append(layer)
     return layers
 
 
@@ -508,14 +634,14 @@ def pair_layers(model: ModelFile, cm: CompressedModel) -> list:
     """(LayerSpec, LayerQuantization) per model layer, in model order.
 
     The one check that a container belongs to a model: each model layer has a
-    compressed layer of its name and weight count, and there is no other.
+    compressed layer of its name and weight shape, and there is no other.
     """
     pairs = []
     for spec in model.layers:
         lq = cm.layer(spec.name)
-        if lq.weight_count != spec.weight_count:
-            raise ValidationError(f"layer {spec.name!r}: {lq.weight_count} symbols "
-                                  f"for {spec.weight_count} weights")
+        if lq.shape != spec.weight.shape:
+            raise ValidationError(f"layer {spec.name!r}: shape {lq.shape} "
+                                  f"for {spec.weight.shape}")
         pairs.append((spec, lq))
     extra = {lq.name for lq in cm.layers} - {spec.name for spec in model.layers}
     if extra:

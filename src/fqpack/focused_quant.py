@@ -33,6 +33,7 @@ unpacked fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -201,7 +202,8 @@ class LayerQuantization(_OnGrid):
     """Frozen quantization of one layer: parameters plus per-weight symbols.
 
     ``symbols`` is a flat uint8 array covering every weight position (pruned
-    positions hold ZERO): one byte per symbol, since n_bits <= 8. Symbols of
+    positions hold ZERO): one byte per symbol, since n_bits <= 8. ``shape``
+    is the weight shape they flatten, one symbol per weight. Symbols of
     any other integer dtype are range-checked in that dtype, then narrowed,
     so 256 is refused rather than wrapped onto ZERO. ``mu`` is (mu_minus,
     mu_plus); both are exact signed powers of two or 0. ``sigma`` is the
@@ -220,6 +222,7 @@ class LayerQuantization(_OnGrid):
     sigma: float
     symbols: np.ndarray
     wsep: float = 0.0
+    shape: tuple = None  # the layer's weight shape; None for a flat one
 
     def __post_init__(self):
         if self.mode not in (MODE_SHIFT, MODE_RECENTRALIZED):
@@ -258,6 +261,9 @@ class LayerQuantization(_OnGrid):
         if symbols.min() < 0 or symbols.max() >= (1 << self.n_bits):
             raise ValueError(f"symbol out of range for {self.n_bits}-bit codes")
         self.symbols = symbols.astype(np.uint8, copy=False)
+        self.shape = (symbols.size,) if self.shape is None else tuple(map(int, self.shape))
+        if math.prod(self.shape) != symbols.size or min(self.shape, default=1) < 1:
+            raise ValueError(f"shape {self.shape} does not hold {symbols.size} symbols")
         # a nonzero symbol is valid iff it packs back from its own fields
         codes = np.flatnonzero(symbol_counts(self.symbols, self.alphabet_size)[1:]) + 1
         bad = codes[pack(*unpack(codes, self), self) != codes]
@@ -452,8 +458,9 @@ def _keep_mask(keep, size: int) -> np.ndarray:
 
 def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
                   name: str = "", alpha: float = 1.0) -> LayerQuantization:
-    """Freeze a layer: encode its kept weights, ZERO at pruned positions. ``keep``
-    is a bool mask as for :func:`quantize_layer`, gathered and scattered by index."""
+    """Freeze a layer of the shape of ``weights``: encode its kept weights, ZERO at
+    pruned positions. ``keep`` is a bool mask as for :func:`quantize_layer`,
+    gathered and scattered by index."""
     flat = np.asarray(weights, dtype=np.float64).ravel()
     # gathering 590k weights by mask takes 5-6 ms, by this index and a take 1.2
     kept = np.flatnonzero(_keep_mask(keep, flat.size))
@@ -462,7 +469,7 @@ def quantize_with(weights: np.ndarray, keep: np.ndarray, params: QuantParams,
     return LayerQuantization(
         name=name, mode=params.mode, n_bits=params.n_bits, alpha=float(alpha),
         bias=params.bias, mu=params.mu, sigma=params.sigma, symbols=symbols,
-        wsep=params.wsep,
+        wsep=params.wsep, shape=np.shape(weights),
     )
 
 
@@ -478,10 +485,11 @@ def quantize_layer(
     """Full per-layer pipeline: :func:`fit_params` on the weights ``keep``
     marks, then :func:`quantize_with`, which makes the one kept index. ``keep`` is a
     bool mask over every weight, such as :func:`~fqpack.pruner.prune_by_magnitude` returns."""
-    flat = np.asarray(weights, dtype=np.float64).ravel()
+    weights = np.asarray(weights, dtype=np.float64)
+    flat = weights.ravel()
     # by mask, as fast as an index and a take, and EM's memory peak holds no index
     params = fit_params(np.compress(_keep_mask(keep, flat.size), flat), n_bits, w_sep, seed)
-    return quantize_with(flat, keep, params, name, alpha)
+    return quantize_with(weights, keep, params, name, alpha)
 
 
 def dequantize_layer(lq: LayerQuantization) -> np.ndarray:

@@ -5,8 +5,8 @@ Both file formats are a header and a counted list of CRC-checked records
 
     magic   4 bytes   b"FQZ1" or b"FQM1"
     version u16       the magic's entry in VERSIONS; any other version is
-                      rejected. FQZ is at 3, which added each layer record's
-                      symbol count and block lengths; FQM is at 2
+                      rejected. FQZ is at 4, whose layer records hold their
+                      layer's shape and no block lengths; FQM is at 2
     count   u32       number of records
     then count records, each:
         length u32    byte length of the body
@@ -27,7 +27,7 @@ import zlib
 
 from .errors import CorruptionError, FormatError, ValidationError
 
-VERSIONS = {b"FQZ1": 3, b"FQM1": 2}  # the version each magic's files are written and read at
+VERSIONS = {b"FQZ1": 4, b"FQM1": 2}  # the version each magic's files are written and read at
 
 _HEADER = struct.Struct("<4sHI")  # magic, version, record count
 _U32 = struct.Struct("<I")  # a record's body length, and its CRC32

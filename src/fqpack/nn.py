@@ -224,6 +224,14 @@ class ToyNet:
             dx = conv.backward(bn.backward(relu.backward(dx)),
                                input_grad=conv is not self.convs[0])
 
+    def drop_caches(self):
+        """Let go of what the last forward kept for a backward pass."""
+        for layer in (*self.convs, *self.bns):
+            layer._cache = None
+        for relu in self.relus:
+            relu._mask = None
+        self.pool._shape = self.head._x = None
+
     def predict(self, x, batch_size: int = 256) -> np.ndarray:
         out = []
         for start in range(0, x.shape[0], batch_size):

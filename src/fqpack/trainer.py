@@ -264,8 +264,8 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
 
     On return the network's weights are the final quantized values (its
     accuracy is the quantized accuracy) and the returned compressed model
-    encodes exactly those weights. ``eval_set`` = (images, labels) adds a
-    per-epoch top-1 column to the history.
+    encodes exactly those weights; no layer keeps its cache of the last batch.
+    ``eval_set`` = (images, labels) adds a per-epoch top-1 column to the history.
     """
     images, labels = _training_set(images, labels)
     _cast_bn(net, np.float32)
@@ -314,9 +314,11 @@ def finetune_inq(net, images: np.ndarray, labels: np.ndarray,
     layers = []
     for s in states:
         try:  # alpha times the layer's alphabet can still pass float32's range
-            layers.append(quantize_with(s.shadow, s.kept, s.params, s.name, s.alpha))
+            layers.append(quantize_with(s.shadow.reshape(s.layer.w.shape), s.kept,
+                                        s.params, s.name, s.alpha))
         except ValueError as exc:
             raise TrainingDivergedError(f"layer {s.name!r}: {exc}") from None
+    net.drop_caches()
     return InqResult(compressed=CompressedModel(layers), history=history)
 
 
@@ -324,7 +326,8 @@ def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
                 learning_rate: float = 0.05, momentum: float = 0.9,
                 batch_size: int = 64, seed: int = 0, eval_set=None) -> list:
     """Plain SGD baseline training in float32; returns (epoch, loss, top1)
-    history. The net keeps its float32 weights and BN affine parameters."""
+    history. The net keeps its float32 weights and BN affine parameters, and no
+    layer's cache of the last batch."""
     images, labels = _training_set(images, labels)
     batches = _batches(images.shape[0], batch_size, seed)
     layers = [layer for _, layer in net.weight_layers()]
@@ -346,6 +349,7 @@ def train_float(net, images: np.ndarray, labels: np.ndarray, epochs: int,
         if eval_set is not None:
             top1 = top1_accuracy(net.predict(eval_set[0]), eval_set[1])
         history.append((epoch, loss, top1))
+    net.drop_caches()
     return history
 
 

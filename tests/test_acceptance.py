@@ -288,7 +288,7 @@ def test_criterion_06_codec_lossless_and_payload_optimal(tmp_path):
         stream = rng.choice(size, p=probs, size=int(rng.integers(100, 600)))
         counts = np.bincount(stream, minlength=size)
         table = HuffmanTable.from_frequencies(counts)
-        payload, bits, _ = table.encode(stream)
+        payload, bits = table.encode(stream)
         not_identity += not np.array_equal(table.decode(payload, bits), stream)
         suboptimal += bits != two_queue_optimal_bits(counts)
 

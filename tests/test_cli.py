@@ -253,8 +253,7 @@ def test_container_with_a_code_over_sixteen_bits_exits_2(assets, capsys, tmp_pat
     first = cm.layers[0]
     lengths = np.zeros(first.alphabet_size, dtype=np.uint8)
     lengths[:18] = list(range(1, 18)) + [17]
-    blocks = np.zeros(codec._stored_blocks(first.weight_count), dtype=np.uint16)
-    body = codec._body_head(first, SimpleNamespace(lengths=lengths), 8, blocks) + b"\0"
+    body = codec._body_head(first, SimpleNamespace(lengths=lengths), 8) + b"\0"
     records = [framing.pack_record(body)] + [codec.encode_layer(lq) for lq in cm.layers[1:]]
     old = tmp_path / "old.fqz"
     old.write_bytes(framing.pack(codec.MAGIC, records))
@@ -295,7 +294,7 @@ def identity_artifacts(tmp_path):
     def lq(name, symbols):
         return LayerQuantization(name=name, mode=MODE_SHIFT, n_bits=5,
                                  alpha=1.0, bias=0, mu=(0.0, 0.0), sigma=1.0,
-                                 symbols=symbols)
+                                 symbols=symbols, shape=model.layer(name).weight.shape)
 
     model_path = tmp_path / "identity.bin"
     fqz_path = tmp_path / "identity.fqz"
@@ -434,7 +433,8 @@ def unused_sign_field_artifacts(tmp_path, mode):
     if mode == MODE_RECENTRALIZED:
         conv1 = LayerQuantization(name="conv1", mode=MODE_RECENTRALIZED, n_bits=5, alpha=1.0,
                                   bias=0, mu=(-0.5, 0.5), sigma=0.25,
-                                  symbols=np.full(9, 3 << 2))  # component-0 centres
+                                  symbols=np.full(9, 3 << 2),  # component-0 centres
+                                  shape=conv1.shape)
         bad = 1  # sign field 0 with a nonzero exponent
     else:
         bad = 3 << 3  # sign field 3
@@ -537,13 +537,17 @@ def mismatched(assets):
     head = model.layer("head")
     n_in = head.geometry[0]
     narrow = replace(head, weight=head.weight[:, :5], geometry=(n_in, 5))
+    # the same weight count in another shape
+    wide = replace(head, weight=head.weight.reshape(2 * n_in, 5), geometry=(2 * n_in, 5))
     pairs = {
         "missing layer": (model, CompressedModel(cm.layers[:-1]),
                           "layer 'head' is missing from the compressed model"),
         "extra layer": (ModelFile(model.layers[:-1]), cm,
                         "compressed layers not in the model: ['head']"),
         "count mismatch": (ModelFile(model.layers[:-1] + [narrow]), cm,
-                           f"layer 'head': {n_in * 10} symbols for {n_in * 5} weights"),
+                           f"layer 'head': shape ({n_in}, 10) for ({n_in}, 5)"),
+        "shape mismatch": (ModelFile(model.layers[:-1] + [wide]), cm,
+                           f"layer 'head': shape ({n_in}, 10) for ({2 * n_in}, 5)"),
     }
     cases = {}
     for i, (mismatch, (m, c, message)) in enumerate(pairs.items()):
@@ -554,7 +558,8 @@ def mismatched(assets):
     return cases
 
 
-@pytest.mark.parametrize("mismatch", ["missing layer", "extra layer", "count mismatch"])
+@pytest.mark.parametrize("mismatch", ["missing layer", "extra layer", "count mismatch",
+                                      "shape mismatch"])
 @pytest.mark.parametrize("command", ["decompress", "report", "infer"])
 def test_container_that_does_not_belong_to_its_model(assets, mismatched, capsys, tmp_path,
                                                      command, mismatch):

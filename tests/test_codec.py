@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import math
 import struct
 import zlib
 from dataclasses import astuple, replace
@@ -75,7 +77,7 @@ def codes_of(table):
     """{symbol: code} of every symbol the table codes, each encoded alone."""
     codes = {}
     for sym in np.flatnonzero(table.lengths).tolist():
-        payload, bits, _ = table.encode(np.array([sym]))
+        payload, bits = table.encode(np.array([sym]))
         codes[sym] = int.from_bytes(payload, "big") >> (8 * len(payload) - bits)
     return codes
 
@@ -119,7 +121,7 @@ def test_single_symbol_gets_one_bit():
     counts = dense({5: 100}, 32)
     assert _huffman_lengths(counts).tolist() == [0] * 5 + [1] + [0] * 26
     table = HuffmanTable.from_frequencies(counts)
-    payload, bits, _ = table.encode(np.full(9, 5))
+    payload, bits = table.encode(np.full(9, 5))
     assert bits == 9 and len(payload) == 2
     assert table.decode(payload, bits).tolist() == [5] * 9
 
@@ -189,7 +191,7 @@ def test_random_stream_round_trips():
         table = HuffmanTable.from_frequencies(counts)
         with mock.patch.object(HuffmanTable, "_decode_table",
                                side_effect=AssertionError("encode built a decode table")):
-            payload, bits, _ = table.encode(symbols)
+            payload, bits = table.encode(symbols)
         assert np.array_equal(table.decode(payload, bits), symbols)
 
 
@@ -200,7 +202,7 @@ def test_payload_matches_optimal_length():
         counts = {int(s): int(c) for s, c in
                   enumerate(np.bincount(symbols, minlength=16)) if c > 0}
         table = HuffmanTable.from_frequencies(dense(counts, 16))
-        _, bits, _ = table.encode(symbols)
+        _, bits = table.encode(symbols)
         assert bits == optimal_cost(counts)
 
 
@@ -212,7 +214,7 @@ def test_encode_unknown_symbol_rejected():
 
 def test_decode_truncated_payload():
     table = HuffmanTable.from_frequencies(np.array([1, 1, 2, 0]))
-    payload, bits, _ = table.encode(np.array([0, 1, 2, 0]))
+    payload, bits = table.encode(np.array([0, 1, 2, 0]))
     with pytest.raises(CorruptionError):
         table.decode(payload, bits + 3)  # claims more bits than exist
     with pytest.raises(CorruptionError):
@@ -231,7 +233,7 @@ def test_sparse_layer_zero_symbol_is_one_bit():
     counts = np.bincount(lq.symbols, minlength=lq.alphabet_size)
     table = HuffmanTable.from_frequencies(counts)
     assert table.lengths[0] == 1  # the pruned symbol dominates
-    _, bits, _ = table.encode(lq.symbols)
+    _, bits = table.encode(lq.symbols)
     fixed = n_bits * lq.symbols.size
     probs = counts[counts > 0] / lq.symbols.size
     entropy_bits = float(-(probs * np.log2(probs)).sum()) * lq.symbols.size
@@ -352,6 +354,7 @@ def test_compression_ratio_rounding():
 
 def test_report_rows_and_csv():
     lq = _shift_layer("conv")
+    lq = replace(lq, shape=(1, 1, 1, lq.weight_count))
     spec = LayerSpec(
         name="conv", kind="conv2d",
         geometry=(1, 1, 1, lq.weight_count, 1, 1),
@@ -385,15 +388,19 @@ def test_pair_layers_matches_a_container_to_its_model():
     def dense(name, n_in):
         return LayerSpec(name, "dense", np.zeros((n_in, 2), dtype=np.float32), (n_in, 2))
 
-    a, b = _shift_layer("a", n=128), _shift_layer("b", n=256)
+    a = replace(_shift_layer("a", n=128), shape=(64, 2))
+    b = replace(_shift_layer("b", n=256), shape=(128, 2))
     model = ModelFile([dense("a", 64), dense("b", 128)])
     pairs = pair_layers(model, CompressedModel([b, a]))
     assert [(spec.name, lq.name) for spec, lq in pairs] == [("a", "a"), ("b", "b")]
     assert all(spec is model.layer(lq.name) for spec, lq in pairs)
     with pytest.raises(ValidationError, match="^layer 'b' is missing from the compressed model$"):
         pair_layers(model, CompressedModel([a]))
-    with pytest.raises(ValidationError, match="^layer 'b': 256 symbols for 64 weights$"):
+    with pytest.raises(ValidationError, match=r"^layer 'b': shape \(128, 2\) for \(32, 2\)$"):
         pair_layers(ModelFile([dense("a", 64), dense("b", 32)]), CompressedModel([a, b]))
+    # the same weight count in another shape
+    with pytest.raises(ValidationError, match=r"^layer 'a': shape \(2, 64\) for \(64, 2\)$"):
+        pair_layers(model, CompressedModel([replace(a, shape=(2, 64)), b]))
     extra = CompressedModel([_shift_layer("z", n=4), a, b, _shift_layer("c", n=4)])
     with pytest.raises(ValidationError,
                        match=r"^compressed layers not in the model: \['c', 'z'\]$"):
@@ -509,46 +516,40 @@ def stream_for(table, counts, size, seed):
     return np.random.default_rng(seed).choice(present, size=size, p=weights / weights.sum())
 
 
-def serial_block_bits(lengths, symbols, codewords):
-    """The bit length of each block of ``codewords`` symbols but the last, one symbol at a time."""
-    sums = [0]
-    for i, sym in enumerate(np.asarray(symbols).ravel()):
-        if i and i % codewords == 0:
-            sums.append(0)
-        sums[-1] += int(lengths[sym])
-    return sums[:-1]
+def short_lanes(codewords, head_reads=1, check_reads=1):
+    """Walk with lanes sized for ``codewords`` codewords whatever the stream's size,
+    heads of ``head_reads`` reads and a check every ``check_reads`` reads."""
+    return mock.patch.multiple(codec, _LANE_CODEWORDS=codewords, _LANES=1,
+                               _HEAD_READS=head_reads, _CHECK_READS=check_reads)
 
 
-# sizes small enough that short streams still cross encode and decode block edges
+# sizes small enough that short streams still cross encode blocks and decode lanes
 block_sizes = st.sampled_from([1, 3, 64, codec._ENCODE_SYMBOLS])
-decode_block_sizes = st.sampled_from([1, 2, 5, 64, codec._BLOCK_CODEWORDS])
+lane_sizes = st.sampled_from([1, 2, 5, 64, codec._LANE_CODEWORDS])
 
 
 @settings(max_examples=150, deadline=None)
 @given(code_tables(), st.integers(0, 3000), st.integers(0, 2**32 - 1), block_sizes,
-       decode_block_sizes)
+       lane_sizes)
 def test_array_coder_matches_serial_reference(table_counts, size, seed, block, codewords):
     table, counts = table_counts
     assert codes_of(table) == serial_codes(table.lengths)
     symbols = stream_for(table, counts, size, seed)
-    with mock.patch.object(codec, "_ENCODE_SYMBOLS", block), \
-            mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
-        payload, bits, lengths = table.encode(symbols)
+    with mock.patch.object(codec, "_ENCODE_SYMBOLS", block), short_lanes(codewords):
+        payload, bits = table.encode(symbols)
         assert (payload, bits) == serial_encode(table.lengths, symbols)
-        assert lengths.dtype == np.uint16
-        assert lengths.tolist() == serial_block_bits(table.lengths, symbols, codewords)
-        decoded = table.decode(payload, bits, lengths)
+        decoded = table.decode(payload, bits)
     assert decoded.dtype == np.uint8 and np.array_equal(decoded, symbols)
 
 
 @settings(max_examples=200, deadline=None)
-@given(code_tables(), st.binary(max_size=40), st.data(), decode_block_sizes)
+@given(code_tables(), st.binary(max_size=40), st.data(), lane_sizes)
 def test_decode_of_any_bits_matches_serial_reference(table_counts, payload, data, codewords):
     # arbitrary payloads reach every error: unmatched patterns under
     # incomplete codes, trailing partial codewords, bit counts past the end
     table, _ = table_counts
     bits = data.draw(st.integers(0, 8 * len(payload) + 9))
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
+    with short_lanes(codewords):
         got = outcome(table.decode, payload, bits)
     assert same_outcome(got, outcome(serial_decode, table.lengths, payload, bits))
 
@@ -581,7 +582,7 @@ def test_long_codes_round_trip(n_symbols, heap_longest):
     assert int(table.lengths.max()) == MAX_CODE_LEN == 16
     rng = np.random.default_rng(heap_longest)
     symbols = rng.integers(0, n_symbols, size=5000)
-    payload, bits, _ = table.encode(symbols)
+    payload, bits = table.encode(symbols)
     assert (payload, bits) == serial_encode(table.lengths, symbols)
     assert np.array_equal(table.decode(payload, bits), symbols)
 
@@ -635,10 +636,14 @@ def test_stream_spanning_many_blocks():
     rng = np.random.default_rng(56)
     symbols = rng.choice(32, size=200_000, p=np.r_[0.5, np.full(31, 0.5 / 31)])
     table = HuffmanTable.from_frequencies(np.bincount(symbols, minlength=32))
-    payload, bits, lengths = table.encode(symbols)
-    assert lengths.size == 390 and lengths.dtype == np.uint16  # 391 blocks of 512 codewords
+    payload, bits = table.encode(symbols)
     assert (payload, bits) == serial_encode(table.lengths, symbols)
-    assert np.array_equal(table.decode(payload, bits, lengths), symbols)
+    walks = []
+    lockstep = codec._lockstep
+    with mock.patch.object(codec, "_lockstep",
+                           side_effect=lambda *a: walks.append(a[2].size) or lockstep(*a)):
+        assert np.array_equal(table.decode(payload, bits), symbols)
+    assert walks[0] >= codec._LANES // 8  # one walk of many lanes
 
 
 # 1- to 15-bit codes and two 16-bit ones: every code length, Kraft sum 1
@@ -650,10 +655,10 @@ def test_encoded_bytes_are_pinned():
     # encode blocks: no RNG or BLAS, so the digest holds on any platform
     table = HuffmanTable(ALL_LENGTHS)
     i = np.arange(40_000)
-    payload, bits, block_bits = table.encode((i * 7 + i // 17) % 17)
-    assert bits == 357_640 and len(payload) == 44_705 and block_bits.size == 78
-    assert hashlib.sha256(payload + block_bits.astype("<u2").tobytes()).hexdigest() == (
-        "69afc9a5bec1e9921fc19d41b2dc58f82b3016f3816e3f5dec4ee4ebb558ed2f")
+    payload, bits = table.encode((i * 7 + i // 17) % 17)
+    assert bits == 357_640 and len(payload) == 44_705
+    assert hashlib.sha256(payload).hexdigest() == (
+        "343b8b06c5c8ed080aedfed285509d8af9f8659de1fc630656486a861775ca45")
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
@@ -665,7 +670,7 @@ def test_sixteen_bit_codes_at_every_start_bit_of_a_word(block):
     for start in range(64):
         symbols = [0] * (64 + start) + [15, 16, 2]
         with mock.patch.object(codec, "_ENCODE_SYMBOLS", block):
-            payload, bits, _ = table.encode(np.array(symbols))
+            payload, bits = table.encode(np.array(symbols))
         assert (payload, bits) == serial_encode(table.lengths, symbols)
 
 
@@ -680,7 +685,7 @@ def test_decode_errors():
         table.decode(b"\x00", 9)
 
 
-# --- the block walk ----------------------------------------------------------------
+# --- the lane walk -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 17, 64, 1000])
@@ -690,42 +695,36 @@ def test_walk_matches_a_serial_walk_before_at_and_past_the_end(n):
     # past the end of the last codeword
     table = HuffmanTable.from_frequencies(dense(fibonacci_counts(27), 64))
     symbols = np.random.default_rng(n).integers(0, 27, size=n)
-    payload, bits, _ = table.encode(symbols)
+    payload, bits = table.encode(symbols)
     payload += bytes([n % 256])
     for end in (bits - 1, bits, bits + 1):
         want = outcome(serial_decode, table.lengths, payload, end)
         assert same_outcome(outcome(table.decode, payload, end), want)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
-        _, _, lengths = table.encode(symbols)
-        assert np.array_equal(table.decode(payload, bits, lengths), symbols)
-        with pytest.raises(CorruptionError, match="payload ends inside a codeword"):
-            table.decode(payload, bits - 1, lengths)
+        with short_lanes(4):
+            assert same_outcome(outcome(table.decode, payload, end), want)
 
 
 def edge_stream(tail: str):
-    """Payload, bit count and table of "010", "00" up to the last codeword of the
-    fourth 8-codeword block, then ``tail`` from there, under a table whose codes
-    are 00, 010 and a 16-bit 0110...0; a window from 0110...01 up matches no code."""
+    """Payload, bit count and table of "010" and thirty "00", then ``tail`` from
+    bit 63, under a table whose codes are 00, 010 and a 16-bit 0110...0; a
+    window from 0110...01 up matches no code."""
     bits = "010" + "00" * 30 + tail
     payload = np.packbits(np.frombuffer(bits.encode(), np.uint8) - ord("0")).tobytes()
     return HuffmanTable(np.array([2, 3, 16], dtype=np.uint8)), payload, len(bits)
 
 
 @pytest.mark.parametrize("tail", [
-    "1",  # unmatched at the block's last codeword, the payload's last bit
-    "1" * 17,  # unmatched at the block's last codeword, more bits after it
+    "1",  # unmatched at a lane's first codeword, the payload's last bit
+    "1" * 17,  # unmatched at a lane's first codeword, more bits after it
     "0110",  # a 16-bit code cut short by the payload's end
-    "0110000000000000" "010",  # a 16-bit code that ends the block, then one more
+    "0110000000000000" "010",  # a 16-bit code that starts a lane, then one more
 ])
 def test_walk_from_the_last_offset_of_a_block(tail):
+    # lanes of 21 bits: the tail starts the fourth lane
     table, payload, bits = edge_stream(tail)
     want = outcome(serial_decode, table.lengths, payload, bits)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 8):
-        # the lengths of the blocks the stream completes, before the tail
-        prefix = want if isinstance(want, np.ndarray) else [1] + [0] * 30
-        _, _, lengths = table.encode(prefix)
-        assert lengths.tolist()[:3] == [17, 16, 16]
-        got = outcome(table.decode, payload, bits, lengths)
+    with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=21):
+        got = outcome(table.decode, payload, bits)
     assert same_outcome(got, want)
 
 
@@ -733,14 +732,13 @@ def test_walk_from_the_last_offset_of_a_block(tail):
 @given(code_tables(), st.sampled_from([1, 2, 5, 64]), st.sampled_from([-1, 0, 1, "k"]),
        st.integers(2, 6), st.integers(0, 2**32 - 1))
 def test_block_walk_matches_serial_reference(table_counts, codewords, edge, k, seed):
-    # streams one codeword short of, at and one past a block, and of k blocks
+    # streams one codeword short of, at and one past a lane's size, and of k lanes
     table, counts = table_counts
     size = k * codewords if edge == "k" else codewords + edge
     symbols = stream_for(table, counts, size, seed)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
-        payload, bits, lengths = table.encode(symbols)
-        assert lengths.size == max(0, -(-size // codewords) - 1)
-        got = table.decode(payload, bits, lengths)
+    payload, bits = table.encode(symbols)
+    with short_lanes(codewords):
+        got = table.decode(payload, bits)
     want = serial_decode(table.lengths, payload, bits)
     assert got.dtype == np.uint8 and np.array_equal(got, want)
 
@@ -752,61 +750,128 @@ def two_bit_stream(symbols, lengths=(2, 2, 2, 2)):
     return (table,) + serial_encode(np.array([2, 2, 2, 2]), symbols)
 
 
-# 3 blocks of 4 two-bit codewords, then 2 more: block lengths 8, 8, 8
 SYMBOLS_14 = [0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 2, 2, 0, 3]
 
 
-@pytest.mark.parametrize("lengths, message", [
-    ([8, 7, 8], "block 1 ends inside a codeword"),  # one length off by -1
-    ([8, 9, 8], "block 1 ends inside a codeword"),  # and by +1
-    ([9, 7, 8], "block 0 ends inside a codeword"),  # one offset inside a codeword
-    ([10, 6, 8], "block 0 holds 5 codewords, not 4"),  # one on another codeword's start
-    ([8, 8, 8, 11], "block lengths run past the payload"),
-    ([8, 8], "block 2 holds 6 codewords, not 1 to 4"),  # too few lengths
-    ([8, 8, 8, 2], "block 3 holds 1 codewords, not 4"),  # too many
-    ([8, 8, 8, 4], "block 3 holds 2 codewords, not 4"),
-])
-def test_block_lengths_that_do_not_fit_the_stream_are_refused(lengths, message):
-    table, payload, bits = two_bit_stream(SYMBOLS_14)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
-        assert table.decode(payload, bits, [8, 8, 8]).tolist() == SYMBOLS_14
-        with pytest.raises(CorruptionError, match=message):
-            table.decode(payload, bits, lengths)
-
-
-def test_empty_last_block_is_refused():
-    table, payload, bits = two_bit_stream(SYMBOLS_14[:12])
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
-        assert table.decode(payload, bits, [8, 8]).tolist() == SYMBOLS_14[:12]
-        with pytest.raises(CorruptionError, match="block 3 holds 0 codewords, not 1 to 4"):
-            table.decode(payload, bits, [8, 8, 8])
-
-
 def test_unmatched_window_inside_a_lane_is_refused():
-    # 11 matches no code of a table with 00, 01 and 10 only; it is the second
-    # codeword of block 1
+    # 11 matches no code of a table with 00, 01 and 10 only; it is the sixth
+    # codeword, inside the second lane of six bits
     symbols = SYMBOLS_14[:5] + [3] + [0] * 8
     table, payload, bits = two_bit_stream(symbols, lengths=(2, 2, 2, 0))
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+    with short_lanes(2):
         with pytest.raises(CorruptionError, match="bit pattern matches no codeword"):
-            table.decode(payload, bits, [8, 8, 8])
+            table.decode(payload, bits)
     assert outcome(table.decode, payload, bits)[1] == "bit pattern matches no codeword"
 
 
 def test_payload_ending_inside_the_last_block_is_refused():
     table, payload, bits = two_bit_stream(SYMBOLS_14)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 4):
+    with short_lanes(2):
+        assert table.decode(payload, bits).tolist() == SYMBOLS_14
         with pytest.raises(CorruptionError, match="payload ends inside a codeword"):
-            table.decode(payload, bits - 1, [8, 8, 8])
+            table.decode(payload, bits - 1)
+
+
+def lockstep_walks():
+    """Patch ``_lockstep`` to note the lane count of each walk it makes."""
+    walks, lockstep = [], codec._lockstep
+    return walks, mock.patch.object(
+        codec, "_lockstep", side_effect=lambda *a: walks.append(a[2].size) or lockstep(*a))
+
+
+def test_lanes_started_inside_codewords_fall_into_step():
+    # codes 0, 10 and 11 in lanes of 7 bits: most lanes start inside a codeword
+    table = HuffmanTable(np.array([1, 2, 2], dtype=np.uint8))
+    symbols = np.random.default_rng(57).integers(0, 3, size=400)
+    payload, bits = table.encode(symbols)
+    starts = np.cumsum(table.lengths[symbols])
+    assert not np.isin(np.arange(7, bits, 7), starts).all()
+    walks, spy = lockstep_walks()
+    with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=7), spy:
+        assert np.array_equal(table.decode(payload, bits), symbols)
+    assert walks == [-(-bits // 7)]  # one walk: every lane met its successor
+
+
+def test_fixed_length_code_lanes_start_on_codeword_boundaries():
+    # 3-bit codes: a lane that started inside a codeword would never fall into
+    # step, so every lane is a multiple of 3 bits long
+    table = HuffmanTable(np.full(8, 3, dtype=np.uint8))
+    symbols = np.random.default_rng(58).integers(0, 8, size=500)
+    payload, bits = table.encode(symbols)
+    for codewords in (1, 2, 5, 64):
+        with short_lanes(codewords):
+            assert codec._lane_bits(table, bits, 3 * codewords) % 3 == 0
+            walks, spy = lockstep_walks()
+            with spy:
+                assert np.array_equal(table.decode(payload, bits), symbols)
+            assert len(walks) == 1
+
+
+def never_in_step(count):
+    """Table, payload and bit count of "0" then ``count`` "111"s, under the codes
+    0, 100, 101, 110 and 111: a lane started 2 bits into a "111" reads "111"s
+    shifted by 2 bits to the end, as does every lane of 3k bits."""
+    table = HuffmanTable(np.array([1, 3, 3, 3, 3], dtype=np.uint8))
+    return (table,) + table.encode(np.array([0] + [4] * count))
 
 
 def test_lane_walk_stops_after_a_block_of_steps():
-    # 40 codewords, of which the first block claims 38 with the block size at
-    # 2: its lane cannot reach its end in 2 steps
-    table, payload, bits = two_bit_stream([0] * 40)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 2):
-        with pytest.raises(CorruptionError, match="block 0 holds over 2 codewords"):
-            table.decode(payload, bits, [76])
+    # the first lane, the only one on the codeword boundaries, meets no later
+    # lane: it stops three lanes past its start, and the stream's symbols are
+    # walked on from there by one lane alone
+    table, payload, bits = never_in_step(3000)
+    walks, lockstep = [], codec._lockstep
+    with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=30), \
+            mock.patch.object(codec, "_lockstep",
+                              side_effect=lambda *a: walks.append(lockstep(*a)) or walks[-1]):
+        assert np.array_equal(table.decode(payload, bits), [0] + [4] * 3000)
+    assert [walk.at.size for walk in walks] == [301, 1]
+    assert walks[0].why[0] == codec._HALT and 3 * 30 <= walks[0].at[0] < 3 * 30 + 9
+    with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=30):
+        for cut in (1, 2):
+            with pytest.raises(CorruptionError, match="^payload ends inside a codeword$"):
+                table.decode(payload, bits - cut)
+
+
+@st.composite
+def walk_streams(draw):
+    """(table, symbols, lane bits or None): drawn codes and streams, fixed-length
+    codes, and streams whose lanes of 3k bits never fall into step."""
+    kind = draw(st.sampled_from(["drawn", "fixed", "never"]))
+    size = draw(st.integers(0, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "never":
+        table, _, _ = never_in_step(1)
+        return table, np.array([0] + [4] * size), 3 * draw(st.integers(3, 12))
+    if kind == "fixed":
+        width = draw(st.integers(1, 8))
+        table = HuffmanTable(np.full(draw(st.integers(1, 1 << width)), width, dtype=np.uint8))
+        return table, rng.integers(0, table.lengths.size, size=size), None
+    table, counts = draw(code_tables())
+    return table, stream_for(table, counts, size, rng.integers(2**32)), None
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_streams(), st.sampled_from([1, 2, 3, 8]), st.integers(1, 3), st.integers(1, 2),
+       st.data())
+def test_self_synchronising_walk_matches_the_serial_reference(drawn, codewords, head_reads,
+                                                              check_reads, data):
+    # the walk's symbols, or its refusal, equal the serial reference's on the
+    # stream, on the stream cut short and on the stream with one byte flipped
+    table, symbols, lane = drawn
+    payload, bits = table.encode(symbols)
+    lanes = (mock.patch.object(codec, "_lane_bits", return_value=lane) if lane
+             else contextlib.nullcontext())
+    cut = data.draw(st.integers(0, bits))
+    flipped = bytearray(payload)
+    if payload:
+        flipped[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
+    with short_lanes(codewords, head_reads, check_reads), lanes:
+        got = table.decode(payload, bits)
+        assert got.dtype == np.uint8 and np.array_equal(got, symbols)
+        for stream, end in ((payload, bits - cut), (bytes(flipped), bits)):
+            want = outcome(serial_decode, table.lengths, stream, end)
+            assert same_outcome(outcome(table.decode, stream, end), want)
 
 
 # --- the container walk ------------------------------------------------------------
@@ -826,7 +891,7 @@ def walk_layers(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = np.array(list(fibonacci_counts(k).values())) * draw(st.integers(1, 3))
     symbols = rng.permutation(np.repeat(rng.choice(valid, size=k, replace=False), counts))
-    return replace(zero, symbols=symbols)
+    return replace(zero, symbols=symbols, shape=None)
 
 
 def record_offsets(data):
@@ -842,23 +907,24 @@ def record_offsets(data):
 def test_container_walk_matches_each_record_and_names_a_bad_layer(drawn, codewords, data):
     cm = CompressedModel([replace(lq, name=f"layer{i}") for i, lq in enumerate(drawn)])
     assert 1 <= max(int(codec._layer_table(lq)[0].lengths.max()) for lq in cm.layers) <= 16
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", codewords):
+    with short_lanes(codewords):
         blob = encode_compressed(cm)
         loaded = decode_compressed(blob)
         offsets = record_offsets(blob)
         for lq, back, at, end in zip(cm.layers, loaded.layers, offsets, offsets[1:]):
             assert np.array_equal(back.symbols, lq.symbols) and back.symbols.dtype == np.uint8
             alone, next_at = decode_layer(blob, at)
-            assert next_at == end and astuple(alone)[:-2] == astuple(back)[:-2]
+            assert next_at == end and astuple(alone)[:-3] == astuple(back)[:-3]
             assert np.array_equal(alone.symbols, back.symbols) and alone.wsep == back.wsep
+            assert alone.shape == back.shape == lq.shape
         # one layer's payload cut short by 1 or more bits, its record resealed:
         # refused, with that layer named
         i = data.draw(st.integers(0, len(cm.layers) - 1))
         lq = cm.layers[i]
         table = codec._layer_table(lq)[0]
-        payload, bits, block_bits = table.encode(lq.symbols)
+        payload, bits = table.encode(lq.symbols)
         cut = data.draw(st.integers(0, bits - 1))
-        record = framing.pack_record(codec._body_head(lq, table, cut, block_bits)
+        record = framing.pack_record(codec._body_head(lq, table, cut)
                                      + payload[: (cut + 7) // 8])
         bad = blob[: offsets[i]] + record + blob[offsets[i + 1] :]
         with pytest.raises(CorruptionError, match=f"^layer 'layer{i}': "):
@@ -891,7 +957,7 @@ def test_walk_refusal_names_its_layer():
     # the fourth record's last 39 payload bytes flipped, its CRC resealed
     data = bytearray(_toy_container())
     offsets = record_offsets(data)
-    assert len(data) == 15_140 and len(offsets) == 11
+    assert len(data) == 15_122 and len(offsets) == 11
     end = offsets[4] - 4  # the fourth record's CRC
     data[end - 39 : end] = bytes(b ^ 0xFF for b in data[end - 39 : end])
     data[end : end + 4] = struct.pack("<I", zlib.crc32(data[offsets[3] : end]))
@@ -911,8 +977,9 @@ def test_report_sizes_equal_encoded_records(mode, n_bits):
     pick = rng.random(3000) < 0.5
     weights = np.where(pick, rng.normal(-0.3, 0.04, 3000), rng.normal(0.25, 0.05, 3000))
     mask = prune_by_magnitude(weights, 0.4)
-    lq = quantize_layer(weights, mask, n_bits, w_sep=1e9 if mode == MODE_SHIFT else 0.0,
-                        seed=n_bits, name=f"layer{n_bits}")
+    lq = quantize_layer(weights.reshape(1, 1, 1, -1), mask, n_bits,
+                        w_sep=1e9 if mode == MODE_SHIFT else 0.0, seed=n_bits,
+                        name=f"layer{n_bits}")
     assert lq.mode == mode
     spec = LayerSpec(name=lq.name, kind="conv2d", geometry=(1, 1, 1, lq.weight_count, 1, 1),
                      weight=np.zeros((1, 1, 1, lq.weight_count), dtype=np.float32))
@@ -922,49 +989,70 @@ def test_report_sizes_equal_encoded_records(mode, n_bits):
     assert rows[1].comp_bytes == len(encode_compressed(cm))
 
 
-@pytest.mark.parametrize("n", [512, 513, 5000])
-def test_report_size_counts_the_symbol_count_and_block_lengths(n):
-    lq = _shift_layer("wide", n=n)
+def _shape_at(lq) -> int:
+    """The offset of a layer record's rank byte: record length, name field, fixed
+    fields, code lengths."""
+    return 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size
+
+
+@pytest.mark.parametrize("shape", [(512,), (3, 3, 3, 19), (2, 2500)])
+def test_report_size_counts_the_shape(shape):
+    n = math.prod(shape)
+    lq = replace(_shift_layer("wide", n=n), shape=shape)
     spec = LayerSpec(name=lq.name, kind="conv2d", geometry=(1, 1, 1, n, 1, 1),
                      weight=np.zeros((1, 1, 1, n), dtype=np.float32))
     record = encode_layer(lq)
-    payload, _, _ = codec._layer_table(lq)[0].encode(lq.symbols)
-    # record length, name field, fixed fields, code lengths; then the symbol
-    # count, a u16 per 512-codeword block but the last, the bit count, payload, CRC
-    count_at = 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size
-    assert struct.unpack_from("<I", record, count_at) == (n,)
-    blocks = -(-n // 512) - 1
-    assert len(record) == count_at + 4 + 2 * blocks + 8 + len(payload) + 4
+    payload, _ = codec._layer_table(lq)[0].encode(lq.symbols)
+    # then the rank, a u32 per dimension, the bit count, payload and CRC: no block lengths
+    at = _shape_at(lq)
+    assert struct.unpack_from(f"<B{len(shape)}I", record, at) == (len(shape),) + shape
+    assert len(record) == at + 1 + 4 * len(shape) + 8 + len(payload) + 4
+    lq = replace(lq, shape=spec.weight.shape)
     rows = compression_report(ModelFile([spec]), CompressedModel([lq]))
-    assert rows[0].comp_bytes == len(record)
+    assert rows[0].comp_bytes == len(encode_layer(lq)) == len(record) + 4 * (4 - len(shape))
 
 
 def test_record_whose_count_differs_from_its_symbols_is_refused():
     lq = _shift_layer("conv", n=300)
     record = bytearray(encode_layer(lq))
-    count_at = 4 + 2 + len(lq.name) + struct.calcsize("<BBfbbbbbff") + lq.alphabet_size
-    for count in (299, 301):  # the same single block, one symbol short or over
-        record[count_at : count_at + 4] = struct.pack("<I", count)
-        with pytest.raises(CorruptionError, match=f"300 symbols, the record counts {count}"):
+    at = _shape_at(lq) + 1  # the one dimension
+    for count in (299, 301):  # one symbol short or over
+        record[at : at + 4] = struct.pack("<I", count)
+        with pytest.raises(CorruptionError,
+                           match=rf"^layer 'conv': 300 codewords, its shape \({count},\) "
+                                 rf"holds {count}$"):
             decode_layer(_with_crc(bytes(record)))
+    record[at : at + 4] = struct.pack("<I", 0)
+    with pytest.raises(FormatError, match=r"^layer 'conv': shape \(0,\) holds no weights$"):
+        decode_layer(_with_crc(bytes(record)))
+
+
+def test_record_shape_round_trips():
+    weights = np.random.default_rng(59).normal(0.0, 0.2, (3, 3, 4, 5))
+    lq = quantize_layer(weights, prune_by_magnitude(weights, 0.5), 5, name="conv")
+    assert lq.shape == (3, 3, 4, 5)
+    decoded, _ = decode_layer(encode_layer(lq))
+    assert decoded.shape == (3, 3, 4, 5) and decoded.symbols.shape == (180,)
+    with pytest.raises(ValueError, match=r"shape \(3, 3, 4, 4\) does not hold 180 symbols"):
+        replace(lq, shape=(3, 3, 4, 4))
 
 
 def test_record_with_more_bits_than_its_count_can_take_is_refused_unwalked():
-    # 100 symbols, one block, so no block lengths cap the walk of its lane
+    # 100 symbols in one lane, which the walk would take to the end of its bits
     lq = _shift_layer("conv", n=100)
     table, _ = codec._layer_table(lq)
     longest = int(table.lengths.max())
-    no_blocks = np.zeros(0, dtype=np.uint16)
     payload = np.random.default_rng(3).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
     for bits in (100 * longest + 1, 8 * len(payload)):
-        record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
+        record = framing.pack_record(codec._body_head(lq, table, bits)
                                      + payload[: (bits + 7) // 8])
         with mock.patch.object(codec, "_walk", side_effect=AssertionError("walked")):
-            with pytest.raises(CorruptionError, match=f"{bits} payload bits for 100 symbols"):
+            with pytest.raises(CorruptionError,
+                               match=rf"{bits} payload bits for shape \(100,\)"):
                 decode_layer(record)
     # 100 codewords of the longest code: the record goes on to the walk
     bits = 100 * longest
-    record = framing.pack_record(codec._body_head(lq, table, bits, no_blocks)
+    record = framing.pack_record(codec._body_head(lq, table, bits)
                                  + payload[: (bits + 7) // 8])
     with mock.patch.object(codec, "_walk", side_effect=AssertionError("walked")):
         with pytest.raises(AssertionError, match="walked"):
@@ -973,11 +1061,12 @@ def test_record_with_more_bits_than_its_count_can_take_is_refused_unwalked():
 
 def test_record_round_trip_through_many_blocks():
     lq = _rec_layer("conv", n=512)
-    with mock.patch.object(codec, "_BLOCK_CODEWORDS", 5):
-        record = encode_layer(lq)
+    record = encode_layer(lq)
+    walks, spy = lockstep_walks()
+    with short_lanes(5), spy:
         decoded, _ = decode_layer(record)
-    assert len(record) == len(encode_layer(lq)) + 2 * (103 - 1)  # 103 blocks of 5
-    assert np.array_equal(decoded.symbols, lq.symbols)
+    assert walks[0] > 40  # lanes of about 5 codewords, or a head of the longest code
+    assert np.array_equal(decoded.symbols, lq.symbols) and encode_layer(decoded) == record
 
 
 def _with_crc(record: bytes) -> bytes:

@@ -69,6 +69,13 @@ def shift_layer(symbols, bias=0, n_bits=5, alpha=1.0, name="w"):
     )
 
 
+def shaped(model, layers):
+    """``layers`` as a CompressedModel, each given the shape of the model's layer
+    of its name (the flat symbols of a hand-built layer hold no shape)."""
+    shapes = {spec.name: spec.weight.shape for spec in model.layers}
+    return CompressedModel([replace(lq, shape=shapes.get(lq.name, lq.shape)) for lq in layers])
+
+
 def shift_code(sign, exponent, n_bits=5):
     """The n-bit shift-mode symbol of sign * 2^exponent (before the bias)."""
     return int(pack(0, sign, exponent, QuantParams(MODE_SHIFT, n_bits, 0)))
@@ -381,7 +388,7 @@ def identity_model(channels=3):
         sym[c * channels + c] = one
     lqs = [identity_conv_lq(channels, name="conv1"),
            shift_layer(sym.copy(), name="head")]
-    return ModelFile(specs), CompressedModel(lqs)
+    return ModelFile(specs), shaped(ModelFile(specs), lqs)
 
 
 def test_identity_model_echoes_pooled_input():
@@ -413,7 +420,7 @@ def quantized_toy(seed=12, plan=((3, 8, 2), (8, 8, 2)), sparsity=0.5, layer_args
         layers.append(quantize_layer(flat, mask, 5,
                                      seed=derive_seed(seed, spec.name),
                                      name=spec.name, **extra))
-    return net, model, CompressedModel(layers)
+    return net, model, shaped(model, layers)
 
 
 def test_engine_agrees_with_float_simulator():
@@ -440,8 +447,8 @@ def test_engine_validation_errors():
     extra = CompressedModel(cm.layers + [shift_layer([8], name="ghost")])
     with pytest.raises(ValidationError):
         IntegerEngine(model, extra)
-    short = CompressedModel([replace(cm.layers[0], symbols=cm.layers[0].symbols[:-1])]
-                            + cm.layers[1:])
+    short = CompressedModel([replace(cm.layers[0], symbols=cm.layers[0].symbols[:-1],
+                                     shape=None)] + cm.layers[1:])
     with pytest.raises(ValidationError):
         IntegerEngine(model, short)
     with pytest.raises(ValidationError, match="input has 4 channels, expected 3"):
@@ -527,7 +534,7 @@ def one_layer_model(lq, geometry):
         spec = LayerSpec(name=lq.name, kind="conv2d",
                          weight=np.zeros(geometry[:4], dtype=np.float32),
                          geometry=geometry)
-    return ModelFile([spec]), CompressedModel([lq])
+    return ModelFile([spec]), shaped(ModelFile([spec]), [lq])
 
 
 def shift_add_outputs(ints, lq, geometry):
@@ -853,7 +860,7 @@ def dense_first_pair():
                                geometry=shape))
         layers.append(quantize_layer(w.ravel(), prune_by_magnitude(w.ravel(), 0.3), 5,
                                      seed=derive_seed(97, name), name=name, alpha=alpha))
-    return ModelFile(specs), CompressedModel(layers)
+    return ModelFile(specs), shaped(ModelFile(specs), layers)
 
 
 @settings(max_examples=30, deadline=None)
@@ -979,7 +986,7 @@ def _compressed_stack(layers):
     specs = [LayerSpec(name, kind, w.astype(np.float32), geometry)
              for name, kind, w, geometry in layers]
     return ModelFile(specs), CompressedModel([
-        quantize_layer(w.ravel(), np.ones(w.size, bool), 5, seed=i, name=name)
+        quantize_layer(w, np.ones(w.size, bool), 5, seed=i, name=name)
         for i, (name, _, w, _) in enumerate(layers)])
 
 

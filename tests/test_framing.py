@@ -55,8 +55,8 @@ CODECS = {
     "fqm": (decode_model, encode_model, ModelFile),
     "fqz": (decode_compressed, encode_compressed, CompressedModel),
 }
-# format -> its version: FQZ records gained a symbol count and block lengths at 3
-VERSIONS = {"fqm": 2, "fqz": 3}
+# format -> its version: FQZ records hold their layer's shape and no block lengths at 4
+VERSIONS = {"fqm": 2, "fqz": 4}
 
 
 @pytest.fixture(scope="module")

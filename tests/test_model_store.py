@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -213,3 +214,15 @@ def test_rank_beyond_numpy_limit_is_format_error():
             + struct.pack("<70I", *[0] * 70) + struct.pack("<B", 0))
     with pytest.raises(FormatError, match="'fc'"):
         decode_model(framing.pack(b"FQM1", [framing.pack_record(body)]))
+
+
+@pytest.mark.parametrize("count, seed, digest", [
+    (512, 0, "b8da1648757d88e9c836e7b9637faa3d3dcbf4e05921415d312271867767a658"),
+    (37, 11, "89277e8578b0a28e5f0cb80fb4a7e8a805113b932570dcfe7960812a96e4f3e6"),
+])
+def test_synthetic_blobs_are_pinned(count, seed, digest):
+    # the images and labels, drawn and rounded in place, are those of the
+    # writer that built them from whole-array temporaries
+    images, labels = synthetic_blobs(count, seed)
+    assert images.dtype == np.float32 and labels.dtype == np.int64
+    assert hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest() == digest

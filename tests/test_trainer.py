@@ -198,7 +198,7 @@ def test_inert_finetune_matches_direct_quantization(w_sep, n_bits):
     # with nothing learned, fine-tuning must land on exactly what compress
     # writes for the same weights, refit included
     net, images, labels = tiny_setup()
-    weights = {name: layer.w.ravel().copy() for name, layer in net.weight_layers()}
+    weights = {name: layer.w.copy() for name, layer in net.weight_layers()}
     cfg = quick_config(learning_rate=0.0, w_sep=w_sep, n_bits=n_bits)
     result = finetune_inq(net, images, labels, cfg)
     for name, w in weights.items():
@@ -500,3 +500,26 @@ def test_sweep_csv_headers():
     assert summary_csv.splitlines()[0] == SWEEP_SUMMARY_CSV[0] == "wsep,mean_top1,std_top1"
     assert detail_csv.splitlines()[1] == "1.0,0,0.5000"
     assert summary_csv.splitlines()[1] == "1.0,0.5000,0.0000"
+
+
+def _caches(net):
+    """The layers of the net that hold what a forward kept for backward."""
+    held = [layer for layer in (*net.convs, *net.bns) if layer._cache is not None]
+    held += [relu for relu in net.relus if relu._mask is not None]
+    return held + [layer for layer in (net.pool, net.head)
+                   if getattr(layer, "_shape", None) is not None
+                   or getattr(layer, "_x", None) is not None]
+
+
+def test_training_returns_without_its_last_batch_caches():
+    net, images, labels = tiny_setup()
+    eval_set = (images[:16], labels[:16])
+    train_float(net, images, labels, epochs=1, learning_rate=0.05, eval_set=eval_set)
+    assert _caches(net) == []
+    finetune_inq(net, images, labels, quick_config(), eval_set=eval_set)
+    assert _caches(net) == []
+    # the net still trains: a forward keeps its caches again and a backward uses them
+    logits = net.forward(images[:8], training=True)
+    assert len(_caches(net)) == 3 * len(net.convs) + 2
+    net.backward(np.ones_like(logits))
+    assert all(np.isfinite(layer.dw).all() for _, layer in net.weight_layers())
