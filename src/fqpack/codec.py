@@ -20,8 +20,9 @@ or per bit:
   and the bits of a code that runs past its word go into the next.
 * decode cuts each payload into lanes of bits and walks every lane of
   every layer of a container in one lockstep walk, each lane reading its
-  own layer's decode table: per 16-bit window, ``length << 8 | symbol`` of
-  the codeword the window starts with, or 0 where it starts with none. A
+  own layer's decode table: per window of as many bits as the layer's
+  longest code, ``length << 8 | symbol`` of the codeword the window starts
+  with, or 0 where it starts with none. A
   Python step reads 64 bits at every lane's position, from a big-endian
   word at every second payload byte, and takes ``_READ_CODEWORDS`` (3)
   codewords from them in turn, one per lane each. The record stores no
@@ -93,7 +94,7 @@ MAGIC = b"FQZ1"
 _MODE_CODES = {MODE_SHIFT: 0, MODE_RECENTRALIZED: 1}
 _MODE_NAMES = {code: name for name, code in _MODE_CODES.items()}
 
-MAX_CODE_LEN = 16  # longest code; the decode table has 2**MAX_CODE_LEN entries
+MAX_CODE_LEN = 16  # longest code; a decode table has at most 2**MAX_CODE_LEN entries
 _ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
 # codewords a lane takes per 64-bit read: a word starts at every second
 # payload byte, so a read holds at least 64 - 15 bits from the lane's position
@@ -177,11 +178,14 @@ class HuffmanTable:
         self._left_codes <<= 48  # left-justified in 64 bits
 
     def _decode_table(self) -> np.ndarray:
-        """``length << 8 | symbol`` of the codeword each 16-bit window starts
-        with; 0 at the windows past the last code, which start with none."""
-        table = np.zeros(1 << MAX_CODE_LEN, dtype=np.uint16)
+        """``length << 8 | symbol`` of the codeword each window of the longest
+        code's length starts with; 0 at the windows past the last code, which
+        start with none."""
+        shorter = MAX_CODE_LEN - int(self.lengths.max())  # bits the windows drop
+        table = np.zeros(1 << (MAX_CODE_LEN - shorter), dtype=np.uint16)
         entries = self.lengths[self._ordered].astype(np.uint16) << 8 | self._ordered
-        table[: self._span.sum()] = np.repeat(entries, self._span)
+        span = self._span >> shorter
+        table[: span.sum()] = np.repeat(entries, span)
         return table
 
     @classmethod
@@ -302,19 +306,21 @@ class _Lanes:
                 lanes[:, step : step + rows.shape[1]] = rows
             else:
                 lanes[ids[lo:hi] - first, step : step + rows.shape[1]] = rows
-        flat = memoryview(lanes).cast("B")
-        offset = np.arange(0, a.size * width, width)
+        flat = memoryview(lanes.ravel())
+        offset = np.arange(a.size) * width
         return list(map(flat.__getitem__, map(slice, (offset + a).tolist(),
                                               (offset + e).tolist())))
 
 
-def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=None) -> _Lanes:
+def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=None) -> _Lanes:
     """Walk lanes from bit positions ``start`` in lockstep, one codeword per lane
     per step, until every lane has left.
 
-    Each step, every lane looks up the 16-bit window at its position in its
-    table (``base`` is its offset in ``tables``), which moves it past one
-    codeword, or leaves it where it is if the window starts with none. The
+    Each step, every lane looks up the window at its position in its table
+    (``table`` holds each lane's offset in ``tables`` and the shift that
+    leaves a read's top bits, as many as its longest code), which moves it
+    past one codeword, or leaves it where it is if the window starts with
+    none. The
     first _HEAD_READS reads are each lane's head: the codeword starts of
     every head, lane by lane, are the flags, unless ``heads`` gives them.
     From then on, every _CHECK_READS reads, a lane at or past its ``bound``
@@ -328,8 +334,8 @@ def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=No
     head, check = _HEAD_READS * _READ_CODEWORDS, _CHECK_READS * _READ_CODEWORDS
     walk = _Lanes(start, np.zeros(n, np.int64), np.zeros(n, np.uint64), np.zeros(n, np.uint8),
                   np.zeros(n, np.int64), heads=heads)
-    trail = np.empty((head, n), dtype=np.uint64) if heads is None else None
-    ids, pos = np.arange(n), start.copy()
+    trail = np.empty((n, head), dtype=np.uint64) if heads is None else None
+    ids, pos, (base, shift) = np.arange(n), start.copy(), table
     live = np.ones(n, dtype=bool)  # False once a lane of the block has left
     rows = np.empty((max(expect, head), n), dtype=np.uint16)
     step = first = left = 0
@@ -340,9 +346,9 @@ def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=No
         word <<= pos & 15  # at least 49 bits from pos on
         for _ in range(_READ_CODEWORDS):
             if step < head and trail is not None:
-                trail[step] = pos
-            window = word >> 48
-            window |= base  # below tables.size: "clip" only spares take a copy of out
+                trail[:, step] = pos
+            window = word >> shift
+            window += base  # below tables.size: "clip" only spares take a copy of out
             length = tables.take(window, out=rows[step - first], mode="clip") >> 8
             word <<= length
             pos += length
@@ -350,8 +356,7 @@ def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=No
         if step < head or step % check:
             continue
         if walk.heads is None:  # in order, as each lane's head lies in its own bits
-            walk.heads = heads = trail.T.ravel()
-            trail = None
+            walk.heads = heads = trail.ravel()
         near = pos >= bound
         near |= length == 0
         near &= live
@@ -376,7 +381,7 @@ def _lockstep(words, tables, start, base, bound, end, cap, expect: int, heads=No
         left += gone.size
         if 2 * left >= ids.size:
             walk.blocks.append((first, ids, rows[: step - first]))
-            ids, pos, base = ids[live], pos[live], base[live]
+            ids, pos, base, shift = ids[live], pos[live], base[live], shift[live]
             bound, end, cap = bound[live], end[live], cap[live]
             if not ids.size:
                 return walk
@@ -420,33 +425,38 @@ def _walk(streams, names=None) -> list:
     padded = np.frombuffer(b"".join(chunks + [bytes(8)]), dtype=np.uint8)
     # the 64 bits from every second byte on
     words = np.ndarray(size // 2 + 1, dtype=">u8", buffer=padded, strides=(2,)).astype(np.uint64)
-    tables = np.concatenate([table._decode_table() for table, *_ in streams])
+    tables = [table._decode_table() for table, *_ in streams]
+    sizes = np.array([table.size for table in tables])
+    tables = np.concatenate(tables)
     first, bits, lane = np.array(layout, dtype=np.int64).T
     count = np.maximum(1, -(-bits // lane))
     lead = np.r_[0, np.cumsum(count)]  # each stream's first lane
     owner = np.repeat(np.arange(len(streams)), count)
     k = np.arange(lead[-1]) - lead[owner]  # each lane's index in its stream
-    base = owner.astype(np.uint64) << MAX_CODE_LEN  # its table in ``tables``
+    base = (np.cumsum(sizes) - sizes)[owner].astype(np.uint64)  # its table in ``tables``
+    # its window: as many of the top bits of its read as its longest code has
+    shift = (64 - np.array([table.lengths.max() for table, *_ in streams], np.uint64))[owner]
     starts, ends = first[owner] + k * lane[owner], (first + bits)[owner]
     never = np.iinfo(np.int64).max
     bounds = np.minimum(starts + lane[owner], ends)
     caps = np.where(k + 3 < count[owner], starts + 3 * lane[owner], never)
     starts, bounds, ends, caps = (v.astype(np.uint64) for v in (starts, bounds, ends, caps))
-    walk = _lockstep(words, tables, starts, base, bounds, ends, caps,
+    walk = _lockstep(words, tables, starts, (base, shift), bounds, ends, caps,
                      int(1.125 * max(lane / means)))
     # each lane but the last of a stream ends on the next lane's head, at index joins
     regular = (walk.why & (_FLAG | _END | _STUCK)) == _FLAG
     regular &= walk.met // head == np.arange(1, starts.size + 1)
     joins, odd = walk.met % head, np.flatnonzero(~regular)
-    out = []
+    plans = []  # per stream: (walk, first lane, from codewords, to codewords) of runs of lanes
     for s, (first, bits, _) in enumerate(layout):
         end, k, a = first + bits, int(lead[s]), 0
-        pieces, lanes = [], walk
+        plan, lanes = [], walk
+        plans.append(plan)
         while True:
             if lanes is walk:
                 r = int(odd[np.searchsorted(odd, k)])
                 if r > k:
-                    pieces += walk.symbols(k, np.r_[a, joins[k : r - 1]], walk.steps[k:r])
+                    plan.append((walk, k, np.r_[a, joins[k : r - 1]], walk.steps[k:r]))
                     k, a = r, int(joins[r - 1])
             steps, why = int(lanes.steps[k]), int(lanes.why[k])
             if why & _END:  # its codewords must end exactly at the stream's end
@@ -454,24 +464,26 @@ def _walk(streams, names=None) -> list:
                 e = int(np.searchsorted(edges, end))
                 if e == edges.size or edges[e] != end:
                     raise CorruptionError(label(s) + "payload ends inside a codeword")
-                pieces.append(lanes.entries(k)[a:e].astype(np.uint8))
+                plan.append((lanes, k, np.array([a]), np.array([e])))
                 break
             if why & _STUCK:  # on a window that starts no codeword
                 left = end - int(lanes.at[k])
                 raise CorruptionError(label(s) + (
                     "payload ends inside a codeword" if left <= streams[s][0].lengths.max()
                     else "bit pattern matches no codeword"))
-            pieces.append(lanes.entries(k)[a:steps].astype(np.uint8))
+            plan.append((lanes, k, np.array([a]), np.array([steps])))
             if why & _FLAG:  # on to the lane whose head it is on
                 k, a = divmod(int(lanes.met[k]), head)
                 lanes = walk
             else:  # halted: on alone from where it stopped
-                at, lead_lane = lanes.at[k : k + 1], slice(lead[s], lead[s] + 1)
-                lanes = _lockstep(words, tables, at, base[lead_lane], at, ends[lead_lane],
+                at, one = lanes.at[k : k + 1], slice(lead[s], lead[s] + 1)
+                lanes = _lockstep(words, tables, at, (base[one], shift[one]), at, ends[one],
                                   np.full(1, never, dtype=np.uint64), 1, walk.heads)
                 k, a = 0, 0
-        out.append(np.frombuffer(bytearray().join(pieces), dtype=np.uint8))
-    return out
+    del words, padded, tables  # freed before the symbols are copied out
+    return [np.frombuffer(bytearray().join([piece for lanes, *run in plan
+                                            for piece in lanes.symbols(*run)]), dtype=np.uint8)
+            for plan in plans]
 
 
 def _encode_pow2(value: float):
