@@ -22,10 +22,10 @@ or per bit:
   every layer of a container in one lockstep walk, each lane reading its
   own layer's decode table: per window of as many bits as the layer's
   longest code, ``length << 8 | symbol`` of the codeword the window starts
-  with, or 0 where it starts with none. A
-  Python step reads 64 bits at every lane's position, from a big-endian
-  word at every second payload byte, and takes ``_READ_CODEWORDS`` (3)
-  codewords from them in turn, one per lane each. The record stores no
+  with, or 0 where it starts with none. A Python step reads 64 bits at
+  every lane's position, from a big-endian word at every second payload
+  byte, and takes ``_READ_CODEWORDS`` (3) codewords from them in turn, one
+  per lane each. The record stores no
   lane starts: the decoder picks them, a multiple of the gcd of the code
   lengths apart, so most lanes start inside a codeword. A Huffman decoder
   started at any bit falls onto the codeword boundaries within a few
@@ -100,11 +100,10 @@ _ENCODE_SYMBOLS = 1 << 14  # symbols placed per encode step
 # payload byte, so a read holds at least 64 - 15 bits from the lane's position
 _READ_CODEWORDS = (64 - 15) // MAX_CODE_LEN
 _LANE_CODEWORDS = 512  # the most codewords, of the code's mean length, a lane is sized for
-_LANES = 1024  # lanes a container is cut into at least, where lanes of one head allow
+_LANES = 1024  # lanes a smaller container is cut into, down to lanes of one head
 _HEAD_READS = 12  # reads whose codeword starts a lane flags for its predecessor
 _CHECK_READS = 3  # reads between the checks of whether a lane is to leave
 _FLAG, _END, _HALT, _STUCK = 1, 2, 4, 8  # why a lane leaves the walk
-
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
@@ -181,10 +180,10 @@ class HuffmanTable:
         """``length << 8 | symbol`` of the codeword each window of the longest
         code's length starts with; 0 at the windows past the last code, which
         start with none."""
-        shorter = MAX_CODE_LEN - int(self.lengths.max())  # bits the windows drop
-        table = np.zeros(1 << (MAX_CODE_LEN - shorter), dtype=np.uint16)
+        width = int(self.lengths.max())
+        table = np.zeros(1 << width, dtype=np.uint16)
         entries = self.lengths[self._ordered].astype(np.uint16) << 8 | self._ordered
-        span = self._span >> shorter
+        span = self._span >> (MAX_CODE_LEN - width)
         table[: span.sum()] = np.repeat(entries, span)
         return table
 
@@ -320,15 +319,14 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
     (``table`` holds each lane's offset in ``tables`` and the shift that
     leaves a read's top bits, as many as its longest code), which moves it
     past one codeword, or leaves it where it is if the window starts with
-    none. The
-    first _HEAD_READS reads are each lane's head: the codeword starts of
-    every head, lane by lane, are the flags, unless ``heads`` gives them.
-    From then on, every _CHECK_READS reads, a lane at or past its ``bound``
-    (the next lane's start), or stuck on a window that starts no codeword,
-    leaves if it is on a flag (_FLAG), at or past its stream's ``end``
-    (_END), or stuck or at or past its ``cap`` (_HALT). Lanes that have left
-    walk on until half of their block's lanes have; the rest go on in a
-    new, narrower block. ``expect`` steps are made room for.
+    none. The first _HEAD_READS reads are each lane's head: the codeword
+    starts of every head, lane by lane, are the flags, unless ``heads``
+    gives them. From then on, every _CHECK_READS reads, a lane at or past
+    its ``bound`` (the next lane's start), or stuck on a window that starts
+    no codeword, leaves if it is on a flag (_FLAG), at or past its stream's
+    ``end`` (_END), or stuck or at or past its ``cap`` (_HALT). Lanes that
+    have left walk on until half of their block's lanes have; the rest go
+    on in a new, narrower block. ``expect`` steps are made room for.
     """
     n = start.size
     head, check = _HEAD_READS * _READ_CODEWORDS, _CHECK_READS * _READ_CODEWORDS
