@@ -857,7 +857,8 @@ def walk_streams(draw):
 def test_self_synchronising_walk_matches_the_serial_reference(drawn, codewords, head_reads,
                                                               check_reads, data):
     # the walk's symbols, or its refusal, equal the serial reference's on the
-    # stream, on the stream cut short and on the stream with one byte flipped
+    # stream, on the stream cut short and on the stream with one byte flipped;
+    # a refusal of a named stream is a CorruptionError that names it
     table, symbols, lane = drawn
     payload, bits = table.encode(symbols)
     lanes = (mock.patch.object(codec, "_lane_bits", return_value=lane) if lane
@@ -872,6 +873,10 @@ def test_self_synchronising_walk_matches_the_serial_reference(drawn, codewords, 
         for stream, end in ((payload, bits - cut), (bytes(flipped), bits)):
             want = outcome(serial_decode, table.lengths, stream, end)
             assert same_outcome(outcome(table.decode, stream, end), want)
+            named = outcome(lambda: codec._walk([(table, stream, end)], ["conv"])[0])
+            if isinstance(want, tuple):
+                want = (CorruptionError, "layer 'conv': " + want[1])
+            assert same_outcome(named, want)
 
 
 # --- the container walk ------------------------------------------------------------
