@@ -272,23 +272,15 @@ class _Lanes:
     at: np.ndarray
     why: np.ndarray
     met: np.ndarray  # the lane whose head a lane left on, times the head size, plus the index
+    heads: np.ndarray  # the codeword starts of each lane's head, lane by lane
     blocks: list = field(default_factory=list)  # (first step, lanes, entries row by step)
-    heads: np.ndarray = None  # the codeword starts of each lane's head, lane by lane
-
-    def entries(self, lane: int) -> np.ndarray:
-        """The table entry of each codeword the lane took before it left."""
-        parts = []
-        for _, lanes, rows in self.blocks:
-            column = np.searchsorted(lanes, lane)
-            if column == lanes.size or lanes[column] != lane:
-                break
-            parts.append(rows[:, column])
-        return np.concatenate(parts)[: self.steps[lane]]
 
     def positions(self, lane: int) -> np.ndarray:
         """The start of each codeword the lane took, then the end of the last."""
-        lengths = self.entries(lane) >> 8
-        return int(self.start[lane]) + np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        lengths = np.concatenate([rows[:, np.searchsorted(ids, lane)] >> 8
+                                  for _, ids, rows in self.blocks if lane in ids])
+        return int(self.start[lane]) + np.r_[0, np.cumsum(lengths[: self.steps[lane]],
+                                                          dtype=np.int64)]
 
     def symbols(self, first: int, a, e) -> list:
         """The symbols of lanes ``first``, ``first`` + 1, ... from codeword a to e
@@ -330,9 +322,12 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
     """
     n = start.size
     head, check = _HEAD_READS * _READ_CODEWORDS, _CHECK_READS * _READ_CODEWORDS
+    trail = None
+    if heads is None:  # in order, as each lane's head lies in its own bits
+        trail = np.empty((n, head), dtype=np.uint64)
+        heads = trail.ravel()
     walk = _Lanes(start, np.zeros(n, np.int64), np.zeros(n, np.uint64), np.zeros(n, np.uint8),
-                  np.zeros(n, np.int64), heads=heads)
-    trail = np.empty((n, head), dtype=np.uint64) if heads is None else None
+                  np.zeros(n, np.int64), heads)
     ids, pos, (base, shift) = np.arange(n), start.copy(), table
     live = np.ones(n, dtype=bool)  # False once a lane of the block has left
     rows = np.empty((max(expect, head), n), dtype=np.uint16)
@@ -353,8 +348,6 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
             step += 1
         if step < head or step % check:
             continue
-        if walk.heads is None:  # in order, as each lane's head lies in its own bits
-            walk.heads = heads = trail.ravel()
         near = pos >= bound
         near |= length == 0
         near &= live
