@@ -104,6 +104,7 @@ _LANES = 1024  # lanes a smaller container is cut into, down to lanes of one hea
 _HEAD_READS = 12  # reads whose codeword starts a lane flags for its predecessor
 _CHECK_READS = 3  # reads between the checks of whether a lane is to leave
 _FLAG, _END, _HALT, _STUCK = 1, 2, 4, 8  # why a lane leaves the walk
+_SYMBOL_BYTE = 0 if np.little_endian else 1  # the byte of a ``length << 8 | symbol`` entry
 
 
 def _huffman_lengths(counts: np.ndarray) -> np.ndarray:
@@ -291,8 +292,8 @@ class _Lanes:
             if step >= width:
                 break
             lo, hi = np.searchsorted(ids, (first, first + a.size))
-            # cast first: numpy transposes one byte faster than it casts across
-            rows = rows[: width - step, lo:hi].astype(np.uint8).T
+            # each entry's symbol byte: numpy transposes bytes faster than it casts across
+            rows = rows.view(np.uint8)[: width - step, 2 * lo + _SYMBOL_BYTE : 2 * hi : 2].T
             if hi - lo == a.size:
                 lanes[:, step : step + rows.shape[1]] = rows
             else:
@@ -331,6 +332,7 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
     ids, pos, (base, shift) = np.arange(n), start.copy(), table
     live = np.ones(n, dtype=bool)  # False once a lane of the block has left
     rows = np.empty((max(expect, head), n), dtype=np.uint16)
+    window, length = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
     step = first = left = 0
     while True:
         if step - first + _READ_CODEWORDS > rows.shape[0]:
@@ -340,9 +342,10 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
         for _ in range(_READ_CODEWORDS):
             if step < head and trail is not None:
                 trail[:, step] = pos
-            window = word >> shift
+            np.right_shift(word, shift, out=window)
             window += base  # below tables.size: "clip" only spares take a copy of out
-            length = tables.take(window, out=rows[step - first], mode="clip") >> 8
+            entry = tables.take(window, out=rows[step - first], mode="clip")
+            np.right_shift(entry, 8, out=length, casting="unsafe")
             word <<= length
             pos += length
             step += 1
@@ -378,6 +381,7 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
                 return walk
             live, left, first = live[live], 0, step
             rows = np.empty((max(expect - step, head), ids.size), dtype=np.uint16)
+            window, length = window[: ids.size], length[: ids.size]
 
 
 def _walk(streams, names=None) -> list:
