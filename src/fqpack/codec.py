@@ -18,29 +18,29 @@ or per bit:
   code's start bit; each code, left-justified in a uint64, is shifted to its
   place in its word, the codes of a word are OR-ed together in one reduce,
   and the bits of a code that runs past its word go into the next.
-* decode cuts each payload into lanes of bits and walks every lane of
-  every layer of a container in one lockstep walk, each lane reading its
-  own layer's decode table: per window of as many bits as the layer's
-  longest code, ``length << 8 | symbol`` of the codeword the window starts
-  with, or 0 where it starts with none. A Python step reads 64 bits at
-  every lane's position, from a big-endian word at every second payload
-  byte, and takes ``_READ_CODEWORDS`` (3) codewords from them in turn, one
-  per lane each. The record stores no
-  lane starts: the decoder picks them, a multiple of the gcd of the code
-  lengths apart, so most lanes start inside a codeword. A Huffman decoder
-  started at any bit falls onto the codeword boundaries within a few
-  codewords (Klein & Wiseman, "Parallel Huffman decoding with
-  applications to JPEG files", The Computer Journal 2003); each lane walks
-  past its own bits until it stands on a codeword start of a later lane's
-  first codewords, and the layer's symbols are stitched from lane to lane
-  at those starts. A lane that meets no later lane is continued by itself,
-  alone if need be, so a stream whose lanes never fall into step is walked
-  as one serial lane. Lanes are sized for at most ``_LANE_CODEWORDS``
-  codewords, fewer in a small container, so a container of ToyNet's size
-  takes a few dozen steps. A window that starts no codeword on the way, a
-  last codeword that runs past the payload's end, or a symbol count other
-  than the record's shape holds is refused, and the refusal names its
-  layer.
+* decode cuts each payload into lanes of bits and walks every lane of every
+  layer of a container in one lockstep walk, each lane reading its own
+  layer's decode table: per window of as many bits as the layer's longest
+  code, ``length << 8 | symbol`` of the codeword the window starts with, or
+  0 where it starts with none. A Python step reads 64 bits at every lane's
+  position, from a big-endian word at every second payload byte, and takes
+  ``_READ_CODEWORDS`` (3) codewords from them in turn, one per lane each.
+  The record stores no lane starts: the decoder picks them, a multiple of
+  the gcd of the code lengths apart, so most lanes start inside a codeword.
+  A Huffman decoder started at any bit mostly falls onto the codeword
+  boundaries within a few codewords (Klein & Wiseman, "Parallel Huffman
+  decoding with applications to JPEG files", The Computer Journal 2003);
+  each lane walks past its own bits until it stands on a codeword start of a
+  later lane's first codewords, and the layer's symbols are stitched from
+  lane to lane at those starts. Where a lane meets none, the rest of its
+  stream is walked again in segments of a lane, a lane at every multiple of
+  the gcd below the longest code in each, so one starts on a codeword
+  boundary. Lanes are sized for at most ``_LANE_CODEWORDS`` codewords, fewer
+  in a small container, so a container of ToyNet's size takes a few dozen
+  steps, and no stream a step per codeword. A window that starts no codeword
+  on the way, a last codeword that runs past the payload's end, or a symbol
+  count other than the record's shape holds is refused, and the refusal
+  names its layer.
 
 Symbols are uint8 in both directions, as ``LayerQuantization`` holds them.
 ``HuffmanTable.encode`` range-checks a stream of a wider dtype before it
@@ -68,7 +68,6 @@ uses; and after, if its decoded symbols do not number its weights.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field
@@ -273,7 +272,6 @@ class _Lanes:
     at: np.ndarray
     why: np.ndarray
     met: np.ndarray  # the lane whose head a lane left on, times the head size, plus the index
-    heads: np.ndarray  # the codeword starts of each lane's head, lane by lane
     blocks: list = field(default_factory=list)  # (first step, lanes, entries row by step)
 
     def positions(self, lane: int) -> np.ndarray:
@@ -304,7 +302,7 @@ class _Lanes:
                                               (offset + e).tolist())))
 
 
-def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=None) -> _Lanes:
+def _lockstep(words, tables, start, table, bound, end, cap, expect: int) -> _Lanes:
     """Walk lanes from bit positions ``start`` in lockstep, one codeword per lane
     per step, until every lane has left.
 
@@ -312,23 +310,20 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
     (``table`` holds each lane's offset in ``tables`` and the shift that
     leaves a read's top bits, as many as its longest code), which moves it
     past one codeword, or leaves it where it is if the window starts with
-    none. The first _HEAD_READS reads are each lane's head: the codeword
-    starts of every head, lane by lane, are the flags, unless ``heads``
-    gives them. From then on, every _CHECK_READS reads, a lane at or past
-    its ``bound`` (the next lane's start), or stuck on a window that starts
-    no codeword, leaves if it is on a flag (_FLAG), at or past its stream's
-    ``end`` (_END), or stuck or at or past its ``cap`` (_HALT). Lanes that
+    none. The first _HEAD_READS reads are each lane's head, and the codeword
+    starts of every head, lane by lane, are the flags. From then on, every
+    _CHECK_READS reads, a lane at or past its ``bound``, or stuck on a window
+    that starts no codeword, leaves if it is on a flag (_FLAG), at or past
+    its ``end`` (_END), or stuck or at or past its ``cap`` (_HALT). Lanes that
     have left walk on until half of their block's lanes have; the rest go
     on in a new, narrower block. ``expect`` steps are made room for.
     """
     n = start.size
     head, check = _HEAD_READS * _READ_CODEWORDS, _CHECK_READS * _READ_CODEWORDS
-    trail = None
-    if heads is None:  # in order, as each lane's head lies in its own bits
-        trail = np.empty((n, head), dtype=np.uint64)
-        heads = trail.ravel()
+    trail = np.empty((n, head), dtype=np.uint64)
+    heads = trail.ravel()  # sorted where each lane's head lies in its own bits
     walk = _Lanes(start, np.zeros(n, np.int64), np.zeros(n, np.uint64), np.zeros(n, np.uint8),
-                  np.zeros(n, np.int64), heads)
+                  np.zeros(n, np.int64))
     ids, pos, (base, shift) = np.arange(n), start.copy(), table
     live = np.ones(n, dtype=bool)  # False once a lane of the block has left
     rows = np.empty((max(expect, head), n), dtype=np.uint16)
@@ -340,7 +335,7 @@ def _lockstep(words, tables, start, table, bound, end, cap, expect: int, heads=N
         word = words.take(pos >> 4, mode="clip")
         word <<= pos & 15  # at least 49 bits from pos on
         for _ in range(_READ_CODEWORDS):
-            if step < head and trail is not None:
+            if step < head:
                 trail[:, step] = pos
             np.right_shift(word, shift, out=window)
             window += base  # below tables.size: "clip" only spares take a copy of out
@@ -396,9 +391,13 @@ def _walk(streams, names=None) -> list:
     take the same codewords. A stream's symbols are its first lane's up to
     that start, then the later lane's from it, and so on to the lane that
     reaches the stream's end. A lane that meets no later lane within the
-    two past its own halts; if the stream runs through it, it is walked on
-    alone from where it halted, so a stream whose lanes never fall into
-    step decodes as one serial lane. The symbols must end exactly at the
+    two past its own halts. From there the rest of the stream is cut into
+    segments of a lane and walked again, a lane at each multiple of the gcd
+    g of the code lengths below the longest code L in each segment, so one
+    starts on a codeword boundary. Each ends with its segment; the one on
+    the stream's codewords crosses that end r < L bits into the next
+    segment, whose lane r / g goes on. This walk takes L / g times the steps
+    of one whose lanes fall into step. The symbols must end exactly at the
     stream's end, every codeword before it matched, or the stream is
     refused; ``names`` starts each refusal with ``layer 'NAME': ``.
     """
@@ -432,9 +431,8 @@ def _walk(streams, names=None) -> list:
     # its window: as many of the top bits of its read as its longest code has
     shift = (64 - np.array([table.lengths.max() for table, *_ in streams], np.uint64))[owner]
     starts, ends = first[owner] + k * lane[owner], (first + bits)[owner]
-    never = np.iinfo(np.int64).max
     bounds = np.minimum(starts + lane[owner], ends)
-    caps = np.where(k + 3 < count[owner], starts + 3 * lane[owner], never)
+    caps = starts + 3 * lane[owner]  # past the stream's end for its last three lanes
     starts, bounds, ends, caps = (v.astype(np.uint64) for v in (starts, bounds, ends, caps))
     walk = _lockstep(words, tables, starts, (base, shift), bounds, ends, caps,
                      int(1.125 * max(lane / means)))
@@ -443,7 +441,7 @@ def _walk(streams, names=None) -> list:
     regular &= walk.met // head == np.arange(1, starts.size + 1)
     joins, odd = walk.met % head, np.flatnonzero(~regular)
     plans = []  # per stream: (walk, first lane, from codewords, to codewords) of runs of lanes
-    for s, (first, bits, _) in enumerate(layout):
+    for s, ((table, *_), (first, bits, size)) in enumerate(zip(streams, layout)):
         end, k, a = first + bits, int(lead[s]), 0
         plan, lanes = [], walk
         plans.append(plan)
@@ -454,26 +452,35 @@ def _walk(streams, names=None) -> list:
                     plan.append((walk, k, np.r_[a, joins[k : r - 1]], walk.steps[k:r]))
                     k, a = r, int(joins[r - 1])
             steps, why = int(lanes.steps[k]), int(lanes.why[k])
-            if why & _END:  # its codewords must end exactly at the stream's end
+            if why & _END:  # it takes the codewords that start before its stream's or segment's end
+                stop = end if lanes is walk else min(at + (k // residues + 1) * size, end)
                 edges = lanes.positions(k)
-                e = int(np.searchsorted(edges, end))
-                if e == edges.size or edges[e] != end:
-                    raise CorruptionError(label(s) + "payload ends inside a codeword")
+                e = int(np.searchsorted(edges, stop))
                 plan.append((lanes, k, np.array([a]), np.array([e])))
+                if stop < end:  # on to the next segment's lane that starts where it crossed
+                    k = (k // residues + 1) * residues + (int(edges[e]) - stop) // unit
+                    continue
+                if edges[e] != end:  # its codewords must end exactly at the stream's end
+                    raise CorruptionError(label(s) + "payload ends inside a codeword")
                 break
             if why & _STUCK:  # on a window that starts no codeword
                 left = end - int(lanes.at[k])
                 raise CorruptionError(label(s) + (
-                    "payload ends inside a codeword" if left <= streams[s][0].lengths.max()
+                    "payload ends inside a codeword" if left <= table.lengths.max()
                     else "bit pattern matches no codeword"))
             plan.append((lanes, k, np.array([a]), np.array([steps])))
             if why & _FLAG:  # on to the lane whose head it is on
                 k, a = divmod(int(lanes.met[k]), head)
                 lanes = walk
-            else:  # halted: on alone from where it stopped
-                at, one = lanes.at[k : k + 1], slice(lead[s], lead[s] + 1)
-                lanes = _lockstep(words, tables, at, (base[one], shift[one]), at, ends[one],
-                                  np.full(1, never, dtype=np.uint64), 1, walk.heads)
+            else:  # halted: the rest walked again, a lane at every residue of each segment
+                at, unit = int(lanes.at[k]), int(np.gcd.reduce(table.lengths[table.lengths > 0]))
+                residues = int(table.lengths.max()) // unit
+                rest = np.arange(at, end, size)  # the segments' starts
+                stops = np.repeat(np.minimum(rest + size, end), residues).astype(np.uint64)
+                rest = (rest[:, None] + unit * np.arange(residues)).ravel().astype(np.uint64)
+                one = np.full(rest.size, lead[s])
+                lanes = _lockstep(words, tables, rest, (base[one], shift[one]), stops, stops, stops,
+                                  int(1.125 * size * steps / (at - int(lanes.start[k]))))
                 k, a = 0, 0
     del words, padded, tables  # freed before the symbols are copied out
     return [np.frombuffer(bytearray().join([piece for lanes, *run in plan
@@ -559,7 +566,7 @@ def _read_layer(data, offset: int):
     fields.done()
     if not math.prod(shape):
         raise FormatError(f"layer {name!r}: shape {shape} holds no weights")
-    # refused before the walk, which walks a lone lane to the end of these bits
+    # refused before the walk, whose lanes these bits bound, the residue walk's too
     if payload_bits > math.prod(shape) * int(table.lengths.max()):
         raise CorruptionError(f"layer {name!r}: {payload_bits} payload bits "
                               f"for shape {shape}")
@@ -577,15 +584,12 @@ def _read_layer(data, offset: int):
 def _layers(records) -> list:
     """The layers of records of ``_read_layer``, from one walk of them all."""
     walked = _walk([stream for _, stream, _ in records], [lq.name for lq, *_ in records])
-    layers = []
     for (coded, _, shape), symbols in zip(records, walked):
         if symbols.size != math.prod(shape):
             raise CorruptionError(f"layer {coded.name!r}: {symbols.size} codewords, "
                                   f"its shape {shape} holds {math.prod(shape)}")
-        layer = copy.copy(coded)  # its symbols were checked as the table's
-        layer.symbols, layer.shape = symbols, shape
-        layers.append(layer)
-    return layers
+        coded.symbols, coded.shape = symbols, shape  # its symbols were checked as the table's
+    return [coded for coded, *_ in records]
 
 
 def decode_layer(data, offset: int = 0):

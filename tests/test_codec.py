@@ -773,10 +773,10 @@ def test_payload_ending_inside_the_last_block_is_refused():
 
 
 def lockstep_walks():
-    """Patch ``_lockstep`` to note the lane count of each walk it makes."""
+    """Patch ``_lockstep`` to keep what each walk it makes leaves."""
     walks, lockstep = [], codec._lockstep
     return walks, mock.patch.object(
-        codec, "_lockstep", side_effect=lambda *a: walks.append(a[2].size) or lockstep(*a))
+        codec, "_lockstep", side_effect=lambda *a: walks.append(lockstep(*a)) or walks[-1])
 
 
 def test_lanes_started_inside_codewords_fall_into_step():
@@ -789,7 +789,7 @@ def test_lanes_started_inside_codewords_fall_into_step():
     walks, spy = lockstep_walks()
     with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=7), spy:
         assert np.array_equal(table.decode(payload, bits), symbols)
-    assert walks == [-(-bits // 7)]  # one walk: every lane met its successor
+    assert [w.at.size for w in walks] == [-(-bits // 7)]  # one walk: every lane met its successor
 
 
 def test_fixed_length_code_lanes_start_on_codeword_boundaries():
@@ -817,16 +817,17 @@ def never_in_step(count):
 
 def test_lane_walk_stops_after_a_block_of_steps():
     # the first lane, the only one on the codeword boundaries, meets no later
-    # lane: it stops three lanes past its start, and the stream's symbols are
-    # walked on from there by one lane alone
-    table, payload, bits = never_in_step(3000)
-    walks, lockstep = [], codec._lockstep
-    with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=30), \
-            mock.patch.object(codec, "_lockstep",
-                              side_effect=lambda *a: walks.append(lockstep(*a)) or walks[-1]):
-        assert np.array_equal(table.decode(payload, bits), [0] + [4] * 3000)
-    assert [walk.at.size for walk in walks] == [301, 1]
-    assert walks[0].why[0] == codec._HALT and 3 * 30 <= walks[0].at[0] < 3 * 30 + 9
+    # lane: it stops three lanes past its start, and the rest of the stream is
+    # walked again from every residue of each segment of a lane. The walks'
+    # steps are bounded by a few lanes' codewords (10 in a lane of 30 bits)
+    # whatever the stream's length: no lane walks on alone
+    for count in (3000, 30_000):
+        table, payload, bits = never_in_step(count)
+        walks, spy = lockstep_walks()
+        with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=30), spy:
+            assert np.array_equal(table.decode(payload, bits), [0] + [4] * count)
+        assert walks[0].why[0] == codec._HALT and 3 * 30 <= walks[0].at[0] < 3 * 30 + 9
+        assert sum(int(walk.steps.max()) for walk in walks) <= 5 * 10
     with short_lanes(1), mock.patch.object(codec, "_lane_bits", return_value=30):
         for cut in (1, 2):
             with pytest.raises(CorruptionError, match="^payload ends inside a codeword$"):
@@ -867,9 +868,15 @@ def test_self_synchronising_walk_matches_the_serial_reference(drawn, codewords, 
     flipped = bytearray(payload)
     if payload:
         flipped[data.draw(st.integers(0, len(payload) - 1))] ^= data.draw(st.integers(1, 255))
+    walks, spy = lockstep_walks()
     with short_lanes(codewords, head_reads, check_reads), lanes:
-        got = table.decode(payload, bits)
+        with spy:
+            got = table.decode(payload, bits)
         assert got.dtype == np.uint8 and np.array_equal(got, symbols)
+        if lane and bits > 5 * lane:  # the first lane halts before the end: the rest is
+            # walked again, a lane at each of the 3 residues of every segment of a lane
+            rest = bits - int(walks[0].at[0])
+            assert [w.at.size for w in walks[1:]] == [3 * -(-rest // lane)]
         for stream, end in ((payload, bits - cut), (bytes(flipped), bits)):
             want = outcome(serial_decode, table.lengths, stream, end)
             assert same_outcome(outcome(table.decode, stream, end), want)
@@ -1070,7 +1077,7 @@ def test_record_round_trip_through_many_blocks():
     walks, spy = lockstep_walks()
     with short_lanes(5), spy:
         decoded, _ = decode_layer(record)
-    assert walks[0] > 40  # lanes of about 5 codewords, or a head of the longest code
+    assert walks[0].at.size > 40  # lanes of about 5 codewords, or a head of the longest code
     assert np.array_equal(decoded.symbols, lq.symbols) and encode_layer(decoded) == record
 
 
