@@ -12,6 +12,8 @@ Just enough machinery for the compact test network below — not a framework.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .convops import col2im, conv_output_hw, im2col
@@ -246,15 +248,7 @@ class ToyNet:
         return pairs
 
     def clone(self) -> "ToyNet":
-        other = ToyNet(seed=0, plan=self.plan, classes=self.head.w.shape[1])
-        for (_, mine), (_, theirs) in zip(self.weight_layers(), other.weight_layers()):
-            theirs.w = mine.w.copy()
-        for bn, obn in zip(self.bns, other.bns):
-            obn.gamma = bn.gamma.copy()
-            obn.beta = bn.beta.copy()
-            obn.running_mean = bn.running_mean.copy()
-            obn.running_var = bn.running_var.copy()
-        return other
+        return copy.deepcopy(self)
 
     def to_model_file(self) -> ModelFile:
         """Snapshot as a stored model: conv geometry plus BN statistics."""
