@@ -396,10 +396,10 @@ def _walk(streams, names=None) -> list:
     g of the code lengths below the longest code L in each segment, so one
     starts on a codeword boundary. Each ends with its segment; the one on
     the stream's codewords crosses that end r < L bits into the next
-    segment, whose lane r / g goes on. This walk takes L / g times the steps
-    of one whose lanes fall into step. The symbols must end exactly at the
-    stream's end, every codeword before it matched, or the stream is
-    refused; ``names`` starts each refusal with ``layer 'NAME': ``.
+    segment, whose lane r / g goes on. This walk holds L / g times the lanes
+    of one whose lanes fall into step, for as many steps. The symbols must
+    end exactly at the stream's end, every codeword before it matched, or
+    the stream is refused; ``names`` starts each refusal with ``layer 'NAME': ``.
     """
     label = (lambda s: "") if names is None else (lambda s: f"layer {names[s]!r}: ")
     head = _HEAD_READS * _READ_CODEWORDS
@@ -566,7 +566,7 @@ def _read_layer(data, offset: int):
     fields.done()
     if not math.prod(shape):
         raise FormatError(f"layer {name!r}: shape {shape} holds no weights")
-    # refused before the walk, whose lanes these bits bound, the residue walk's too
+    # refused before the walk, as these bits bound how many lanes it and a residue walk start
     if payload_bits > math.prod(shape) * int(table.lengths.max()):
         raise CorruptionError(f"layer {name!r}: {payload_bits} payload bits "
                               f"for shape {shape}")
