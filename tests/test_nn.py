@@ -211,6 +211,38 @@ def test_col2im_matches_nchw_scatter_bit_for_bit(case):
     assert got.flags.c_contiguous
 
 
+def test_col2im_matches_nchw_scatter_on_toynet_grids():
+    # the oracle above stops at 7x7 grids; these reach the 32x32 stride-2
+    # phase grids and the long flat offsets of every ToyNet stage past conv1
+    rng = np.random.default_rng(68)
+    for dtype in (np.float32, np.float64):
+        for n in (1, 16):
+            hw = 32
+            for k, (cin, cout, stride) in enumerate(TOY_PLAN):
+                oh, ow = conv_output_hw(hw, hw, 3, 3, stride, 1)
+                if k:
+                    w = rng.normal(size=(3, 3, cin, cout)).astype(dtype)
+                    dmat = rng.normal(size=(n * oh * ow, cout)).astype(dtype)
+                    got = col2im(dmat, w, (n, hw, hw, cin), stride, 1)
+                    want = nchw_col2im(dmat @ w.reshape(-1, cout).T, (n, cin, hw, hw),
+                                       3, 3, stride, 1)
+                    assert got.dtype == dtype
+                    assert got.tobytes() == np.ascontiguousarray(want.transpose(0, 2, 3, 1)).tobytes()
+                hw = oh
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_col2im_leaves_its_inputs_untouched(stride):
+    # col2im writes zeros into its tap buffer; dmat is also Conv2d.dw's operand
+    rng = np.random.default_rng(69)
+    oh, ow = conv_output_hw(9, 8, 3, 3, stride, 1)
+    dmat = rng.normal(size=(2 * oh * ow, 5))
+    w = rng.normal(size=(3, 3, 4, 5))
+    before = dmat.tobytes(), w.tobytes()
+    col2im(dmat, w, (2, 9, 8, 4), stride, 1)
+    assert (dmat.tobytes(), w.tobytes()) == before
+
+
 def _float32_copy(layer):
     """The same layer with float32 parameters."""
     other = copy.deepcopy(layer)
