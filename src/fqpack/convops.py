@@ -3,9 +3,10 @@
 Images are NHWC here; conv weights are HWIO (fh, fw, cin, cout). ``im2col``
 flattens each receptive field to a row ordered (fh, fw, cin), so a patch
 matrix multiplied by ``weights.reshape(fh*fw*cin, cout)`` is the
-convolution, and ``col2im`` is its input gradient. Both the float trainer
-and the integer engine build their patches here, which keeps their
-summation layouts identical.
+convolution, and ``col2im`` is its input gradient: one GEMM, then one 2-D
+add per tap into a flat grid per stride phase, to the bit the clipped
+per-tap scatter. Both the float trainer and the integer engine build their
+patches here, which keeps their summation layouts identical.
 """
 
 from __future__ import annotations
@@ -67,22 +68,51 @@ def col2im(dmat: np.ndarray, weights: np.ndarray, x_shape,
     """Input gradient of a conv: the output gradient ``dmat``
     (N*oh*ow, cout) through HWIO ``weights`` back onto an (N, H, W, cin) grid.
 
-    One GEMM gives the patch-matrix gradient; its taps then add onto the
-    grid in (i, j) order, each clipped to the rows and columns inside the
-    unpadded grid.
+    One GEMM gives the patch-matrix gradient. Tap (i, j) of output (oy, ox)
+    lands on input (s*oy + i - pad, s*ox + j - pad), which with i - pad =
+    s*qy + ry and j - pad = s*qx + rx is (oy + qy, ox + qx) in the (N, oh, ow)
+    grid of phase (ry, rx), if s*oh >= h and s*ow >= w. Then each tap, its
+    rows off the input set to 0, adds as one (N*oh*ow, cin) slab at flat
+    offset qy*ow + qx into its phase; the phases interleave into NHWC once.
+
+    The bytes are those of per-tap adds clipped to the grid: the same GEMM
+    values reach each element in (i, j) order from +0.0, and the extra adds
+    are of +0.0, which leave such a sum unchanged (it is never -0.0); values
+    off the grid, non-finite or not, are dropped. A grid the output does not
+    tile (a "valid" conv) keeps the clipped adds.
     """
     fh, fw, cin, cout = weights.shape
     n, h, w, _ = x_shape
     oh, ow = conv_output_hw(h, w, fh, fw, stride, pad)
     dcols = dmat @ weights.reshape(fh * fw * cin, cout).T
     dcols = dcols.reshape(n, oh, ow, fh, fw, cin)
-    out = np.zeros((n, h, w, cin), dtype=dcols.dtype)
     y_spans = [_inside(i, pad, stride, oh, h) for i in range(fh)]
     x_spans = [_inside(j, pad, stride, ow, w) for j in range(fw)]
-    for i, (ys, oys) in enumerate(y_spans):
-        for j, (xs, oxs) in enumerate(x_spans):
-            out[:, ys, xs] += dcols[:, oys, oxs, i, j]
-    return out
+    if stride * oh < h or stride * ow < w:
+        out = np.zeros((n, h, w, cin), dtype=dcols.dtype)
+        for i, (ys, oys) in enumerate(y_spans):
+            for j, (xs, oxs) in enumerate(x_spans):
+                out[:, ys, xs] += dcols[:, oys, oxs, i, j]
+        return out
+    for i, (_, oys) in enumerate(y_spans):
+        if oys.start or oys.stop < oh:
+            dcols[:, : oys.start, :, i] = dcols[:, oys.stop :, :, i] = 0
+    for j, (_, oxs) in enumerate(x_spans):
+        if oxs.start or oxs.stop < ow:
+            dcols[:, :, : oxs.start, :, j] = dcols[:, :, oxs.stop :, :, j] = 0
+    rows = n * oh * ow
+    taps = dcols.reshape(rows, fh, fw, cin)
+    phases = np.zeros((stride, stride, rows, cin), dtype=dcols.dtype)
+    for i in range(fh):
+        for j in range(fw):
+            (qy, ry), (qx, rx) = divmod(i - pad, stride), divmod(j - pad, stride)
+            off = qy * ow + qx
+            lo = max(off, 0)  # [lo, hi): the grid rows the tap's rows can reach
+            hi = max(rows + min(off, 0), lo)
+            phases[ry, rx, lo:hi] += taps[lo - off : hi - off, i, j]
+    del dcols, taps  # the GEMM output is freed before the interleave's copy
+    grid = phases.reshape(stride, stride, n, oh, ow, cin).transpose(2, 3, 0, 4, 1, 5)
+    return np.ascontiguousarray(grid.reshape(n, stride * oh, stride * ow, cin)[:, :h, :w])
 
 
 def _inside(tap: int, pad: int, stride: int, out_len: int, in_len: int):
