@@ -4,9 +4,9 @@ Images are NHWC here; conv weights are HWIO (fh, fw, cin, cout). ``im2col``
 flattens each receptive field to a row ordered (fh, fw, cin), so a patch
 matrix multiplied by ``weights.reshape(fh*fw*cin, cout)`` is the
 convolution, and ``col2im`` is its input gradient: one GEMM, then one 2-D
-add per tap into a flat grid per stride phase, to the bit the clipped
-per-tap scatter. Both the float trainer and the integer engine build their
-patches here, which keeps their summation layouts identical.
+add per tap into a flat grid per stride phase, with the bytes of the
+clipped per-tap scatter. Both the float trainer and the integer engine
+build their patches here, which keeps their summation layouts identical.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def col2im(dmat: np.ndarray, weights: np.ndarray, x_shape,
             lo = max(off, 0)  # [lo, hi): the grid rows the tap's rows can reach
             hi = max(rows + min(off, 0), lo)
             phases[ry, rx, lo:hi] += taps[lo - off : hi - off, i, j]
-    del dcols, taps  # the GEMM output is freed before the interleave's copy
+    del dcols, taps  # so the GEMM output and the interleave's copy never coexist
     grid = phases.reshape(stride, stride, n, oh, ow, cin).transpose(2, 3, 0, 4, 1, 5)
     return np.ascontiguousarray(grid.reshape(n, stride * oh, stride * ow, cin)[:, :h, :w])
 
